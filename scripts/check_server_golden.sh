@@ -5,6 +5,8 @@
 #
 #   * technique rv and said, daemon --jobs=1 and --jobs=4;
 #   * a racy multi-window trace and a clean one;
+#   * the atomicity and deadlock properties on the multi-window property
+#     workload (tests/golden/props_workload.rv), at both pool sizes;
 #   * four *concurrent* sessions, each byte-identical to batch;
 #   * REPORT frames arrive once per analyzed window.
 #
@@ -70,10 +72,34 @@ stop_daemon() {
   fi
 }
 
+# compare_session <label> <trace> <flags...>: one streamed session's
+# SUMMARY against the batch run of the same trace and flags.
+compare_session() {
+  LABEL="$1"
+  TRACE="$2"
+  shift 2
+  "$RVPREDICT" detect "$TRACE" "$@" >"$WORK/batch.txt" || true
+  RC=0
+  "$RVPCLIENT" "$TRACE" --socket="$SOCK" "$@" --summary-only \
+    >"$WORK/stream.txt" 2>"$WORK/client.err" || RC=$?
+  CHECKS=$((CHECKS + 1))
+  if [ "$RC" -ne 0 ]; then
+    fail "$LABEL: client exited $RC" "$WORK/client.err"
+  elif ! normalize "$WORK/batch.txt" >"$WORK/batch.n" || \
+       ! normalize "$WORK/stream.txt" >"$WORK/stream.n" || \
+       ! cmp -s "$WORK/batch.n" "$WORK/stream.n"; then
+    fail "$LABEL: summary differs from batch" \
+      "$WORK/batch.txt" "$WORK/stream.txt"
+  fi
+}
+
 # Fixed workloads, recorded once: bufwriter races across windows,
-# mergesort is clean end to end.
+# mergesort is clean end to end, and the property workload has atomicity
+# violations and a deadlock in different windows.
 "$RVPREDICT" record bench:bufwriter --out="$WORK/racy.txt" >/dev/null
 "$RVPREDICT" record bench:mergesort --out="$WORK/clean.txt" >/dev/null
+"$RVPREDICT" record tests/golden/props_workload.rv --schedule=rr \
+  --out="$WORK/props.txt" >/dev/null
 
 WINDOW=30
 
@@ -81,23 +107,13 @@ for JOBS in 1 4; do
   start_daemon --jobs="$JOBS"
   for TECH in rv said; do
     for TRACE in racy clean; do
-      LABEL="jobs=$JOBS/$TECH/$TRACE"
-      "$RVPREDICT" detect "$WORK/$TRACE.txt" --technique="$TECH" \
-        --window="$WINDOW" >"$WORK/batch.txt" || true
-      RC=0
-      "$RVPCLIENT" "$WORK/$TRACE.txt" --socket="$SOCK" \
-        --technique="$TECH" --window="$WINDOW" --summary-only \
-        >"$WORK/stream.txt" 2>"$WORK/client.err" || RC=$?
-      CHECKS=$((CHECKS + 1))
-      if [ "$RC" -ne 0 ]; then
-        fail "$LABEL: client exited $RC" "$WORK/client.err"
-      elif ! normalize "$WORK/batch.txt" >"$WORK/batch.n" || \
-           ! normalize "$WORK/stream.txt" >"$WORK/stream.n" || \
-           ! cmp -s "$WORK/batch.n" "$WORK/stream.n"; then
-        fail "$LABEL: summary differs from batch" \
-          "$WORK/batch.txt" "$WORK/stream.txt"
-      fi
+      compare_session "jobs=$JOBS/$TECH/$TRACE" "$WORK/$TRACE.txt" \
+        --technique="$TECH" --window="$WINDOW"
     done
+  done
+  for PROPERTY in atomicity deadlock; do
+    compare_session "jobs=$JOBS/$PROPERTY" "$WORK/props.txt" \
+      --property="$PROPERTY" --window=24
   done
 
   # One REPORT frame per analyzed window: bufwriter has 85 events, so

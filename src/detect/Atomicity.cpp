@@ -6,24 +6,12 @@
 
 #include "detect/Atomicity.h"
 
-#include "detect/Checkpoint.h"
-#include "detect/Closure.h"
 #include "detect/Lockset.h"
-#include "detect/RaceEncoder.h"
-#include "detect/Resilience.h"
+#include "detect/WindowDriver.h"
 #include "detect/WitnessChecker.h"
-#include "smt/Solver.h"
-#include "support/CommandLine.h"
 #include "support/Compiler.h"
-#include "support/FaultInjector.h"
-#include "support/StringUtils.h"
-#include "support/ThreadPool.h"
-#include "support/Timer.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <memory>
-#include <unordered_set>
 
 using namespace rvp;
 
@@ -87,380 +75,138 @@ uint64_t signatureOf(const Trace &T, EventId A1, EventId B, EventId A2) {
   return H;
 }
 
-/// One enumerated candidate plus every fact the parallel pre-filter phase
-/// derives for it. Enumeration order matches the sequential nested loops,
-/// so the sequential collection phase reproduces the exact sequential
-/// SeenSignatures evolution and statistics.
-struct AtomCandidate {
-  LockId Lock = 0;
-  LockPair Region;
-  EventId A1 = InvalidEvent;
-  EventId B = InvalidEvent;
-  EventId A2 = InvalidEvent;
-  AtomicityPattern Pattern = AtomicityPattern::ReadWriteRead;
-  uint64_t Sig = 0;
-  /// Rejected by the lockset / MHB quick check (signature-independent, so
-  /// it is safe to precompute before the solving phase).
-  bool QcRejected = false;
-  /// The MHB component rejected the candidate — under the WCP tier
-  /// (--tier != smt) those rejects are tallied as the wcp prune stage
-  /// (docs/TIERS.md). Counted in the sequential collection phase so the
-  /// tally matches --jobs=1 exactly.
-  bool MhbOrdered = false;
-};
-
-/// What a parallel solve task produced for one candidate.
-struct AtomTaskResult {
-  bool Solved = false;
-  SatResult Sat = SatResult::Unknown;
-  /// Escalation attempts the host spent on this candidate.
-  uint32_t Attempts = 1;
-  AtomicityReport Report;
-};
-
-/// Per-window solve state: the SolveHost owning the session (or the
-/// one-shot solver) plus, in incremental mode, the shared hash-consing
-/// builder. One per window sequentially; one per worker (plus the helping
-/// main thread) per window with jobs > 1.
-struct AtomSolveCtx {
-  FormulaBuilder FB;
-  std::unique_ptr<SolveHost> Host;
-};
-
-class AtomicityDriver {
+/// Atomicity as a window-driver policy: every complete critical section
+/// of the window is an intended-atomic region, and a candidate is a
+/// non-serializable (local, remote, local) access triple on one variable.
+/// The query is `O_a1 < O_b < O_a2` — no substitution.
+class AtomicityPolicy : public QueryPolicy {
 public:
-  AtomicityDriver(const Trace &T, const DetectorOptions &Options)
-      : T(T), Options(Options) {}
-
-  AtomicityResult run() {
-    Timer Clock;
-    UseIncremental = Options.Incremental;
-    Jobs = Options.Jobs == 0 ? ThreadPool::defaultWorkerCount()
-                             : Options.Jobs;
-    if (Jobs > 1)
-      Pool = std::make_unique<ThreadPool>(Jobs);
-    Result.Stats.Jobs = Jobs;
-    RunningValues.assign(T.numVars(), 0);
-    for (VarId Var = 0; Var < T.numVars(); ++Var)
-      RunningValues[Var] = T.initialValueOf(Var);
-
-    // Resume: same contract as the race driver (docs/ROBUSTNESS.md) —
-    // reload everything accumulated up to the last completed window and
-    // continue past it, byte-identical to an uninterrupted run.
-    CheckpointStore Ckpt(Options.CheckpointDir,
-                         Options.CheckpointFingerprint);
-    uint64_t SkipWindows = 0;
-    if (Ckpt.enabled()) {
-      std::string Payload;
-      CheckpointLoad Outcome = CheckpointLoad::None;
-      int64_t Last = Ckpt.loadLatest(Payload, &Outcome);
-      if (Outcome == CheckpointLoad::FingerprintMismatch)
-        CheckpointStore::refuseMismatch(Ckpt);
-      if (Last >= 0 && restoreState(Payload))
-        SkipWindows = static_cast<uint64_t>(Last) + 1;
-    }
-    // In-memory resume (the streaming front end) — same contract as the
-    // race driver: the caller-held state is authoritative.
-    if (Options.ResumeState && !Options.ResumeState->empty() &&
-        restoreState(*Options.ResumeState))
-      SkipWindows = Result.Stats.Windows;
-
-    {
-      ScopedPhaseTimer DetectPhase("atomicity");
-      uint64_t Index = 0, Processed = 0;
-      for (Span Window : splitWindows(T, Options.WindowSize)) {
-        if (Index++ < SkipWindows)
-          continue;
-        if (Options.MaxWindows && Processed == Options.MaxWindows)
-          break;
-        ++Processed;
-        ++Result.Stats.Windows;
-        processWindow(Window);
-        for (EventId Id = Window.Begin; Id < Window.End; ++Id)
-          if (T[Id].isWrite())
-            RunningValues[T[Id].Target] = T[Id].Data;
-        if (Ckpt.enabled()) {
-          Ckpt.save(Index - 1, serializeState());
-          if (FaultInjector::shouldFail(faults::DetectAbort))
-            std::_Exit(ExitInternal);
-        }
-      }
-    }
-    Result.Stats.UnknownCops = Result.Unknowns.size();
-    Result.Stats.Seconds = Clock.seconds();
-    if (Options.SaveState)
-      *Options.SaveState = serializeState();
-    if (Telemetry::enabled() && Options.FlushTelemetry) {
-      MetricsRegistry &Reg = MetricsRegistry::global();
-      if (SpeculativeSolves)
-        Reg.counter("detect.speculative_solves").add(SpeculativeSolves);
-      if (Result.Stats.SolverRetries)
-        Reg.counter("solver.retries").add(Result.Stats.SolverRetries);
-      if (Result.Stats.DegradedSessions)
-        Reg.counter("solver.degraded_sessions")
-            .add(Result.Stats.DegradedSessions);
-      if (BackendFallbacks)
-        Reg.counter("solver.backend_fallbacks").add(BackendFallbacks);
-      if (Result.Stats.UnknownCops)
-        Reg.counter("detect.unknown_cops").add(Result.Stats.UnknownCops);
-      if (Result.Stats.WcpPruned)
-        Reg.counter("wcp.pruned_cops").add(Result.Stats.WcpPruned);
-      if (SkipWindows)
-        Reg.counter("detect.resumed_windows").add(SkipWindows);
-      Result.Stats.Telemetry = Telemetry::instance().snapshot();
-    }
-    return std::move(Result);
+  AtomicityPolicy(const Trace &T, const DetectorOptions &Options)
+      : T(T), Options(Options) {
+    Phase = "atomicity";
+    FindingsCounter = "detect.violations";
+    WcpTier = Options.Tier != DetectTier::Smt;
+    Encoding.Slice = Options.Slice;
+    Encoding.Fold = Options.CfFold; // decision path only
   }
+
+  void enumerate(WindowContext &W, std::vector<Candidate> &Out) override {
+    Triples.clear();
+    {
+      ScopedPhaseTimer CopPhase("cop-enum");
+      for (LockId Lock = 0; Lock < T.numLocks(); ++Lock)
+        for (const LockPair &Region : T.lockPairsOf(Lock))
+          if (Region.AcquireId != InvalidEvent &&
+              Region.ReleaseId != InvalidEvent &&
+              W.Window.contains(Region.AcquireId) &&
+              W.Window.contains(Region.ReleaseId))
+            enumerateRegion(W.Window, Lock, Region, Out);
+    }
+    if (Out.empty() || !Options.UseQuickCheck)
+      return;
+    // Quick filters: holding the region's lock, or an MHB order
+    // incompatible with "between", make the query unsatisfiable. Under
+    // the WCP tier the MHB component is its own counted prune stage
+    // (docs/TIERS.md).
+    const EventClosure &Mhb = W.mhb();
+    ScopedPhaseTimer QcPhase("quick-check");
+    LocksetIndex Locksets(T, W.Window);
+    for (Candidate &C : Out) {
+      const Triple &X = Triples[C.Index];
+      bool MhbOrdered = Mhb.ordered(X.B, X.A1) || Mhb.ordered(X.A2, X.B);
+      const std::vector<LockId> &Held = Locksets.heldAt(X.B);
+      if (MhbOrdered && WcpTier)
+        C.Reject = "wcp";
+      else if (std::find(Held.begin(), Held.end(), X.Lock) != Held.end())
+        C.Reject = "lockset";
+      else if (MhbOrdered)
+        C.Reject = "quick-check";
+      C.QcPass = !C.Reject;
+    }
+  }
+
+  NodeRef encode(const RaceEncoder &Encoder, FormulaBuilder &FB,
+                 const Candidate &C, EncodeStats *Stats) const override {
+    const Triple &X = Triples[C.Index];
+    return Encoder.encodeBetween(FB, X.A1, X.B, X.A2, Stats);
+  }
+
+  bool checkWitness(WindowContext &W, const Candidate &C,
+                    const std::vector<EventId> &Order) const override {
+    const Triple &X = Triples[C.Index];
+    return checkAtomicityWitness(T, W.Window, Order, X.A1, X.B, X.A2,
+                                 W.encoder(), W.mhb(), W.Values)
+        .Ok;
+  }
+
+  void report(const Candidate &C, std::vector<EventId> Witness,
+              bool WitnessValid) override {
+    const Triple &X = Triples[C.Index];
+    AtomicityReport V;
+    V.RegionLock = X.Lock;
+    V.RegionAcquire = X.Region.AcquireId;
+    V.RegionRelease = X.Region.ReleaseId;
+    V.First = X.A1;
+    V.Remote = X.B;
+    V.Second = X.A2;
+    V.Witness = std::move(Witness);
+    V.WitnessValid = WitnessValid;
+    Violations.push_back(describe(std::move(V)));
+  }
+
+  size_t numFindings() const override { return Violations.size(); }
+
+  std::string checkpointLine(size_t I) const override {
+    const AtomicityReport &V = Violations[I];
+    return findingLine(
+        "viol",
+        {V.RegionAcquire, V.RegionRelease, V.First, V.Remote, V.Second},
+        V.WitnessValid, V.Witness);
+  }
+
+  bool restoreFindings(const std::vector<std::string> &Lines) override {
+    std::vector<AtomicityReport> Restored;
+    std::vector<EventId> E;
+    for (const std::string &Line : Lines) {
+      AtomicityReport V;
+      if (!parseFindingLine(T, Line, "viol", 5, E, V.WitnessValid,
+                            V.Witness) ||
+          !T[E[0]].isAcquire() || T[E[0]].Target >= T.numLocks())
+        return false;
+      V.RegionLock = T[E[0]].Target;
+      V.RegionAcquire = E[0];
+      V.RegionRelease = E[1];
+      V.First = E[2];
+      V.Remote = E[3];
+      V.Second = E[4];
+      if (!classifyAtomicity(T[V.First], T[V.Remote], T[V.Second],
+                             V.Pattern))
+        return false;
+      Restored.push_back(describe(std::move(V)));
+    }
+    Violations = std::move(Restored);
+    return true;
+  }
+
+  std::vector<AtomicityReport> Violations;
 
 private:
-  void processWindow(Span Window) {
-    EventClosure Mhb(T, Window, ClosureConfig::mhb());
-    EncoderOptions EncOpts; // no substitution for the between-query
-    EncOpts.Slice = Options.Slice;
-    EncOpts.Fold = Options.CfFold; // decision path only; rederive is full
-    RaceEncoder Encoder(T, Window, Mhb, RunningValues, EncOpts);
-    LocksetIndex Locksets(T, Window);
+  /// One candidate: the region, its two local accesses and the intruder.
+  struct Triple {
+    LockId Lock = 0;
+    LockPair Region;
+    EventId A1 = InvalidEvent;
+    EventId B = InvalidEvent;
+    EventId A2 = InvalidEvent;
+  };
 
-    if (Pool) {
-      processWindowParallel(Window, Mhb, Encoder, Locksets);
-      return;
-    }
-
-    // One SolveHost per window, whatever the mode: it owns the session
-    // (incremental) or the one-shot solver (legacy) and the whole
-    // degradation policy (docs/ROBUSTNESS.md).
-    AtomSolveCtx WindowCtx;
-    WindowCtx.Host = std::make_unique<SolveHost>(
-        Options.SolverName, UseIncremental, Options.PerCopBudgetSeconds,
-        Options.RetryBudgets,
-        Options.RetryJitterSeed + Result.Stats.Windows);
-
-    for (LockId Lock = 0; Lock < T.numLocks(); ++Lock) {
-      for (const LockPair &Region : T.lockPairsOf(Lock)) {
-        if (Region.AcquireId == InvalidEvent ||
-            Region.ReleaseId == InvalidEvent ||
-            !Window.contains(Region.AcquireId) ||
-            !Window.contains(Region.ReleaseId))
-          continue;
-        checkRegion(Window, Mhb, Encoder, Locksets, Lock, Region,
-                    &WindowCtx);
-      }
-    }
-    absorbHostStats(WindowCtx.Host->stats());
-  }
-
-  /// Folds one host's resilience tallies into the run's stats (called at
-  /// each window barrier; the parallel path folds every worker's host).
-  void absorbHostStats(const ResilienceStats &S) {
-    Result.Stats.SolverRetries += S.Retries;
-    Result.Stats.DegradedSessions += S.DegradedSessions;
-    BackendFallbacks += S.BackendFallbacks;
-  }
-
-  /// Same role as Detect.cpp's rederiveModel: the incremental session only
-  /// answers sat/unsat, so the witness model comes from re-encoding the
-  /// candidate into a fresh builder and solving one-shot — exactly the
-  /// legacy path's instance, byte-identical model included. (The shared
-  /// window builder would not do: And/Or children are canonicalized by
-  /// node reference, so ref numbering from earlier candidates reshapes the
-  /// DAG and the model the solver happens to pick.)
-  bool rederiveModel(const RaceEncoder &Encoder, EventId A1, EventId B,
-                     EventId A2, OrderModel &Model) const {
-    // Witness models come from the unsliced formula: a sliced model has
-    // no positions for events outside the cone, and buildWitness orders
-    // the whole window (see Detect.cpp's rederiveModel).
-    EncoderOptions NoSlice;
-    NoSlice.Slice = false;
-    RaceEncoder Unsliced(Encoder.sharedWindowEncoding(), NoSlice);
-    FormulaBuilder FreshFB;
-    NodeRef Root = Unsliced.encodeBetween(FreshFB, A1, B, A2);
-    std::unique_ptr<SmtSolver> Fresh =
-        createSolverByName(Options.SolverName);
-    if (!Fresh)
-      Fresh = createIdlSolver();
-    if (Telemetry::enabled())
-      MetricsRegistry::global().counter("solver.witness_resolves").inc();
-    return Fresh->solve(FreshFB, Root,
-                        Deadline::after(Options.PerCopBudgetSeconds),
-                        &Model) == SatResult::Sat;
-  }
-
-  /// Phase A of the parallel path: enumerate candidates in the exact
-  /// sequential nested-loop order, counting Stats.Cops and precomputing
-  /// the signature and the (signature-independent) quick-check verdict.
-  std::vector<AtomCandidate>
-  enumerateCandidates(Span Window, const EventClosure &Mhb,
-                      const LocksetIndex &Locksets) {
-    std::vector<AtomCandidate> Candidates;
-    for (LockId Lock = 0; Lock < T.numLocks(); ++Lock) {
-      for (const LockPair &Region : T.lockPairsOf(Lock)) {
-        if (Region.AcquireId == InvalidEvent ||
-            Region.ReleaseId == InvalidEvent ||
-            !Window.contains(Region.AcquireId) ||
-            !Window.contains(Region.ReleaseId))
-          continue;
-        std::vector<EventId> Local;
-        for (EventId Id = Region.AcquireId + 1; Id < Region.ReleaseId;
-             ++Id)
-          if (T[Id].Tid == Region.Tid && T[Id].isAccess() &&
-              !T[Id].Volatile)
-            Local.push_back(Id);
-        for (size_t I = 0; I < Local.size(); ++I) {
-          for (size_t J = I + 1; J < Local.size(); ++J) {
-            EventId A1 = Local[I];
-            EventId A2 = Local[J];
-            if (T[A1].Target != T[A2].Target)
-              continue;
-            for (EventId B : T.accessesOf(T[A1].Target)) {
-              if (!Window.contains(B) || T[B].Tid == Region.Tid ||
-                  T[B].Volatile)
-                continue;
-              AtomicityPattern Pattern;
-              if (!classifyAtomicity(T[A1], T[B], T[A2], Pattern))
-                continue;
-              ++Result.Stats.Cops;
-              AtomCandidate C;
-              C.Lock = Lock;
-              C.Region = Region;
-              C.A1 = A1;
-              C.B = B;
-              C.A2 = A2;
-              C.Pattern = Pattern;
-              C.Sig = signatureOf(T, A1, B, A2);
-              if (Options.UseQuickCheck) {
-                const std::vector<LockId> &Held = Locksets.heldAt(B);
-                C.MhbOrdered = Mhb.ordered(B, A1) || Mhb.ordered(A2, B);
-                C.QcRejected =
-                    std::find(Held.begin(), Held.end(), Lock) !=
-                        Held.end() ||
-                    C.MhbOrdered;
-              }
-              Candidates.push_back(C);
-            }
-          }
-        }
-      }
-    }
-    return Candidates;
-  }
-
-  /// Parallel window: enumerate sequentially (A), encode+solve every
-  /// quick-check survivor concurrently (B), then replay the results in
-  /// candidate order against the live signature set (C) so reports and
-  /// summary statistics match the sequential path exactly. Solves whose
-  /// signature turns out to be already seen are speculative and are
-  /// discarded in phase C.
-  void processWindowParallel(Span Window, const EventClosure &Mhb,
-                             const RaceEncoder &Encoder,
-                             const LocksetIndex &Locksets) {
-    std::vector<AtomCandidate> Candidates =
-        enumerateCandidates(Window, Mhb, Locksets);
-    std::vector<AtomTaskResult> Results(Candidates.size());
-
-    // Per-worker window-scoped solve state (session or one-shot solver,
-    // behind a SolveHost); the trailing slot serves the main thread
-    // (currentWorkerIndex() == -1) when it helps drain the queue.
-    std::vector<AtomSolveCtx> Contexts(Pool->numWorkers() + 1);
-    Pool->parallelFor(0, Candidates.size(), [&](size_t Index) {
-      const AtomCandidate &C = Candidates[Index];
-      if (C.QcRejected)
-        return;
-      int W = Pool->currentWorkerIndex();
-      AtomSolveCtx &Ctx = Contexts[W >= 0 ? static_cast<size_t>(W)
-                                          : Contexts.size() - 1];
-      solveCandidateTask(Window, Mhb, Encoder, C, Ctx, Results[Index]);
-    });
-    for (const AtomSolveCtx &Ctx : Contexts)
-      if (Ctx.Host)
-        absorbHostStats(Ctx.Host->stats());
-
-    for (size_t Index = 0; Index < Candidates.size(); ++Index) {
-      const AtomCandidate &C = Candidates[Index];
-      AtomTaskResult &R = Results[Index];
-      if (SeenSignatures.count(C.Sig)) {
-        if (R.Solved)
-          ++SpeculativeSolves;
-        continue;
-      }
-      if (C.QcRejected) {
-        if (Options.Tier != DetectTier::Smt && C.MhbOrdered)
-          ++Result.Stats.WcpPruned;
-        continue;
-      }
-      if (Options.UseQuickCheck)
-        ++Result.Stats.QcPassed;
-      ++Result.Stats.SolverCalls;
-      if (R.Sat == SatResult::Unknown) {
-        ++Result.Stats.SolverTimeouts;
-        recordUnknown(C.A1, C.B, C.Sig, R.Attempts);
-        continue;
-      }
-      if (R.Sat == SatResult::Unsat)
-        continue;
-      eraseUnknown(C.Sig);
-      SeenSignatures.insert(C.Sig);
-      Result.Violations.push_back(std::move(R.Report));
-    }
-  }
-
-  /// Phase B worker body: encode and solve one candidate with a private
-  /// solver instance, building the full report (witness included) so the
-  /// collection phase only has to accept or discard it.
-  void solveCandidateTask(Span Window, const EventClosure &Mhb,
-                          const RaceEncoder &Encoder,
-                          const AtomCandidate &C, AtomSolveCtx &Ctx,
-                          AtomTaskResult &Out) {
-    if (!Ctx.Host)
-      Ctx.Host = std::make_unique<SolveHost>(
-          Options.SolverName, UseIncremental, Options.PerCopBudgetSeconds,
-          Options.RetryBudgets,
-          Options.RetryJitterSeed + Result.Stats.Windows);
-    FormulaBuilder TaskFB;
-    FormulaBuilder &FB = UseIncremental ? Ctx.FB : TaskFB;
-    NodeRef Root = Encoder.encodeBetween(FB, C.A1, C.B, C.A2);
-    OrderModel Model;
-    SolveHost::Outcome Decided = Ctx.Host->decide(
-        FB, Root, Options.CollectWitnesses ? &Model : nullptr);
-    Out.Sat = Decided.Sat;
-    Out.Attempts = Decided.Attempts;
-    Out.Solved = true;
-    if (Out.Sat != SatResult::Sat)
-      return;
-    if (Options.CollectWitnesses &&
-        (!Decided.ModelFromSolve || Options.Slice))
-      rederiveModel(Encoder, C.A1, C.B, C.A2, Model);
-
-    AtomicityReport &Report = Out.Report;
-    Report.RegionLock = C.Lock;
-    Report.RegionAcquire = C.Region.AcquireId;
-    Report.RegionRelease = C.Region.ReleaseId;
-    Report.First = C.A1;
-    Report.Remote = C.B;
-    Report.Second = C.A2;
-    Report.Pattern = C.Pattern;
-    Report.Variable = T.varName(T[C.A1].Target);
-    Report.LocFirst = T.locName(T[C.A1].Loc);
-    Report.LocRemote = T.locName(T[C.B].Loc);
-    Report.LocSecond = T.locName(T[C.A2].Loc);
-    if (Options.CollectWitnesses) {
-      Report.Witness = buildWitness(Window, Model);
-      Report.WitnessValid =
-          checkAtomicityWitness(T, Window, Report.Witness, C.A1, C.B,
-                                C.A2, Encoder, Mhb, RunningValues)
-              .Ok;
-    }
-  }
-
-  void checkRegion(Span Window, const EventClosure &Mhb,
-                   const RaceEncoder &Encoder,
-                   const LocksetIndex &Locksets, LockId Lock,
-                   const LockPair &Region, AtomSolveCtx *Ctx) {
+  void enumerateRegion(Span Window, LockId Lock, const LockPair &Region,
+                       std::vector<Candidate> &Out) {
     // Local same-variable access pairs inside the region.
     std::vector<EventId> Local;
     for (EventId Id = Region.AcquireId + 1; Id < Region.ReleaseId; ++Id)
       if (T[Id].Tid == Region.Tid && T[Id].isAccess() && !T[Id].Volatile)
         Local.push_back(Id);
-
     for (size_t I = 0; I < Local.size(); ++I) {
       for (size_t J = I + 1; J < Local.size(); ++J) {
         EventId A1 = Local[I];
@@ -469,372 +215,36 @@ private:
           continue;
         // Candidate remote accesses on the same variable.
         for (EventId B : T.accessesOf(T[A1].Target)) {
-          if (!Window.contains(B) || T[B].Tid == Region.Tid ||
-              T[B].Volatile)
-            continue;
           AtomicityPattern Pattern;
-          if (!classifyAtomicity(T[A1], T[B], T[A2], Pattern))
+          if (!Window.contains(B) || T[B].Tid == Region.Tid ||
+              T[B].Volatile || !classifyAtomicity(T[A1], T[B], T[A2], Pattern))
             continue;
-          ++Result.Stats.Cops;
-          if (SeenSignatures.count(signatureOf(T, A1, B, A2)))
-            continue;
-          // Quick filters: holding the region's lock, or an MHB order
-          // incompatible with "between", make the query unsatisfiable.
-          // Under the WCP tier the MHB component runs first as its own
-          // counted prune stage (docs/TIERS.md); the reject set and
-          // QcPassed are identical either way since rejects emit nothing.
-          if (Options.UseQuickCheck) {
-            bool MhbOrdered = Mhb.ordered(B, A1) || Mhb.ordered(A2, B);
-            if (Options.Tier != DetectTier::Smt && MhbOrdered) {
-              ++Result.Stats.WcpPruned;
-              continue;
-            }
-            const std::vector<LockId> &Held = Locksets.heldAt(B);
-            if (std::find(Held.begin(), Held.end(), Lock) != Held.end())
-              continue;
-            if (MhbOrdered)
-              continue;
-            ++Result.Stats.QcPassed;
-          }
-
-          solveCandidate(Window, Mhb, Encoder, Lock, Region, A1, B, A2,
-                         Pattern, Ctx);
+          Candidate C;
+          C.First = A1;
+          C.Second = B;
+          C.Sig = signatureOf(T, A1, B, A2);
+          C.Index = static_cast<uint32_t>(Triples.size());
+          Triples.push_back({Lock, Region, A1, B, A2});
+          Out.push_back(C);
         }
       }
     }
   }
 
-  void solveCandidate(Span Window, const EventClosure &Mhb,
-                      const RaceEncoder &Encoder, LockId Lock,
-                      const LockPair &Region, EventId A1, EventId B,
-                      EventId A2, AtomicityPattern Pattern,
-                      AtomSolveCtx *Ctx) {
-    FormulaBuilder LocalFB;
-    FormulaBuilder &FB = UseIncremental ? Ctx->FB : LocalFB;
-    NodeRef Root = Encoder.encodeBetween(FB, A1, B, A2);
-    OrderModel Model;
-    ++Result.Stats.SolverCalls;
-    SolveHost::Outcome Decided = Ctx->Host->decide(
-        FB, Root, Options.CollectWitnesses ? &Model : nullptr);
-    SatResult Sat = Decided.Sat;
-    if (Sat == SatResult::Unknown) {
-      ++Result.Stats.SolverTimeouts;
-      recordUnknown(A1, B, signatureOf(T, A1, B, A2), Decided.Attempts);
-      return;
-    }
-    if (Sat == SatResult::Unsat)
-      return;
-    if (Options.CollectWitnesses &&
-        (!Decided.ModelFromSolve || Options.Slice))
-      rederiveModel(Encoder, A1, B, A2, Model);
-
-    AtomicityReport Report;
-    Report.RegionLock = Lock;
-    Report.RegionAcquire = Region.AcquireId;
-    Report.RegionRelease = Region.ReleaseId;
-    Report.First = A1;
-    Report.Remote = B;
-    Report.Second = A2;
-    Report.Pattern = Pattern;
-    Report.Variable = T.varName(T[A1].Target);
-    Report.LocFirst = T.locName(T[A1].Loc);
-    Report.LocRemote = T.locName(T[B].Loc);
-    Report.LocSecond = T.locName(T[A2].Loc);
-    if (Options.CollectWitnesses) {
-      Report.Witness = buildWitness(Window, Model);
-      Report.WitnessValid =
-          checkAtomicityWitness(T, Window, Report.Witness, A1, B, A2,
-                                Encoder, Mhb, RunningValues)
-              .Ok;
-    }
-    uint64_t Sig = signatureOf(T, A1, B, A2);
-    eraseUnknown(Sig);
-    SeenSignatures.insert(Sig);
-    Result.Violations.push_back(std::move(Report));
-  }
-
-  /// Parks an undecided candidate in the unknown section — one entry per
-  /// signature, keyed by the full (A1, B, A2) location triple; the report
-  /// shows the first local access and the remote intruder. Never merged
-  /// into Violations, so degradation keeps the violation list sound.
-  void recordUnknown(EventId A1, EventId B, uint64_t Sig,
-                     uint32_t Attempts) {
-    if (!UnknownSigs.insert(Sig).second)
-      return;
-    UnknownReport U;
-    U.First = A1;
-    U.Second = B;
-    U.LocFirst = T.locName(T[A1].Loc);
-    U.LocSecond = T.locName(T[B].Loc);
-    U.Variable = T.varName(T[A1].Target);
-    U.Attempts = Attempts;
-    UnknownSigList.push_back(Sig);
-    Result.Unknowns.push_back(std::move(U));
-  }
-
-  /// A signature provisionally parked as unknown has now been decided
-  /// (a later candidate with the same locations solved sat): the reported
-  /// violation supersedes the maybe-entry.
-  void eraseUnknown(uint64_t Sig) {
-    if (!UnknownSigs.erase(Sig))
-      return;
-    for (size_t I = 0; I < UnknownSigList.size(); ++I)
-      if (UnknownSigList[I] == Sig) {
-        UnknownSigList.erase(UnknownSigList.begin() +
-                             static_cast<ptrdiff_t>(I));
-        Result.Unknowns.erase(Result.Unknowns.begin() +
-                              static_cast<ptrdiff_t>(I));
-        break;
-      }
-  }
-
-  // ----------------------------------------------------- checkpointing
-  // Same contract as the race driver's pair in Detect.cpp: only event ids
-  // and counters are stored; display strings, patterns, and the region
-  // lock are re-derived from the trace on restore (the store's fingerprint
-  // pins trace and flags).
-
-  std::string serializeState() const {
-    std::string Out;
-    Out += formatString(
-        "stats %llu %llu %llu %llu %llu %llu %llu\n",
-        static_cast<unsigned long long>(Result.Stats.Windows),
-        static_cast<unsigned long long>(Result.Stats.Cops),
-        static_cast<unsigned long long>(Result.Stats.QcPassed),
-        static_cast<unsigned long long>(Result.Stats.SolverCalls),
-        static_cast<unsigned long long>(Result.Stats.SolverTimeouts),
-        static_cast<unsigned long long>(Result.Stats.SolverRetries),
-        static_cast<unsigned long long>(Result.Stats.DegradedSessions));
-    Out += formatString(
-        "tallies %llu %llu %llu\n",
-        static_cast<unsigned long long>(SpeculativeSolves),
-        static_cast<unsigned long long>(BackendFallbacks),
-        static_cast<unsigned long long>(Result.Stats.WcpPruned));
-    Out += "values";
-    for (Value V : RunningValues)
-      Out += formatString(" %lld", static_cast<long long>(V));
-    Out += "\n";
-    // Sorted so the same state always serializes to the same bytes.
-    std::vector<uint64_t> Keys(SeenSignatures.begin(),
-                               SeenSignatures.end());
-    std::sort(Keys.begin(), Keys.end());
-    Out += "seen";
-    for (uint64_t K : Keys)
-      Out += formatString(" %llx", static_cast<unsigned long long>(K));
-    Out += "\n";
-    for (const AtomicityReport &V : Result.Violations) {
-      Out += formatString(
-          "viol %llu %llu %llu %llu %llu %d",
-          static_cast<unsigned long long>(V.RegionAcquire),
-          static_cast<unsigned long long>(V.RegionRelease),
-          static_cast<unsigned long long>(V.First),
-          static_cast<unsigned long long>(V.Remote),
-          static_cast<unsigned long long>(V.Second),
-          V.WitnessValid ? 1 : 0);
-      for (EventId Id : V.Witness)
-        Out += formatString(" %llu", static_cast<unsigned long long>(Id));
-      Out += "\n";
-    }
-    for (size_t I = 0; I < Result.Unknowns.size(); ++I) {
-      const UnknownReport &U = Result.Unknowns[I];
-      Out += formatString(
-          "unknown %llu %llu %u %llx\n",
-          static_cast<unsigned long long>(U.First),
-          static_cast<unsigned long long>(U.Second),
-          static_cast<unsigned>(U.Attempts),
-          static_cast<unsigned long long>(UnknownSigList[I]));
-    }
-    return Out;
-  }
-
-  /// Inverse of serializeState. All-or-nothing: any malformed or
-  /// out-of-range field rejects the snapshot and the run starts from
-  /// scratch (sound; checkpoints only save time).
-  bool restoreState(const std::string &Payload) {
-    auto parseU64 = [](std::string_view S, uint64_t &Out) {
-      int64_t V = 0;
-      if (!parseInt(S, V) || V < 0)
-        return false;
-      Out = static_cast<uint64_t>(V);
-      return true;
-    };
-    auto parseHex = [](std::string_view S, uint64_t &Out) {
-      if (S.empty() || S.size() > 16)
-        return false;
-      uint64_t V = 0;
-      for (char C : S) {
-        int D;
-        if (C >= '0' && C <= '9')
-          D = C - '0';
-        else if (C >= 'a' && C <= 'f')
-          D = C - 'a' + 10;
-        else
-          return false;
-        V = V << 4 | static_cast<uint64_t>(D);
-      }
-      Out = V;
-      return true;
-    };
-    auto parseEvent = [&](std::string_view S, EventId &Out) {
-      uint64_t V = 0;
-      if (!parseU64(S, V) || V >= T.size())
-        return false;
-      Out = static_cast<EventId>(V);
-      return true;
-    };
-
-    std::vector<AtomicityReport> NewViolations;
-    std::vector<UnknownReport> NewUnknowns;
-    std::vector<uint64_t> NewUnknownSigs;
-    std::vector<Value> NewValues;
-    std::unordered_set<uint64_t> NewSeen, NewUnkSet;
-    uint64_t S[7] = {0}, Tally[3] = {0};
-    bool SawStats = false, SawTallies = false, SawValues = false;
-
-    for (std::string_view Line : split(Payload, '\n')) {
-      Line = trim(Line);
-      if (Line.empty())
-        continue;
-      std::vector<std::string_view> F = split(Line, ' ');
-      if (F[0] == "stats") {
-        if (F.size() != 8)
-          return false;
-        for (size_t I = 0; I < 7; ++I)
-          if (!parseU64(F[I + 1], S[I]))
-            return false;
-        SawStats = true;
-      } else if (F[0] == "tallies") {
-        if (F.size() != 4)
-          return false;
-        for (size_t I = 0; I < 3; ++I)
-          if (!parseU64(F[I + 1], Tally[I]))
-            return false;
-        SawTallies = true;
-      } else if (F[0] == "values") {
-        for (size_t I = 1; I < F.size(); ++I) {
-          int64_t V = 0;
-          if (!parseInt(F[I], V))
-            return false;
-          NewValues.push_back(static_cast<Value>(V));
-        }
-        SawValues = true;
-      } else if (F[0] == "seen") {
-        for (size_t I = 1; I < F.size(); ++I) {
-          uint64_t K = 0;
-          if (!parseHex(F[I], K))
-            return false;
-          NewSeen.insert(K);
-        }
-      } else if (F[0] == "viol") {
-        if (F.size() < 7)
-          return false;
-        AtomicityReport V;
-        uint64_t Valid = 0;
-        if (!parseEvent(F[1], V.RegionAcquire) ||
-            !parseEvent(F[2], V.RegionRelease) ||
-            !parseEvent(F[3], V.First) || !parseEvent(F[4], V.Remote) ||
-            !parseEvent(F[5], V.Second) || !parseU64(F[6], Valid) ||
-            Valid > 1)
-          return false;
-        if (!T[V.RegionAcquire].isAcquire() ||
-            T[V.RegionAcquire].Target >= T.numLocks() ||
-            !classifyAtomicity(T[V.First], T[V.Remote], T[V.Second],
-                               V.Pattern))
-          return false;
-        V.RegionLock = T[V.RegionAcquire].Target;
-        V.Variable = T.varName(T[V.First].Target);
-        V.LocFirst = T.locName(T[V.First].Loc);
-        V.LocRemote = T.locName(T[V.Remote].Loc);
-        V.LocSecond = T.locName(T[V.Second].Loc);
-        V.WitnessValid = Valid != 0;
-        for (size_t I = 7; I < F.size(); ++I) {
-          EventId Id = InvalidEvent;
-          if (!parseEvent(F[I], Id))
-            return false;
-          V.Witness.push_back(Id);
-        }
-        NewViolations.push_back(std::move(V));
-      } else if (F[0] == "unknown") {
-        if (F.size() != 5)
-          return false;
-        UnknownReport U;
-        uint64_t Attempts = 0, Sig = 0;
-        if (!parseEvent(F[1], U.First) || !parseEvent(F[2], U.Second) ||
-            !parseU64(F[3], Attempts) || Attempts == 0 ||
-            !parseHex(F[4], Sig))
-          return false;
-        U.LocFirst = T.locName(T[U.First].Loc);
-        U.LocSecond = T.locName(T[U.Second].Loc);
-        U.Variable = T.varName(T[U.First].Target);
-        U.Attempts = static_cast<uint32_t>(Attempts);
-        NewUnkSet.insert(Sig);
-        NewUnknownSigs.push_back(Sig);
-        NewUnknowns.push_back(std::move(U));
-      } else {
-        return false; // written by a different build: start from scratch
-      }
-    }
-    if (!SawStats || !SawTallies || !SawValues ||
-        NewValues.size() > T.numVars())
-      return false;
-    // Prefix snapshots (streaming steps) can predate variables first seen
-    // in later windows; they still hold their initial values.
-    while (NewValues.size() < T.numVars())
-      NewValues.push_back(
-          T.initialValueOf(static_cast<VarId>(NewValues.size())));
-
-    Result.Stats.Windows = S[0];
-    Result.Stats.Cops = S[1];
-    Result.Stats.QcPassed = S[2];
-    Result.Stats.SolverCalls = S[3];
-    Result.Stats.SolverTimeouts = S[4];
-    Result.Stats.SolverRetries = S[5];
-    Result.Stats.DegradedSessions = S[6];
-    SpeculativeSolves = Tally[0];
-    BackendFallbacks = Tally[1];
-    Result.Stats.WcpPruned = Tally[2];
-    RunningValues = std::move(NewValues);
-    SeenSignatures = std::move(NewSeen);
-    UnknownSigs = std::move(NewUnkSet);
-    UnknownSigList = std::move(NewUnknownSigs);
-    Result.Violations = std::move(NewViolations);
-    Result.Unknowns = std::move(NewUnknowns);
-    return true;
-  }
-
-  std::vector<EventId> buildWitness(Span Window,
-                                    const OrderModel &Model) const {
-    std::vector<EventId> Order;
-    Order.reserve(Window.size());
-    for (EventId Id = Window.Begin; Id < Window.End; ++Id)
-      Order.push_back(Id);
-    std::sort(Order.begin(), Order.end(), [&](EventId X, EventId Y) {
-      auto KeyOf = [&](EventId Id) -> std::pair<int64_t, int64_t> {
-        auto It = Model.find(Id);
-        return {It == Model.end() ? INT64_MAX : It->second,
-                static_cast<int64_t>(Id)};
-      };
-      return KeyOf(X) < KeyOf(Y);
-    });
-    return Order;
+  /// Fills the pattern and display names from the event ids.
+  AtomicityReport describe(AtomicityReport V) const {
+    classifyAtomicity(T[V.First], T[V.Remote], T[V.Second], V.Pattern);
+    V.Variable = T.varName(T[V.First].Target);
+    V.LocFirst = T.locName(T[V.First].Loc);
+    V.LocRemote = T.locName(T[V.Remote].Loc);
+    V.LocSecond = T.locName(T[V.Second].Loc);
+    return V;
   }
 
   const Trace &T;
-  DetectorOptions Options;
-  AtomicityResult Result;
-  std::unique_ptr<ThreadPool> Pool;
-  uint32_t Jobs = 1;
-  bool UseIncremental = false;
-  uint64_t SpeculativeSolves = 0;
-  /// Backend factory failures absorbed by the hosts (telemetry only).
-  uint64_t BackendFallbacks = 0;
-  std::vector<Value> RunningValues;
-  std::unordered_set<uint64_t> SeenSignatures;
-  /// Signatures parked in Result.Unknowns, plus the list aligned with it
-  /// (signatures cover the full triple, which UnknownReport does not
-  /// store, so supersede/serialize need them on the side).
-  std::unordered_set<uint64_t> UnknownSigs;
-  std::vector<uint64_t> UnknownSigList;
+  const DetectorOptions &Options;
+  /// This window's candidates (Candidate::Index).
+  std::vector<Triple> Triples;
 };
 
 } // namespace
@@ -842,5 +252,11 @@ private:
 AtomicityResult
 rvp::detectAtomicityViolations(const Trace &T,
                                const DetectorOptions &Options) {
-  return AtomicityDriver(T, Options).run();
+  AtomicityPolicy Policy(T, Options);
+  DriverOutput Out = runWindowDriver(T, Options, Policy);
+  AtomicityResult Result;
+  Result.Violations = std::move(Policy.Violations);
+  Result.Unknowns = std::move(Out.Unknowns);
+  Result.Stats = std::move(Out.Stats);
+  return Result;
 }

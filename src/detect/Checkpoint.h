@@ -24,9 +24,9 @@
 /// wrong fingerprint or version are ignored (the run starts from scratch
 /// and overwrites them).
 ///
-/// The payload format is owned by each driver (serialize/restore pairs in
-/// Detect.cpp, Atomicity.cpp, Deadlock.cpp); this class only handles
-/// framing, atomicity, and discovery.
+/// The payload format is owned by the window driver (serializeState/
+/// restoreState in WindowDriver.cpp, one format for every property); this
+/// class only handles framing, atomicity, and discovery.
 ///
 //===----------------------------------------------------------------------===//
 

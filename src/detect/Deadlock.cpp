@@ -6,21 +6,9 @@
 
 #include "detect/Deadlock.h"
 
-#include "detect/Checkpoint.h"
-#include "detect/Closure.h"
-#include "detect/RaceEncoder.h"
-#include "detect/Resilience.h"
+#include "detect/WindowDriver.h"
 #include "detect/WitnessChecker.h"
-#include "smt/Solver.h"
-#include "support/CommandLine.h"
-#include "support/FaultInjector.h"
-#include "support/StringUtils.h"
-#include "support/ThreadPool.h"
-#include "support/Timer.h"
 
-#include <algorithm>
-#include <cstdlib>
-#include <memory>
 #include <unordered_set>
 
 using namespace rvp;
@@ -38,86 +26,123 @@ struct LockDependency {
   LockPair RequestPair;  ///< the requested (inner) section
 };
 
-class DeadlockDriver {
+uint64_t signatureOf(const Trace &T, EventId ReqA, EventId ReqB) {
+  LocId A = T[ReqA].Loc;
+  LocId B = T[ReqB].Loc;
+  if (A > B)
+    std::swap(A, B);
+  return (static_cast<uint64_t>(A) << 32) | B;
+}
+
+/// Deadlock as a window-driver policy: a candidate is a pair of
+/// opposite-order lock dependencies of different threads, and the query
+/// is the hold-and-wait state.
+class DeadlockPolicy : public QueryPolicy {
 public:
-  DeadlockDriver(const Trace &T, const DetectorOptions &Options)
-      : T(T), Options(Options) {}
+  DeadlockPolicy(const Trace &T, const DetectorOptions &Options)
+      : T(T), Options(Options) {
+    Phase = "deadlock";
+    FindingsCounter = "detect.deadlocks";
+    Encoding.Slice = Options.Slice;
+    Encoding.Fold = Options.CfFold; // decision path only
+  }
 
-  DeadlockResult run() {
-    Timer Clock;
-    UseIncremental = Options.Incremental;
-    Jobs = Options.Jobs == 0 ? ThreadPool::defaultWorkerCount()
-                             : Options.Jobs;
-    if (Jobs > 1)
-      Pool = std::make_unique<ThreadPool>(Jobs);
-    Result.Stats.Jobs = Jobs;
-    RunningValues.assign(T.numVars(), 0);
-    for (VarId Var = 0; Var < T.numVars(); ++Var)
-      RunningValues[Var] = T.initialValueOf(Var);
-
-    // Resume: same contract as the race driver (docs/ROBUSTNESS.md).
-    CheckpointStore Ckpt(Options.CheckpointDir,
-                         Options.CheckpointFingerprint);
-    uint64_t SkipWindows = 0;
-    if (Ckpt.enabled()) {
-      std::string Payload;
-      CheckpointLoad Outcome = CheckpointLoad::None;
-      int64_t Last = Ckpt.loadLatest(Payload, &Outcome);
-      if (Outcome == CheckpointLoad::FingerprintMismatch)
-        CheckpointStore::refuseMismatch(Ckpt);
-      if (Last >= 0 && restoreState(Payload))
-        SkipWindows = static_cast<uint64_t>(Last) + 1;
-    }
-    // In-memory resume (the streaming front end) — same contract as the
-    // race driver: the caller-held state is authoritative.
-    if (Options.ResumeState && !Options.ResumeState->empty() &&
-        restoreState(*Options.ResumeState))
-      SkipWindows = Result.Stats.Windows;
-
+  void enumerate(WindowContext &W, std::vector<Candidate> &Out) override {
+    Pairs.clear();
+    std::vector<LockDependency> Deps;
     {
-      ScopedPhaseTimer DetectPhase("deadlock");
-      uint64_t Index = 0, Processed = 0;
-      for (Span Window : splitWindows(T, Options.WindowSize)) {
-        if (Index++ < SkipWindows)
-          continue;
-        if (Options.MaxWindows && Processed == Options.MaxWindows)
-          break;
-        ++Processed;
-        ++Result.Stats.Windows;
-        processWindow(Window);
-        for (EventId Id = Window.Begin; Id < Window.End; ++Id)
-          if (T[Id].isWrite())
-            RunningValues[T[Id].Target] = T[Id].Data;
-        if (Ckpt.enabled()) {
-          Ckpt.save(Index - 1, serializeState());
-          if (FaultInjector::shouldFail(faults::DetectAbort))
-            std::_Exit(ExitInternal);
+      ScopedPhaseTimer CopPhase("cop-enum");
+      Deps = collectDependencies(W.Window);
+      for (size_t I = 0; I < Deps.size(); ++I) {
+        for (size_t J = I + 1; J < Deps.size(); ++J) {
+          const LockDependency &A = Deps[I];
+          const LockDependency &B = Deps[J];
+          // Opposite-order acquisition by different threads.
+          if (A.Tid == B.Tid || A.OuterLock != B.InnerLock ||
+              A.InnerLock != B.OuterLock)
+            continue;
+          Candidate C;
+          C.First = A.Request;
+          C.Second = B.Request;
+          C.Sig = signatureOf(T, A.Request, B.Request);
+          C.Index = static_cast<uint32_t>(Pairs.size());
+          Pairs.push_back({A, B});
+          Out.push_back(C);
         }
       }
     }
-    Result.Stats.UnknownCops = Result.Unknowns.size();
-    Result.Stats.Seconds = Clock.seconds();
-    if (Options.SaveState)
-      *Options.SaveState = serializeState();
-    if (Telemetry::enabled() && Options.FlushTelemetry) {
-      MetricsRegistry &Reg = MetricsRegistry::global();
-      if (SpeculativeSolves)
-        Reg.counter("detect.speculative_solves").add(SpeculativeSolves);
-      if (Result.Stats.SolverRetries)
-        Reg.counter("solver.retries").add(Result.Stats.SolverRetries);
-      if (Result.Stats.DegradedSessions)
-        Reg.counter("solver.degraded_sessions")
-            .add(Result.Stats.DegradedSessions);
-      if (BackendFallbacks)
-        Reg.counter("solver.backend_fallbacks").add(BackendFallbacks);
-      if (Result.Stats.UnknownCops)
-        Reg.counter("detect.unknown_cops").add(Result.Stats.UnknownCops);
-      if (SkipWindows)
-        Reg.counter("detect.resumed_windows").add(SkipWindows);
-      Result.Stats.Telemetry = Telemetry::instance().snapshot();
+    if (Out.empty() || !Options.UseQuickCheck)
+      return;
+    // Cheap refutations: an MHB order between a request and the other
+    // side's section makes the hold state impossible.
+    const EventClosure &Mhb = W.mhb();
+    ScopedPhaseTimer QcPhase("quick-check");
+    for (Candidate &C : Out) {
+      const LockDependency &A = Pairs[C.Index].first;
+      const LockDependency &B = Pairs[C.Index].second;
+      C.QcPass = !(Mhb.ordered(A.Request, B.Outer.AcquireId) ||
+                   Mhb.ordered(B.Outer.ReleaseId, A.Request) ||
+                   Mhb.ordered(B.Request, A.Outer.AcquireId) ||
+                   Mhb.ordered(A.Outer.ReleaseId, B.Request));
+      if (!C.QcPass)
+        C.Reject = "quick-check";
     }
-    return std::move(Result);
   }
+
+  NodeRef encode(const RaceEncoder &Encoder, FormulaBuilder &FB,
+                 const Candidate &C, EncodeStats *Stats) const override {
+    const LockDependency &A = Pairs[C.Index].first;
+    const LockDependency &B = Pairs[C.Index].second;
+    return Encoder.encodeDeadlock(FB, A.Request, B.Request, A.Outer, B.Outer,
+                                  Stats);
+  }
+
+  bool checkWitness(WindowContext &W, const Candidate &C,
+                    const std::vector<EventId> &Order) const override {
+    const LockDependency &A = Pairs[C.Index].first;
+    const LockDependency &B = Pairs[C.Index].second;
+    std::unordered_set<EventId> Skip = {A.Request, B.Request};
+    if (A.RequestPair.ReleaseId != InvalidEvent)
+      Skip.insert(A.RequestPair.ReleaseId);
+    if (B.RequestPair.ReleaseId != InvalidEvent)
+      Skip.insert(B.RequestPair.ReleaseId);
+    return checkDeadlockWitness(T, W.Window, Order, A.Request, B.Request,
+                                A.Outer, B.Outer, Skip, W.encoder(), W.mhb(),
+                                W.Values)
+        .Ok;
+  }
+
+  void report(const Candidate &C, std::vector<EventId> Witness,
+              bool WitnessValid) override {
+    Deadlocks.push_back(
+        makeReport(C.First, C.Second, std::move(Witness), WitnessValid));
+  }
+
+  size_t numFindings() const override { return Deadlocks.size(); }
+
+  std::string checkpointLine(size_t I) const override {
+    const DeadlockReport &D = Deadlocks[I];
+    return findingLine("dl", {D.RequestA, D.RequestB}, D.WitnessValid,
+                       D.Witness);
+  }
+
+  bool restoreFindings(const std::vector<std::string> &Lines) override {
+    std::vector<DeadlockReport> Restored;
+    std::vector<EventId> Req, Witness;
+    bool Valid = false;
+    for (const std::string &Line : Lines) {
+      if (!parseFindingLine(T, Line, "dl", 2, Req, Valid, Witness))
+        return false;
+      for (EventId Id : Req)
+        if (!T[Id].isAcquire() || T[Id].Target >= T.numLocks())
+          return false;
+      Restored.push_back(makeReport(Req[0], Req[1], Witness, Valid));
+    }
+    Deadlocks = std::move(Restored);
+    return true;
+  }
+
+  std::vector<DeadlockReport> Deadlocks;
 
 private:
   std::vector<LockDependency> collectDependencies(Span Window) const {
@@ -158,558 +183,40 @@ private:
     return Deps;
   }
 
-  static uint64_t signatureOf(const Trace &T, EventId ReqA, EventId ReqB) {
-    LocId A = T[ReqA].Loc;
-    LocId B = T[ReqB].Loc;
-    if (A > B)
-      std::swap(A, B);
-    return (static_cast<uint64_t>(A) << 32) | B;
-  }
-
-  /// One opposite-order dependency pair plus the facts the parallel
-  /// pre-filter derives for it; enumeration order matches the sequential
-  /// nested loops.
-  struct DeadlockCandidate {
-    LockDependency A, B;
-    uint64_t Sig = 0;
-    /// Refuted by the MHB quick check (signature-independent).
-    bool QcRejected = false;
-  };
-
-  struct DeadlockTaskResult {
-    bool Solved = false;
-    SatResult Sat = SatResult::Unknown;
-    /// Escalation attempts the host spent on this candidate.
-    uint32_t Attempts = 1;
-    DeadlockReport Report;
-  };
-
-  /// Per-window solve state: the SolveHost (session or one-shot solver)
-  /// plus, in incremental mode, the shared hash-consing builder. One per
-  /// window (sequential) or per worker per window (jobs > 1).
-  struct DlSolveCtx {
-    FormulaBuilder FB;
-    std::unique_ptr<SolveHost> Host;
-  };
-
-  void processWindow(Span Window) {
-    std::vector<LockDependency> Deps = collectDependencies(Window);
-    if (Deps.empty())
-      return;
-    EventClosure Mhb(T, Window, ClosureConfig::mhb());
-    EncoderOptions EncOpts;
-    EncOpts.Slice = Options.Slice;
-    EncOpts.Fold = Options.CfFold; // decision path only; rederive is full
-    RaceEncoder Encoder(T, Window, Mhb, RunningValues, EncOpts);
-
-    if (Pool) {
-      processWindowParallel(Window, Mhb, Encoder, Deps);
-      return;
-    }
-
-    // One SolveHost per window, whatever the mode (docs/ROBUSTNESS.md).
-    DlSolveCtx WindowCtx;
-    WindowCtx.Host = std::make_unique<SolveHost>(
-        Options.SolverName, UseIncremental, Options.PerCopBudgetSeconds,
-        Options.RetryBudgets,
-        Options.RetryJitterSeed + Result.Stats.Windows);
-    DlSolveCtx *Ctx = &WindowCtx;
-
-    for (size_t I = 0; I < Deps.size(); ++I) {
-      for (size_t J = I + 1; J < Deps.size(); ++J) {
-        const LockDependency &A = Deps[I];
-        const LockDependency &B = Deps[J];
-        // Opposite-order acquisition by different threads.
-        if (A.Tid == B.Tid || A.OuterLock != B.InnerLock ||
-            A.InnerLock != B.OuterLock)
-          continue;
-        ++Result.Stats.Cops;
-        if (SeenSignatures.count(signatureOf(T, A.Request, B.Request)))
-          continue;
-        // Cheap refutations: an MHB order between a request and the other
-        // side's section makes the hold state impossible.
-        if (Options.UseQuickCheck) {
-          if (Mhb.ordered(A.Request, B.Outer.AcquireId) ||
-              Mhb.ordered(B.Outer.ReleaseId, A.Request) ||
-              Mhb.ordered(B.Request, A.Outer.AcquireId) ||
-              Mhb.ordered(A.Outer.ReleaseId, B.Request))
-            continue;
-          ++Result.Stats.QcPassed;
-        }
-        solveCandidate(Window, Mhb, Encoder, A, B, Ctx);
-      }
-    }
-    absorbHostStats(WindowCtx.Host->stats());
-  }
-
-  /// Folds one host's resilience tallies into the run's stats (called at
-  /// each window barrier; the parallel path folds every worker's host).
-  void absorbHostStats(const ResilienceStats &S) {
-    Result.Stats.SolverRetries += S.Retries;
-    Result.Stats.DegradedSessions += S.DegradedSessions;
-    BackendFallbacks += S.BackendFallbacks;
-  }
-
-  /// Parallel window: enumerate pairs sequentially (phase A), encode+solve
-  /// the quick-check survivors concurrently (B), then replay in pair order
-  /// against the live signature set (C). Mirrors the race and atomicity
-  /// parallel paths; see docs/OBSERVABILITY.md.
-  void processWindowParallel(Span Window, const EventClosure &Mhb,
-                             const RaceEncoder &Encoder,
-                             const std::vector<LockDependency> &Deps) {
-    std::vector<DeadlockCandidate> Candidates;
-    for (size_t I = 0; I < Deps.size(); ++I) {
-      for (size_t J = I + 1; J < Deps.size(); ++J) {
-        const LockDependency &A = Deps[I];
-        const LockDependency &B = Deps[J];
-        if (A.Tid == B.Tid || A.OuterLock != B.InnerLock ||
-            A.InnerLock != B.OuterLock)
-          continue;
-        ++Result.Stats.Cops;
-        DeadlockCandidate C;
-        C.A = A;
-        C.B = B;
-        C.Sig = signatureOf(T, A.Request, B.Request);
-        if (Options.UseQuickCheck)
-          C.QcRejected = Mhb.ordered(A.Request, B.Outer.AcquireId) ||
-                         Mhb.ordered(B.Outer.ReleaseId, A.Request) ||
-                         Mhb.ordered(B.Request, A.Outer.AcquireId) ||
-                         Mhb.ordered(A.Outer.ReleaseId, B.Request);
-        Candidates.push_back(C);
-      }
-    }
-
-    std::vector<DeadlockTaskResult> Results(Candidates.size());
-    // Per-worker window-scoped solve state; the trailing slot serves the
-    // main thread (currentWorkerIndex() == -1) when it helps out.
-    std::vector<DlSolveCtx> Contexts(Pool->numWorkers() + 1);
-    Pool->parallelFor(0, Candidates.size(), [&](size_t Index) {
-      const DeadlockCandidate &C = Candidates[Index];
-      if (C.QcRejected)
-        return;
-      int W = Pool->currentWorkerIndex();
-      DlSolveCtx *Ctx = &Contexts[W >= 0 ? static_cast<size_t>(W)
-                                         : Contexts.size() - 1];
-      solveCandidateTask(Window, Mhb, Encoder, C, Ctx, Results[Index]);
-    });
-    for (const DlSolveCtx &Ctx : Contexts)
-      if (Ctx.Host)
-        absorbHostStats(Ctx.Host->stats());
-
-    for (size_t Index = 0; Index < Candidates.size(); ++Index) {
-      const DeadlockCandidate &C = Candidates[Index];
-      DeadlockTaskResult &R = Results[Index];
-      if (SeenSignatures.count(C.Sig)) {
-        if (R.Solved)
-          ++SpeculativeSolves;
-        continue;
-      }
-      if (C.QcRejected)
-        continue;
-      if (Options.UseQuickCheck)
-        ++Result.Stats.QcPassed;
-      ++Result.Stats.SolverCalls;
-      if (R.Sat == SatResult::Unknown) {
-        ++Result.Stats.SolverTimeouts;
-        recordUnknown(C.A.Request, C.B.Request, R.Attempts);
-        continue;
-      }
-      if (R.Sat == SatResult::Unsat)
-        continue;
-      eraseUnknown(C.Sig);
-      SeenSignatures.insert(C.Sig);
-      Result.Deadlocks.push_back(std::move(R.Report));
-    }
-  }
-
-  /// Phase B worker body: solve one pair with a private solver instance
-  /// and build the complete report, witness included.
-  void solveCandidateTask(Span Window, const EventClosure &Mhb,
-                          const RaceEncoder &Encoder,
-                          const DeadlockCandidate &C, DlSolveCtx *Ctx,
-                          DeadlockTaskResult &Out) {
-    const LockDependency &A = C.A;
-    const LockDependency &B = C.B;
-    if (!Ctx->Host)
-      Ctx->Host = std::make_unique<SolveHost>(
-          Options.SolverName, UseIncremental, Options.PerCopBudgetSeconds,
-          Options.RetryBudgets,
-          Options.RetryJitterSeed + Result.Stats.Windows);
-    FormulaBuilder TaskFB;
-    FormulaBuilder &FB = UseIncremental ? Ctx->FB : TaskFB;
-    NodeRef Root =
-        Encoder.encodeDeadlock(FB, A.Request, B.Request, A.Outer, B.Outer);
-    OrderModel Model;
-    SolveHost::Outcome Decided = Ctx->Host->decide(
-        FB, Root, Options.CollectWitnesses ? &Model : nullptr);
-    Out.Sat = Decided.Sat;
-    Out.Attempts = Decided.Attempts;
-    Out.Solved = true;
-    if (Out.Sat != SatResult::Sat)
-      return;
-    if (Options.CollectWitnesses &&
-        (!Decided.ModelFromSolve || Options.Slice))
-      rederiveModel(Encoder, A, B, Model);
-
-    DeadlockReport &Report = Out.Report;
-    Report.ThreadA = A.Tid;
-    Report.ThreadB = B.Tid;
-    Report.LockHeldByA = A.OuterLock;
-    Report.LockHeldByB = B.OuterLock;
-    Report.RequestA = A.Request;
-    Report.RequestB = B.Request;
-    Report.LocRequestA = T.locName(T[A.Request].Loc);
-    Report.LocRequestB = T.locName(T[B.Request].Loc);
-    if (Options.CollectWitnesses) {
-      Report.Witness = buildWitness(Window, Model);
-      std::unordered_set<EventId> Skip = {A.Request, B.Request};
-      if (A.RequestPair.ReleaseId != InvalidEvent)
-        Skip.insert(A.RequestPair.ReleaseId);
-      if (B.RequestPair.ReleaseId != InvalidEvent)
-        Skip.insert(B.RequestPair.ReleaseId);
-      Report.WitnessValid =
-          checkDeadlockWitness(T, Window, Report.Witness, A.Request,
-                               B.Request, A.Outer, B.Outer, Skip, Encoder,
-                               Mhb, RunningValues)
-              .Ok;
-    }
-  }
-
-  void solveCandidate(Span Window, const EventClosure &Mhb,
-                      const RaceEncoder &Encoder, const LockDependency &A,
-                      const LockDependency &B, DlSolveCtx *Ctx) {
-    FormulaBuilder LocalFB;
-    FormulaBuilder &FB = UseIncremental ? Ctx->FB : LocalFB;
-    NodeRef Root =
-        Encoder.encodeDeadlock(FB, A.Request, B.Request, A.Outer, B.Outer);
-    OrderModel Model;
-    ++Result.Stats.SolverCalls;
-    SolveHost::Outcome Decided = Ctx->Host->decide(
-        FB, Root, Options.CollectWitnesses ? &Model : nullptr);
-    SatResult Sat = Decided.Sat;
-    if (Sat == SatResult::Unknown) {
-      ++Result.Stats.SolverTimeouts;
-      recordUnknown(A.Request, B.Request, Decided.Attempts);
-      return;
-    }
-    if (Sat == SatResult::Unsat)
-      return;
-    if (Options.CollectWitnesses &&
-        (!Decided.ModelFromSolve || Options.Slice))
-      rederiveModel(Encoder, A, B, Model);
-
-    DeadlockReport Report;
-    Report.ThreadA = A.Tid;
-    Report.ThreadB = B.Tid;
-    Report.LockHeldByA = A.OuterLock;
-    Report.LockHeldByB = B.OuterLock;
-    Report.RequestA = A.Request;
-    Report.RequestB = B.Request;
-    Report.LocRequestA = T.locName(T[A.Request].Loc);
-    Report.LocRequestB = T.locName(T[B.Request].Loc);
-    if (Options.CollectWitnesses) {
-      Report.Witness = buildWitness(Window, Model);
-      std::unordered_set<EventId> Skip = {A.Request, B.Request};
-      if (A.RequestPair.ReleaseId != InvalidEvent)
-        Skip.insert(A.RequestPair.ReleaseId);
-      if (B.RequestPair.ReleaseId != InvalidEvent)
-        Skip.insert(B.RequestPair.ReleaseId);
-      Report.WitnessValid =
-          checkDeadlockWitness(T, Window, Report.Witness, A.Request,
-                               B.Request, A.Outer, B.Outer, Skip, Encoder,
-                               Mhb, RunningValues)
-              .Ok;
-    }
-    uint64_t Sig = signatureOf(T, A.Request, B.Request);
-    eraseUnknown(Sig);
-    SeenSignatures.insert(Sig);
-    Result.Deadlocks.push_back(std::move(Report));
-  }
-
-  /// Parks an undecided dependency pair in the unknown section (one entry
-  /// per signature) — never in the deadlock list, so degradation keeps the
-  /// reports sound. Variable stays empty: the pair is about locks.
-  void recordUnknown(EventId ReqA, EventId ReqB, uint32_t Attempts) {
-    if (!UnknownSigs.insert(signatureOf(T, ReqA, ReqB)).second)
-      return;
-    UnknownReport U;
-    U.First = ReqA;
-    U.Second = ReqB;
-    U.LocFirst = T.locName(T[ReqA].Loc);
-    U.LocSecond = T.locName(T[ReqB].Loc);
-    U.Attempts = Attempts;
-    Result.Unknowns.push_back(std::move(U));
-  }
-
-  /// A signature provisionally parked as unknown has now been decided:
-  /// the reported deadlock supersedes the maybe-entry.
-  void eraseUnknown(uint64_t Sig) {
-    if (!UnknownSigs.erase(Sig))
-      return;
-    Result.Unknowns.erase(
-        std::remove_if(Result.Unknowns.begin(), Result.Unknowns.end(),
-                       [&](const UnknownReport &U) {
-                         return signatureOf(T, U.First, U.Second) == Sig;
-                       }),
-        Result.Unknowns.end());
-  }
-
-  // ----------------------------------------------------- checkpointing
-  // Same contract as the race driver's pair in Detect.cpp: only event ids
-  // and counters are stored; threads, locks, and display strings are
-  // re-derived from the request events on restore.
-
-  std::string serializeState() const {
-    std::string Out;
-    Out += formatString(
-        "stats %llu %llu %llu %llu %llu %llu %llu\n",
-        static_cast<unsigned long long>(Result.Stats.Windows),
-        static_cast<unsigned long long>(Result.Stats.Cops),
-        static_cast<unsigned long long>(Result.Stats.QcPassed),
-        static_cast<unsigned long long>(Result.Stats.SolverCalls),
-        static_cast<unsigned long long>(Result.Stats.SolverTimeouts),
-        static_cast<unsigned long long>(Result.Stats.SolverRetries),
-        static_cast<unsigned long long>(Result.Stats.DegradedSessions));
-    Out += formatString("tallies %llu %llu\n",
-                        static_cast<unsigned long long>(SpeculativeSolves),
-                        static_cast<unsigned long long>(BackendFallbacks));
-    Out += "values";
-    for (Value V : RunningValues)
-      Out += formatString(" %lld", static_cast<long long>(V));
-    Out += "\n";
-    // Sorted so the same state always serializes to the same bytes.
-    std::vector<uint64_t> Keys(SeenSignatures.begin(),
-                               SeenSignatures.end());
-    std::sort(Keys.begin(), Keys.end());
-    Out += "seen";
-    for (uint64_t K : Keys)
-      Out += formatString(" %llx", static_cast<unsigned long long>(K));
-    Out += "\n";
-    for (const DeadlockReport &D : Result.Deadlocks) {
-      Out += formatString("dl %llu %llu %d",
-                          static_cast<unsigned long long>(D.RequestA),
-                          static_cast<unsigned long long>(D.RequestB),
-                          D.WitnessValid ? 1 : 0);
-      for (EventId Id : D.Witness)
-        Out += formatString(" %llu", static_cast<unsigned long long>(Id));
-      Out += "\n";
-    }
-    for (const UnknownReport &U : Result.Unknowns)
-      Out += formatString("unknown %llu %llu %u\n",
-                          static_cast<unsigned long long>(U.First),
-                          static_cast<unsigned long long>(U.Second),
-                          static_cast<unsigned>(U.Attempts));
-    return Out;
-  }
-
-  /// Inverse of serializeState. All-or-nothing: any malformed or
-  /// out-of-range field rejects the snapshot and the run starts from
-  /// scratch (sound; checkpoints only save time).
-  bool restoreState(const std::string &Payload) {
-    auto parseU64 = [](std::string_view S, uint64_t &Out) {
-      int64_t V = 0;
-      if (!parseInt(S, V) || V < 0)
-        return false;
-      Out = static_cast<uint64_t>(V);
-      return true;
-    };
-    auto parseHex = [](std::string_view S, uint64_t &Out) {
-      if (S.empty() || S.size() > 16)
-        return false;
-      uint64_t V = 0;
-      for (char C : S) {
-        int D;
-        if (C >= '0' && C <= '9')
-          D = C - '0';
-        else if (C >= 'a' && C <= 'f')
-          D = C - 'a' + 10;
-        else
-          return false;
-        V = V << 4 | static_cast<uint64_t>(D);
-      }
-      Out = V;
-      return true;
-    };
-    auto parseEvent = [&](std::string_view S, EventId &Out) {
-      uint64_t V = 0;
-      if (!parseU64(S, V) || V >= T.size())
-        return false;
-      Out = static_cast<EventId>(V);
-      return true;
-    };
-    auto parseRequest = [&](std::string_view S, EventId &Out) {
-      return parseEvent(S, Out) && T[Out].isAcquire() &&
-             T[Out].Target < T.numLocks();
-    };
-
-    std::vector<DeadlockReport> NewDeadlocks;
-    std::vector<UnknownReport> NewUnknowns;
-    std::vector<Value> NewValues;
-    std::unordered_set<uint64_t> NewSeen, NewUnkSet;
-    uint64_t S[7] = {0}, Tally[2] = {0};
-    bool SawStats = false, SawTallies = false, SawValues = false;
-
-    for (std::string_view Line : split(Payload, '\n')) {
-      Line = trim(Line);
-      if (Line.empty())
-        continue;
-      std::vector<std::string_view> F = split(Line, ' ');
-      if (F[0] == "stats") {
-        if (F.size() != 8)
-          return false;
-        for (size_t I = 0; I < 7; ++I)
-          if (!parseU64(F[I + 1], S[I]))
-            return false;
-        SawStats = true;
-      } else if (F[0] == "tallies") {
-        if (F.size() != 3)
-          return false;
-        for (size_t I = 0; I < 2; ++I)
-          if (!parseU64(F[I + 1], Tally[I]))
-            return false;
-        SawTallies = true;
-      } else if (F[0] == "values") {
-        for (size_t I = 1; I < F.size(); ++I) {
-          int64_t V = 0;
-          if (!parseInt(F[I], V))
-            return false;
-          NewValues.push_back(static_cast<Value>(V));
-        }
-        SawValues = true;
-      } else if (F[0] == "seen") {
-        for (size_t I = 1; I < F.size(); ++I) {
-          uint64_t K = 0;
-          if (!parseHex(F[I], K))
-            return false;
-          NewSeen.insert(K);
-        }
-      } else if (F[0] == "dl") {
-        if (F.size() < 4)
-          return false;
-        DeadlockReport D;
-        uint64_t Valid = 0;
-        if (!parseRequest(F[1], D.RequestA) ||
-            !parseRequest(F[2], D.RequestB) || !parseU64(F[3], Valid) ||
-            Valid > 1)
-          return false;
-        D.ThreadA = T[D.RequestA].Tid;
-        D.ThreadB = T[D.RequestB].Tid;
-        D.LockHeldByB = T[D.RequestA].Target; // A requests B's lock
-        D.LockHeldByA = T[D.RequestB].Target;
-        D.LocRequestA = T.locName(T[D.RequestA].Loc);
-        D.LocRequestB = T.locName(T[D.RequestB].Loc);
-        D.WitnessValid = Valid != 0;
-        for (size_t I = 4; I < F.size(); ++I) {
-          EventId Id = InvalidEvent;
-          if (!parseEvent(F[I], Id))
-            return false;
-          D.Witness.push_back(Id);
-        }
-        NewDeadlocks.push_back(std::move(D));
-      } else if (F[0] == "unknown") {
-        if (F.size() != 4)
-          return false;
-        UnknownReport U;
-        uint64_t Attempts = 0;
-        if (!parseEvent(F[1], U.First) || !parseEvent(F[2], U.Second) ||
-            !parseU64(F[3], Attempts) || Attempts == 0)
-          return false;
-        U.LocFirst = T.locName(T[U.First].Loc);
-        U.LocSecond = T.locName(T[U.Second].Loc);
-        U.Attempts = static_cast<uint32_t>(Attempts);
-        NewUnkSet.insert(signatureOf(T, U.First, U.Second));
-        NewUnknowns.push_back(std::move(U));
-      } else {
-        return false; // written by a different build: start from scratch
-      }
-    }
-    if (!SawStats || !SawTallies || !SawValues ||
-        NewValues.size() > T.numVars())
-      return false;
-    // Prefix snapshots (streaming steps) can predate variables first seen
-    // in later windows; they still hold their initial values.
-    while (NewValues.size() < T.numVars())
-      NewValues.push_back(
-          T.initialValueOf(static_cast<VarId>(NewValues.size())));
-
-    Result.Stats.Windows = S[0];
-    Result.Stats.Cops = S[1];
-    Result.Stats.QcPassed = S[2];
-    Result.Stats.SolverCalls = S[3];
-    Result.Stats.SolverTimeouts = S[4];
-    Result.Stats.SolverRetries = S[5];
-    Result.Stats.DegradedSessions = S[6];
-    SpeculativeSolves = Tally[0];
-    BackendFallbacks = Tally[1];
-    RunningValues = std::move(NewValues);
-    SeenSignatures = std::move(NewSeen);
-    UnknownSigs = std::move(NewUnkSet);
-    Result.Deadlocks = std::move(NewDeadlocks);
-    Result.Unknowns = std::move(NewUnknowns);
-    return true;
-  }
-
-  /// Same role as Detect.cpp's rederiveModel: witnesses come from
-  /// re-encoding the pair into a fresh builder and solving one-shot —
-  /// exactly the legacy path's instance — so they match byte for byte and
-  /// never depend on session history or shared-builder ref numbering.
-  bool rederiveModel(const RaceEncoder &Encoder, const LockDependency &A,
-                     const LockDependency &B, OrderModel &Model) const {
-    // Witness models come from the unsliced formula: a sliced model has
-    // no positions for events outside the cone, and buildWitness orders
-    // the whole window (see Detect.cpp's rederiveModel).
-    EncoderOptions NoSlice;
-    NoSlice.Slice = false;
-    RaceEncoder Unsliced(Encoder.sharedWindowEncoding(), NoSlice);
-    FormulaBuilder FreshFB;
-    NodeRef Root = Unsliced.encodeDeadlock(FreshFB, A.Request, B.Request,
-                                           A.Outer, B.Outer);
-    std::unique_ptr<SmtSolver> Fresh =
-        createSolverByName(Options.SolverName);
-    if (!Fresh)
-      Fresh = createIdlSolver();
-    if (Telemetry::enabled())
-      MetricsRegistry::global().counter("solver.witness_resolves").inc();
-    return Fresh->solve(FreshFB, Root,
-                        Deadline::after(Options.PerCopBudgetSeconds),
-                        &Model) == SatResult::Sat;
-  }
-
-  std::vector<EventId> buildWitness(Span Window,
-                                    const OrderModel &Model) const {
-    std::vector<EventId> Order;
-    Order.reserve(Window.size());
-    for (EventId Id = Window.Begin; Id < Window.End; ++Id)
-      Order.push_back(Id);
-    std::sort(Order.begin(), Order.end(), [&](EventId X, EventId Y) {
-      auto KeyOf = [&](EventId Id) -> std::pair<int64_t, int64_t> {
-        auto It = Model.find(Id);
-        return {It == Model.end() ? INT64_MAX : It->second,
-                static_cast<int64_t>(Id)};
-      };
-      return KeyOf(X) < KeyOf(Y);
-    });
-    return Order;
+  /// Threads, locks and display names follow from the request events: A
+  /// requests the lock B holds and vice versa.
+  DeadlockReport makeReport(EventId ReqA, EventId ReqB,
+                            std::vector<EventId> Witness,
+                            bool WitnessValid) const {
+    DeadlockReport D;
+    D.ThreadA = T[ReqA].Tid;
+    D.ThreadB = T[ReqB].Tid;
+    D.LockHeldByB = T[ReqA].Target;
+    D.LockHeldByA = T[ReqB].Target;
+    D.RequestA = ReqA;
+    D.RequestB = ReqB;
+    D.LocRequestA = T.locName(T[ReqA].Loc);
+    D.LocRequestB = T.locName(T[ReqB].Loc);
+    D.Witness = std::move(Witness);
+    D.WitnessValid = WitnessValid;
+    return D;
   }
 
   const Trace &T;
-  DetectorOptions Options;
-  DeadlockResult Result;
-  std::unique_ptr<ThreadPool> Pool;
-  uint32_t Jobs = 1;
-  bool UseIncremental = false;
-  uint64_t SpeculativeSolves = 0;
-  /// Backend factory failures absorbed by the hosts (telemetry only).
-  uint64_t BackendFallbacks = 0;
-  std::vector<Value> RunningValues;
-  std::unordered_set<uint64_t> SeenSignatures;
-  /// Signatures parked in Result.Unknowns (recordUnknown/eraseUnknown).
-  std::unordered_set<uint64_t> UnknownSigs;
+  const DetectorOptions &Options;
+  /// This window's candidates (Candidate::Index).
+  std::vector<std::pair<LockDependency, LockDependency>> Pairs;
 };
 
 } // namespace
 
 DeadlockResult rvp::detectDeadlocks(const Trace &T,
                                     const DetectorOptions &Options) {
-  return DeadlockDriver(T, Options).run();
+  DeadlockPolicy Policy(T, Options);
+  DriverOutput Out = runWindowDriver(T, Options, Policy);
+  DeadlockResult Result;
+  Result.Deadlocks = std::move(Policy.Deadlocks);
+  Result.Unknowns = std::move(Out.Unknowns);
+  Result.Stats = std::move(Out.Stats);
+  return Result;
 }

@@ -6,31 +6,18 @@
 
 #include "detect/Detect.h"
 
-#include "detect/Checkpoint.h"
 #include "detect/Closure.h"
 #include "detect/Lockset.h"
-#include "detect/RaceEncoder.h"
-#include "detect/Resilience.h"
 #include "detect/Wcp.h"
-#include "detect/WindowEncoding.h"
+#include "detect/WindowDriver.h"
 #include "detect/WitnessChecker.h"
-#include "smt/Solver.h"
 #include "support/BuildInfo.h"
-#include "support/CommandLine.h"
 #include "support/Compiler.h"
-#include "support/FaultInjector.h"
-#include "support/MemStats.h"
-#include "support/Profile.h"
 #include "support/StringUtils.h"
-#include "support/ThreadPool.h"
 #include "support/Timer.h"
 
-#include <algorithm>
-#include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <optional>
-#include <unordered_set>
+#include <unordered_map>
 
 using namespace rvp;
 
@@ -302,105 +289,190 @@ private:
   std::optional<EventClosure> Closure;
 };
 
-// -------------------------------------------------------------- driver
+// -------------------------------------------------------------- policy
 
-class Driver {
+/// Race detection as a window-driver policy: a window's COPs
+/// (Definition 3) after the static-prune, WCP and quick-check stages,
+/// decided by a relation (HB, CP, or WCP in the vc tier) or by the maximal
+/// or Said encoding.
+class RacePolicy : public QueryPolicy {
 public:
-  Driver(const Trace &T, Technique Tech, const DetectorOptions &Options)
-      : T(T), Tech(Tech), Options(Options) {}
+  RacePolicy(const Trace &T, Technique Tech, const DetectorOptions &Options)
+      : T(T), Tech(Tech), Options(Options) {
+    const bool SmtTech = Tech == Technique::Said || Tech == Technique::Maximal;
+    // The Hb/Cp detectors are already linear-time; the WCP tier serves the
+    // SMT techniques only, and the vc tier replaces their solver with it.
+    Solves = SmtTech && Options.Tier != DetectTier::Vc;
+    WcpTier = SmtTech && Options.Tier != DetectTier::Smt;
+    // --check-tiers disables the hybrid fast paths, so the cross
+    // validation compares WCP against the full SMT semantics.
+    FastPath = Solves && WcpTier && !Options.CheckTiers;
+    WcpResidue = FastPath;
+    WitnessOnSat = Tech == Technique::Maximal;
+    QcBySignature = true;
+    FirstLeadsSecond = true;
+    Encoding.SubstituteRaceVars = Options.SubstituteRaceVars;
+    Encoding.Slice = Options.Slice;
+    // Statically constant branches lose their cf guards on the decision
+    // path only; witness re-derivation keeps the full guards, so witness
+    // orders stay byte-identical to unfolded runs.
+    Encoding.Fold = Options.CfFold;
+  }
 
-  DetectionResult run() {
-    Timer Clock;
-    RunningValues.assign(T.numVars(), 0);
-    for (VarId Var = 0; Var < T.numVars(); ++Var)
-      RunningValues[Var] = T.initialValueOf(Var);
-
-    // The Vc tier replaces the whole encode+solve machinery with the WCP
-    // pass: no solver, no pool, no incremental sessions (docs/TIERS.md).
-    if ((Tech == Technique::Said || Tech == Technique::Maximal) &&
-        Options.Tier != DetectTier::Vc) {
-      Solver = createSolverByName(Options.SolverName);
-      if (!Solver)
-        Solver = createIdlSolver();
-      UseIncremental = Options.Incremental;
-      Jobs = Options.Jobs == 0 ? ThreadPool::defaultWorkerCount()
-                               : Options.Jobs;
-      if (Jobs > 1)
-        Pool = std::make_unique<ThreadPool>(Jobs);
-      Result.Stats.Jobs = Jobs;
-    }
-
-    // Resume: with --checkpoint, reload everything accumulated up to the
-    // last completed window and skip straight past it. The fingerprint
-    // check inside the store guarantees the snapshot came from the same
-    // trace and flags, so the continued run is byte-identical to an
-    // uninterrupted one (docs/ROBUSTNESS.md).
-    CheckpointStore Ckpt(Options.CheckpointDir,
-                         Options.CheckpointFingerprint);
-    uint64_t SkipWindows = 0;
-    if (Ckpt.enabled()) {
-      std::string Payload;
-      CheckpointLoad Outcome = CheckpointLoad::None;
-      int64_t Last = Ckpt.loadLatest(Payload, &Outcome);
-      if (Outcome == CheckpointLoad::FingerprintMismatch)
-        CheckpointStore::refuseMismatch(Ckpt);
-      if (Last >= 0 && restoreState(Payload))
-        SkipWindows = static_cast<uint64_t>(Last) + 1;
-      ResumedWindows = SkipWindows;
-    }
-    // In-memory resume (the streaming front end): the caller-held state is
-    // restored last, so it is authoritative during streaming; the
-    // directory path above only wins after a daemon restart, when the
-    // caller has no state yet.
-    if (Options.ResumeState && !Options.ResumeState->empty() &&
-        restoreState(*Options.ResumeState))
-      SkipWindows = Result.Stats.Windows;
-
+  void enumerate(WindowContext &W, std::vector<Candidate> &Out) override {
+    std::vector<Cop> Cops;
     {
-      ScopedPhaseTimer DetectPhase("detect");
-      uint64_t Index = 0, Processed = 0;
-      for (Span Window : splitWindows(T, Options.WindowSize)) {
-        if (Index++ < SkipWindows)
+      ScopedPhaseTimer CopPhase("cop-enum");
+      Cops = collectCops(T, W.Window);
+    }
+    if (Cops.empty())
+      return;
+    Out.resize(Cops.size());
+    for (size_t I = 0; I < Cops.size(); ++I) {
+      Out[I].First = Cops[I].First;
+      Out[I].Second = Cops[I].Second;
+      Out[I].Sig = RaceSignature::of(T, Cops[I].First, Cops[I].Second).key();
+    }
+    // Sound static pruning: decided from program structure alone, before
+    // every dynamic filter — identical across schedules, jobs and windows.
+    if (Options.StaticPruner) {
+      ScopedPhaseTimer PrunePhase("static-prune");
+      for (Candidate &C : Out)
+        if (Options.StaticPruner->prunable(T, C.First, C.Second))
+          C.PreReject = "static-prune";
+    }
+    const EventClosure &Mhb = W.mhb();
+    {
+      ScopedPhaseTimer QcPhase("quick-check");
+      QuickCheck Qc(T, W.Window, Mhb);
+      // The quick check filters the SMT pipeline and the vc tier; the
+      // Hb/Cp detectors only feed Table 1's QC column.
+      const bool Filters = Options.UseQuickCheck && Tech != Technique::Hb &&
+                           Tech != Technique::Cp;
+      for (Candidate &C : Out) {
+        if (C.PreReject)
           continue;
-        if (Options.MaxWindows && Processed == Options.MaxWindows)
-          break;
-        ++Processed;
-        ++Result.Stats.Windows;
-        processWindow(Window);
-        advanceValues(Window);
-        if (Ckpt.enabled()) {
-          Ckpt.save(Index - 1, serializeState());
-          if (ProfileCollector *P = ProfileCollector::active())
-            P->instant("checkpoint-save", "resilience");
-          // Deterministic kill point for the resume tests: dies exactly
-          // at a window barrier, after the snapshot is durable.
-          if (FaultInjector::shouldFail(faults::DetectAbort))
-            std::_Exit(ExitInternal);
-        }
+        Cop Pair{C.First, C.Second};
+        C.QcPass = Qc.pass(Pair);
+        if (!C.QcPass && Filters)
+          C.Reject = Qc.failStage(Pair);
       }
     }
-    Result.Stats.UnknownCops = Result.Unknowns.size();
-    Result.Stats.Seconds = Clock.seconds();
-    if (Options.SaveState)
-      *Options.SaveState = serializeState();
-    if (Telemetry::enabled() && Options.FlushTelemetry) {
-      flushTelemetryCounters();
-      Result.Stats.Telemetry = Telemetry::instance().snapshot();
+
+    auto decideByRelation = [&](auto Ordered, Candidate::Verdict Racy) {
+      for (Candidate &C : Out)
+        C.How = Ordered(C.First, C.Second) || Ordered(C.Second, C.First)
+                    ? Candidate::Verdict::Ordered
+                    : Racy;
+    };
+    if (Tech == Technique::Hb) {
+      std::optional<EventClosure> Hb;
+      {
+        ScopedPhaseTimer ClosurePhase("closure");
+        Hb.emplace(T, W.Window, ClosureConfig::hb());
+      }
+      decideByRelation([&](EventId A, EventId B) { return Hb->ordered(A, B); },
+                       Candidate::Verdict::Racy);
+      return;
     }
-    return std::move(Result);
+    if (Tech == Technique::Cp) {
+      std::optional<CpOrder> Cp;
+      {
+        ScopedPhaseTimer ClosurePhase("closure");
+        Cp.emplace(T, W.Window);
+      }
+      decideByRelation([&](EventId A, EventId B) { return Cp->ordered(A, B); },
+                       Candidate::Verdict::Racy);
+      return;
+    }
+    if (!WcpTier)
+      return; // --tier=smt: every survivor goes to the solver
+
+    // The WCP tier (docs/TIERS.md): one linear vector-clock pass per
+    // window.
+    std::optional<WcpIndex> Wcp;
+    {
+      ScopedPhaseTimer WcpPhase("wcp");
+      Timer WcpClock;
+      Wcp.emplace(T, W.Window);
+      if (Telemetry::enabled())
+        MetricsRegistry::global()
+            .histogram("wcp.latency_seconds")
+            .record(WcpClock.seconds());
+    }
+    if (!Solves) {
+      // --tier=vc: the WCP detector alone decides every COP, like the
+      // Hb/Cp detectors — sound in the same weak sense (every reported
+      // pair is WCP-unordered; the first one is guaranteed predictable).
+      // WCP edges never point against trace order.
+      decideByRelation(
+          [&](EventId A, EventId B) { return A < B && Wcp->wcpOrdered(A, B); },
+          Candidate::Verdict::WcpRacy);
+      return;
+    }
+    for (Candidate &C : Out) {
+      if (C.PreReject)
+        continue;
+      C.WcpClaimsRace = Wcp->racy(C.First, C.Second);
+      if (!FastPath)
+        continue;
+      // WCP/MHB prune: the exact mirror of the closure the quick check
+      // uses, so every pair pruned here would have been a qc-fail in the
+      // smt tier — reports are identical, the weak-HB recheck is skipped.
+      if (Wcp->mhbOrdered(C.First, C.Second) ||
+          Wcp->mhbOrdered(C.Second, C.First))
+        C.PreReject = "wcp";
+      else if (Tech == Technique::Maximal && C.WcpClaimsRace)
+        C.How = Candidate::Verdict::ShortCircuit;
+    }
   }
+
+  NodeRef encode(const RaceEncoder &Encoder, FormulaBuilder &FB,
+                 const Candidate &C, EncodeStats *Stats) const override {
+    return Tech == Technique::Maximal
+               ? Encoder.encodeMaximalRace(FB, C.First, C.Second, Stats)
+               : Encoder.encodeSaidRace(FB, C.First, C.Second, Stats);
+  }
+
+  bool checkWitness(WindowContext &W, const Candidate &C,
+                    const std::vector<EventId> &Order) const override {
+    return rvp::checkWitness(T, W.Window, Order, C.First, C.Second,
+                             W.encoder(), W.mhb(), W.Values)
+        .Ok;
+  }
+
+  void report(const Candidate &C, std::vector<EventId> Witness,
+              bool WitnessValid) override {
+    Races.push_back(makeReport(C.First, C.Second, std::move(Witness),
+                               WitnessValid));
+  }
+
+  size_t numFindings() const override { return Races.size(); }
+
+  std::string checkpointLine(size_t I) const override {
+    const RaceReport &R = Races[I];
+    return findingLine("race", {R.First, R.Second}, R.WitnessValid,
+                       R.Witness);
+  }
+
+  bool restoreFindings(const std::vector<std::string> &Lines) override {
+    std::vector<RaceReport> Restored;
+    std::vector<EventId> Pair, Witness;
+    bool Valid = false;
+    for (const std::string &Line : Lines) {
+      if (!parseFindingLine(T, Line, "race", 2, Pair, Valid, Witness))
+        return false;
+      Restored.push_back(makeReport(Pair[0], Pair[1], Witness, Valid));
+    }
+    Races = std::move(Restored);
+    return true;
+  }
+
+  std::vector<RaceReport> Races;
 
 private:
-  void advanceValues(Span Window) {
-    for (EventId Id = Window.Begin; Id < Window.End; ++Id) {
-      const Event &E = T[Id];
-      if (E.isWrite())
-        RunningValues[E.Target] = E.Data;
-    }
-  }
-
-  void report(EventId A, EventId B, std::vector<EventId> Witness,
-              bool WitnessValid) {
+  RaceReport makeReport(EventId A, EventId B, std::vector<EventId> Witness,
+                        bool WitnessValid) const {
     RaceReport R;
     R.Sig = RaceSignature::of(T, A, B);
     R.First = A;
@@ -410,1280 +482,25 @@ private:
     R.Variable = T.varName(T[A].Target);
     R.Witness = std::move(Witness);
     R.WitnessValid = WitnessValid;
-    RacySignatures.insert(R.Sig.key());
-    // A signature provisionally parked in the unknown section (an earlier
-    // window's COP ran out of budget) has now been decided: the race
-    // report supersedes the maybe-entry.
-    if (UnknownSignatures.erase(R.Sig.key()))
-      Result.Unknowns.erase(
-          std::remove_if(Result.Unknowns.begin(), Result.Unknowns.end(),
-                         [&](const UnknownReport &U) {
-                           return RaceSignature::of(T, U.First, U.Second)
-                                      .key() == R.Sig.key();
-                         }),
-          Result.Unknowns.end());
-    Result.Races.push_back(std::move(R));
-  }
-
-  /// Parks an undecided COP in the unknown section (one entry per
-  /// signature, first COP seen) — never in the race list, so degradation
-  /// keeps the race reports sound.
-  void recordUnknown(const Cop &C, uint32_t Attempts) {
-    uint64_t Key = RaceSignature::of(T, C.First, C.Second).key();
-    if (!UnknownSignatures.insert(Key).second)
-      return;
-    UnknownReport U;
-    U.First = C.First;
-    U.Second = C.Second;
-    U.LocFirst = T.locName(T[C.First].Loc);
-    U.LocSecond = T.locName(T[C.Second].Loc);
-    U.Variable = T.varName(T[C.First].Target);
-    U.Attempts = Attempts;
-    Result.Unknowns.push_back(std::move(U));
-  }
-
-  void processWindow(Span Window) {
-    ScopedPhaseTimer WindowPhase("window");
-    Timer WindowClock;
-    uint64_t SolvesBefore = Result.Stats.SolverCalls;
-    size_t CopsInWindow = processWindowImpl(Window);
-    double Seconds = WindowClock.seconds();
-    emitWindowEvent(Window, CopsInWindow, Seconds);
-    if (Telemetry::enabled()) {
-      WindowCost W;
-      W.Index = Result.Stats.Windows - 1;
-      W.Cops = CopsInWindow;
-      W.Solves = Result.Stats.SolverCalls - SolvesBefore;
-      W.Seconds = Seconds;
-      Result.Stats.TopCosts.recordWindow(W);
-    }
-    // Live counter tracks, sampled once per window barrier — enough
-    // resolution to see trends in Perfetto without bloating the trace.
-    if (ProfileCollector *P = ProfileCollector::active()) {
-      P->counter("cops", static_cast<double>(Result.Stats.Cops));
-      P->counter("races", static_cast<double>(Result.Races.size()));
-      P->counter("solver-calls",
-                 static_cast<double>(Result.Stats.SolverCalls));
-      P->counter("mem.formula_bytes",
-                 static_cast<double>(MemStats::current(MemPool::Formula)));
-      P->counter("mem.rss_bytes",
-                 static_cast<double>(MemStats::currentRssBytes()));
-    }
-  }
-
-  size_t processWindowImpl(Span Window) {
-    std::vector<Cop> Cops;
-    {
-      ScopedPhaseTimer CopPhase("cop-enum");
-      Cops = collectCops(T, Window);
-    }
-    Result.Stats.Cops += Cops.size();
-    if (Cops.empty())
-      return 0;
-
-    // Sound static pruning: decided once per COP, before every dynamic
-    // filter, from program structure alone — so it is identical across
-    // schedules, jobs counts, and windows.
-    std::vector<bool> Pruned(Cops.size(), false);
-    if (Options.StaticPruner) {
-      ScopedPhaseTimer PrunePhase("static-prune");
-      for (size_t I = 0; I < Cops.size(); ++I) {
-        Pruned[I] = Options.StaticPruner->prunable(T, Cops[I].First,
-                                                   Cops[I].Second);
-        if (Pruned[I])
-          ++StaticPruned;
-      }
-      Result.Stats.CopsPrunedStatic = StaticPruned;
-    }
-
-    std::optional<EventClosure> MhbStorage;
-    {
-      ScopedPhaseTimer ClosurePhase("closure");
-      MhbStorage.emplace(T, Window, ClosureConfig::mhb());
-    }
-    EventClosure &Mhb = *MhbStorage;
-    QuickCheck Qc(T, Window, Mhb);
-    {
-      ScopedPhaseTimer QcPhase("quick-check");
-      for (size_t I = 0; I < Cops.size(); ++I) {
-        const Cop &C = Cops[I];
-        if (Pruned[I])
-          continue; // skipped pairs do not enter the QC accounting
-        if (Qc.pass(C)) {
-          ++QcHits;
-          QcSignatures.insert(
-              RaceSignature::of(T, C.First, C.Second).key());
-        } else {
-          ++QcMisses;
-        }
-      }
-    }
-    Result.Stats.QcPassed = QcSignatures.size();
-
-    // The WCP tier (docs/TIERS.md): one linear vector-clock pass per
-    // window. Hybrid uses it to prune MHB-ordered COPs and short-circuit
-    // WCP-provable races past the solver; Vc replaces the solver with it
-    // entirely. --check-tiers keeps the full SMT semantics (no fast
-    // paths) and compares WCP's verdict against every solver decision.
-    std::optional<WcpIndex> WcpStorage;
-    if (wcpActive()) {
-      ScopedPhaseTimer WcpPhase("wcp");
-      Timer WcpClock;
-      WcpStorage.emplace(T, Window);
-      if (Telemetry::enabled())
-        MetricsRegistry::global()
-            .histogram("wcp.latency_seconds")
-            .record(WcpClock.seconds());
-    }
-
-    switch (Tech) {
-    case Technique::Hb: {
-      EventClosure Hb(T, Window, ClosureConfig::hb());
-      for (size_t I = 0; I < Cops.size(); ++I) {
-        const Cop &C = Cops[I];
-        if (Pruned[I]) {
-          emitCopEvent(Window, C, "static-pruned", "static-prune");
-          continue;
-        }
-        if (RacySignatures.count(RaceSignature::of(T, C.First,
-                                                   C.Second).key())) {
-          ++SigPruned;
-          continue;
-        }
-        bool Racy = !Hb.ordered(C.First, C.Second) &&
-                    !Hb.ordered(C.Second, C.First);
-        if (Racy)
-          report(C.First, C.Second, {}, false);
-        const char *Outcome = Racy ? "race" : "ordered";
-        emitCopEvent(Window, C, Outcome, stageForOutcome(Outcome));
-      }
-      return Cops.size();
-    }
-    case Technique::Cp: {
-      CpOrder Cp(T, Window);
-      for (size_t I = 0; I < Cops.size(); ++I) {
-        const Cop &C = Cops[I];
-        if (Pruned[I]) {
-          emitCopEvent(Window, C, "static-pruned", "static-prune");
-          continue;
-        }
-        if (RacySignatures.count(RaceSignature::of(T, C.First,
-                                                   C.Second).key())) {
-          ++SigPruned;
-          continue;
-        }
-        bool Racy = !Cp.ordered(C.First, C.Second) &&
-                    !Cp.ordered(C.Second, C.First);
-        if (Racy)
-          report(C.First, C.Second, {}, false);
-        const char *Outcome = Racy ? "race" : "ordered";
-        emitCopEvent(Window, C, Outcome, stageForOutcome(Outcome));
-      }
-      return Cops.size();
-    }
-    case Technique::Said:
-    case Technique::Maximal:
-      break;
-    }
-
-    // --tier=vc: the WCP detector alone decides every COP, like the
-    // Hb/Cp branches above — no encoder, no solver, no witnesses. Sound
-    // in the same weak sense as those detectors (every reported pair is
-    // WCP-unordered; the first one is guaranteed predictable).
-    if (WcpStorage && Options.Tier == DetectTier::Vc) {
-      WcpIndex &Wcp = *WcpStorage;
-      for (size_t I = 0; I < Cops.size(); ++I) {
-        const Cop &C = Cops[I];
-        if (Pruned[I]) {
-          emitCopEvent(Window, C, "static-pruned", "static-prune");
-          continue;
-        }
-        if (RacySignatures.count(
-                RaceSignature::of(T, C.First, C.Second).key())) {
-          ++SigPruned;
-          continue;
-        }
-        // The quick check's lockset/weak-HB components are implied by the
-        // WCP rules, but gating on them keeps the Vc loop shaped like the
-        // other tiers and guards the windowed approximations.
-        if (Options.UseQuickCheck && !Qc.pass(C)) {
-          emitCopEvent(Window, C, "qc-fail", Qc.failStage(C));
-          continue;
-        }
-        bool Racy = Wcp.racy(C.First, C.Second);
-        if (Racy) {
-          ++Result.Stats.WcpRaces;
-          report(C.First, C.Second, {}, false);
-        }
-        const char *Outcome = Racy ? "race" : "ordered";
-        emitCopEvent(Window, C, Outcome, Racy ? "wcp"
-                                              : stageForOutcome(Outcome));
-      }
-      return Cops.size();
-    }
-
-    // SMT-based techniques. The COP-invariant encoding state is built
-    // once per window and shared read-only by every encode+solve — the
-    // sequential loop and the parallel workers alike.
-    EncoderOptions EncOpts;
-    EncOpts.SubstituteRaceVars = Options.SubstituteRaceVars;
-    EncOpts.Slice = Options.Slice;
-    // Statically constant branches lose their cf guards on the decision
-    // path only; rederiveModel below keeps the full guards so witness
-    // orders stay byte-identical to unfolded runs.
-    EncOpts.Fold = Options.CfFold;
-    RaceEncoder Encoder(
-        std::make_shared<const WindowEncoding>(T, Window, Mhb,
-                                               RunningValues),
-        EncOpts);
-
-    // Hybrid fast paths, disabled under --check-tiers so the cross
-    // validation compares WCP against the full SMT semantics.
-    const WcpIndex *Wcp = WcpStorage ? &*WcpStorage : nullptr;
-    const bool WcpFastPath = Wcp && !Options.CheckTiers;
-
-    if (Pool) {
-      processCopsParallel(Window, Cops, Pruned, Qc, Mhb, Encoder, Wcp);
-      return Cops.size();
-    }
-
-    // Incremental path: one persistent solver session and one shared
-    // hash-consing builder per window. Every surviving COP is decided
-    // under its own selector assumption; the shared encoding and all
-    // learned clauses carry over between queries, while each query still
-    // gets its own fresh per-COP Deadline (Section 4's budget). The
-    // SolveHost owns the session (or the one-shot solver in legacy mode)
-    // plus the whole degradation policy: budget escalation, session
-    // quarantine/rebuild, backend fallback (docs/ROBUSTNESS.md).
-    FormulaBuilder WindowFB;
-    SolveHost Host(Options.SolverName, UseIncremental,
-                   Options.PerCopBudgetSeconds, Options.RetryBudgets,
-                   Options.RetryJitterSeed + Result.Stats.Windows);
-
-    for (size_t I = 0; I < Cops.size(); ++I) {
-      const Cop &C = Cops[I];
-      if (Pruned[I]) {
-        emitCopEvent(Window, C, "static-pruned", "static-prune");
-        continue;
-      }
-      // WCP/MHB prune: exact mirror of the closure the quick check uses,
-      // so every pair pruned here would have been a qc-fail in the Smt
-      // tier — reports are identical, the weak-HB recheck is skipped.
-      if (WcpFastPath && (Wcp->mhbOrdered(C.First, C.Second) ||
-                          Wcp->mhbOrdered(C.Second, C.First))) {
-        ++Result.Stats.WcpPruned;
-        emitCopEvent(Window, C, "wcp-ordered", "wcp");
-        continue;
-      }
-      if (RacySignatures.count(
-              RaceSignature::of(T, C.First, C.Second).key())) {
-        ++SigPruned; // signature pruning (Section 4)
-        emitCopEvent(Window, C, "pruned", "signature");
-        continue;
-      }
-      if (Options.UseQuickCheck && !Qc.pass(C)) {
-        emitCopEvent(Window, C, "qc-fail", Qc.failStage(C));
-        continue;
-      }
-      // WCP short-circuit (Maximal only): a pair WCP proves racy skips
-      // the sliced encode and the session solve. With witnesses on the
-      // race is verified through the same unsliced one-shot re-derivation
-      // the Smt tier uses for witness models, so reports stay
-      // byte-identical; with witnesses off the WCP verdict is trusted
-      // (the Vc-tier semantics; --check-tiers is the standing oracle).
-      if (WcpFastPath && Tech == Technique::Maximal &&
-          Wcp->racy(C.First, C.Second)) {
-        ++Result.Stats.WcpShortCircuits;
-        shortCircuitCop(Window, C, Encoder, Mhb);
-        continue;
-      }
-      if (WcpFastPath)
-        ++Result.Stats.WcpResidue;
-
-      FormulaBuilder CopFB;
-      FormulaBuilder &FB = UseIncremental ? WindowFB : CopFB;
-      size_t NodesBefore = FB.numNodes();
-      NodeRef Root;
-      double EncodeSeconds = 0;
-      EncodeStats EncStats;
-      {
-        ScopedPhaseTimer EncodePhase("encode");
-        Timer EncodeClock;
-        Root = Tech == Technique::Maximal
-                   ? Encoder.encodeMaximalRace(FB, C.First, C.Second,
-                                               &EncStats)
-                   : Encoder.encodeSaidRace(FB, C.First, C.Second,
-                                            &EncStats);
-        EncodeSeconds = EncodeClock.seconds();
-      }
-      if (Telemetry::enabled())
-        recordFormulaMetrics(FB, NodesBefore, Root);
-      OrderModel Model;
-      ++Result.Stats.SolverCalls;
-      SolveHost::Outcome Decided;
-      double SolveSeconds = 0;
-      {
-        ScopedPhaseTimer SolvePhase("solve");
-        Timer SolveClock;
-        Decided = Host.decide(FB, Root,
-                              Options.CollectWitnesses ? &Model : nullptr);
-        SolveSeconds = SolveClock.seconds();
-      }
-      SatResult Sat = Decided.Sat;
-      // --check-tiers: WCP claimed a race the full pipeline refutes —
-      // the windowed over-report weak soundness permits beyond the first
-      // race. Counted here, surfaced as an error by the front end.
-      if (Options.CheckTiers && Wcp && Sat == SatResult::Unsat &&
-          Wcp->racy(C.First, C.Second))
-        ++Result.Stats.WcpMismatches;
-      if (Telemetry::enabled())
-        MetricsRegistry::global()
-            .histogram("solver.latency_seconds")
-            .record(SolveSeconds);
-      const char *Outcome = Sat == SatResult::Sat     ? "sat"
-                            : Sat == SatResult::Unsat ? "unsat"
-                                                      : "timeout";
-      CopEventExtra Extra;
-      Extra.Stage = stageForOutcome(Outcome);
-      Extra.EncodeSeconds = EncodeSeconds;
-      Extra.MemDeltaBytes =
-          (FB.numNodes() - NodesBefore) * sizeof(FormulaNode);
-      Extra.Attempts = Decided.Attempts;
-      Extra.ConeEvents = EncStats.ConeEvents;
-      emitSolveEvent(Window, C, Outcome, SolveSeconds);
-      if (Sat != SatResult::Sat) {
-        if (Sat == SatResult::Unknown) {
-          ++Result.Stats.SolverTimeouts;
-          recordUnknown(C, Decided.Attempts);
-        }
-        emitCopEventRange(C, Outcome, FB, NodesBefore, Root, SolveSeconds,
-                          Extra);
-        recordCopCost(C, Outcome, SolveSeconds, Extra);
-        continue;
-      }
-
-      std::vector<EventId> Witness;
-      bool WitnessValid = false;
-      if (Options.CollectWitnesses && Tech == Technique::Maximal) {
-        ScopedPhaseTimer WitnessPhase("witness");
-        Timer WitnessClock;
-        // A sliced model only orders the cone; witness orders must cover
-        // the window, so they are always re-derived unsliced.
-        if (!Decided.ModelFromSolve || sliceActive())
-          rederiveModel(Encoder, C, Model);
-        Witness = buildWitness(Window, Model, C);
-        WitnessValid =
-            checkWitness(T, Window, Witness, C.First, C.Second, Encoder,
-                         Mhb, RunningValues)
-                .Ok;
-        Extra.WitnessSeconds = WitnessClock.seconds();
-      }
-      emitCopEventRange(C, Outcome, FB, NodesBefore, Root, SolveSeconds,
-                        Extra);
-      recordCopCost(C, Outcome, SolveSeconds, Extra);
-      report(C.First, C.Second, std::move(Witness), WitnessValid);
-    }
-    absorbHostStats(Host.stats());
-    return Cops.size();
-  }
-
-  /// Folds one host's resilience tallies into the run's stats (called at
-  /// each window barrier; the parallel path folds every worker's host).
-  void absorbHostStats(const ResilienceStats &S) {
-    Result.Stats.SolverRetries += S.Retries;
-    Result.Stats.DegradedSessions += S.DegradedSessions;
-    BackendFallbacks += S.BackendFallbacks;
-  }
-
-  // ----------------------------------------------------- checkpointing
-
-  /// Serializes everything the driver accumulates across windows
-  /// (docs/ROBUSTNESS.md). Only event ids and counters are stored —
-  /// display strings and signatures are re-derived from the trace on
-  /// restore, so the payload stays small and cannot drift from the trace
-  /// (the store's fingerprint pins trace and flags).
-  std::string serializeState() const {
-    std::string Out;
-    Out += formatString(
-        "stats %llu %llu %llu %llu %llu %llu %llu %llu\n",
-        static_cast<unsigned long long>(Result.Stats.Windows),
-        static_cast<unsigned long long>(Result.Stats.Cops),
-        static_cast<unsigned long long>(Result.Stats.QcPassed),
-        static_cast<unsigned long long>(Result.Stats.CopsPrunedStatic),
-        static_cast<unsigned long long>(Result.Stats.SolverCalls),
-        static_cast<unsigned long long>(Result.Stats.SolverTimeouts),
-        static_cast<unsigned long long>(Result.Stats.SolverRetries),
-        static_cast<unsigned long long>(Result.Stats.DegradedSessions));
-    Out += formatString(
-        "tallies %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu\n",
-        static_cast<unsigned long long>(QcHits),
-        static_cast<unsigned long long>(QcMisses),
-        static_cast<unsigned long long>(SigPruned),
-        static_cast<unsigned long long>(StaticPruned),
-        static_cast<unsigned long long>(SpeculativeSolves),
-        static_cast<unsigned long long>(BackendFallbacks),
-        static_cast<unsigned long long>(Result.Stats.WcpRaces),
-        static_cast<unsigned long long>(Result.Stats.WcpPruned),
-        static_cast<unsigned long long>(Result.Stats.WcpResidue),
-        static_cast<unsigned long long>(Result.Stats.WcpShortCircuits),
-        static_cast<unsigned long long>(Result.Stats.WcpMismatches));
-    Out += "values";
-    for (Value V : RunningValues)
-      Out += formatString(" %lld", static_cast<long long>(V));
-    Out += "\n";
-    appendKeySet(Out, "racy", RacySignatures);
-    appendKeySet(Out, "qcsig", QcSignatures);
-    for (const RaceReport &R : Result.Races) {
-      Out += formatString("race %llu %llu %d",
-                          static_cast<unsigned long long>(R.First),
-                          static_cast<unsigned long long>(R.Second),
-                          R.WitnessValid ? 1 : 0);
-      for (EventId Id : R.Witness)
-        Out += formatString(" %llu", static_cast<unsigned long long>(Id));
-      Out += "\n";
-    }
-    for (const UnknownReport &U : Result.Unknowns)
-      Out += formatString("unknown %llu %llu %u\n",
-                          static_cast<unsigned long long>(U.First),
-                          static_cast<unsigned long long>(U.Second),
-                          static_cast<unsigned>(U.Attempts));
-    return Out;
-  }
-
-  static void appendKeySet(std::string &Out, const char *Tag,
-                           const std::unordered_set<uint64_t> &Set) {
-    // Sorted so the same state always serializes to the same bytes.
-    std::vector<uint64_t> Keys(Set.begin(), Set.end());
-    std::sort(Keys.begin(), Keys.end());
-    Out += Tag;
-    for (uint64_t K : Keys)
-      Out += formatString(" %llx", static_cast<unsigned long long>(K));
-    Out += "\n";
-  }
-
-  /// Inverse of serializeState. All-or-nothing: any malformed or
-  /// out-of-range field rejects the snapshot (the run then starts from
-  /// scratch, which is always sound — checkpoints only save time).
-  bool restoreState(const std::string &Payload) {
-    auto parseU64 = [](std::string_view S, uint64_t &Out) {
-      int64_t V = 0;
-      if (!parseInt(S, V) || V < 0)
-        return false;
-      Out = static_cast<uint64_t>(V);
-      return true;
-    };
-    auto parseHex = [](std::string_view S, uint64_t &Out) {
-      if (S.empty() || S.size() > 16)
-        return false;
-      uint64_t V = 0;
-      for (char C : S) {
-        int D;
-        if (C >= '0' && C <= '9')
-          D = C - '0';
-        else if (C >= 'a' && C <= 'f')
-          D = C - 'a' + 10;
-        else
-          return false;
-        V = V << 4 | static_cast<uint64_t>(D);
-      }
-      Out = V;
-      return true;
-    };
-    auto parseEvent = [&](std::string_view S, EventId &Out) {
-      uint64_t V = 0;
-      if (!parseU64(S, V) || V >= T.size())
-        return false;
-      Out = static_cast<EventId>(V);
-      return true;
-    };
-
-    std::vector<RaceReport> NewRaces;
-    std::vector<UnknownReport> NewUnknowns;
-    std::vector<Value> NewValues;
-    std::unordered_set<uint64_t> NewRacy, NewQc, NewUnkSigs;
-    uint64_t S[8] = {0}, Tally[11] = {0};
-    bool SawStats = false, SawTallies = false, SawValues = false;
-
-    for (std::string_view Line : split(Payload, '\n')) {
-      Line = trim(Line);
-      if (Line.empty())
-        continue;
-      std::vector<std::string_view> F = split(Line, ' ');
-      if (F[0] == "stats") {
-        if (F.size() != 9)
-          return false;
-        for (size_t I = 0; I < 8; ++I)
-          if (!parseU64(F[I + 1], S[I]))
-            return false;
-        SawStats = true;
-      } else if (F[0] == "tallies") {
-        // 12 fields since the WCP tier landed; older 7-field snapshots
-        // (written by a pre-tier build) are rejected wholesale, which is
-        // always sound — the run just starts from scratch.
-        if (F.size() != 12)
-          return false;
-        for (size_t I = 0; I < 11; ++I)
-          if (!parseU64(F[I + 1], Tally[I]))
-            return false;
-        SawTallies = true;
-      } else if (F[0] == "values") {
-        for (size_t I = 1; I < F.size(); ++I) {
-          int64_t V = 0;
-          if (!parseInt(F[I], V))
-            return false;
-          NewValues.push_back(static_cast<Value>(V));
-        }
-        SawValues = true;
-      } else if (F[0] == "racy" || F[0] == "qcsig") {
-        auto &Set = F[0] == "racy" ? NewRacy : NewQc;
-        for (size_t I = 1; I < F.size(); ++I) {
-          uint64_t K = 0;
-          if (!parseHex(F[I], K))
-            return false;
-          Set.insert(K);
-        }
-      } else if (F[0] == "race") {
-        if (F.size() < 4)
-          return false;
-        RaceReport R;
-        uint64_t Valid = 0;
-        if (!parseEvent(F[1], R.First) || !parseEvent(F[2], R.Second) ||
-            !parseU64(F[3], Valid) || Valid > 1)
-          return false;
-        R.Sig = RaceSignature::of(T, R.First, R.Second);
-        R.LocFirst = T.locName(T[R.First].Loc);
-        R.LocSecond = T.locName(T[R.Second].Loc);
-        R.Variable = T.varName(T[R.First].Target);
-        R.WitnessValid = Valid != 0;
-        for (size_t I = 4; I < F.size(); ++I) {
-          EventId Id = InvalidEvent;
-          if (!parseEvent(F[I], Id))
-            return false;
-          R.Witness.push_back(Id);
-        }
-        NewRaces.push_back(std::move(R));
-      } else if (F[0] == "unknown") {
-        if (F.size() != 4)
-          return false;
-        UnknownReport U;
-        uint64_t Attempts = 0;
-        if (!parseEvent(F[1], U.First) || !parseEvent(F[2], U.Second) ||
-            !parseU64(F[3], Attempts) || Attempts == 0)
-          return false;
-        U.LocFirst = T.locName(T[U.First].Loc);
-        U.LocSecond = T.locName(T[U.Second].Loc);
-        U.Variable = T.varName(T[U.First].Target);
-        U.Attempts = static_cast<uint32_t>(Attempts);
-        NewUnkSigs.insert(RaceSignature::of(T, U.First, U.Second).key());
-        NewUnknowns.push_back(std::move(U));
-      } else {
-        return false; // unknown section: written by a different build
-      }
-    }
-    if (!SawStats || !SawTallies || !SawValues ||
-        NewValues.size() > T.numVars())
-      return false;
-    // A snapshot taken over a prefix of the trace (streaming steps) can
-    // predate variables first seen in later windows; they still hold
-    // their initial values. Batch snapshots always match exactly.
-    while (NewValues.size() < T.numVars())
-      NewValues.push_back(
-          T.initialValueOf(static_cast<VarId>(NewValues.size())));
-
-    Result.Stats.Windows = S[0];
-    Result.Stats.Cops = S[1];
-    Result.Stats.QcPassed = S[2];
-    Result.Stats.CopsPrunedStatic = S[3];
-    Result.Stats.SolverCalls = S[4];
-    Result.Stats.SolverTimeouts = S[5];
-    Result.Stats.SolverRetries = S[6];
-    Result.Stats.DegradedSessions = S[7];
-    QcHits = Tally[0];
-    QcMisses = Tally[1];
-    SigPruned = Tally[2];
-    StaticPruned = Tally[3];
-    SpeculativeSolves = Tally[4];
-    BackendFallbacks = Tally[5];
-    Result.Stats.WcpRaces = Tally[6];
-    Result.Stats.WcpPruned = Tally[7];
-    Result.Stats.WcpResidue = Tally[8];
-    Result.Stats.WcpShortCircuits = Tally[9];
-    Result.Stats.WcpMismatches = Tally[10];
-    RunningValues = std::move(NewValues);
-    RacySignatures = std::move(NewRacy);
-    QcSignatures = std::move(NewQc);
-    UnknownSignatures = std::move(NewUnkSigs);
-    Result.Races = std::move(NewRaces);
-    Result.Unknowns = std::move(NewUnknowns);
-    return true;
-  }
-
-  /// Canonical witness model for the incremental path: re-encode the COP
-  /// into a fresh builder and solve it one-shot — exactly the instance the
-  /// legacy path builds, so witnesses are byte-identical across modes and
-  /// independent of session history. (Reusing the shared window builder
-  /// would not do: the simplifier canonicalizes And/Or children by node
-  /// reference, so ref numbering from earlier COPs reshapes the DAG and
-  /// with it the model the solver happens to pick.) Tallied as
-  /// solver.witness_resolves, not as a COP decision (solver_calls is
-  /// mode-invariant).
-  /// Whether the encoder actually slices: the naive adjacency encoding
-  /// references every window event, so slicing is a no-op without the
-  /// substitution.
-  bool sliceActive() const {
-    return Options.Slice && Options.SubstituteRaceVars;
-  }
-
-  /// Whether the WCP tier runs at all: Hybrid/Vc, SMT-based techniques
-  /// only (the Hb/Cp detectors are already linear-time).
-  bool wcpActive() const {
-    return Options.Tier != DetectTier::Smt &&
-           (Tech == Technique::Said || Tech == Technique::Maximal);
-  }
-
-  /// Hybrid short-circuit of one WCP-racy COP (sequential path). With
-  /// witnesses on, the race is verified and its model derived through the
-  /// same unsliced one-shot solve the Smt tier's witness path runs, so
-  /// every outcome — the report, an unsat's silence, an unknown entry —
-  /// matches the Smt tier byte for byte. With witnesses off the WCP
-  /// verdict is reported directly: zero solver work (the measured
-  /// speedup), sound in the Vc-tier sense, auditable via --check-tiers.
-  void shortCircuitCop(Span Window, const Cop &C,
-                       const RaceEncoder &Encoder,
-                       const EventClosure &Mhb) {
-    if (!Options.CollectWitnesses) {
-      ++Result.Stats.WcpRaces;
-      CopEventExtra Extra;
-      Extra.Stage = "wcp";
-      emitCopEvent(Window, C, "race", "wcp");
-      recordCopCost(C, "race", 0, Extra);
-      report(C.First, C.Second, {}, false);
-      return;
-    }
-    ScopedPhaseTimer WitnessPhase("witness");
-    Timer WitnessClock;
-    OrderModel Model;
-    SatResult Sat = rederiveModel(Encoder, C, Model);
-    CopEventExtra Extra;
-    if (Sat != SatResult::Sat) {
-      const char *Outcome = Sat == SatResult::Unsat ? "unsat" : "timeout";
-      if (Sat == SatResult::Unknown) {
-        ++Result.Stats.SolverTimeouts;
-        recordUnknown(C, 1);
-      }
-      Extra.Stage = stageForOutcome(Outcome);
-      Extra.WitnessSeconds = WitnessClock.seconds();
-      emitCopEvent(Window, C, Outcome, Extra.Stage);
-      recordCopCost(C, Outcome, 0, Extra);
-      return;
-    }
-    std::vector<EventId> Witness = buildWitness(Window, Model, C);
-    bool WitnessValid = checkWitness(T, Window, Witness, C.First, C.Second,
-                                     Encoder, Mhb, RunningValues)
-                            .Ok;
-    ++Result.Stats.WcpRaces;
-    Extra.Stage = "wcp";
-    Extra.WitnessSeconds = WitnessClock.seconds();
-    emitCopEvent(Window, C, "sat", "wcp");
-    recordCopCost(C, "sat", 0, Extra);
-    report(C.First, C.Second, std::move(Witness), WitnessValid);
-  }
-
-  SatResult rederiveModel(const RaceEncoder &Encoder, const Cop &C,
-                          OrderModel &Model) const {
-    // Witness models come from the unsliced formula: a sliced model has
-    // no positions for events outside the cone, and buildWitness orders
-    // the whole window. Sharing the WindowEncoding makes the unsliced
-    // encoder construction free.
-    EncoderOptions NoSlice;
-    NoSlice.SubstituteRaceVars = Options.SubstituteRaceVars;
-    NoSlice.Slice = false;
-    RaceEncoder Unsliced(Encoder.sharedWindowEncoding(), NoSlice);
-    FormulaBuilder FreshFB;
-    NodeRef Root = Tech == Technique::Maximal
-                       ? Unsliced.encodeMaximalRace(FreshFB, C.First,
-                                                    C.Second)
-                       : Unsliced.encodeSaidRace(FreshFB, C.First, C.Second);
-    std::unique_ptr<SmtSolver> Fresh =
-        createSolverByName(Options.SolverName);
-    if (!Fresh)
-      Fresh = createIdlSolver();
-    if (Telemetry::enabled())
-      MetricsRegistry::global().counter("solver.witness_resolves").inc();
-    return Fresh->solve(FreshFB, Root,
-                        Deadline::after(Options.PerCopBudgetSeconds),
-                        &Model);
-  }
-
-  // -------------------------------------------------- parallel solving
-
-  /// Jobs > 1: each worker keeps its own SolveHost for the current window
-  /// — in incremental mode that host owns the worker's persistent session
-  /// and the shared builder below, so queries of COPs that land on the
-  /// same worker reuse each other's encoding and learned clauses without
-  /// any cross-thread solver state; in legacy mode the host just owns the
-  /// worker's one-shot solver (all solver state is per-solve). Either
-  /// way the host also runs the per-worker degradation policy.
-  struct WorkerSolveCtx {
-    FormulaBuilder FB;
-    std::unique_ptr<SolveHost> Host;
-  };
-
-  /// Outcome of one COP, decided in phase A (pre-filters) or phase B
-  /// (solve task) and consumed in COP order by phase C.
-  struct CopTaskResult {
-    uint64_t SigKey = 0;
-    bool StaticPruned = false; ///< skipped by the static oracle
-    bool WcpPruned = false;    ///< MHB-ordered per the WCP tier's clocks
-    bool PreFiltered = false;  ///< signature racy at window start
-    bool QcFail = false;
-    /// WCP proved the pair racy (hybrid fast path): the task re-derives
-    /// the witness model instead of encode+solve; with witnesses off it
-    /// does nothing and phase C reports the WCP verdict directly.
-    bool WcpRacy = false;
-    /// Which quick-check component rejected the COP (set iff QcFail).
-    const char *QcStage = nullptr;
-    bool Solved = false;
-    SatResult Sat = SatResult::Unknown;
-    /// Escalation attempts the host spent on this COP.
-    uint32_t Attempts = 1;
-    double SolveSeconds = 0;
-    double EncodeSeconds = 0;
-    double WitnessSeconds = 0;
-    uint64_t MemDeltaBytes = 0;
-    uint64_t FormulaNodes = 0;
-    uint64_t DifferenceAtoms = 0;
-    uint64_t OrderVars = 0;
-    uint64_t ConeEvents = 0;
-    std::vector<EventId> Witness;
-    bool WitnessValid = false;
-  };
-
-  /// The jobs>1 replacement for the sequential COP loop. Three phases keep
-  /// the output deterministic and equal to --jobs 1:
-  ///
-  ///  A (sequential) — per-COP pre-filters whose inputs are fixed at
-  ///    window start: signatures racy from *earlier* windows and the
-  ///    quick check.
-  ///  B (parallel)   — encode+solve of every surviving COP as independent
-  ///    tasks: own FormulaBuilder, own solver instance, read-only shared
-  ///    WindowEncoding. No cross-task state.
-  ///  C (sequential, ascending COP index) — replays the sequential loop's
-  ///    accounting: a COP whose signature became racy earlier in this
-  ///    window is pruned exactly as the sequential run would have pruned
-  ///    it (its speculative solve is discarded and tallied separately),
-  ///    so reports, stats, and trace events match byte for byte.
-  ///
-  /// One caveat: a COP near the per-COP budget can tip from sat/unsat to
-  /// timeout under contention (wall-clock budgets are the one
-  /// scheduling-dependent input).
-  void processCopsParallel(Span Window, const std::vector<Cop> &Cops,
-                           const std::vector<bool> &Pruned,
-                           const QuickCheck &Qc, const EventClosure &Mhb,
-                           const RaceEncoder &Encoder,
-                           const WcpIndex *Wcp) {
-    const bool WcpFastPath = Wcp && !Options.CheckTiers;
-    std::vector<CopTaskResult> Results(Cops.size());
-    for (size_t I = 0; I < Cops.size(); ++I) {
-      CopTaskResult &R = Results[I];
-      R.SigKey = RaceSignature::of(T, Cops[I].First, Cops[I].Second).key();
-      R.StaticPruned = Pruned[I];
-      if (R.StaticPruned)
-        continue;
-      R.WcpPruned =
-          WcpFastPath && (Wcp->mhbOrdered(Cops[I].First, Cops[I].Second) ||
-                          Wcp->mhbOrdered(Cops[I].Second, Cops[I].First));
-      if (R.WcpPruned)
-        continue;
-      R.PreFiltered = RacySignatures.count(R.SigKey) != 0;
-      if (R.PreFiltered)
-        continue;
-      R.QcFail = Options.UseQuickCheck && !Qc.pass(Cops[I]);
-      if (R.QcFail) {
-        R.QcStage = Qc.failStage(Cops[I]);
-        continue;
-      }
-      R.WcpRacy = WcpFastPath && Tech == Technique::Maximal &&
-                  Wcp->racy(Cops[I].First, Cops[I].Second);
-    }
-
-    const bool Observing = Telemetry::enabled();
-    const bool WantEventMetrics = activeSink() != nullptr;
-    std::vector<PhaseTree> WorkerTrees(Observing ? Pool->numWorkers() : 0);
-    // Per-worker solve state, window-scoped. The extra trailing slot
-    // belongs to the main thread, which helps drain the queue inside
-    // parallelFor and reports currentWorkerIndex() == -1.
-    std::vector<WorkerSolveCtx> Contexts(Pool->numWorkers() + 1);
-    Pool->parallelFor(0, Cops.size(), [&](size_t I) {
-      CopTaskResult &R = Results[I];
-      if (R.StaticPruned || R.WcpPruned || R.PreFiltered || R.QcFail)
-        return;
-      int W = Pool->currentWorkerIndex();
-      std::optional<ThreadPhaseScope> PhaseScope;
-      if (Observing && W >= 0)
-        PhaseScope.emplace(&WorkerTrees[W]);
-      WorkerSolveCtx &Ctx = Contexts[W >= 0 ? static_cast<size_t>(W)
-                                            : Contexts.size() - 1];
-      solveCopTask(Cops[I], Encoder, Mhb, Window, WantEventMetrics, Ctx,
-                   R);
-    });
-    for (const WorkerSolveCtx &Ctx : Contexts)
-      if (Ctx.Host)
-        absorbHostStats(Ctx.Host->stats());
-    if (Observing) {
-      // The main thread is inside the "window" phase here, so the merge
-      // nests each worker's encode/solve/witness times under it.
-      PhaseTree &Main = Telemetry::instance().phases();
-      for (const PhaseTree &WT : WorkerTrees)
-        Main.absorb(WT);
-    }
-
-    for (size_t I = 0; I < Cops.size(); ++I) {
-      const Cop &C = Cops[I];
-      CopTaskResult &R = Results[I];
-      if (R.StaticPruned) {
-        emitCopEvent(Window, C, "static-pruned", "static-prune");
-        continue;
-      }
-      if (R.WcpPruned) {
-        ++Result.Stats.WcpPruned;
-        emitCopEvent(Window, C, "wcp-ordered", "wcp");
-        continue;
-      }
-      if (RacySignatures.count(R.SigKey)) {
-        ++SigPruned; // signature pruning (Section 4)
-        if (R.Solved)
-          ++SpeculativeSolves;
-        emitCopEvent(Window, C, "pruned", "signature");
-        continue;
-      }
-      if (R.QcFail) {
-        emitCopEvent(Window, C, "qc-fail", R.QcStage);
-        continue;
-      }
-      if (R.WcpRacy) {
-        // Mirrors the sequential shortCircuitCop, consuming the witness
-        // work phase B already did.
-        ++Result.Stats.WcpShortCircuits;
-        if (!Options.CollectWitnesses) {
-          ++Result.Stats.WcpRaces;
-          CopEventExtra Extra;
-          Extra.Stage = "wcp";
-          emitCopEvent(Window, C, "race", "wcp");
-          recordCopCost(C, "race", 0, Extra);
-          report(C.First, C.Second, {}, false);
-          continue;
-        }
-        const char *ScOutcome = R.Sat == SatResult::Sat     ? "sat"
-                                : R.Sat == SatResult::Unsat ? "unsat"
-                                                            : "timeout";
-        CopEventExtra Extra;
-        Extra.Stage = R.Sat == SatResult::Sat ? "wcp"
-                                              : stageForOutcome(ScOutcome);
-        Extra.WitnessSeconds = R.WitnessSeconds;
-        if (R.Sat == SatResult::Unknown) {
-          ++Result.Stats.SolverTimeouts;
-          recordUnknown(C, 1);
-        }
-        emitCopEvent(Window, C, ScOutcome, Extra.Stage);
-        recordCopCost(C, ScOutcome, 0, Extra);
-        if (R.Sat == SatResult::Sat) {
-          ++Result.Stats.WcpRaces;
-          report(C.First, C.Second, std::move(R.Witness), R.WitnessValid);
-        }
-        continue;
-      }
-      ++Result.Stats.SolverCalls;
-      if (WcpFastPath)
-        ++Result.Stats.WcpResidue;
-      if (Options.CheckTiers && Wcp && R.Sat == SatResult::Unsat &&
-          Wcp->racy(C.First, C.Second))
-        ++Result.Stats.WcpMismatches;
-      const char *Outcome = R.Sat == SatResult::Sat     ? "sat"
-                            : R.Sat == SatResult::Unsat ? "unsat"
-                                                        : "timeout";
-      CopEventExtra Extra;
-      Extra.Stage = stageForOutcome(Outcome);
-      Extra.EncodeSeconds = R.EncodeSeconds;
-      Extra.WitnessSeconds = R.WitnessSeconds;
-      Extra.MemDeltaBytes = R.MemDeltaBytes;
-      Extra.Attempts = R.Attempts;
-      Extra.ConeEvents = R.ConeEvents;
-      emitSolveEvent(Window, C, Outcome, R.SolveSeconds);
-      if (R.Sat == SatResult::Unknown) {
-        ++Result.Stats.SolverTimeouts;
-        recordUnknown(C, R.Attempts);
-      }
-      emitCopEventFields(C, Outcome, true, R.FormulaNodes,
-                         R.DifferenceAtoms, R.OrderVars, R.SolveSeconds,
-                         Extra);
-      recordCopCost(C, Outcome, R.SolveSeconds, Extra);
-      if (R.Sat == SatResult::Sat)
-        report(C.First, C.Second, std::move(R.Witness), R.WitnessValid);
-    }
-  }
-
-  /// Phase-B body: fully independent of every other COP. Runs on a pool
-  /// worker (or inline); may only touch immutable window state, the
-  /// registry (atomic), and its own CopTaskResult slot.
-  void solveCopTask(const Cop &C, const RaceEncoder &Encoder,
-                    const EventClosure &Mhb, Span Window,
-                    bool WantEventMetrics, WorkerSolveCtx &Ctx,
-                    CopTaskResult &R) {
-    if (R.WcpRacy) {
-      // WCP short-circuit: no encode, no session solve. With witnesses
-      // on, verify + derive the model exactly like the Smt tier's
-      // witness path (unsliced one-shot; thread-safe — fresh solver per
-      // call); with witnesses off there is nothing to compute here.
-      if (!Options.CollectWitnesses)
-        return;
-      ScopedPhaseTimer WitnessPhase("witness");
-      Timer WitnessClock;
-      OrderModel Model;
-      R.Sat = rederiveModel(Encoder, C, Model);
-      if (R.Sat == SatResult::Sat) {
-        R.Witness = buildWitness(Window, Model, C);
-        R.WitnessValid = checkWitness(T, Window, R.Witness, C.First,
-                                      C.Second, Encoder, Mhb,
-                                      RunningValues)
-                             .Ok;
-      }
-      R.WitnessSeconds = WitnessClock.seconds();
-      return;
-    }
-    if (!Ctx.Host)
-      Ctx.Host = std::make_unique<SolveHost>(
-          Options.SolverName, UseIncremental, Options.PerCopBudgetSeconds,
-          Options.RetryBudgets,
-          Options.RetryJitterSeed + Result.Stats.Windows);
-    FormulaBuilder TaskFB;
-    FormulaBuilder &FB = UseIncremental ? Ctx.FB : TaskFB;
-    size_t NodesBefore = FB.numNodes();
-    NodeRef Root;
-    EncodeStats EncStats;
-    {
-      ScopedPhaseTimer EncodePhase("encode");
-      Timer EncodeClock;
-      Root = Tech == Technique::Maximal
-                 ? Encoder.encodeMaximalRace(FB, C.First, C.Second,
-                                             &EncStats)
-                 : Encoder.encodeSaidRace(FB, C.First, C.Second,
-                                          &EncStats);
-      R.EncodeSeconds = EncodeClock.seconds();
-    }
-    R.ConeEvents = EncStats.ConeEvents;
-    R.MemDeltaBytes = (FB.numNodes() - NodesBefore) * sizeof(FormulaNode);
-    if (Telemetry::enabled())
-      recordFormulaMetrics(FB, NodesBefore, Root);
-    if (WantEventMetrics) {
-      R.FormulaNodes = FB.numNodes() - NodesBefore;
-      for (size_t I = NodesBefore; I < FB.numNodes(); ++I)
-        if (FB.node(static_cast<NodeRef>(I)).Kind == FormulaKind::Atom)
-          ++R.DifferenceAtoms;
-      R.OrderVars = FB.collectVars(Root).size();
-    }
-    OrderModel Model;
-    R.Solved = true;
-    SolveHost::Outcome Decided;
-    {
-      ScopedPhaseTimer SolvePhase("solve");
-      Timer SolveClock;
-      Decided = Ctx.Host->decide(
-          FB, Root, Options.CollectWitnesses ? &Model : nullptr);
-      R.SolveSeconds = SolveClock.seconds();
-    }
-    R.Sat = Decided.Sat;
-    R.Attempts = Decided.Attempts;
-    if (Telemetry::enabled())
-      MetricsRegistry::global()
-          .histogram("solver.latency_seconds")
-          .record(R.SolveSeconds);
-    if (R.Sat == SatResult::Sat && Options.CollectWitnesses &&
-        Tech == Technique::Maximal) {
-      ScopedPhaseTimer WitnessPhase("witness");
-      Timer WitnessClock;
-      // See the sequential loop: sliced models only order the cone.
-      if (!Decided.ModelFromSolve || sliceActive())
-        rederiveModel(Encoder, C, Model);
-      R.Witness = buildWitness(Window, Model, C);
-      R.WitnessValid = checkWitness(T, Window, R.Witness, C.First, C.Second,
-                                    Encoder, Mhb, RunningValues)
-                           .Ok;
-      R.WitnessSeconds = WitnessClock.seconds();
-    }
-  }
-
-  // ------------------------------------------------------- telemetry
-
-  void flushTelemetryCounters() {
-    MetricsRegistry &Reg = MetricsRegistry::global();
-    Reg.counter("detect.windows").add(Result.Stats.Windows);
-    Reg.counter("detect.cops").add(Result.Stats.Cops);
-    Reg.counter("detect.qc_hits").add(QcHits);
-    Reg.counter("detect.qc_misses").add(QcMisses);
-    Reg.counter("detect.qc_passed_signatures").add(Result.Stats.QcPassed);
-    Reg.counter("detect.signature_pruned").add(SigPruned);
-    Reg.counter("analysis.cops_pruned_static").add(StaticPruned);
-    Reg.counter("detect.races").add(Result.Races.size());
-    Reg.counter("solver.calls").add(Result.Stats.SolverCalls);
-    Reg.counter("solver.timeouts").add(Result.Stats.SolverTimeouts);
-    Reg.counter("solver.retries").add(Result.Stats.SolverRetries);
-    Reg.counter("solver.degraded_sessions")
-        .add(Result.Stats.DegradedSessions);
-    Reg.counter("solver.backend_fallbacks").add(BackendFallbacks);
-    Reg.counter("detect.unknown_cops").add(Result.Stats.UnknownCops);
-    Reg.counter("detect.resumed_windows").add(ResumedWindows);
-    Reg.counter("detect.speculative_solves").add(SpeculativeSolves);
-    if (wcpActive()) {
-      Reg.counter("wcp.races").add(Result.Stats.WcpRaces);
-      Reg.counter("wcp.pruned_cops").add(Result.Stats.WcpPruned);
-      Reg.counter("wcp.residue_cops").add(Result.Stats.WcpResidue);
-      Reg.counter("wcp.check_mismatches").add(Result.Stats.WcpMismatches);
-    }
-    Reg.gauge("detect.jobs").set(Result.Stats.Jobs);
-    // Memory gauges: the accounted pools plus process RSS. Trace storage
-    // is owned outside the detectors, so its gauge is set directly from
-    // the (immutable) event array instead of through a MemCharge.
-    MemStats::publishGauges(Reg);
-    double TraceBytes =
-        static_cast<double>(T.size()) * static_cast<double>(sizeof(Event));
-    Reg.gauge("mem.trace_bytes").set(TraceBytes);
-    Reg.gauge("mem.trace_peak_bytes").set(TraceBytes);
-  }
-
-  /// Formula-size accounting after one encode: total nodes, difference
-  /// atoms, distinct cf boolean variables, and order variables reachable
-  /// from the root.
-  /// \p NodesBefore is the builder's size before this COP's encode: with a
-  /// per-COP builder it is 0 and the whole builder is counted (the legacy
-  /// numbers); with the incremental path's shared per-window builder only
-  /// this COP's newly hash-consed nodes count, so encoder.nodes measures
-  /// real encoding work, not re-reads of shared structure.
-  void recordFormulaMetrics(const FormulaBuilder &FB, size_t NodesBefore,
-                            NodeRef Root) {
-    uint64_t Atoms = 0;
-    std::unordered_set<uint32_t> BoolIds;
-    for (size_t I = NodesBefore; I < FB.numNodes(); ++I) {
-      const FormulaNode &N = FB.node(static_cast<NodeRef>(I));
-      if (N.Kind == FormulaKind::Atom)
-        ++Atoms;
-      else if (N.Kind == FormulaKind::BoolVar)
-        BoolIds.insert(N.VarA);
-    }
-    MetricsRegistry &Reg = MetricsRegistry::global();
-    Reg.counter("encoder.formulas").inc();
-    Reg.counter("encoder.nodes").add(FB.numNodes() - NodesBefore);
-    Reg.counter("encoder.difference_atoms").add(Atoms);
-    Reg.counter("encoder.bool_vars").add(BoolIds.size());
-    Reg.counter("encoder.order_vars").add(FB.collectVars(Root).size());
-  }
-
-  TraceEventSink *activeSink() const {
-    return Telemetry::enabled() ? Telemetry::instance().sink() : nullptr;
-  }
-
-  void emitWindowEvent(Span Window, size_t Cops, double Seconds) {
-    TraceEventSink *Sink = activeSink();
-    if (!Sink)
-      return;
-    JsonObject O;
-    O.field("type", "window")
-        .field("index", Result.Stats.Windows - 1)
-        .field("begin", static_cast<uint64_t>(Window.Begin))
-        .field("end", static_cast<uint64_t>(Window.End))
-        .field("cops", static_cast<uint64_t>(Cops))
-        .field("seconds", Seconds);
-    Sink->write(O);
-  }
-
-  /// Per-COP attribution beyond the formula-size numbers: the prune
-  /// provenance (which stage decided the pair) plus, for solved COPs, the
-  /// encode/witness split, the formula-arena delta, and the escalation
-  /// attempts. Carried into cop trace events and the cost ledger.
-  struct CopEventExtra {
-    const char *Stage = "none";
-    double EncodeSeconds = 0;
-    double WitnessSeconds = 0;
-    uint64_t MemDeltaBytes = 0;
-    uint32_t Attempts = 0;
-    uint64_t ConeEvents = 0; ///< sliced-encode cone size (0 unsliced)
-  };
-
-  /// Prune provenance of a solved/ordered COP from its outcome string.
-  /// Filter outcomes (static-pruned/pruned/qc-fail) carry their stage
-  /// explicitly at the call site instead.
-  static const char *stageForOutcome(const char *Outcome) {
-    if (std::strcmp(Outcome, "unsat") == 0)
-      return "unsat";
-    if (std::strcmp(Outcome, "timeout") == 0)
-      return "budget";
-    if (std::strcmp(Outcome, "ordered") == 0)
-      return "ordered";
-    return "none"; // sat / race: nothing killed the pair
-  }
-
-  void emitCopEvent(Span, const Cop &C, const char *Outcome,
-                    const char *Stage) {
-    CopEventExtra Extra;
-    Extra.Stage = Stage;
-    emitCopEventFields(C, Outcome, false, 0, 0, 0, 0, Extra);
-  }
-
-  /// Delta variant for builders that outlive one COP: the incremental
-  /// path's shared per-window builder accumulates nodes, so this COP's
-  /// contribution is the range [NodesBefore, numNodes()). With
-  /// NodesBefore == 0 (the legacy per-COP builder) the whole builder is
-  /// counted, reproducing the legacy numbers exactly.
-  void emitCopEventRange(const Cop &C, const char *Outcome,
-                         const FormulaBuilder &FB, size_t NodesBefore,
-                         NodeRef Root, double SolveSeconds,
-                         const CopEventExtra &Extra) {
-    if (!activeSink())
-      return;
-    uint64_t Atoms = 0;
-    for (size_t I = NodesBefore; I < FB.numNodes(); ++I)
-      if (FB.node(static_cast<NodeRef>(I)).Kind == FormulaKind::Atom)
-        ++Atoms;
-    emitCopEventFields(C, Outcome, true, FB.numNodes() - NodesBefore,
-                       Atoms, FB.collectVars(Root).size(), SolveSeconds,
-                       Extra);
-  }
-
-  /// Same event from precomputed numbers — the parallel path measures
-  /// formula sizes inside the task and emits in COP order afterwards.
-  void emitCopEventFields(const Cop &C, const char *Outcome,
-                          bool HasFormula, uint64_t Nodes, uint64_t Atoms,
-                          uint64_t OrderVars, double SolveSeconds,
-                          const CopEventExtra &Extra) {
-    TraceEventSink *Sink = activeSink();
-    if (!Sink)
-      return;
-    JsonObject O;
-    O.field("type", "cop")
-        .field("window", Result.Stats.Windows - 1)
-        .field("first", static_cast<uint64_t>(C.First))
-        .field("second", static_cast<uint64_t>(C.Second))
-        .field("loc_first", T.locName(T[C.First].Loc))
-        .field("loc_second", T.locName(T[C.Second].Loc))
-        .field("variable", T.varName(T[C.First].Target))
-        .field("outcome", Outcome)
-        .field("stage", Extra.Stage);
-    if (HasFormula)
-      O.field("formula_nodes", Nodes)
-          .field("difference_atoms", Atoms)
-          .field("order_vars", OrderVars)
-          .field("solve_seconds", SolveSeconds)
-          .field("encode_seconds", Extra.EncodeSeconds)
-          .field("witness_seconds", Extra.WitnessSeconds)
-          .field("mem_delta_bytes", Extra.MemDeltaBytes)
-          .field("attempts", static_cast<uint64_t>(Extra.Attempts))
-          .field("cone_events", Extra.ConeEvents);
-    Sink->write(O);
-  }
-
-  /// Feeds one decided COP into the run's cost ledger (telemetry-gated;
-  /// called only from sequential contexts, so the ledger needs no lock).
-  void recordCopCost(const Cop &C, const char *Outcome,
-                     double SolveSeconds, const CopEventExtra &Extra) {
-    if (!Telemetry::enabled())
-      return;
-    CopCost Cost;
-    Cost.Window = Result.Stats.Windows - 1;
-    Cost.LocFirst = T.locName(T[C.First].Loc);
-    Cost.LocSecond = T.locName(T[C.Second].Loc);
-    Cost.Variable = T.varName(T[C.First].Target);
-    Cost.Outcome = Outcome;
-    Cost.EncodeSeconds = Extra.EncodeSeconds;
-    Cost.SolveSeconds = SolveSeconds;
-    Cost.WitnessSeconds = Extra.WitnessSeconds;
-    Cost.MemDeltaBytes = Extra.MemDeltaBytes;
-    Cost.Attempts = Extra.Attempts;
-    Cost.ConeEvents = Extra.ConeEvents;
-    Result.Stats.TopCosts.recordCop(std::move(Cost));
-  }
-
-  void emitSolveEvent(Span, const Cop &C, const char *Outcome,
-                      double Seconds) {
-    TraceEventSink *Sink = activeSink();
-    if (!Sink)
-      return;
-    JsonObject O;
-    O.field("type", "solve")
-        .field("window", Result.Stats.Windows - 1)
-        .field("first", static_cast<uint64_t>(C.First))
-        .field("second", static_cast<uint64_t>(C.Second))
-        .field("solver", Solver ? Solver->name() : "none")
-        .field("outcome", Outcome)
-        .field("seconds", Seconds);
-    Sink->write(O);
-  }
-
-  /// Sorts the window's events by their model positions; the substituted
-  /// race event shares its partner's position and is placed right before
-  /// it.
-  std::vector<EventId> buildWitness(Span Window, const OrderModel &Model,
-                                    const Cop &C) const {
-    std::vector<EventId> Order;
-    Order.reserve(Window.size());
-    for (EventId Id = Window.Begin; Id < Window.End; ++Id)
-      Order.push_back(Id);
-    auto keyOf = [&](EventId Id) -> std::pair<int64_t, int64_t> {
-      EventId Var = Options.SubstituteRaceVars && Id == C.First ? C.Second
-                                                                : Id;
-      auto It = Model.find(Var);
-      // Events without constraints sort by trace position at the end.
-      int64_t Pos = It == Model.end() ? INT64_MAX : It->second;
-      // Tie-break: the first race event precedes the second; otherwise
-      // keep trace order.
-      int64_t Tie = Id == C.First ? -1 : static_cast<int64_t>(Id);
-      return {Pos, Tie};
-    };
-    std::sort(Order.begin(), Order.end(), [&](EventId A, EventId B) {
-      return keyOf(A) < keyOf(B);
-    });
-    return Order;
+    return R;
   }
 
   const Trace &T;
   Technique Tech;
-  DetectorOptions Options;
-  DetectionResult Result;
-  std::unique_ptr<SmtSolver> Solver;
-  /// Worker pool for the per-COP solve loop; null when Jobs <= 1 (the
-  /// sequential code path) or the technique has no solver loop.
-  std::unique_ptr<ThreadPool> Pool;
-  uint32_t Jobs = 1;
-  /// Options.Incremental, latched for the SMT techniques: COPs are decided
-  /// through persistent per-window SmtSessions instead of fresh one-shot
-  /// solvers (docs/INCREMENTAL_SOLVING.md).
-  bool UseIncremental = false;
-  std::vector<Value> RunningValues;
-  std::unordered_set<uint64_t> RacySignatures;
-  std::unordered_set<uint64_t> QcSignatures;
-  /// Signatures currently parked in Result.Unknowns (kept in sync by
-  /// recordUnknown/report).
-  std::unordered_set<uint64_t> UnknownSignatures;
-  /// Backend factory failures absorbed by falling back to idl.
-  uint64_t BackendFallbacks = 0;
-  /// Windows skipped because a checkpoint snapshot covered them
-  /// (telemetry detect.resumed_windows).
-  uint64_t ResumedWindows = 0;
-  /// Plain tallies on the hot path, flushed into the registry once per run
-  /// (flushTelemetryCounters) so disabled telemetry costs nothing.
-  uint64_t QcHits = 0;
-  uint64_t QcMisses = 0;
-  uint64_t SigPruned = 0;
-  /// COPs skipped by Options.StaticPruner across all windows.
-  uint64_t StaticPruned = 0;
-  /// Parallel-only: solves whose COP turned out signature-pruned once an
-  /// earlier COP of the same window reported; their results are discarded
-  /// so stats match the sequential run.
-  uint64_t SpeculativeSolves = 0;
+  const DetectorOptions &Options;
+  /// Hybrid fast paths: the WCP prune and the short-circuit.
+  bool FastPath = false;
 };
 
 } // namespace
 
 DetectionResult rvp::detectRaces(const Trace &T, Technique Tech,
                                  const DetectorOptions &Options) {
-  return Driver(T, Tech, Options).run();
+  RacePolicy Policy(T, Tech, Options);
+  DriverOutput Out = runWindowDriver(T, Options, Policy);
+  DetectionResult Result;
+  Result.Races = std::move(Policy.Races);
+  Result.Unknowns = std::move(Out.Unknowns);
+  Result.Stats = std::move(Out.Stats);
+  return Result;
 }

@@ -92,7 +92,7 @@ public:
     /// True when \p ModelOut was filled by a one-shot solve of the
     /// caller's own builder — directly usable as a witness model. False in
     /// session mode, where models depend on session history and callers
-    /// re-derive them one-shot (Driver::rederiveModel).
+    /// re-derive them one-shot (the window driver's rederiveModel).
     bool ModelFromSolve = false;
   };
 

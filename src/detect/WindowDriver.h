@@ -1,0 +1,187 @@
+//===- detect/WindowDriver.h - One window loop, many policies -*- C++ -*-===//
+//
+// Part of the rvpredict-cpp project, under the MIT license.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The window driver behind detectRaces, detectAtomicityViolations and
+/// detectDeadlocks. Section 2.5's point is that the maximal causal model
+/// does the work and each property is only a different query atom, so the
+/// driver owns everything the properties share:
+///
+///  * the fixed-window loop (Section 4) with the running variable values,
+///    MaxWindows, checkpoint-directory and in-memory resume, the
+///    per-window checkpoint and the `detect.abort` kill point;
+///  * the one checkpoint payload (docs/ROBUSTNESS.md);
+///  * signature pruning, the unknown section and its supersede rule;
+///  * solving through a per-window SolveHost (per worker with jobs > 1)
+///    and the witness path (unsliced one-shot re-derivation, model-sorted
+///    order);
+///  * the window/cop/solve trace events, the phase tree, the cost ledger,
+///    the Perfetto counters and the one telemetry flush.
+///
+/// A QueryPolicy supplies the property: it enumerates a window's
+/// candidates (each with its signature and its signature-independent
+/// reject stage), encodes one candidate's query, checks its witness and
+/// builds the finding.
+///
+/// Candidates are collected in enumeration order, which makes every
+/// output independent of --jobs: with one job each candidate is decided
+/// on demand inside the collect loop (no speculative solve); with more,
+/// the candidates that survive the window-start filters are decided in
+/// parallel first and the collect loop discards the ones an earlier
+/// finding of the same window made redundant.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef RVP_DETECT_WINDOWDRIVER_H
+#define RVP_DETECT_WINDOWDRIVER_H
+
+#include "detect/Closure.h"
+#include "detect/Detect.h"
+#include "detect/RaceEncoder.h"
+
+#include <initializer_list>
+#include <memory>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
+
+namespace rvp {
+
+/// One query of a window.
+struct Candidate {
+  enum class Verdict : uint8_t {
+    Solve,        ///< decided by the solver
+    ShortCircuit, ///< the WCP tier proved it racy; the solver only
+                  ///< derives the witness (hybrid tier)
+    Racy,         ///< a happens-before relation left it unordered
+    WcpRacy,      ///< the WCP relation left it unordered (vc tier)
+    Ordered,      ///< a relation ordered it
+  };
+
+  /// The defining pair, named in unknown entries, trace events and the
+  /// cost ledger: a race's COP, an atomicity candidate's first local
+  /// access and remote intruder, a deadlock's two lock requests.
+  EventId First = InvalidEvent;
+  EventId Second = InvalidEvent;
+  /// Same signature, same finding: once one is reported, later
+  /// candidates with its signature are pruned.
+  uint64_t Sig = 0;
+  /// Index into the policy's own per-window candidate storage.
+  uint32_t Index = 0;
+  /// Prune stage that rejects the candidate before the signature check
+  /// ("static-prune", "wcp"), or null.
+  const char *PreReject = nullptr;
+  /// Prune stage that rejects it after the signature check ("wcp",
+  /// "lockset", "quick-check"), or null.
+  const char *Reject = nullptr;
+  /// The quick check passed (tallied even when it does not filter).
+  bool QcPass = true;
+  Verdict How = Verdict::Solve;
+  /// --check-tiers: WCP calls the pair racy; an Unsat solve is a mismatch.
+  bool WcpClaimsRace = false;
+};
+
+/// The per-window state a policy enumerates and encodes against. The MHB
+/// closure and the encoder are built on first use, always on the main
+/// thread: the driver builds both before any parallel decision.
+class WindowContext {
+public:
+  WindowContext(const Trace &T, Span Window, const std::vector<Value> &Values,
+                const EncoderOptions &EncOpts)
+      : Window(Window), Values(Values), T(T), EncOpts(EncOpts) {}
+
+  const Span Window;
+  /// Variable values at window entry.
+  const std::vector<Value> &Values;
+
+  /// The window's MHB closure ("closure" phase on first use).
+  const EventClosure &mhb();
+  /// The sliced decision-path encoder ("encode" phase on first use).
+  const RaceEncoder &encoder();
+
+private:
+  const Trace &T;
+  EncoderOptions EncOpts;
+  std::optional<EventClosure> Mhb;
+  std::unique_ptr<RaceEncoder> Encoder;
+};
+
+/// The property-specific half of detection.
+class QueryPolicy {
+public:
+  virtual ~QueryPolicy() = default;
+
+  /// Enumerates \p W's candidates in report order.
+  virtual void enumerate(WindowContext &W, std::vector<Candidate> &Out) = 0;
+  /// \p C's query formula, against the decision-path encoder or the
+  /// unsliced witness encoder. Must be safe to call concurrently.
+  virtual NodeRef encode(const RaceEncoder &Encoder, FormulaBuilder &FB,
+                         const Candidate &C, EncodeStats *Stats) const = 0;
+  /// Validates \p Order as \p C's witness. Concurrency-safe like encode.
+  virtual bool checkWitness(WindowContext &W, const Candidate &C,
+                            const std::vector<EventId> &Order) const = 0;
+  /// Records \p C as a finding.
+  virtual void report(const Candidate &C, std::vector<EventId> Witness,
+                      bool WitnessValid) = 0;
+  virtual size_t numFindings() const = 0;
+  /// The checkpoint line of finding \p I (see findingLine).
+  virtual std::string checkpointLine(size_t I) const = 0;
+  /// Replaces every finding with the ones \p Lines (checkpointLine()s)
+  /// describe. All-or-nothing: false leaves the findings as they were.
+  virtual bool restoreFindings(const std::vector<std::string> &Lines) = 0;
+
+  /// Outer phase name ("detect", "atomicity", "deadlock").
+  const char *Phase = "detect";
+  /// Counter the flush reports numFindings() under.
+  const char *FindingsCounter = "detect.races";
+  /// Candidates reach the solver (pool, hosts and Stats.Jobs apply).
+  bool Solves = true;
+  /// The WCP tier runs, so its counters are flushed.
+  bool WcpTier = false;
+  /// Solver-bound candidates are the WCP tier's residue.
+  bool WcpResidue = false;
+  /// Solved findings get a witness (with DetectorOptions::CollectWitnesses).
+  bool WitnessOnSat = true;
+  /// qc_passed counts distinct signatures past the quick check (Table 1)
+  /// instead of solver-bound candidates.
+  bool QcBySignature = false;
+  /// Witness order: First precedes Second on equal model positions, and
+  /// under the `Oa := Ob` substitution (Encoding.SubstituteRaceVars) it
+  /// takes Second's position.
+  bool FirstLeadsSecond = false;
+  /// Decision-path encoder options; witnesses re-derive without slicing
+  /// or folding.
+  EncoderOptions Encoding;
+};
+
+/// A finding's checkpoint line: "<tag> <event>... <witness-valid>
+/// <witness event>...". Policies store only event ids and re-derive the
+/// rest from the trace on restore.
+std::string findingLine(const char *Tag,
+                        std::initializer_list<EventId> Events,
+                        bool WitnessValid,
+                        const std::vector<EventId> &Witness);
+
+/// Inverse of findingLine for \p NumEvents leading events; false on a
+/// different tag or any malformed or out-of-range field.
+bool parseFindingLine(const Trace &T, std::string_view Line, const char *Tag,
+                      size_t NumEvents, std::vector<EventId> &Events,
+                      bool &WitnessValid, std::vector<EventId> &Witness);
+
+/// Everything one run accumulates besides the findings.
+struct DriverOutput {
+  std::vector<UnknownReport> Unknowns;
+  DetectionStats Stats;
+};
+
+/// Runs \p Policy over every window of \p T.
+DriverOutput runWindowDriver(const Trace &T, const DetectorOptions &Options,
+                             QueryPolicy &Policy);
+
+} // namespace rvp
+
+#endif // RVP_DETECT_WINDOWDRIVER_H

@@ -8,7 +8,7 @@
 /// The COP-invariant half of the race encoding (detect/RaceEncoder.h),
 /// factored out so it is computed once per analysis window instead of once
 /// per encode call, and so the parallel per-COP solve loop
-/// (detect/Detect.cpp) can share it read-only across worker tasks:
+/// (detect/WindowDriver.cpp) can share it read-only across worker tasks:
 ///
 ///  * per-thread event/branch/read indices and per-variable write indices,
 ///  * the Φ_mhb atom list (program order, fork/join, wait/notify) in the

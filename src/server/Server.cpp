@@ -12,6 +12,7 @@
 #include "support/FaultInjector.h"
 #include "support/Stats.h"
 #include "support/StringUtils.h"
+#include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -594,6 +595,10 @@ void Server::Impl::submitStep(Session &S, bool Degrade) {
   StreamDetector *Det = S.Det.get();
   uint64_t Id = S.Id;
   Pool->submit([this, Det, Id, Degrade] {
+    // Sessions run concurrently: their phase timers go to a tree of this
+    // task's own (the daemon reports counters, not phases).
+    PhaseTree Phases;
+    ThreadPhaseScope Scope(&Phases);
     Completion C;
     C.SessionId = Id;
     try {
@@ -623,6 +628,8 @@ void Server::Impl::submitFinish(Session &S) {
   StreamDetector *Det = S.Det.get();
   uint64_t Id = S.Id;
   Pool->submit([this, Det, Id] {
+    PhaseTree Phases; // see submitStep
+    ThreadPhaseScope Scope(&Phases);
     Completion C;
     C.SessionId = Id;
     C.Finish = true;

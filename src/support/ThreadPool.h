@@ -6,7 +6,7 @@
 ///
 /// \file
 /// A fixed-size work-stealing thread pool used to parallelize the per-COP
-/// encode+solve loop of the detectors (detect/Detect.cpp): candidate races
+/// encode+solve loop of the detectors (detect/WindowDriver.cpp): candidates
 /// within one window are decided by independent SMT queries, so they
 /// schedule as independent tasks while the window-level bookkeeping stays
 /// sequential.

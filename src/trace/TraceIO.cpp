@@ -10,12 +10,19 @@
 #include "support/StringUtils.h"
 #include "trace/Consistency.h"
 
+#include <unordered_map>
 #include <unordered_set>
 
 using namespace rvp;
 
 std::string rvp::writeTraceText(const Trace &T, Span S) {
   std::string Out = "# rvp-trace v1\n";
+  // Variables default to 0, so only the others need an init line.
+  const std::vector<Value> &Init = T.initialValues();
+  for (VarId Var = 0; Var < Init.size(); ++Var)
+    if (Init[Var] != 0)
+      Out += "init " + T.varName(Var) + ' ' + std::to_string(Init[Var]) +
+             '\n';
   for (EventId Id = S.Begin; Id < S.End && Id < T.size(); ++Id) {
     const Event &E = T[Id];
     Out += eventKindName(E.Kind);
@@ -63,6 +70,10 @@ struct LineParser {
   Trace T;
   std::string Error;
   const TraceParseOptions &Opts;
+  /// `init` values by variable name, applied when the variable is first
+  /// interned by an event: interning order stays that of the events, so a
+  /// prefix of the text interns exactly like the whole of it.
+  std::unordered_map<std::string, Value> Inits;
 
   explicit LineParser(const TraceParseOptions &Opts) : Opts(Opts) {}
 
@@ -123,6 +134,20 @@ struct LineParser {
                   "expected '<kind> <thread> ...'", Fields[0]);
 
     std::string Kind(Fields[0]);
+    if (Kind == "init") {
+      if (Fields.size() != 3)
+        return fail(LineNo, columnOf(Fields[0]),
+                    "expected 'init <var> <value>'", Fields[0]);
+      if (!T.empty())
+        return fail(LineNo, columnOf(Fields[0]),
+                    "init line after the first event", Fields[0]);
+      int64_t Init = 0;
+      if (!parseInt(Fields[2], Init))
+        return fail(LineNo, columnOf(Fields[2]), "malformed value",
+                    Fields[2]);
+      Inits[std::string(Fields[1])] = Init;
+      return true;
+    }
     auto needFields = [&](size_t N) { return NumCore == N; };
     int64_t Value = 0;
 
@@ -175,9 +200,16 @@ struct LineParser {
     E.Loc = Loc.empty() ? UnknownLoc : T.internLoc(Loc);
     switch (E.Kind) {
     case EventKind::Read:
-    case EventKind::Write:
+    case EventKind::Write: {
+      uint32_t Known = T.numVars();
       E.Target = T.internVar(std::string(Fields[2]));
+      if (E.Target == Known && !Inits.empty()) {
+        auto It = Inits.find(std::string(Fields[2]));
+        if (It != Inits.end())
+          T.setInitialValue(E.Target, It->second);
+      }
       break;
+    }
     case EventKind::Acquire:
     case EventKind::Release:
     case EventKind::Notify:

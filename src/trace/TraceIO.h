@@ -6,8 +6,10 @@
 ///
 /// \file
 /// A line-oriented text format for traces, used by the examples, the
-/// figure-reproduction harness, and golden tests. One event per line:
+/// figure-reproduction harness, and golden tests. Optional initial values
+/// come first, then one event per line:
 ///
+///   init    <var> <value>      (variables without one start at 0)
 ///   read    <thread> <var> <value> [@<loc>] [volatile]
 ///   write   <thread> <var> <value> [@<loc>] [volatile]
 ///   acquire <thread> <lock> [@<loc>] [match=<n>]

@@ -9,15 +9,17 @@
 # session path to actually answer queries (solver.incremental_calls > 0)
 # while solver_calls stays mode-invariant.
 # Invoked by CTest as
-#   cmake -DRVPREDICT=<tool> -DWORKLOAD=<prog.rv> -P IncrementalGolden.cmake
+#   cmake -DRVPREDICT=<tool> -DWORKLOAD=<prog.rv> -DPROPS_WORKLOAD=<prog.rv>
+#         -P IncrementalGolden.cmake
 
-if(NOT DEFINED RVPREDICT OR NOT DEFINED WORKLOAD)
-  message(FATAL_ERROR "usage: cmake -DRVPREDICT=... -DWORKLOAD=... -P ${CMAKE_CURRENT_LIST_FILE}")
+if(NOT DEFINED RVPREDICT OR NOT DEFINED WORKLOAD OR NOT DEFINED PROPS_WORKLOAD)
+  message(FATAL_ERROR "usage: cmake -DRVPREDICT=... -DWORKLOAD=... -DPROPS_WORKLOAD=... -P ${CMAKE_CURRENT_LIST_FILE}")
 endif()
 
+set(INPUT "${WORKLOAD}")
 function(run_detect INCREMENTAL EXTRA OUT_VAR)
   execute_process(
-    COMMAND "${RVPREDICT}" detect "${WORKLOAD}" --seed=1 --witness=true
+    COMMAND "${RVPREDICT}" detect "${INPUT}" --seed=1 --witness=true
             --incremental=${INCREMENTAL} ${EXTRA}
     RESULT_VARIABLE RC
     OUTPUT_VARIABLE STDOUT
@@ -52,13 +54,16 @@ foreach(TECHNIQUE rv said)
              "technique=${TECHNIQUE} static-prune")
 endforeach()
 
-# The other SMT-backed properties ride the same DetectorOptions flag.
+# The other SMT-backed properties ride the same DetectorOptions flag, on
+# a workload that has atomicity violations and a deadlock across windows.
+set(INPUT "${PROPS_WORKLOAD}")
 foreach(PROPERTY atomicity deadlock)
   foreach(JOBS 1 4)
-    check_pair("--property=${PROPERTY};--schedule=rr;--jobs=${JOBS}"
+    check_pair("--property=${PROPERTY};--schedule=rr;--window=24;--jobs=${JOBS}"
                "property=${PROPERTY} jobs=${JOBS}")
   endforeach()
 endforeach()
+set(INPUT "${WORKLOAD}")
 
 # The closure-based techniques must simply ignore the flag.
 foreach(TECHNIQUE cp hb)

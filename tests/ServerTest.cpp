@@ -357,6 +357,29 @@ TEST(StreamDetector, RestoreSuspendsUntilPrefixCoversWindows) {
   EXPECT_EQ(normalizeTiming(Summary), normalizeTiming(Expected));
 }
 
+TEST(StreamDetector, SessionTelemetryCountsWindowsNotResumes) {
+  // Every window of a streamed session is analyzed by exactly one step;
+  // the per-step in-memory resume is bookkeeping, not a checkpoint resume
+  // (docs/ROBUSTNESS.md). The one flush at finish() must say so for every
+  // property alike.
+  Telemetry::setEnabled(true);
+  for (StreamProperty P : {StreamProperty::Race, StreamProperty::Atomicity,
+                           StreamProperty::Deadlock}) {
+    Telemetry::instance().reset();
+    StreamOptions Opts = smallWindowOptions(4);
+    Opts.Property = P;
+    StreamDetector Det(Opts);
+    streamAll(Det, racyTrace(6), 64); // 12 events -> 3 windows
+    MetricsSnapshot M = MetricsRegistry::global().snapshot();
+    EXPECT_EQ(M.counterValue("detect.windows"), 3u)
+        << "property " << static_cast<int>(P);
+    EXPECT_EQ(M.counterValue("detect.resumed_windows"), 0u)
+        << "property " << static_cast<int>(P);
+  }
+  Telemetry::instance().reset();
+  Telemetry::setEnabled(false);
+}
+
 TEST(StreamDetector, ParseStreamPropertyNames) {
   StreamProperty P = StreamProperty::Race;
   EXPECT_TRUE(parseStreamProperty("race", P));

@@ -9,15 +9,17 @@
 # encoder.sliced_atoms > 0, cone strictly smaller than the emitted order
 # variables of the unsliced run).
 # Invoked by CTest as
-#   cmake -DRVPREDICT=<tool> -DWORKLOAD=<prog.rv> -P SliceGolden.cmake
+#   cmake -DRVPREDICT=<tool> -DWORKLOAD=<prog.rv> -DPROPS_WORKLOAD=<prog.rv>
+#         -P SliceGolden.cmake
 
-if(NOT DEFINED RVPREDICT OR NOT DEFINED WORKLOAD)
-  message(FATAL_ERROR "usage: cmake -DRVPREDICT=... -DWORKLOAD=... -P ${CMAKE_CURRENT_LIST_FILE}")
+if(NOT DEFINED RVPREDICT OR NOT DEFINED WORKLOAD OR NOT DEFINED PROPS_WORKLOAD)
+  message(FATAL_ERROR "usage: cmake -DRVPREDICT=... -DWORKLOAD=... -DPROPS_WORKLOAD=... -P ${CMAKE_CURRENT_LIST_FILE}")
 endif()
 
+set(INPUT "${WORKLOAD}")
 function(run_detect NOSLICE EXTRA OUT_VAR)
   execute_process(
-    COMMAND "${RVPREDICT}" detect "${WORKLOAD}" --seed=1 --witness=true
+    COMMAND "${RVPREDICT}" detect "${INPUT}" --seed=1 --witness=true
             --no-slice=${NOSLICE} ${EXTRA}
     RESULT_VARIABLE RC
     OUTPUT_VARIABLE STDOUT
@@ -52,13 +54,16 @@ foreach(TECHNIQUE rv said)
              "technique=${TECHNIQUE} static-prune")
 endforeach()
 
-# The other SMT-backed properties ride the same DetectorOptions flag.
+# The other SMT-backed properties ride the same DetectorOptions flag, on
+# a workload that has atomicity violations and a deadlock across windows.
+set(INPUT "${PROPS_WORKLOAD}")
 foreach(PROPERTY atomicity deadlock)
   foreach(JOBS 1 4)
-    check_pair("--property=${PROPERTY};--schedule=rr;--jobs=${JOBS}"
+    check_pair("--property=${PROPERTY};--schedule=rr;--window=24;--jobs=${JOBS}"
                "property=${PROPERTY} jobs=${JOBS}")
   endforeach()
 endforeach()
+set(INPUT "${WORKLOAD}")
 
 # Non-vacuity: the sliced run must report the workload's race AND actually
 # restrict the encodings — the cone counters only tick on the sliced path.

@@ -8,7 +8,7 @@
 #   solve:  window, first, second, solver, outcome, seconds
 #
 # with cop.stage drawn from the documented prune-provenance vocabulary.
-# Checked across --jobs={1,4} x --incremental/--no-incremental so the
+# Checked across --jobs={1,4} x --incremental={true,false} so the
 # parallel and legacy solver paths emit the same schema.
 # Invoked by CTest as
 #   cmake -DRVPREDICT=<tool> -DWORKLOAD=<prog.rv> -DOUT_DIR=<dir>
@@ -90,7 +90,7 @@ function(check_stream EXTRA LABEL)
 endfunction()
 
 foreach(JOBS 1 4)
-  foreach(MODE incremental no-incremental)
+  foreach(MODE incremental legacy)
     if(MODE STREQUAL "incremental")
       set(FLAG "--incremental=true")
     else()

@@ -6,7 +6,9 @@
 
 #include "trace/TraceIO.h"
 
+#include "trace/Consistency.h"
 #include "trace/TraceBuilder.h"
+#include "workloads/Catalog.h"
 
 #include <gtest/gtest.h>
 
@@ -39,6 +41,42 @@ TEST(TraceIO, RoundTrip) {
     EXPECT_EQ(T.threadName(A.Tid), Parsed->threadName(B2.Tid));
     EXPECT_EQ(T.locName(A.Loc), Parsed->locName(B2.Loc));
   }
+}
+
+TEST(TraceIO, RoundTripKeepsInitialValues) {
+  // `rvpredict record` then `rvpredict detect`: the catalog programs that
+  // start variables at non-zero values must come back consistent.
+  for (const char *Name : {"account", "airline"}) {
+    std::optional<BenchmarkCase> Case = findBenchmark(Name);
+    ASSERT_TRUE(Case.has_value()) << Name;
+    Trace T;
+    std::string Error;
+    ASSERT_TRUE(benchmarkTrace(*Case, T, Error)) << Error;
+    std::string Text = writeTraceText(T);
+    EXPECT_NE(Text.find("\ninit "), std::string::npos) << Name;
+    auto Parsed = parseTraceText(Text, Error);
+    ASSERT_TRUE(Parsed.has_value()) << Name << ": " << Error;
+    EXPECT_TRUE(checkConsistency(*Parsed, ConsistencyMode::Fragment).Ok)
+        << Name;
+    ASSERT_EQ(Parsed->numVars(), T.numVars()) << Name;
+    for (VarId Var = 0; Var < T.numVars(); ++Var) {
+      EXPECT_EQ(Parsed->varName(Var), T.varName(Var)) << Name;
+      EXPECT_EQ(Parsed->initialValueOf(Var), T.initialValueOf(Var))
+          << Name << " " << T.varName(Var);
+    }
+    EXPECT_EQ(writeTraceText(*Parsed), Text) << Name;
+  }
+}
+
+TEST(TraceIO, InitLinesPrecedeEvents) {
+  std::string Error;
+  auto Parsed = parseTraceText("init x 5\nread t1 x 5\n", Error);
+  ASSERT_TRUE(Parsed.has_value()) << Error;
+  EXPECT_EQ(Parsed->initialValueOf(0), 5);
+  EXPECT_FALSE(parseTraceText("read t1 x 0\ninit x 5\n", Error));
+  EXPECT_NE(Error.find("init line after the first event"), std::string::npos)
+      << Error;
+  EXPECT_FALSE(parseTraceText("init x\n", Error));
 }
 
 TEST(TraceIO, RoundTripWaitNotify) {

@@ -354,8 +354,7 @@ int cmdDetect(const OptionParser &Options) {
   Detect.Tier = Tier;
   Detect.CheckTiers = CheckTiers;
   Detect.Jobs = static_cast<uint32_t>(Options.getInt("jobs", 0));
-  Detect.Incremental = Options.getBool("incremental", true) &&
-                       !Options.getBool("no-incremental", false);
+  Detect.Incremental = Options.getBool("incremental", true);
   Detect.Slice = !Options.getBool("no-slice", false);
   Detect.RetryBudgets = RetryBudgets;
   Technique Tech = parseTechnique(Options.getString("technique", "rv"));
@@ -554,10 +553,6 @@ int main(int Argc, const char **Argv) {
                     "disable cone-of-influence slicing of the per-COP "
                     "encodings (debug cross-check; reports are identical "
                     "either way — see docs/ENCODER.md)",
-                    "false");
-  Options.addOption("no-incremental",
-                    "alias for --incremental=false (legacy "
-                    "fresh-solver-per-COP path)",
                     "false");
   Options.addOption("static-prune",
                     "skip COPs a static analysis of the program proves "

@@ -158,8 +158,7 @@ const Trace &highcopTrace() {
 }
 
 /// One window encoding over the full highcop span, shared by a sliced and
-/// an unsliced encoder — exactly the pair the detector's witness
-/// re-derivation uses.
+/// an unsliced (--no-slice) encoder.
 struct SliceAbContext {
   const Trace &T;
   Span S;

@@ -2,11 +2,13 @@
 # Builds the thread-sanitized preset (-DRV_SANITIZE=thread) and runs the
 # concurrency-sensitive tests under it: the thread-pool and stats unit
 # tests, the parallel-vs-sequential detector comparisons, the
-# byte-identical-output determinism check, and the cone-slicing tests
+# byte-identical-output determinism check, the cone-slicing tests
 # (whose shared skeleton cache is read and populated concurrently by
-# --jobs workers — docs/ENCODER.md). Any data race the pool, the shared
-# per-window encoding, or the skeleton cache introduces fails this
-# script.
+# --jobs workers — docs/ENCODER.md) and the window-driver goldens (whose
+# --jobs=4 rows build witnesses concurrently: a fresh encoder per witness
+# on the shared window encoding, with thread-local cone scratch). Any
+# data race the pool, the shared per-window encoding, or the skeleton
+# cache introduces fails this script.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 set -eu
@@ -19,7 +21,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc 2>/dev/null || echo 2)" \
   --target rvp_tests rvpredict rvpredictd rvpclient
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'ThreadPool|ParallelDetect|Stats\.Concurrent|DetectDeterminism|RaceEncoderCone|SliceGolden'
+  -R 'ThreadPool|ParallelDetect|Stats\.Concurrent|DetectDeterminism|RaceEncoderCone|SliceGolden|DriverGolden'
 
 # The hybrid WCP tier under parallel solving: the vector-clock index is
 # built once and read by every worker, and the per-COP WcpPruned/WcpRacy
@@ -31,6 +33,19 @@ for w in tests/golden/prune_workload.rv tests/golden/stats_workload.rv; do
     --technique=rv --tier=hybrid --jobs=4 >/dev/null || rc=$?
   if [ "$rc" -gt 1 ]; then
     echo "check_tsan: --tier=hybrid --jobs=4 on $w exited $rc" >&2
+    exit 1
+  fi
+done
+
+# Witnessed atomicity and deadlock runs at --jobs=4: every property's
+# witness encodes run concurrently on the pool workers.
+for p in atomicity deadlock; do
+  rc=0
+  "$BUILD_DIR"/tools/rvpredict detect tests/golden/props_workload.rv \
+    --seed=1 --schedule=rr --window=24 --property="$p" --witness=true \
+    --jobs=4 >/dev/null || rc=$?
+  if [ "$rc" -gt 1 ]; then
+    echo "check_tsan: --property=$p --jobs=4 exited $rc" >&2
     exit 1
   fi
 done

@@ -314,8 +314,8 @@ public:
     Encoding.SubstituteRaceVars = Options.SubstituteRaceVars;
     Encoding.Slice = Options.Slice;
     // Statically constant branches lose their cf guards on the decision
-    // path only; witness re-derivation keeps the full guards, so witness
-    // orders stay byte-identical to unfolded runs.
+    // path only; witness encodes keep the full guards, so witness orders
+    // stay byte-identical to unfolded runs.
     Encoding.Fold = Options.CfFold;
   }
 

@@ -81,8 +81,8 @@ public:
 /// statically a constant. The encoder then omits the cf read-consistency
 /// guard for it: any model of the weakened formula still replays the
 /// recorded control flow at that branch, so folded runs can only be more
-/// maximal, never unsound. Witness re-derivation stays unfolded, keeping
-/// witness orders byte-identical to unfolded runs.
+/// maximal, never unsound. Witness encodes stay unfolded, keeping witness
+/// orders byte-identical to unfolded runs.
 class CfFoldOracle {
 public:
   virtual ~CfFoldOracle() = default;
@@ -105,8 +105,8 @@ struct DetectorOptions {
   /// Cone-of-influence slicing of the per-COP encodings (docs/ENCODER.md).
   /// The sliced formula is equisatisfiable with the full one, so reports
   /// are identical either way; `--no-slice` is the debug cross-check
-  /// mode. Witness models are always re-derived through an unsliced
-  /// encoder so witness orders match byte for byte too.
+  /// mode. Witnesses always come from a sliced encode of their own, so
+  /// witness orders match byte for byte too.
   bool Slice = true;
   /// Extract, validate, and keep a witness order per reported race.
   bool CollectWitnesses = true;

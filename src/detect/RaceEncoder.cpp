@@ -198,7 +198,7 @@ std::vector<EventId> RaceEncoder::guardingBranches(EventId E) const {
       --Best;
       ++Folded;
     }
-    if (Folded > 0 && Telemetry::enabled()) {
+    if (Folded > 0 && counting()) {
       static Counter &RangesFolded =
           MetricsRegistry::global().counter("analysis.ranges_folded");
       RangesFolded.add(Folded);
@@ -231,7 +231,7 @@ NodeRef RaceEncoder::branchGuards(CfState &St, EventId E) const {
   std::vector<NodeRef> Conj;
   for (EventId Branch : guardingBranches(E))
     Conj.push_back(cfVar(St, Branch));
-  if (Telemetry::enabled()) {
+  if (counting()) {
     // References into the registry stay valid across reset(), so the
     // lookup cost is paid once per process, not per constraint.
     static Counter &BranchConstraints =
@@ -276,7 +276,7 @@ NodeRef RaceEncoder::readValueFormula(CfState &St, EventId R,
     Disjuncts.push_back(FB.mkAnd(std::move(Conj)));
   }
 
-  if (Telemetry::enabled()) {
+  if (counting()) {
     static Counter &ReadConsistency = MetricsRegistry::global().counter(
         "encoder.read_consistency_constraints");
     ReadConsistency.inc();
@@ -307,7 +307,7 @@ void RaceEncoder::emitCfDefs(CfState &St) const {
       RVP_UNREACHABLE("cf variable for a non-branch/read/write event");
     }
     St.Defs.push_back(St.FB.mkGuardedDef(St.VarOf.at(E), Def));
-    if (Telemetry::enabled()) {
+    if (counting()) {
       static Counter &CfDefs =
           MetricsRegistry::global().counter("encoder.cf_defs");
       CfDefs.inc();
@@ -330,15 +330,35 @@ NodeRef RaceEncoder::adjacency(FormulaBuilder &FB, Subst S, EventId A,
 
 // ----------------------------------------------------- skeleton cache
 
-/// Records the per-cone counters once the skeleton is known.
-static void recordConeStats(size_t ConeEvents, EncodeStats *Stats) {
-  if (Stats)
-    Stats->ConeEvents += ConeEvents;
-  if (Telemetry::enabled()) {
+bool RaceEncoder::counting() const {
+  return Options.Counters && Telemetry::enabled();
+}
+
+void RaceEncoder::recordCone(const Skeleton &Sk, EncodeStats *Stats) const {
+  if (Stats) {
+    Stats->ConeEvents += Sk.Events.size();
+    if (Stats->Cone) {
+      Stats->Cone->Events = Sk.Events;
+      Stats->Cone->ActiveLocks = Sk.ActiveLcs;
+    }
+  }
+  if (counting()) {
     static Counter &Events =
         MetricsRegistry::global().counter("encoder.cone_events");
-    Events.add(ConeEvents);
+    Events.add(Sk.Events.size());
   }
+}
+
+void RaceEncoder::recordFullCone(EncodeStats *Stats) const {
+  if (!Stats || !Stats->Cone)
+    return;
+  ConeInfo &Out = *Stats->Cone;
+  Out.Events.clear();
+  for (EventId E = Window.Begin; E < Window.End; ++E)
+    Out.Events.push_back(E);
+  Out.ActiveLocks.clear();
+  for (uint32_t I = 0; I < Enc->LockConstraints.size(); ++I)
+    Out.ActiveLocks.push_back(I);
 }
 
 const RaceEncoder::Skeleton &RaceEncoder::skeletonFor(Cone &C,
@@ -361,7 +381,7 @@ const RaceEncoder::Skeleton &RaceEncoder::skeletonFor(Cone &C,
         if (Matches(*Sk)) {
           if (Stats)
             Stats->CacheHit = true;
-          if (Telemetry::enabled()) {
+          if (counting()) {
             static Counter &Hits = MetricsRegistry::global().counter(
                 "encoder.skeleton_cache_hits");
             Hits.inc();
@@ -430,7 +450,7 @@ NodeRef RaceEncoder::emitSkeleton(FormulaBuilder &FB, const Skeleton &Sk,
   }
   if (Stats)
     Stats->SlicedAtoms += Atoms;
-  if (Telemetry::enabled()) {
+  if (counting()) {
     static Counter &Sliced =
         MetricsRegistry::global().counter("encoder.sliced_atoms");
     Sliced.add(Atoms);
@@ -440,9 +460,8 @@ NodeRef RaceEncoder::emitSkeleton(FormulaBuilder &FB, const Skeleton &Sk,
 
 // --------------------------------------------------------- encode calls
 
-NodeRef RaceEncoder::encodeMaximalImpl(FormulaBuilder &FB, EventId A,
-                                       EventId B, EncodeStats *Stats,
-                                       ConeInfo *ConeOut) const {
+NodeRef RaceEncoder::encodeMaximalRace(FormulaBuilder &FB, EventId A,
+                                       EventId B, EncodeStats *Stats) const {
   Subst S;
   if (Options.SubstituteRaceVars)
     S = Subst{A, B};
@@ -450,12 +469,7 @@ NodeRef RaceEncoder::encodeMaximalImpl(FormulaBuilder &FB, EventId A,
   // The naive adjacency encoding references every window event, so there
   // is nothing to slice.
   if (!Options.Slice || !Options.SubstituteRaceVars) {
-    if (ConeOut) {
-      for (EventId E = Window.Begin; E < Window.End; ++E)
-        ConeOut->Events.push_back(E);
-      for (uint32_t I = 0; I < Enc->LockConstraints.size(); ++I)
-        ConeOut->ActiveLocks.push_back(I);
-    }
+    recordFullCone(Stats);
     CfState St{FB, S, {}, {}, {}};
     std::vector<NodeRef> Conj;
     Conj.push_back(encodeMhb(FB, S.A, S.B));
@@ -484,11 +498,7 @@ NodeRef RaceEncoder::encodeMaximalImpl(FormulaBuilder &FB, EventId A,
   emitCfDefs(St);
   C.close();
   const Skeleton &Sk = skeletonFor(C, Stats);
-  recordConeStats(Sk.Events.size(), Stats);
-  if (ConeOut) {
-    ConeOut->Events = Sk.Events;
-    ConeOut->ActiveLocks = Sk.ActiveLcs;
-  }
+  recordCone(Sk, Stats);
 
   std::vector<NodeRef> Conj;
   Conj.reserve(St.Defs.size() + 3);
@@ -500,21 +510,19 @@ NodeRef RaceEncoder::encodeMaximalImpl(FormulaBuilder &FB, EventId A,
   return FB.mkAnd(std::move(Conj));
 }
 
-NodeRef RaceEncoder::encodeMaximalRace(FormulaBuilder &FB, EventId A,
-                                       EventId B, EncodeStats *Stats) const {
-  return encodeMaximalImpl(FB, A, B, Stats, nullptr);
-}
-
-RaceEncoder::ConeInfo RaceEncoder::coneOf(EventId A, EventId B) const {
+ConeInfo RaceEncoder::coneOf(EventId A, EventId B) const {
   ConeInfo Info;
+  EncodeStats Stats;
+  Stats.Cone = &Info;
   FormulaBuilder Scratch;
-  encodeMaximalImpl(Scratch, A, B, nullptr, &Info);
+  encodeMaximalRace(Scratch, A, B, &Stats);
   return Info;
 }
 
 NodeRef RaceEncoder::encodeBetween(FormulaBuilder &FB, EventId A1, EventId B,
                                    EventId A2, EncodeStats *Stats) const {
   if (!Options.Slice) {
+    recordFullCone(Stats);
     CfState St{FB, Subst{}, {}, {}, {}};
     std::vector<NodeRef> Conj;
     Conj.push_back(encodeMhb(FB));
@@ -542,7 +550,7 @@ NodeRef RaceEncoder::encodeBetween(FormulaBuilder &FB, EventId A1, EventId B,
   emitCfDefs(St);
   C.close();
   const Skeleton &Sk = skeletonFor(C, Stats);
-  recordConeStats(Sk.Events.size(), Stats);
+  recordCone(Sk, Stats);
 
   std::vector<NodeRef> Conj;
   Conj.reserve(St.Defs.size() + 6);
@@ -562,6 +570,7 @@ NodeRef RaceEncoder::encodeDeadlock(FormulaBuilder &FB, EventId ReqA,
                                     const LockPair &OutB,
                                     EncodeStats *Stats) const {
   if (!Options.Slice) {
+    recordFullCone(Stats);
     CfState St{FB, Subst{}, {}, {}, {}};
     std::vector<NodeRef> Conj;
     Conj.push_back(encodeMhb(FB));
@@ -595,7 +604,7 @@ NodeRef RaceEncoder::encodeDeadlock(FormulaBuilder &FB, EventId ReqA,
   emitCfDefs(St);
   C.close();
   const Skeleton &Sk = skeletonFor(C, Stats);
-  recordConeStats(Sk.Events.size(), Stats);
+  recordCone(Sk, Stats);
 
   std::vector<NodeRef> Conj;
   Conj.reserve(St.Defs.size() + 7);
@@ -618,6 +627,7 @@ NodeRef RaceEncoder::encodeSaidRace(FormulaBuilder &FB, EventId A,
     S = Subst{A, B};
 
   if (!Options.Slice || !Options.SubstituteRaceVars) {
+    recordFullCone(Stats);
     CfState St{FB, S, {}, {}, {}};
     std::vector<NodeRef> Conj;
     Conj.push_back(encodeMhb(FB, S.A, S.B));
@@ -643,7 +653,7 @@ NodeRef RaceEncoder::encodeSaidRace(FormulaBuilder &FB, EventId A,
   assert(St.Worklist.empty() && "unguarded encoding queued cf definitions");
   C.close();
   const Skeleton &Sk = skeletonFor(C, Stats);
-  recordConeStats(Sk.Events.size(), Stats);
+  recordCone(Sk, Stats);
 
   std::vector<NodeRef> Conj;
   Conj.reserve(Value.size() + 1);

@@ -42,9 +42,10 @@
 /// of whose critical sections contains a cone event. Per-thread program-
 /// order chains are compressed to consecutive cone events. The sliced
 /// formula is equisatisfiable with the full one (the soundness proof lives
-/// in docs/ENCODER.md), so detection decisions are unchanged; witnesses
-/// are re-derived through an unsliced encoder by the drivers so reports
-/// stay byte-identical.
+/// in docs/ENCODER.md), so detection decisions are unchanged. The proof's
+/// gap placement is also how the window driver builds witnesses: it
+/// extends a sliced model to the whole window (placeByGaps in
+/// detect/WitnessChecker.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,15 +84,30 @@ struct EncoderOptions {
   /// Shrinks the cone before construction; null (the default) folds
   /// nothing. Not owned; must outlive the encoder.
   const CfFoldOracle *Fold = nullptr;
+  /// Tick the encoder.* telemetry counters. The witness path turns them
+  /// off, so the counters measure decision-path encodes only.
+  bool Counters = true;
+};
+
+/// The cone of influence of one query: the window events whose order
+/// variables the sliced encoding references, plus the indices of the
+/// active LockConstraints. Unsliced encodings (and the naive adjacency
+/// encoding) have the full window as their cone.
+struct ConeInfo {
+  std::vector<EventId> Events;       ///< ascending
+  std::vector<uint32_t> ActiveLocks; ///< LockConstraint indices, ascending
 };
 
 /// Per-encode-call statistics, filled when the caller passes one to an
-/// encode method. Only the sliced path reports: an unsliced call leaves
-/// the struct zeroed.
+/// encode method. Only the sliced path counts: an unsliced call leaves
+/// the counts zeroed.
 struct EncodeStats {
   uint64_t ConeEvents = 0;  ///< window events in the cone of influence
   uint64_t SlicedAtoms = 0; ///< Φ_mhb/Φ_lock atoms actually emitted
   bool CacheHit = false;    ///< skeleton served from the per-window cache
+  /// When set, receives the query's cone (the witness path extends a
+  /// model over it to the whole window).
+  ConeInfo *Cone = nullptr;
 };
 
 class RaceEncoder {
@@ -140,16 +156,9 @@ public:
                          const LockPair &OutA, const LockPair &OutB,
                          EncodeStats *Stats = nullptr) const;
 
-  /// The cone of influence of COP (A,B): the window events whose order
-  /// variables the sliced maximal-race encoding references, plus the
-  /// indices of the active LockConstraints. Exposed for tests; computed
-  /// by running the real encoding into a scratch builder so it can never
-  /// diverge from what encodeMaximalRace emits. With slicing disabled
-  /// (or under the naive adjacency encoding) the cone is the full window.
-  struct ConeInfo {
-    std::vector<EventId> Events;      ///< ascending
-    std::vector<uint32_t> ActiveLocks; ///< LockConstraint indices, ascending
-  };
+  /// The cone of COP (A,B) under the maximal-race encoding. Exposed for
+  /// tests; computed by running the real encoding into a scratch builder
+  /// so it can never diverge from what encodeMaximalRace emits.
   ConeInfo coneOf(EventId A, EventId B) const;
 
   /// Pieces exposed for the Figure 5 pretty-printer and tests. \p A/B of
@@ -222,8 +231,12 @@ private:
   NodeRef emitSkeleton(FormulaBuilder &FB, const Skeleton &Sk, Subst S,
                        const std::vector<EventId> &ExcludedAcquires,
                        EncodeStats *Stats) const;
-  NodeRef encodeMaximalImpl(FormulaBuilder &FB, EventId A, EventId B,
-                            EncodeStats *Stats, ConeInfo *ConeOut) const;
+  /// Reports a sliced call's cone \p Sk into \p Stats and the counters.
+  void recordCone(const Skeleton &Sk, EncodeStats *Stats) const;
+  /// Reports an unsliced call's cone, the whole window, into \p Stats.
+  void recordFullCone(EncodeStats *Stats) const;
+  /// Whether this encoder ticks the encoder.* counters right now.
+  bool counting() const;
 
   std::shared_ptr<const WindowEncoding> Enc;
   const Trace &T;

@@ -29,11 +29,13 @@ std::string rvp::renderRaceLine(const Trace &T, const RaceReport &Race,
     Out += formatString("  [witness %s]",
                         Race.WitnessValid ? "validated" : "UNVALIDATED");
   Out += '\n';
-  if (Opts.WitnessEvents && !Race.Witness.empty()) {
+  if (Opts.WitnessEvents) {
     for (EventId Id : Race.Witness) {
-      const char *Mark =
-          Id == Race.First || Id == Race.Second ? " <== race" : "";
-      Out += formatString("      %s%s\n", toString(T[Id]).c_str(), Mark);
+      Out += "      ";
+      appendEvent(Out, T[Id]);
+      if (Id == Race.First || Id == Race.Second)
+        Out += " <== race";
+      Out += '\n';
     }
   }
   return Out;

@@ -124,15 +124,11 @@ void SolveHost::backoff() {
 }
 
 SatResult SolveHost::attemptOnce(const FormulaBuilder &FB, NodeRef Root,
-                                 double BudgetSeconds, OrderModel *ModelOut,
-                                 bool &FromSolve) {
+                                 double BudgetSeconds) {
   if (Incremental && !SessionDead) {
     ensureSession();
-    // Session models depend on query history; witness models are always
-    // re-derived one-shot by the caller, so no model is requested here.
     SatResult Result =
         Session->query(FB, Root, Deadline::after(BudgetSeconds), nullptr);
-    FromSolve = false;
     if (Session->poisoned()) {
       quarantineSession();
       return SatResult::Unknown;
@@ -147,20 +143,10 @@ SatResult SolveHost::attemptOnce(const FormulaBuilder &FB, NodeRef Root,
   }
 
   ensureSolver();
-  // In legacy (non-incremental) mode the caller's builder holds exactly
-  // this COP's formula, so the solve's model IS the canonical witness
-  // model. In degraded session mode the builder is the shared window
-  // builder and the model would depend on earlier COPs' numbering — the
-  // caller re-derives instead, exactly like the healthy session path.
-  OrderModel *Out = Incremental ? nullptr : ModelOut;
-  SatResult Result =
-      Solver->solve(FB, Root, Deadline::after(BudgetSeconds), Out);
-  FromSolve = !Incremental;
-  return Result;
+  return Solver->solve(FB, Root, Deadline::after(BudgetSeconds), nullptr);
 }
 
-SolveHost::Outcome SolveHost::decide(const FormulaBuilder &FB, NodeRef Root,
-                                     OrderModel *ModelOut) {
+SolveHost::Outcome SolveHost::decide(const FormulaBuilder &FB, NodeRef Root) {
   Outcome Out;
   size_t Tiers = RetryBudgets.empty() ? 1 : RetryBudgets.size();
   uint32_t Attempt = 0;
@@ -176,11 +162,9 @@ SolveHost::Outcome SolveHost::decide(const FormulaBuilder &FB, NodeRef Root,
           P->instant("solver-retry", "resilience");
         backoff();
       }
-      bool FromSolve = false;
       uint64_t QuarantinesBefore = Stats.DegradedSessions;
-      Out.Sat = attemptOnce(FB, Root, Budget, ModelOut, FromSolve);
+      Out.Sat = attemptOnce(FB, Root, Budget);
       Out.Attempts = ++Attempt;
-      Out.ModelFromSolve = FromSolve && Out.Sat == SatResult::Sat;
       if (Out.Sat != SatResult::Unknown)
         return Out;
       // A query lost to session sickness (quarantine fired during the

@@ -89,18 +89,12 @@ public:
     SatResult Sat = SatResult::Unknown;
     /// Solve attempts spent on this COP (1 = no retry).
     uint32_t Attempts = 1;
-    /// True when \p ModelOut was filled by a one-shot solve of the
-    /// caller's own builder — directly usable as a witness model. False in
-    /// session mode, where models depend on session history and callers
-    /// re-derive them one-shot (the window driver's rederiveModel).
-    bool ModelFromSolve = false;
   };
 
   /// Decides \p Root, escalating through the budget ladder on Unknown and
-  /// degrading the session as needed. \p ModelOut (may be null) is only
-  /// filled when the outcome says ModelFromSolve.
-  Outcome decide(const FormulaBuilder &FB, NodeRef Root,
-                 OrderModel *ModelOut);
+  /// degrading the session as needed. Only the verdict comes back: the
+  /// window driver builds witnesses through a solve of its own.
+  Outcome decide(const FormulaBuilder &FB, NodeRef Root);
 
   const ResilienceStats &stats() const { return Stats; }
 
@@ -109,8 +103,7 @@ public:
 
 private:
   SatResult attemptOnce(const FormulaBuilder &FB, NodeRef Root,
-                        double BudgetSeconds, OrderModel *ModelOut,
-                        bool &FromSolve);
+                        double BudgetSeconds);
   void ensureSession();
   void ensureSolver();
   void quarantineSession();

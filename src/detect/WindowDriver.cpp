@@ -8,6 +8,7 @@
 
 #include "detect/Checkpoint.h"
 #include "detect/Resilience.h"
+#include "detect/WitnessChecker.h"
 #include "smt/Solver.h"
 #include "support/CommandLine.h"
 #include "support/FaultInjector.h"
@@ -115,6 +116,8 @@ struct Decision {
   uint64_t OrderVars = 0;
   std::vector<EventId> Witness;
   bool WitnessValid = false;
+  /// The finding's witness solve was not Sat: reported without a witness.
+  bool WitnessFailed = false;
 };
 
 /// Window-scoped solve state of one thread: the SolveHost (the
@@ -381,21 +384,13 @@ private:
               Decision &D) const {
     if (C.How == Candidate::Verdict::ShortCircuit) {
       // The WCP tier proved the pair racy: no decision-path encode, no
-      // session solve. With witnesses on, the race is verified and its
-      // model derived through the unsliced one-shot solve the Smt tier's
-      // witness path runs, so every outcome matches the Smt tier byte for
-      // byte; with witnesses off the WCP verdict stands (the vc-tier
-      // semantics; --check-tiers is the standing oracle).
-      if (!Options.CollectWitnesses)
-        return;
-      const RaceEncoder &Encoder = W.encoder(); // outside the witness phase
-      ScopedPhaseTimer WitnessPhase("witness");
-      Timer WitnessClock;
-      OrderModel Model;
-      D.Sat = rederiveModel(Encoder, C, Model);
-      if (D.Sat == SatResult::Sat)
-        buildWitness(W, C, Model, D);
-      D.WitnessSeconds = WitnessClock.seconds();
+      // session solve. With witnesses on, the witness solve the Smt tier
+      // runs for the same pair is the verdict, so every outcome matches
+      // the Smt tier byte for byte; with witnesses off the WCP verdict
+      // stands (the vc-tier semantics; --check-tiers is the standing
+      // oracle).
+      if (Options.CollectWitnesses)
+        D.Sat = witness(W, C, D);
       return;
     }
 
@@ -430,13 +425,11 @@ private:
       D.OrderVars = FB.collectVars(Root).size();
     }
 
-    OrderModel Model;
     SolveHost::Outcome Decided;
     {
       ScopedPhaseTimer SolvePhase("solve");
       Timer SolveClock;
-      Decided = Ctx.Host->decide(FB, Root,
-                                 Options.CollectWitnesses ? &Model : nullptr);
+      Decided = Ctx.Host->decide(FB, Root);
       D.SolveSeconds = SolveClock.seconds();
     }
     D.Solved = true;
@@ -447,66 +440,54 @@ private:
       MetricsRegistry::global()
           .histogram("solver.latency_seconds")
           .record(D.SolveSeconds);
-    if (D.Sat != SatResult::Sat || !Policy.WitnessOnSat ||
-        !Options.CollectWitnesses)
-      return;
+    if (D.Sat == SatResult::Sat && Policy.WitnessOnSat &&
+        Options.CollectWitnesses)
+      D.WitnessFailed = witness(W, C, D) != SatResult::Sat;
+  }
+
+  /// The canonical witness, however the verdict was reached: encode the
+  /// query sliced into a fresh builder through a fresh encoder on the
+  /// window's shared encoding (no cf folding, no encoder counters), solve
+  /// it one-shot, extend the cone model to the whole window by gap
+  /// placement (docs/ENCODER.md) and validate the order. A fresh builder
+  /// because the simplifier canonicalizes And/Or children by node
+  /// reference, so a shared builder's numbering would reshape the model.
+  /// Leaves \p D's witness empty unless the solve is Sat. Tallied as
+  /// solver.witness_resolves, not as a decision: solver_calls is
+  /// mode-invariant.
+  SatResult witness(WindowContext &W, const Candidate &C, Decision &D) const {
+    // The window's encoding is built (on first use) outside the phase.
+    std::shared_ptr<const WindowEncoding> Shared =
+        W.encoder().sharedWindowEncoding();
     ScopedPhaseTimer WitnessPhase("witness");
     Timer WitnessClock;
-    // A sliced model only orders the cone and a session model depends on
-    // session history; witnesses must cover the window and be canonical.
-    if (!Decided.ModelFromSolve ||
-        (Policy.Encoding.Slice && Policy.Encoding.SubstituteRaceVars))
-      rederiveModel(Encoder, C, Model);
-    buildWitness(W, C, Model, D);
-    D.WitnessSeconds = WitnessClock.seconds();
-  }
-
-  /// Canonical witness model: re-encode the query unsliced into a fresh
-  /// builder and solve it one-shot — exactly the legacy path's instance,
-  /// so witnesses are byte-identical across modes and independent of
-  /// session history. (The shared window builder would not do: the
-  /// simplifier canonicalizes And/Or children by node reference, so ref
-  /// numbering from earlier queries reshapes the DAG and with it the
-  /// model the solver happens to pick.) Tallied as solver.witness_resolves,
-  /// not as a decision: solver_calls is mode-invariant.
-  SatResult rederiveModel(const RaceEncoder &Encoder, const Candidate &C,
-                          OrderModel &Model) const {
-    EncoderOptions Unsliced;
-    Unsliced.SubstituteRaceVars = Policy.Encoding.SubstituteRaceVars;
-    Unsliced.Slice = false;
-    RaceEncoder Full(Encoder.sharedWindowEncoding(), Unsliced);
-    FormulaBuilder FreshFB;
-    NodeRef Root = Policy.encode(Full, FreshFB, C, nullptr);
-    std::unique_ptr<SmtSolver> Fresh = createSolverByName(Options.SolverName);
-    if (!Fresh)
-      Fresh = createIdlSolver();
+    EncoderOptions Opts;
+    Opts.SubstituteRaceVars = Policy.Encoding.SubstituteRaceVars;
+    Opts.Counters = false;
+    RaceEncoder Encoder(std::move(Shared), Opts);
+    FormulaBuilder FB;
+    ConeInfo Cone;
+    EncodeStats Stats;
+    Stats.Cone = &Cone;
+    NodeRef Root = Policy.encode(Encoder, FB, C, &Stats);
+    std::unique_ptr<SmtSolver> Solver = createSolverByName(Options.SolverName);
+    if (!Solver)
+      Solver = createIdlSolver();
     if (Telemetry::enabled())
       MetricsRegistry::global().counter("solver.witness_resolves").inc();
-    return Fresh->solve(FreshFB, Root,
-                        Deadline::after(Options.PerCopBudgetSeconds), &Model);
-  }
-
-  /// Sorts the window's events by their model positions (events the model
-  /// leaves out go last, in trace order) and validates the result.
-  void buildWitness(WindowContext &W, const Candidate &C,
-                    const OrderModel &Model, Decision &D) const {
-    const bool Merged =
-        Policy.FirstLeadsSecond && Policy.Encoding.SubstituteRaceVars;
-    auto keyOf = [&](EventId Id) -> std::pair<int64_t, int64_t> {
-      auto It = Model.find(Merged && Id == C.First ? C.Second : Id);
-      int64_t Pos = It == Model.end() ? INT64_MAX : It->second;
-      int64_t Tie = Policy.FirstLeadsSecond && Id == C.First
-                        ? -1
-                        : static_cast<int64_t>(Id);
-      return {Pos, Tie};
-    };
-    std::vector<EventId> &Order = D.Witness;
-    Order.reserve(W.Window.size());
-    for (EventId Id = W.Window.Begin; Id < W.Window.End; ++Id)
-      Order.push_back(Id);
-    std::sort(Order.begin(), Order.end(),
-              [&](EventId A, EventId B) { return keyOf(A) < keyOf(B); });
-    D.WitnessValid = Policy.checkWitness(W, C, Order);
+    OrderModel Model;
+    SatResult Sat = Solver->solve(
+        FB, Root, Deadline::after(Options.PerCopBudgetSeconds), &Model);
+    if (Sat == SatResult::Sat) {
+      const bool Merged =
+          Policy.FirstLeadsSecond && Policy.Encoding.SubstituteRaceVars;
+      D.Witness = placeByGaps(Encoder.windowEncoding(), Cone.Events, Model,
+                              Merged ? C.First : InvalidEvent,
+                              Merged ? C.Second : InvalidEvent);
+      D.WitnessValid = Policy.checkWitness(W, C, D.Witness);
+    }
+    D.WitnessSeconds = WitnessClock.seconds();
+    return Sat;
   }
 
   /// Folds one decided candidate into the run, in candidate order.
@@ -538,6 +519,8 @@ private:
       ++Out.Stats.SolverTimeouts;
       parkUnknown(C, D.Attempts);
     }
+    if (D.WitnessFailed && Telemetry::enabled())
+      MetricsRegistry::global().counter("solver.witness_failures").inc();
     emitCopEvent(C, Outcome, Stage, Short ? nullptr : &D);
     recordCopCost(C, Outcome, D);
     if (D.Sat == SatResult::Sat)

@@ -16,8 +16,8 @@
 ///  * the one checkpoint payload (docs/ROBUSTNESS.md);
 ///  * signature pruning, the unknown section and its supersede rule;
 ///  * solving through a per-window SolveHost (per worker with jobs > 1)
-///    and the witness path (unsliced one-shot re-derivation, model-sorted
-///    order);
+///    and the witness path (a sliced one-shot solve whose cone model gap
+///    placement extends to the window);
 ///  * the window/cop/solve trace events, the phase tree, the cost ledger,
 ///    the Perfetto counters and the one telemetry flush.
 ///
@@ -118,7 +118,8 @@ public:
   /// Enumerates \p W's candidates in report order.
   virtual void enumerate(WindowContext &W, std::vector<Candidate> &Out) = 0;
   /// \p C's query formula, against the decision-path encoder or the
-  /// unsliced witness encoder. Must be safe to call concurrently.
+  /// witness encoder; fills \p Stats (may be null) including its cone.
+  /// Must be safe to call concurrently.
   virtual NodeRef encode(const RaceEncoder &Encoder, FormulaBuilder &FB,
                          const Candidate &C, EncodeStats *Stats) const = 0;
   /// Validates \p Order as \p C's witness. Concurrency-safe like encode.
@@ -149,12 +150,12 @@ public:
   /// qc_passed counts distinct signatures past the quick check (Table 1)
   /// instead of solver-bound candidates.
   bool QcBySignature = false;
-  /// Witness order: First precedes Second on equal model positions, and
-  /// under the `Oa := Ob` substitution (Encoding.SubstituteRaceVars) it
-  /// takes Second's position.
+  /// Under the `Oa := Ob` substitution (Encoding.SubstituteRaceVars)
+  /// First has no order variable of its own: the witness places it right
+  /// before Second.
   bool FirstLeadsSecond = false;
-  /// Decision-path encoder options; witnesses re-derive without slicing
-  /// or folding.
+  /// Decision-path encoder options; witness encodes are always sliced and
+  /// never folded.
   EncoderOptions Encoding;
 };
 

@@ -1,4 +1,4 @@
-//===- detect/WitnessChecker.cpp - Race witness validation ------------------===//
+//===- detect/WitnessChecker.cpp - Witness building and checks ------------===//
 //
 // Part of the rvpredict-cpp project, under the MIT license.
 //
@@ -8,7 +8,9 @@
 
 #include "support/StringUtils.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <cassert>
+#include <cstdint>
 #include <unordered_set>
 
 using namespace rvp;
@@ -18,7 +20,9 @@ namespace {
 /// Shared validation core: permutation, per-thread program order, MHB
 /// event rules, lock mutual exclusion, and the concrete-read closure
 /// seeded from the guarding branches of \p Seeds. Fills \p PosOut with
-/// the witness position of every event.
+/// the witness position of every event. Every index is a flat vector
+/// (by window offset, thread, lock or variable), so a check costs one
+/// pass over the window plus the closure.
 WitnessCheckResult checkCore(const Trace &T, Span S,
                              const std::vector<EventId> &Order,
                              const std::vector<EventId> &Seeds,
@@ -30,6 +34,9 @@ WitnessCheckResult checkCore(const Trace &T, Span S,
   auto fail = [](std::string Msg) {
     return WitnessCheckResult{false, std::move(Msg)};
   };
+  assert(Encoder.windowEncoding().Window.Begin == S.Begin &&
+         Encoder.windowEncoding().Window.End == S.End &&
+         "the encoder must belong to the checked window");
 
   // 1. Permutation of the window.
   if (Order.size() != S.size())
@@ -47,30 +54,28 @@ WitnessCheckResult checkCore(const Trace &T, Span S,
 
   // 2. Program order per thread; fork/begin, end/join, wait/notify rules;
   //    lock mutual exclusion.
-  std::unordered_map<ThreadId, EventId> LastOfThread;
-  std::unordered_map<LockId, ThreadId> Holder;
-  std::unordered_set<LockId> HeldAtStart;
-  std::unordered_map<uint32_t, uint32_t> NotifySeen; // match -> pos
+  constexpr ThreadId NoHolder = static_cast<ThreadId>(-1);
+  std::vector<EventId> LastOfThread(T.numThreads(), InvalidEvent);
+  std::vector<ThreadId> Holder(T.numLocks(), NoHolder);
+  std::unordered_set<uint32_t> NotifySeen; // wait/notify match ids
 
   // Sections active at window entry (release without acquire) hold their
   // lock from the start.
   for (LockId Lock = 0; Lock < T.numLocks(); ++Lock)
     for (const LockPair &P : T.lockPairsOf(Lock))
       if (P.ReleaseId != InvalidEvent && S.contains(P.ReleaseId) &&
-          (P.AcquireId == InvalidEvent || !S.contains(P.AcquireId))) {
+          (P.AcquireId == InvalidEvent || !S.contains(P.AcquireId)))
         Holder[Lock] = P.Tid;
-        HeldAtStart.insert(Lock);
-      }
 
   for (uint32_t Pos = 0; Pos < Order.size(); ++Pos) {
     const EventId Id = Order[Pos];
     const Event &E = T[Id];
 
-    auto It = LastOfThread.find(E.Tid);
-    if (It != LastOfThread.end() && It->second > Id)
+    EventId &Last = LastOfThread[E.Tid];
+    if (Last != InvalidEvent && Last > Id)
       return fail(formatString("program order violated in thread %s",
                                T.threadName(E.Tid).c_str()));
-    LastOfThread[E.Tid] = Id;
+    Last = Id;
 
     if (SkipLockEffects.count(Id)) {
       // Deadlock queries: this event is a pending lock request (or the
@@ -92,31 +97,27 @@ WitnessCheckResult checkCore(const Trace &T, Span S,
       break;
     }
     case EventKind::Acquire: {
-      auto HolderIt = Holder.find(E.Target);
-      if (HolderIt != Holder.end())
+      if (Holder[E.Target] != NoHolder)
         return fail(formatString("lock %s acquired while held",
                                  T.lockName(E.Target).c_str()));
       Holder[E.Target] = E.Tid;
       if (E.Aux != 0) {
-        auto NotifyIt = NotifySeen.find(E.Aux);
         EventId Notify = T.notifyOfMatch(E.Aux);
         if (Notify != InvalidEvent && S.contains(Notify) &&
-            NotifyIt == NotifySeen.end())
+            !NotifySeen.count(E.Aux))
           return fail("wait resumed before its notify");
       }
       break;
     }
-    case EventKind::Release: {
-      auto HolderIt = Holder.find(E.Target);
-      if (HolderIt == Holder.end() || HolderIt->second != E.Tid)
+    case EventKind::Release:
+      if (Holder[E.Target] != E.Tid)
         return fail(formatString("lock %s released by non-holder",
                                  T.lockName(E.Target).c_str()));
-      Holder.erase(HolderIt);
+      Holder[E.Target] = NoHolder;
       break;
-    }
     case EventKind::Notify:
       if (E.Aux != 0)
-        NotifySeen[E.Aux] = Pos;
+        NotifySeen.insert(E.Aux);
       break;
     default:
       break;
@@ -128,46 +129,50 @@ WitnessCheckResult checkCore(const Trace &T, Span S,
   //    construction from Theorem 3's proof). Seed with the guarding
   //    branches of the query events, close over thread prefixes and
   //    reads-from edges.
-  std::unordered_set<EventId> MustConcrete;
+  std::vector<char> MustConcrete(S.size(), 0);
   std::vector<EventId> Work;
   auto need = [&](EventId Id) {
-    if (MustConcrete.insert(Id).second)
+    char &Needed = MustConcrete[Id - S.Begin];
+    if (!Needed) {
+      Needed = 1;
       Work.push_back(Id);
+    }
   };
   for (EventId Seed : Seeds)
     for (EventId Branch : Encoder.guardingBranches(Seed))
       need(Branch);
 
-  // Precompute reads-from in witness order per read.
-  std::unordered_map<VarId, EventId> LastWrite;
-  std::unordered_map<EventId, EventId> ReadsFrom; // read -> write or Invalid
+  // Reads-from in witness order, by window offset of the read.
+  std::vector<EventId> LastWrite(T.numVars(), InvalidEvent);
+  std::vector<EventId> ReadsFrom(S.size(), InvalidEvent);
   for (EventId Id : Order) {
     const Event &E = T[Id];
-    if (E.isRead()) {
-      auto WIt = LastWrite.find(E.Target);
-      ReadsFrom[Id] = WIt == LastWrite.end() ? InvalidEvent : WIt->second;
-    } else if (E.isWrite()) {
+    if (E.isRead())
+      ReadsFrom[Id - S.Begin] = LastWrite[E.Target];
+    else if (E.isWrite())
       LastWrite[E.Target] = Id;
-    }
   }
 
+  // A branch or write needs every earlier read of its thread. Those form
+  // a prefix of the thread's in-window reads, so one cursor per thread
+  // visits each read once however many events need it.
+  const std::vector<std::vector<EventId>> &ThreadReads =
+      Encoder.windowEncoding().ThreadReads;
+  std::vector<uint32_t> ReadCursor(ThreadReads.size(), 0);
   while (!Work.empty()) {
     EventId Id = Work.back();
     Work.pop_back();
     const Event &E = T[Id];
     if (E.Kind == EventKind::Branch || E.isWrite()) {
-      // All earlier reads of the same thread must be concrete.
-      for (EventId Prev : T.threadEvents(E.Tid)) {
-        if (Prev >= Id)
-          break;
-        if (S.contains(Prev) && T[Prev].isRead())
-          need(Prev);
-      }
+      const std::vector<EventId> &Reads = ThreadReads[E.Tid];
+      uint32_t &Cursor = ReadCursor[E.Tid];
+      for (; Cursor < Reads.size() && Reads[Cursor] < Id; ++Cursor)
+        need(Reads[Cursor]);
       continue;
     }
     if (!E.isRead())
       continue;
-    EventId From = ReadsFrom.at(Id);
+    EventId From = ReadsFrom[Id - S.Begin];
     if (From == InvalidEvent) {
       Value Expect =
           E.Target < Initial.size() ? Initial[E.Target] : 0;
@@ -187,7 +192,6 @@ WitnessCheckResult checkCore(const Trace &T, Span S,
     need(From); // the justifying write must itself be concrete
   }
 
-  (void)HeldAtStart;
   PosOut = std::move(PosOf);
   return {};
 }
@@ -256,4 +260,83 @@ WitnessCheckResult rvp::checkAtomicityWitness(
     return WitnessCheckResult{
         false, "remote access is not between the atomic pair"};
   return {};
+}
+
+std::vector<EventId> rvp::placeByGaps(const WindowEncoding &Enc,
+                                      const std::vector<EventId> &Cone,
+                                      const OrderModel &Model,
+                                      EventId MergedFirst,
+                                      EventId MergedSecond) {
+  const Span W = Enc.Window;
+  std::vector<char> InCone(W.size(), 0);
+  for (EventId E : Cone)
+    InCone[E - W.Begin] = 1;
+  auto posOf = [&](EventId E) {
+    auto It = Model.find(E);
+    return It == Model.end() ? INT64_MAX : It->second;
+  };
+
+  /// A cone event, its sort key, and the block of non-cone events that
+  /// follow it in its thread (indices into Enc.ThreadEvents[Tid]).
+  struct Slot {
+    int64_t Pos;
+    uint64_t Tie;
+    EventId Id;
+    ThreadId Tid;
+    uint32_t BlockBegin;
+    uint32_t BlockEnd;
+  };
+  std::vector<Slot> Slots;
+  Slots.reserve(Cone.size());
+  std::vector<EventId> Order;
+  Order.reserve(W.size());
+  for (ThreadId Tid = 0; Tid < Enc.ThreadEvents.size(); ++Tid) {
+    const std::vector<EventId> &Events = Enc.ThreadEvents[Tid];
+    const uint32_t N = static_cast<uint32_t>(Events.size());
+    auto inCone = [&](uint32_t I) { return InCone[Events[I] - W.Begin]; };
+    uint32_t I = 0;
+    // The events before the thread's first cone event lead the schedule.
+    for (; I < N && !inCone(I); ++I)
+      Order.push_back(Events[I]);
+    while (I < N) {
+      uint32_t J = I + 1;
+      while (J < N && !inCone(J))
+        ++J;
+      EventId E = Events[I];
+      // Ties go by event id; the merged first event sorts right before
+      // its partner, at the partner's position.
+      Slot S{posOf(E), 2 * uint64_t{E}, E, Tid, I + 1, J};
+      if (E == MergedFirst) {
+        S.Pos = posOf(MergedSecond);
+        S.Tie = 2 * uint64_t{MergedSecond} - 1;
+      }
+      Slots.push_back(S);
+      I = J;
+    }
+  }
+  std::sort(Slots.begin(), Slots.end(), [](const Slot &X, const Slot &Y) {
+    return X.Pos != Y.Pos ? X.Pos < Y.Pos : X.Tie < Y.Tie;
+  });
+
+  auto placeBlock = [&](const Slot &S) {
+    const std::vector<EventId> &Events = Enc.ThreadEvents[S.Tid];
+    Order.insert(Order.end(), Events.begin() + S.BlockBegin,
+                 Events.begin() + S.BlockEnd);
+  };
+  const Slot *Pending = nullptr; // the merged first event's block
+  for (const Slot &S : Slots) {
+    Order.push_back(S.Id);
+    if (S.Id == MergedFirst) {
+      Pending = &S; // placed after its partner, keeping the pair adjacent
+      continue;
+    }
+    if (Pending) {
+      placeBlock(*Pending);
+      Pending = nullptr;
+    }
+    placeBlock(S);
+  }
+  if (Pending)
+    placeBlock(*Pending);
+  return Order;
 }

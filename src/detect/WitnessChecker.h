@@ -1,4 +1,4 @@
-//===- detect/WitnessChecker.h - Race witness validation ---------*- C++ -*-===//
+//===- detect/WitnessChecker.h - Witness building and checks ----*- C++ -*-===//
 //
 // Part of the rvpredict-cpp project, under the MIT license.
 //
@@ -16,12 +16,16 @@
 /// The detectors run this on every witness before reporting; a failure
 /// indicates an encoder or solver bug, never a user error.
 ///
+/// The witnesses themselves come from placeByGaps, which extends the model
+/// of a sliced query to the whole window (docs/ENCODER.md).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RVP_DETECT_WITNESSCHECKER_H
 #define RVP_DETECT_WITNESSCHECKER_H
 
 #include "detect/RaceEncoder.h"
+#include "smt/Solver.h"
 #include "trace/Trace.h"
 
 #include <string>
@@ -65,6 +69,22 @@ checkAtomicityWitness(const Trace &T, Span S,
                       EventId Remote, EventId Second,
                       const RaceEncoder &Encoder, const EventClosure &Mhb,
                       const std::vector<Value> &InitialValues);
+
+/// Gap placement (docs/ENCODER.md): extends \p Model, a model of a sliced
+/// query whose cone is \p Cone (ascending), to a schedule of the whole
+/// window of \p Enc. Cone events go in model order, ties by event id.
+/// Each thread's non-cone events follow as one contiguous block right
+/// after that thread's nearest preceding cone event; the events before a
+/// thread's first cone event lead the schedule, thread by thread.
+/// \p MergedFirst / \p MergedSecond name a race pair the `Oa := Ob`
+/// substitution merged onto one position (MergedFirst has no variable of
+/// its own): MergedFirst is placed right before MergedSecond and both
+/// blocks follow the pair, so it stays adjacent. InvalidEvent for none.
+std::vector<EventId> placeByGaps(const WindowEncoding &Enc,
+                                 const std::vector<EventId> &Cone,
+                                 const OrderModel &Model,
+                                 EventId MergedFirst = InvalidEvent,
+                                 EventId MergedSecond = InvalidEvent);
 
 } // namespace rvp
 

@@ -84,8 +84,8 @@ public:
   /// query's own budget — callers construct a fresh Deadline per COP
   /// (Section 4). On Sat, \p ModelOut (if non-null) receives order
   /// positions; note they depend on session history, unlike the one-shot
-  /// solver's (the detectors re-derive witness models one-shot for
-  /// byte-identical reports).
+  /// solver's (the detectors solve witnesses one-shot for byte-identical
+  /// reports).
   virtual SatResult query(const FormulaBuilder &FB, NodeRef Root,
                           Deadline Limit, OrderModel *ModelOut) = 0;
 

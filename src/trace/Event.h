@@ -116,8 +116,12 @@ inline bool conflicting(const Event &A, const Event &B) {
   return A.isWrite() || B.isWrite();
 }
 
-/// Renders an event for debugging, e.g. "write(t1, x, 1)".
+/// Renders an event for debugging, e.g. "write(t1, v0, 1)".
 std::string toString(const Event &E);
+
+/// Appends toString(E) to \p Out without a temporary (witness schedules
+/// render one line per window event).
+void appendEvent(std::string &Out, const Event &E);
 
 } // namespace rvp
 

@@ -10,6 +10,7 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <charconv>
 
 using namespace rvp;
 
@@ -42,26 +43,47 @@ const char *rvp::eventKindName(EventKind Kind) {
 }
 
 std::string rvp::toString(const Event &E) {
+  std::string Out;
+  appendEvent(Out, E);
+  return Out;
+}
+
+void rvp::appendEvent(std::string &Out, const Event &E) {
+  auto number = [&](auto V) {
+    char Buf[24];
+    Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+  };
+  Out += eventKindName(E.Kind);
+  Out += "(t";
+  number(E.Tid);
   switch (E.Kind) {
   case EventKind::Read:
   case EventKind::Write:
-    return formatString("%s(t%u, v%u, %lld)%s", eventKindName(E.Kind), E.Tid,
-                        E.Target, static_cast<long long>(E.Data),
-                        E.Volatile ? " volatile" : "");
+    Out += ", v";
+    number(E.Target);
+    Out += ", ";
+    number(static_cast<long long>(E.Data));
+    Out += E.Volatile ? ") volatile" : ")";
+    return;
   case EventKind::Acquire:
   case EventKind::Release:
   case EventKind::Notify:
-    return formatString("%s(t%u, l%u)", eventKindName(E.Kind), E.Tid,
-                        E.Target);
+    Out += ", l";
+    number(E.Target);
+    Out += ')';
+    return;
   case EventKind::Fork:
   case EventKind::Join:
-    return formatString("%s(t%u, t%u)", eventKindName(E.Kind), E.Tid,
-                        E.Target);
+    Out += ", t";
+    number(E.Target);
+    Out += ')';
+    return;
   case EventKind::Begin:
   case EventKind::End:
   case EventKind::Branch:
   case EventKind::Wait:
-    return formatString("%s(t%u)", eventKindName(E.Kind), E.Tid);
+    Out += ')';
+    return;
   }
   RVP_UNREACHABLE("unknown event kind");
 }

@@ -1,20 +1,28 @@
-//===- tests/DetectInternalsTest.cpp - COP/lockset/encoder internals ---------===//
+//===- tests/DetectInternalsTest.cpp - COP/encoder/witness internals ------===//
 //
 // Part of the rvpredict-cpp project, under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/StaticPrune.h"
+#include "detect/Atomicity.h"
 #include "detect/Cop.h"
+#include "detect/Deadlock.h"
+#include "detect/Detect.h"
 #include "detect/Lockset.h"
 #include "detect/RaceEncoder.h"
 #include "detect/WitnessChecker.h"
+#include "lang/Parser.h"
 #include "smt/Solver.h"
+#include "workloads/Catalog.h"
+#include "workloads/Synthetic.h"
 
 #include "trace/TraceBuilder.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <thread>
 
 using namespace rvp;
@@ -240,7 +248,7 @@ TEST(RaceEncoder, SaidRejectsValueChangingAdjacency) {
 
 namespace {
 
-bool coneHas(const RaceEncoder::ConeInfo &Info, EventId E) {
+bool coneHas(const ConeInfo &Info, EventId E) {
   return std::binary_search(Info.Events.begin(), Info.Events.end(), E);
 }
 
@@ -274,7 +282,7 @@ TEST(RaceEncoderCone, ForkJoinEdgesStayInConeUnrelatedWritesDoNot) {
   B.write("t1", "y", 2);  // 9: race event B
   EncoderFixture F(B.build());
 
-  RaceEncoder::ConeInfo Info = F.Encoder.coneOf(6, 9);
+  ConeInfo Info = F.Encoder.coneOf(6, 9);
   // The query events and every cross-thread MHB endpoint are kept: the
   // fork/join edges are what order the pair.
   for (EventId E : {1u, 2u, 6u, 7u, 8u, 9u})
@@ -307,7 +315,7 @@ TEST(RaceEncoderCone, NestedLocksActivateEnclosingSections) {
   ASSERT_EQ(F.Encoder.windowEncoding().LockConstraints.size(), 3u)
       << "inner, outer, other";
 
-  RaceEncoder::ConeInfo Info = F.Encoder.coneOf(2, 7);
+  ConeInfo Info = F.Encoder.coneOf(2, 7);
   // The race events sit in the inner sections; activating those pulls in
   // the inner acquire/release endpoints, which sit in the outer sections,
   // which activate the outer constraint in turn — but never `other`.
@@ -331,7 +339,7 @@ TEST(RaceEncoderCone, CyclicCfDependencyTerminates) {
   B.write("t2", "y", 0); // 5: w2 (same value as y's initial)
   EncoderFixture F(B.build());
 
-  RaceEncoder::ConeInfo Info = F.Encoder.coneOf(2, 3);
+  ConeInfo Info = F.Encoder.coneOf(2, 3);
   // The whole cycle is referenced: r1, w1, r2, w2 plus w1's guarding
   // branch. t2's branch is *not* pulled in — a write's feasibility folds
   // through its thread's reads, never through the branch event itself,
@@ -355,12 +363,12 @@ TEST(RaceEncoderCone, UnslicedConeIsTheFullWindow) {
   EncoderOptions NoSlice;
   NoSlice.Slice = false;
   RaceEncoder Unsliced(F.Encoder.sharedWindowEncoding(), NoSlice);
-  RaceEncoder::ConeInfo Full = Unsliced.coneOf(1, 4);
+  ConeInfo Full = Unsliced.coneOf(1, 4);
   EXPECT_EQ(Full.Events.size(), F.T.size());
   EXPECT_EQ(Full.ActiveLocks.size(),
             F.Encoder.windowEncoding().LockConstraints.size());
   // The sliced cone on the same pair is a strict subset.
-  RaceEncoder::ConeInfo Sliced = F.Encoder.coneOf(1, 4);
+  ConeInfo Sliced = F.Encoder.coneOf(1, 4);
   EXPECT_LT(Sliced.Events.size(), Full.Events.size());
   EXPECT_FALSE(coneHas(Sliced, 6));
 }
@@ -530,4 +538,258 @@ TEST(WitnessChecker, UnguardedReadMayBeStale) {
   Trace T = B.build();
   WitnessFixture F(std::move(T));
   EXPECT_TRUE(F.check({1, 0, 3, 2}, 3, 2).Ok);
+}
+
+// --------------------------------------------------------- gap placement
+
+namespace {
+
+/// The witness path on one race query: a sliced encode that reports its
+/// cone, a one-shot solve, then gap placement over the window
+/// [Begin, end of trace) (docs/ENCODER.md).
+struct GapFixture {
+  explicit GapFixture(Trace Built, EventId Begin = 0)
+      : T(std::move(Built)),
+        Window{Begin, static_cast<EventId>(T.size())},
+        Mhb(T, Window, ClosureConfig::mhb()),
+        Encoder(T, Window, Mhb, T.initialValues()) {}
+
+  std::vector<EventId> witness(EventId A, EventId B) {
+    FormulaBuilder FB;
+    EncodeStats Stats;
+    Stats.Cone = &Cone;
+    NodeRef Root = Encoder.encodeMaximalRace(FB, A, B, &Stats);
+    OrderModel Model;
+    EXPECT_EQ(createIdlSolver()->solve(FB, Root, Deadline(), &Model),
+              SatResult::Sat);
+    return placeByGaps(Encoder.windowEncoding(), Cone.Events, Model, A, B);
+  }
+
+  WitnessCheckResult check(const std::vector<EventId> &Order, EventId A,
+                           EventId B) {
+    return checkWitness(T, Window, Order, A, B, Encoder, Mhb,
+                        T.initialValues());
+  }
+
+  Trace T;
+  Span Window;
+  EventClosure Mhb;
+  RaceEncoder Encoder;
+  ConeInfo Cone; ///< of the last witness() query
+};
+
+} // namespace
+
+TEST(GapPlacement, MergedPairStaysAdjacentPastNonConeSuccessors) {
+  TraceBuilder B;
+  B.write("t1", "x", 1); // 0: race event A, merged onto B's position
+  B.write("t1", "p", 1); // 1: A's non-cone successors
+  B.write("t1", "q", 1); // 2
+  B.write("t2", "r", 1); // 3: before t2's first cone event
+  B.write("t2", "x", 2); // 4: race event B
+  B.write("t2", "s", 1); // 5
+  GapFixture F(B.build());
+  std::vector<EventId> Order = F.witness(0, 4);
+  EXPECT_EQ(F.Cone.Events, (std::vector<EventId>{0, 4}));
+  // A's block waits until B is placed, so the pair stays adjacent.
+  EXPECT_EQ(Order, (std::vector<EventId>{3, 0, 4, 1, 2, 5}));
+  WitnessCheckResult R = F.check(Order, 0, 4);
+  EXPECT_TRUE(R.Ok) << R.Message;
+}
+
+TEST(GapPlacement, ThreadWithoutConeEventsLeadsAsOneBlock) {
+  TraceBuilder B;
+  B.write("t1", "x", 1); // 0: race event A
+  B.acquire("t3", "m");  // 1: t3 shares nothing with the race
+  B.write("t3", "p", 1); // 2
+  B.release("t3", "m");  // 3
+  B.write("t2", "x", 2); // 4: race event B
+  GapFixture F(B.build());
+  std::vector<EventId> Order = F.witness(0, 4);
+  EXPECT_EQ(F.Cone.Events, (std::vector<EventId>{0, 4}));
+  EXPECT_EQ(Order, (std::vector<EventId>{1, 2, 3, 0, 4}));
+  WitnessCheckResult R = F.check(Order, 0, 4);
+  EXPECT_TRUE(R.Ok) << R.Message;
+}
+
+TEST(GapPlacement, ConeFreeCriticalSectionsStayContiguous) {
+  TraceBuilder B;
+  B.write("t1", "x", 1); // 0: race event A
+  B.acquire("t1", "l");  // 1: a section after A, in A's block
+  B.write("t1", "p", 1); // 2
+  B.release("t1", "l");  // 3
+  B.acquire("t2", "l");  // 4: a section before B, in t2's lead block
+  B.write("t2", "q", 1); // 5
+  B.release("t2", "l");  // 6
+  B.write("t2", "x", 2); // 7: race event B
+  GapFixture F(B.build());
+  ASSERT_EQ(F.Encoder.windowEncoding().LockConstraints.size(), 1u);
+  std::vector<EventId> Order = F.witness(0, 7);
+  // Neither section holds a cone event, so their mutual exclusion is left
+  // to gap placement: each section lands inside one contiguous block.
+  EXPECT_TRUE(F.Cone.ActiveLocks.empty());
+  EXPECT_EQ(Order, (std::vector<EventId>{4, 5, 6, 0, 7, 1, 2, 3}));
+  WitnessCheckResult R = F.check(Order, 0, 7);
+  EXPECT_TRUE(R.Ok) << R.Message;
+}
+
+TEST(GapPlacement, SectionHeldAtWindowEntryIsReleasedFirst) {
+  TraceBuilder B;
+  B.acquire("t1", "l");  // 0: before the window
+  B.write("t2", "r", 1); // 1: window start; t2's lead block
+  B.write("t1", "p", 1); // 2: inside t1's held section
+  B.release("t1", "l");  // 3: one-sided constraint 3 < 4, seeded
+  B.acquire("t2", "l");  // 4
+  B.write("t2", "q", 1); // 5
+  B.release("t2", "l");  // 6
+  B.write("t2", "x", 1); // 7: race event A
+  B.write("t1", "x", 2); // 8: race event B
+  GapFixture F(B.build(), /*Begin=*/1);
+  std::vector<EventId> Order = F.witness(7, 8);
+  EXPECT_EQ(F.Cone.Events, (std::vector<EventId>{3, 4, 7, 8}));
+  EXPECT_EQ(Order, (std::vector<EventId>{2, 1, 3, 4, 5, 6, 7, 8}));
+  WitnessCheckResult R = F.check(Order, 7, 8);
+  EXPECT_TRUE(R.Ok) << R.Message;
+}
+
+// ------------------------------------------------- catalog witness sweep
+
+namespace {
+
+/// One trace of the sweep; program rows also get the static pruner.
+struct SweepCase {
+  std::string Name;
+  Trace T;
+  std::unique_ptr<Program> Source;
+  std::unique_ptr<StaticPruneOracle> Oracle;
+};
+
+constexpr uint32_t SweepWindow = 1000;
+
+std::vector<SweepCase> sweepCases() {
+  std::vector<SweepCase> Cases;
+  for (const BenchmarkCase &Row : table1Benchmarks()) {
+    if (Row.CaseKind != BenchmarkCase::Kind::Program)
+      continue; // the real-system rows are covered scaled down below
+    SweepCase C;
+    C.Name = Row.Name;
+    std::string Error;
+    EXPECT_TRUE(benchmarkTrace(Row, C.T, Error)) << Row.Name << ": " << Error;
+    std::optional<Program> Parsed = parseProgram(Row.Source, Error);
+    EXPECT_TRUE(Parsed) << Row.Name << ": " << Error;
+    if (!Parsed)
+      continue;
+    C.Source = std::make_unique<Program>(std::move(*Parsed));
+    C.Oracle = std::make_unique<StaticPruneOracle>(*C.Source);
+    C.Oracle->bind(C.T);
+    Cases.push_back(std::move(C));
+  }
+  // highcop's shape and derby's with atomicity pairs and lock cycles,
+  // small enough for a unit test, spread over several windows.
+  SyntheticSpec HighCop;
+  HighCop.Name = "highcop-small";
+  HighCop.Workers = 8;
+  HighCop.TargetEvents = 3000;
+  HighCop.PlainRaces = 6;
+  HighCop.QcOnlyPairs = 12;
+  HighCop.BranchPercent = 4;
+  HighCop.SyncPercent = 8;
+  SyntheticSpec Props = realSystemSpec("derby");
+  Props.Name = "derby-props";
+  Props.TargetEvents = 4000;
+  Props.PlainRaces = 2;
+  Props.RvOnlyRaces = 4;
+  Props.QcOnlyPairs = 4;
+  Props.OrderedPairs = 4;
+  Props.AtomicityPairs = 4;
+  Props.DeadlockCycles = 2;
+  for (SyntheticSpec Spec : {HighCop, Props}) {
+    Spec.AlignWindow = SweepWindow;
+    SweepCase C;
+    C.Name = Spec.Name;
+    C.T = generateSynthetic(Spec);
+    Cases.push_back(std::move(C));
+  }
+  return Cases;
+}
+
+/// Every finding of one run as "<pair> <tag>: <witness>" lines, plus
+/// whether every witness validated.
+std::string findingsOf(const Trace &T, const std::string &Property,
+                       const DetectorOptions &Options, size_t &Witnessed,
+                       bool &AllValid) {
+  std::string Out;
+  auto add = [&](EventId A, EventId B, bool Valid,
+                 const std::vector<EventId> &Witness) {
+    Out += std::to_string(A) + "," + std::to_string(B) +
+           (Valid ? " validated:" : " UNVALIDATED:");
+    for (EventId E : Witness)
+      Out += " " + std::to_string(E);
+    Out += "\n";
+    Witnessed += Witness.empty() ? 0 : 1;
+    AllValid = AllValid && Valid;
+  };
+  if (Property == "said") {
+    // Said has no witnesses; its findings must still agree.
+    for (const RaceReport &F : detectRaces(T, Technique::Said, Options).Races)
+      Out += std::to_string(F.First) + "," + std::to_string(F.Second) + "\n";
+  } else if (Property == "rv") {
+    for (const RaceReport &F :
+         detectRaces(T, Technique::Maximal, Options).Races)
+      add(F.First, F.Second, F.WitnessValid, F.Witness);
+  } else if (Property == "atomicity") {
+    for (const AtomicityReport &F :
+         detectAtomicityViolations(T, Options).Violations)
+      add(F.First, F.Remote, F.WitnessValid, F.Witness);
+  } else {
+    for (const DeadlockReport &F : detectDeadlocks(T, Options).Deadlocks)
+      add(F.RequestA, F.RequestB, F.WitnessValid, F.Witness);
+  }
+  return Out;
+}
+
+} // namespace
+
+TEST(WitnessSweep, CatalogWitnessesValidateAndAgreeAcrossModes) {
+  // Witnesses are built the same way however the verdict was reached, so
+  // every mode must print the same schedules — and every one validates.
+  using Mode = std::pair<const char *, void (*)(DetectorOptions &)>;
+  const Mode Modes[] = {
+      {"jobs=4", [](DetectorOptions &O) { O.Jobs = 4; }},
+      {"incremental=false", [](DetectorOptions &O) { O.Incremental = false; }},
+      {"no-slice", [](DetectorOptions &O) { O.Slice = false; }},
+      {"tier=smt", [](DetectorOptions &O) { O.Tier = DetectTier::Smt; }},
+      {"static-prune", nullptr},
+  };
+  std::map<std::string, size_t> Witnessed;
+  for (SweepCase &C : sweepCases()) {
+    for (const char *Property : {"rv", "said", "atomicity", "deadlock"}) {
+      DetectorOptions Base;
+      Base.WindowSize = SweepWindow;
+      bool AllValid = true;
+      std::string Expected =
+          findingsOf(C.T, Property, Base, Witnessed[Property], AllValid);
+      EXPECT_TRUE(AllValid) << C.Name << " " << Property << ":\n"
+                            << Expected;
+      for (const auto &[Name, Apply] : Modes) {
+        DetectorOptions Options = Base;
+        if (Apply) {
+          Apply(Options);
+        } else if (C.Oracle) {
+          Options.StaticPruner = C.Oracle.get();
+          Options.CfFold = C.Oracle.get();
+        } else {
+          continue; // no program to analyze
+        }
+        size_t Ignored = 0;
+        EXPECT_EQ(findingsOf(C.T, Property, Options, Ignored, AllValid),
+                  Expected)
+            << C.Name << " " << Property << " " << Name;
+        EXPECT_TRUE(AllValid) << C.Name << " " << Property << " " << Name;
+      }
+    }
+  }
+  // Non-vacuity: every witnessed property produced witnesses.
+  for (const char *Property : {"rv", "atomicity", "deadlock"})
+    EXPECT_GT(Witnessed[Property], 0u) << Property;
 }

@@ -8,8 +8,8 @@
 /// retry-budget ladder, checkpoint framing, and — with injected faults —
 /// the end-to-end soundness guarantees: degraded runs report a subset of
 /// the fault-free races, with the difference fully covered by the unknown
-/// section, and witnesses re-derived after a session fallback validate
-/// identically.
+/// section, witnesses built after a session fallback validate identically,
+/// and a failed witness solve reports its race without a schedule.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +20,7 @@
 #include "detect/Deadlock.h"
 #include "detect/Detect.h"
 #include "support/FaultInjector.h"
+#include "support/Telemetry.h"
 #include "trace/TraceBuilder.h"
 #include "trace/TraceIO.h"
 #include "workloads/Synthetic.h"
@@ -280,8 +281,8 @@ TEST(Degradation, SessionCorruptionRebuildKeepsResultsIdentical) {
   for (size_t I = 0; I < Healthy.Races.size(); ++I) {
     EXPECT_EQ(Degraded.Races[I].LocFirst, Healthy.Races[I].LocFirst);
     EXPECT_EQ(Degraded.Races[I].LocSecond, Healthy.Races[I].LocSecond);
-    // The witness re-derived after the fallback must validate and match
-    // the healthy session's witness event-for-event.
+    // The witness built after the fallback must validate and match the
+    // healthy session's witness event-for-event.
     EXPECT_TRUE(Degraded.Races[I].WitnessValid);
     EXPECT_EQ(Degraded.Races[I].Witness, Healthy.Races[I].Witness);
   }
@@ -304,6 +305,40 @@ TEST(Degradation, DeadSessionFallsBackToOneShotSolving) {
     EXPECT_TRUE(Degraded.Races[I].WitnessValid);
     EXPECT_EQ(Degraded.Races[I].Witness, Healthy.Races[I].Witness);
   }
+}
+
+TEST(Degradation, WitnessSolveTimeoutKeepsTheRaceWithoutASchedule) {
+  // One-shot smt solving: the COP's decision is solve 1, its witness solve
+  // 2. Failing exactly the witness solve must neither drop the race nor
+  // pass a made-up order off as its schedule.
+  Trace T = figure4Trace();
+  DetectorOptions Options;
+  Options.Tier = DetectTier::Smt;
+  Options.Incremental = false;
+  DetectionResult Healthy = detectRaces(T, Technique::Maximal, Options);
+  ASSERT_EQ(Healthy.raceCount(), 1u);
+  ASSERT_TRUE(Healthy.Races[0].WitnessValid);
+  ASSERT_FALSE(Healthy.Races[0].Witness.empty());
+
+  FaultGuard Guard;
+  configureOrDie("solver.timeout=2");
+  Telemetry::setEnabled(true);
+  Telemetry::instance().reset();
+  DetectionResult R = detectRaces(T, Technique::Maximal, Options);
+  MetricsSnapshot Metrics = MetricsRegistry::global().snapshot();
+  Telemetry::instance().reset();
+  Telemetry::setEnabled(false);
+
+  ASSERT_EQ(R.raceCount(), 1u);
+  EXPECT_EQ(R.Races[0].LocFirst, Healthy.Races[0].LocFirst);
+  EXPECT_EQ(R.Races[0].LocSecond, Healthy.Races[0].LocSecond);
+  EXPECT_FALSE(R.Races[0].WitnessValid);
+  EXPECT_TRUE(R.Races[0].Witness.empty());
+  EXPECT_TRUE(R.Unknowns.empty()) << "the decision itself succeeded";
+  EXPECT_EQ(R.Stats.SolverCalls, 1u);
+  EXPECT_EQ(R.Stats.SolverTimeouts, 0u);
+  EXPECT_EQ(Metrics.counterValue("solver.witness_resolves"), 1u);
+  EXPECT_EQ(Metrics.counterValue("solver.witness_failures"), 1u);
 }
 
 TEST(Degradation, Z3OutageFallsBackToIdl) {

@@ -321,6 +321,30 @@ then
   fail "usage: bad --technique not refused (rc=$RC)" "$WORK/tech_err.txt"
 fi
 
+# A negative budget or timeout must not wrap into an unbounded one, and a
+# session default goes through the same range checks as the batch CLI.
+for FLAG in --max-queued-windows=-1 --high-watermark=-5 --low-watermark=-1 \
+            --degrade-threshold=-1 --window-deadline=-1 --idle-timeout=-1 \
+            --stall-timeout=-1 --drain-timeout=-1 --window=4294967297 \
+            --budget=0; do
+  # A daemon that accepts the flag starts serving: stop it after 5 s.
+  "$RVPREDICTD" --socket="$WORK/never.sock" "$FLAG" \
+    2>"$WORK/flag_err.txt" &
+  FLAG_PID=$!
+  I=0
+  while kill -0 "$FLAG_PID" 2>/dev/null && [ "$I" -lt 50 ]; do
+    sleep 0.1
+    I=$((I + 1))
+  done
+  kill "$FLAG_PID" 2>/dev/null || true
+  RC=0
+  wait "$FLAG_PID" || RC=$?
+  CHECKS=$((CHECKS + 1))
+  if [ "$RC" -ne 2 ] || ! grep -q -- "${FLAG%%=*}" "$WORK/flag_err.txt"; then
+    fail "usage: $FLAG not refused (rc=$RC)" "$WORK/flag_err.txt"
+  fi
+done
+
 # --- A live socket path is never stolen ----------------------------------
 # A second daemon on the same path must refuse to start, leave the first
 # one reachable, and leave its socket file in place on exit.

@@ -6,26 +6,46 @@
 
 #include "detect/Stream.h"
 
+#include "detect/Resilience.h"
 #include "detect/WindowDriver.h"
 #include "support/Compiler.h"
+#include "support/StringUtils.h"
 #include "trace/Window.h"
+
+#include <cstdlib>
+#include <limits>
 
 using namespace rvp;
 
 namespace {
 
-/// The one place a streaming session's property is picked.
-std::unique_ptr<QueryPolicy> makePolicy(const Trace &T,
-                                        const StreamOptions &Opts) {
-  switch (Opts.Property) {
-  case StreamProperty::Race:
-    return makeRacePolicy(T, Opts.Tech, Opts.Detect);
-  case StreamProperty::Atomicity:
-    return makeAtomicityPolicy(T, Opts.Detect);
-  case StreamProperty::Deadlock:
-    return makeDeadlockPolicy(T, Opts.Detect);
-  }
-  RVP_UNREACHABLE("unknown stream property");
+/// Every value name of one analysis key, parsed here and nowhere else.
+template <typename T> using NameTable = std::pair<std::string_view, T>[];
+
+constexpr NameTable<StreamProperty> PropertyNames = {
+    {"race", StreamProperty::Race},
+    {"atomicity", StreamProperty::Atomicity},
+    {"deadlock", StreamProperty::Deadlock}};
+constexpr NameTable<Technique> TechniqueNames = {{"rv", Technique::Maximal},
+                                                 {"said", Technique::Said},
+                                                 {"cp", Technique::Cp},
+                                                 {"hb", Technique::Hb}};
+constexpr NameTable<DetectTier> TierNames = {{"vc", DetectTier::Vc},
+                                             {"smt", DetectTier::Smt},
+                                             {"hybrid", DetectTier::Hybrid}};
+/// Strict booleans; a bare CLI flag arrives as "true".
+constexpr NameTable<bool> BoolNames = {
+    {"true", true}, {"1", true}, {"false", false}, {"0", false}};
+
+template <typename T, size_t N>
+bool lookup(const std::pair<std::string_view, T> (&Table)[N],
+            std::string_view Name, T &Out) {
+  for (const auto &[Key, Value] : Table)
+    if (Key == Name) {
+      Out = Value;
+      return true;
+    }
+  return false;
 }
 
 } // namespace
@@ -39,15 +59,125 @@ struct StreamDetector::Session {
 };
 
 bool rvp::parseStreamProperty(std::string_view Name, StreamProperty &Out) {
-  if (Name == "race")
-    Out = StreamProperty::Race;
-  else if (Name == "atomicity")
-    Out = StreamProperty::Atomicity;
-  else if (Name == "deadlock")
-    Out = StreamProperty::Deadlock;
-  else
+  return lookup(PropertyNames, Name, Out);
+}
+
+bool rvp::setAnalysisOption(StreamOptions &Opts, std::string_view Key,
+                            std::string_view Value, std::string &Error) {
+  const std::string Text(Value);
+  auto Bad = [&](const char *Expected) {
+    Error = std::string(Key) + " must be " + Expected + " (got '" + Text +
+            "')";
     return false;
+  };
+  DetectorOptions &D = Opts.Detect;
+  if (Key == "property")
+    return lookup(PropertyNames, Value, Opts.Property) ||
+           Bad("race, atomicity, or deadlock");
+  if (Key == "technique")
+    return lookup(TechniqueNames, Value, Opts.Tech) ||
+           Bad("rv, said, cp, or hb");
+  if (Key == "tier")
+    return lookup(TierNames, Value, D.Tier) || Bad("vc, smt, or hybrid");
+  if (Key == "window") {
+    int64_t N = 0;
+    if (!parseInt(Value, N) || N <= 0 ||
+        N > std::numeric_limits<uint32_t>::max())
+      return Bad("a positive event count up to 4294967295");
+    D.WindowSize = static_cast<uint32_t>(N);
+    return true;
+  }
+  if (Key == "budget") {
+    char *End = nullptr;
+    double Seconds = std::strtod(Text.c_str(), &End);
+    if (End == Text.c_str() || *End != '\0' || !(Seconds > 0))
+      return Bad("a positive number of seconds");
+    D.PerCopBudgetSeconds = Seconds;
+    return true;
+  }
+  if (Key == "solver") {
+    if (Value != "idl" && Value != "z3")
+      return Bad("idl or z3");
+    D.SolverName = Text;
+    return true;
+  }
+  if (Key == "retry-budgets") {
+    std::string BudgetError;
+    if (parseBudgetList(Text, D.RetryBudgets, BudgetError))
+      return true;
+    Error = "retry-budgets: " + BudgetError;
+    return false;
+  }
+  bool *Flag = Key == "skip-bad-events" ? &Opts.Parse.SkipBadEvents
+               : Key == "check-tiers"   ? &D.CheckTiers
+               : Key == "witness"       ? &D.CollectWitnesses
+                                        : nullptr;
+  if (Flag) {
+    if (!lookup(BoolNames, Value, *Flag))
+      return Bad("true, false, 1, or 0");
+    // Unset, witness means collect and validate witnesses but print only
+    // their tags; set, it turns both on or both off.
+    if (Key == "witness")
+      Opts.Render.WitnessEvents = *Flag;
+    return true;
+  }
+  Error = "unknown analysis option '" + std::string(Key) + "'";
+  return false;
+}
+
+bool rvp::finishAnalysisOptions(StreamOptions &Opts, std::string &Error) {
+  DetectorOptions &D = Opts.Detect;
+  const bool Race = Opts.Property == StreamProperty::Race;
+  const bool SolverTech =
+      Opts.Tech == Technique::Maximal || Opts.Tech == Technique::Said;
+  // check-tiers is a batch flag only, so its diagnostics name flags. It
+  // cross-validates the WCP tier against the solver: both must run.
+  if (D.CheckTiers && D.Tier != DetectTier::Hybrid) {
+    Error = std::string("check-tiers cross-validates the WCP tier against "
+                        "the solver, so it requires --tier=hybrid (got "
+                        "--tier=") +
+            tierName(D.Tier) + ")";
+    return false;
+  }
+  if (D.CheckTiers && !(Race && SolverTech)) {
+    Error = "check-tiers needs the solver-backed race pipeline "
+            "(--property=race with --technique=rv or said)";
+    return false;
+  }
+  // The WCP vector-clock tier covers races under the solver-backed
+  // techniques only (docs/TIERS.md).
+  if (D.Tier == DetectTier::Vc && !Race) {
+    Error = "tier=vc detects races only; atomicity and deadlock need the "
+            "solver (use tier=hybrid or tier=smt)";
+    return false;
+  }
+  if (D.Tier == DetectTier::Vc && !SolverTech) {
+    Error = std::string("tier=vc replaces the solver pipeline of the rv and "
+                        "said techniques; ") +
+            techniqueName(Opts.Tech) +
+            " has its own dedicated detector (drop tier=vc)";
+    return false;
+  }
+  // The vc tier never talks to a solver, so it cannot derive witness
+  // models; everything it prints is an unwitnessed (weakly sound) report.
+  D.CollectWitnesses = D.CollectWitnesses && D.Tier != DetectTier::Vc;
+  Opts.Render.VcTier = D.Tier == DetectTier::Vc;
+  Opts.Render.WitnessTag =
+      Opts.Tech == Technique::Maximal && D.CollectWitnesses;
   return true;
+}
+
+std::unique_ptr<QueryPolicy> rvp::makePolicy(const Trace &T,
+                                             const StreamOptions &Opts) {
+  switch (Opts.Property) {
+  case StreamProperty::Race:
+    return makeRacePolicy(T, Opts.Tech, Opts.Detect);
+  case StreamProperty::Atomicity:
+    return makeAtomicityPolicy(T, Opts.Detect);
+  case StreamProperty::Deadlock:
+    return makeDeadlockPolicy(T, Opts.Detect);
+  }
+  RVP_UNREACHABLE("unknown stream property");
 }
 
 StreamDetector::StreamDetector(StreamOptions Opts) : Opts(std::move(Opts)) {}

@@ -20,6 +20,10 @@
 // stats, or clock state from the previous session. Telemetry flushes to
 // the process-wide registry exactly once per session, at finish().
 //
+// This header is also the one home of the analysis options that batch
+// flags, daemon defaults and HELLO keys share: one setter, one rule set,
+// and the one policy factory batch detect and streaming sessions use.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef RVP_DETECT_STREAM_H
@@ -35,10 +39,12 @@
 
 namespace rvp {
 
+class QueryPolicy;
+
 enum class StreamProperty : uint8_t { Race, Atomicity, Deadlock };
 
-/// Maps "race"/"atomicity"/"deadlock" (the daemon's HELLO `property` key);
-/// returns false on anything else.
+/// Maps "race"/"atomicity"/"deadlock" (the `property` key); returns false
+/// on anything else.
 bool parseStreamProperty(std::string_view Name, StreamProperty &Out);
 
 struct StreamOptions {
@@ -49,6 +55,31 @@ struct StreamOptions {
   TraceParseOptions Parse;
   ReportRenderOptions Render;
 };
+
+/// The analysis keys `rvpredict detect` flags, rvpredictd's session
+/// defaults and HELLO options share (docs/SERVER.md lists which front end
+/// accepts which): property, technique, tier, window, budget, solver,
+/// retry-budgets, skip-bad-events, witness, check-tiers. Each front end
+/// only picks the keys it exposes and how it reports an error.
+///
+/// Sets \p Key from its text \p Value, range-checked. False with \p Error
+/// on an unknown key or a bad value; the message starts with the key name
+/// ("window must be ..."), so the tools print it after "--".
+bool setAnalysisOption(StreamOptions &Opts, std::string_view Key,
+                       std::string_view Value, std::string &Error);
+
+/// Applies the cross-key rules (the vc tier covers races under rv/said
+/// only; check-tiers needs the hybrid tier and the solver-backed race
+/// pipeline) and derives Detect.CollectWitnesses and Render from the keys.
+/// Run it once per set of keys: the vc tier turns witness collection off
+/// for good, so the daemon keeps its defaults unfinished and finishes each
+/// session's copy after HELLO.
+bool finishAnalysisOptions(StreamOptions &Opts, std::string &Error);
+
+/// The query policy \p Opts asks for: the one place a run picks its
+/// property, for batch detect and streaming sessions alike.
+std::unique_ptr<QueryPolicy> makePolicy(const Trace &T,
+                                        const StreamOptions &Opts);
 
 /// What one analyzed window produced (the daemon's REPORT frame body).
 struct StreamStep {

@@ -392,10 +392,12 @@ bool Server::Impl::handleFrame(Session &S, Frame &F) {
 
 bool Server::Impl::applyHello(Session &S, std::string_view Payload,
                               std::string &Error) {
+  // HELLO overrides a subset of the analysis keys the batch CLI takes,
+  // through the same parser and combination rules (detect/Stream.h); a bad
+  // value answers with an ERROR frame where the CLI exits 2.
+  static constexpr std::string_view AnalysisKeys[] = {
+      "property", "technique", "tier", "window", "budget", "skip-bad-events"};
   StreamOptions SO = Opts.Stream;
-  if (Opts.WindowDeadlineSeconds > 0)
-    SO.Detect.PerCopBudgetSeconds = std::min(
-        SO.Detect.PerCopBudgetSeconds, Opts.WindowDeadlineSeconds);
   std::string CkptKey;
 
   for (std::string_view Line : split(Payload, '\n')) {
@@ -409,57 +411,8 @@ bool Server::Impl::applyHello(Session &S, std::string_view Payload,
         return false;
       }
       std::string_view Key = Tok.substr(0, Eq);
-      std::string Val(Tok.substr(Eq + 1));
-      if (Key == "property") {
-        if (!parseStreamProperty(Val, SO.Property)) {
-          Error = "unknown property '" + Val + "'";
-          return false;
-        }
-      } else if (Key == "technique") {
-        if (Val == "hb")
-          SO.Tech = Technique::Hb;
-        else if (Val == "cp")
-          SO.Tech = Technique::Cp;
-        else if (Val == "said")
-          SO.Tech = Technique::Said;
-        else if (Val == "rv")
-          SO.Tech = Technique::Maximal;
-        else {
-          Error = "unknown technique '" + Val + "'";
-          return false;
-        }
-      } else if (Key == "tier") {
-        if (Val == "vc")
-          SO.Detect.Tier = DetectTier::Vc;
-        else if (Val == "smt")
-          SO.Detect.Tier = DetectTier::Smt;
-        else if (Val == "hybrid")
-          SO.Detect.Tier = DetectTier::Hybrid;
-        else {
-          Error = "tier must be vc, smt, or hybrid (got '" + Val + "')";
-          return false;
-        }
-      } else if (Key == "window") {
-        int64_t N = 0;
-        if (!parseInt(Val, N) || N <= 0) {
-          Error = "window must be a positive event count";
-          return false;
-        }
-        SO.Detect.WindowSize = static_cast<uint32_t>(N);
-      } else if (Key == "budget") {
-        char *End = nullptr;
-        double B = std::strtod(Val.c_str(), &End);
-        if (End == Val.c_str() || *End != '\0' || !(B > 0)) {
-          Error = "budget must be a positive number of seconds";
-          return false;
-        }
-        SO.Detect.PerCopBudgetSeconds =
-            Opts.WindowDeadlineSeconds > 0
-                ? std::min(B, Opts.WindowDeadlineSeconds)
-                : B;
-      } else if (Key == "skip-bad-events") {
-        SO.Parse.SkipBadEvents = Val == "1" || Val == "true";
-      } else if (Key == "ckpt") {
+      std::string_view Val = Tok.substr(Eq + 1);
+      if (Key == "ckpt") {
         if (Val.empty() ||
             Val.find_first_not_of("abcdefghijklmnopqrstuvwxyz"
                                   "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -468,32 +421,21 @@ bool Server::Impl::applyHello(Session &S, std::string_view Payload,
           return false;
         }
         CkptKey = Val;
-      } else {
+      } else if (std::find(std::begin(AnalysisKeys), std::end(AnalysisKeys),
+                           Key) == std::end(AnalysisKeys)) {
         Error = "unknown HELLO option '" + std::string(Key) + "'";
+        return false;
+      } else if (!setAnalysisOption(SO, Key, Val, Error)) {
         return false;
       }
     }
   }
-
-  // The same combination rules the CLI enforces (exit 2 there, a typed
-  // ERROR frame here): the vc tier covers races under rv/said only.
-  if (SO.Detect.Tier == DetectTier::Vc) {
-    if (SO.Property != StreamProperty::Race) {
-      Error = "tier=vc detects races only";
-      return false;
-    }
-    if (SO.Tech != Technique::Maximal && SO.Tech != Technique::Said) {
-      Error = "tier=vc requires technique rv or said";
-      return false;
-    }
-  }
-  SO.Detect.CollectWitnesses = SO.Detect.Tier != DetectTier::Vc;
-  SO.Detect.CheckTiers = false;
+  if (!finishAnalysisOptions(SO, Error))
+    return false;
+  if (Opts.WindowDeadlineSeconds > 0)
+    SO.Detect.PerCopBudgetSeconds =
+        std::min(SO.Detect.PerCopBudgetSeconds, Opts.WindowDeadlineSeconds);
   SO.Detect.Jobs = 1; // sessions parallelize across the daemon pool
-  SO.Render.VcTier = SO.Detect.Tier == DetectTier::Vc;
-  SO.Render.WitnessTag =
-      SO.Tech == Technique::Maximal && SO.Detect.CollectWitnesses;
-  SO.Render.WitnessEvents = false;
 
   std::string Snapshot;
   int64_t Last = -1;

@@ -72,7 +72,8 @@ struct ServerOptions {
   /// opt in with a `ckpt=<key>` HELLO option ("" = recovery off).
   std::string CheckpointRoot;
 
-  /// Session defaults; HELLO options override per session.
+  /// Session defaults as setAnalysisOption leaves them, not yet finished:
+  /// each session finishes its own copy once HELLO has overridden them.
   StreamOptions Stream;
 };
 

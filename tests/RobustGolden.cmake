@@ -156,6 +156,58 @@ run_tool(detect "${GOLDEN_DIR}/quiet.txt" --tier=vc --technique=cp)
 expect_rc(2 "--tier=vc with --technique=cp")
 expect_stderr("has its own dedicated detector" "--tier=vc technique diagnostic")
 
+# Every analysis flag goes through the parser rvpredictd's defaults and
+# HELLO share (detect/Stream.h), so the batch CLI range-checks exactly
+# what the daemon does: a value the daemon refuses is exit 2 here too.
+run_tool(detect "${GOLDEN_DIR}/quiet.txt" --window=4294967297)
+expect_rc(2 "--window above 2^32-1 (would wrap to a 1-event window)")
+expect_stderr("--window must be a positive event count up to 4294967295"
+              "--window range diagnostic")
+
+run_tool(detect "${GOLDEN_DIR}/quiet.txt" --technique=foo)
+expect_rc(2 "--technique=foo")
+expect_stderr("--technique must be rv, said, cp, or hb (got 'foo')"
+              "--technique diagnostic")
+
+run_tool(detect "${GOLDEN_DIR}/quiet.txt" --property=foo)
+expect_rc(2 "--property=foo")
+expect_stderr("--property must be race, atomicity, or deadlock (got 'foo')"
+              "--property diagnostic")
+
+run_tool(detect "${GOLDEN_DIR}/quiet.txt" --budget=0)
+expect_rc(2 "--budget=0")
+expect_stderr("--budget must be a positive number of seconds"
+              "--budget=0 diagnostic")
+
+run_tool(detect "${GOLDEN_DIR}/quiet.txt" --budget=-5)
+expect_rc(2 "--budget=-5")
+expect_stderr("--budget must be a positive number of seconds"
+              "--budget=-5 diagnostic")
+
+run_tool(detect "${GOLDEN_DIR}/quiet.txt" --solver=cvc5)
+expect_rc(2 "--solver=cvc5")
+expect_stderr("--solver must be idl or z3 (got 'cvc5')" "--solver diagnostic")
+
+run_tool(detect "${GOLDEN_DIR}/quiet.txt" --witness=maybe)
+expect_rc(2 "--witness=maybe")
+expect_stderr("--witness must be true, false, 1, or 0 (got 'maybe')"
+              "--witness diagnostic")
+
+run_tool(detect "${GOLDEN_DIR}/quiet.txt" --check-tiers=maybe)
+expect_rc(2 "--check-tiers=maybe")
+expect_stderr("--check-tiers must be true, false, 1, or 0 (got 'maybe')"
+              "--check-tiers diagnostic")
+
+run_tool(detect "${GOLDEN_DIR}/corrupt_kind.txt" --skip-bad-events=yes)
+expect_rc(2 "--skip-bad-events=yes")
+expect_stderr("--skip-bad-events must be true, false, 1, or 0 (got 'yes')"
+              "--skip-bad-events diagnostic")
+
+run_tool(record "${GOLDEN_DIR}/corrupt_kind.txt" --skip-bad-events=yes)
+expect_rc(2 "record --skip-bad-events=yes")
+expect_stderr("--skip-bad-events must be true, false, 1, or 0"
+              "record --skip-bad-events diagnostic")
+
 # --- record and replay: usage and input errors are exit 2 as well --------
 # Exit 1 means "findings" and nothing else, so neither subcommand may use
 # it for a missing argument or an unreadable or malformed input.

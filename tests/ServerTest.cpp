@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 //
 // Unit coverage for the rvpredictd building blocks (docs/SERVER.md): the
-// framed wire protocol and the incremental StreamDetector. The invariants
+// framed wire protocol, the incremental StreamDetector and the HELLO
+// options an in-process daemon accepts. The invariants
 // pinned here are what the end-to-end ServerGolden and CheckServer gates
 // rely on: chunk boundaries never change results, the cumulative summary
 // is byte-identical to the batch report, and a recycled detector carries
@@ -15,12 +16,21 @@
 
 #include "detect/Stream.h"
 #include "server/Framing.h"
+#include "server/Server.h"
 #include "support/FaultInjector.h"
 #include "trace/TraceIO.h"
 
 #include <gtest/gtest.h>
 
+#include <csignal>
+#include <cstring>
 #include <regex>
+#include <thread>
+
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 using namespace rvp;
 
@@ -453,6 +463,134 @@ TEST(StreamDetector, SessionTelemetryCountsWindowsNotResumes) {
   }
   Telemetry::instance().reset();
   Telemetry::setEnabled(false);
+}
+
+/// An in-process rvpredictd with default session options on a private
+/// Unix socket, serving on its own thread until destroyed.
+class LiveServer {
+public:
+  LiveServer() {
+    std::signal(SIGPIPE, SIG_IGN); // torn sessions surface as write errors
+    std::string Template = ::testing::TempDir() + "rvpsrvXXXXXX";
+    if (::mkdtemp(Template.data()))
+      Dir = Template;
+    ServerOptions SO;
+    SO.SocketPath = Dir + "/d.sock";
+    Srv = std::make_unique<Server>(SO);
+    std::string Error;
+    Started = !Dir.empty() && Srv->start(Error);
+    if (Started)
+      Loop = std::thread([this] { Srv->run(); });
+  }
+  ~LiveServer() {
+    if (Started) {
+      Srv->requestStop();
+      Loop.join();
+    }
+    Srv.reset();
+    if (!Dir.empty())
+      ::rmdir(Dir.c_str());
+  }
+
+  bool started() const { return Started; }
+
+  /// One client session: connects, writes \p Frames (encoded frames) and
+  /// returns every frame the daemon sends until it closes the connection.
+  std::vector<Frame> session(const std::string &Frames) {
+    std::vector<Frame> Got;
+    int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un Addr{};
+    Addr.sun_family = AF_UNIX;
+    std::string Path = Dir + "/d.sock";
+    std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
+    timeval Timeout{10, 0}; // a hung daemon fails the test, not the run
+    ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof(Timeout));
+    if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) ==
+            0 &&
+        ::write(Fd, Frames.data(), Frames.size()) ==
+            static_cast<ssize_t>(Frames.size())) {
+      FrameDecoder Decoder;
+      char Buf[4096];
+      ssize_t N;
+      while ((N = ::read(Fd, Buf, sizeof(Buf))) > 0) {
+        Decoder.feed(std::string_view(Buf, static_cast<size_t>(N)));
+        Frame F;
+        std::string Error;
+        while (Decoder.next(F, Error) == FrameDecoder::Result::Ready)
+          Got.push_back(F);
+      }
+    }
+    ::close(Fd);
+    return Got;
+  }
+
+private:
+  std::string Dir;
+  std::unique_ptr<Server> Srv;
+  std::thread Loop;
+  bool Started = false;
+};
+
+size_t countFrames(const std::vector<Frame> &Frames, FrameType Type) {
+  size_t N = 0;
+  for (const Frame &F : Frames)
+    N += F.Type == Type;
+  return N;
+}
+
+TEST(ServerHello, BadOptionsGetOneErrorFrameAndTheDaemonServesOn) {
+  // HELLO takes the analysis keys through the parser and rules the batch
+  // CLI uses (detect/Stream.h). Each bad option must end its own session
+  // with exactly one typed ERROR frame, and the next session must be
+  // served normally.
+  LiveServer Daemon;
+  ASSERT_TRUE(Daemon.started());
+  const std::string Text = racyTrace(3);
+  StreamOptions Batch = smallWindowOptions(4);
+  const std::string Want = normalizeTiming(batchRaceReport(Text, Batch));
+  const std::string Clean = encodeFrame(FrameType::Hello, "window=4") +
+                            encodeFrame(FrameType::Data, Text) +
+                            encodeFrame(FrameType::Fin, "");
+  struct Case {
+    const char *Hello;
+    const char *Diagnostic;
+  };
+  const Case Cases[] = {
+      {"colour=blue", "unknown HELLO option 'colour'"},
+      {"solver=z3", "unknown HELLO option 'solver'"},
+      {"window", "malformed HELLO option 'window' (expected key=value)"},
+      {"window=0", "window must be a positive event count"},
+      {"window=4294967297", "window must be a positive event count up to "
+                            "4294967295 (got '4294967297')"},
+      {"tier=bogus", "tier must be vc, smt, or hybrid (got 'bogus')"},
+      {"tier=vc property=atomicity", "tier=vc detects races only"},
+      {"tier=vc technique=hb", "has its own dedicated detector"},
+      {"technique=bogus", "technique must be rv, said, cp, or hb"},
+      {"property=bogus", "property must be race, atomicity, or deadlock"},
+      {"budget=0", "budget must be a positive number of seconds"},
+      {"ckpt=../escape", "ckpt key must be non-empty [A-Za-z0-9_-]"},
+      {"skip-bad-events=yes",
+       "skip-bad-events must be true, false, 1, or 0 (got 'yes')"},
+  };
+  for (const Case &C : Cases) {
+    std::vector<Frame> Got =
+        Daemon.session(encodeFrame(FrameType::Hello, C.Hello) +
+                       encodeFrame(FrameType::Data, Text) +
+                       encodeFrame(FrameType::Fin, ""));
+    EXPECT_EQ(countFrames(Got, FrameType::Error), 1u) << C.Hello;
+    EXPECT_EQ(countFrames(Got, FrameType::Summary), 0u) << C.Hello;
+    for (const Frame &F : Got) {
+      if (F.Type == FrameType::Error) {
+        EXPECT_NE(F.Payload.find(C.Diagnostic), std::string::npos)
+            << C.Hello << ": " << F.Payload;
+      }
+    }
+
+    std::vector<Frame> Next = Daemon.session(Clean);
+    ASSERT_EQ(countFrames(Next, FrameType::Summary), 1u) << C.Hello;
+    EXPECT_EQ(countFrames(Next, FrameType::Error), 0u) << C.Hello;
+    EXPECT_EQ(normalizeTiming(Next.back().Payload), Want) << C.Hello;
+  }
 }
 
 TEST(StreamDetector, ParseStreamPropertyNames) {

@@ -12,17 +12,26 @@
 ///   rvpredict detect  <trace.txt|prog.rv> [--technique=rv|said|cp|hb]
 ///                     [--property=race|atomicity|deadlock] [--window=N]
 ///                     [--tier=vc|smt|hybrid] [--check-tiers]
-///                     [--solver=idl|z3] [--budget=S] [--witness] [--stats]
+///                     [--solver=idl|z3] [--budget=S] [--witness[=BOOL]]
+///                     [--retry-budgets=50ms,250ms,1s] [--skip-bad-events]
+///                     [--jobs=N] [--incremental=BOOL] [--no-slice]
+///                     [--static-prune] [--checkpoint=dir] [--stats]
 ///                     [--stats-json=out.json] [--trace-events=events.jsonl]
-///                     [--profile=out.trace.json]
-///                     [--retry-budgets=50ms,250ms,1s] [--checkpoint=dir]
-///                     [--skip-bad-events] [--inject-faults=spec]
+///                     [--profile=out.trace.json] [--inject-faults=spec]
 ///   rvpredict replay  <prog.rv> --trace=trace.txt
 ///                     (re-runs the program following the trace's schedule)
 ///   rvpredict fuzz    [--seed=N]   (prints a random program)
 ///
 /// Inputs ending in `.rv` are treated as MiniRV programs (recorded on the
 /// fly); anything else is parsed as a trace in the text format.
+///
+/// The analysis flags (--technique, --property, --window, --tier,
+/// --check-tiers, --solver, --budget, --witness, --retry-budgets and
+/// --skip-bad-events, the one record takes too) go through the parser and
+/// rule set that rvpredictd's defaults and its HELLO options use
+/// (detect/Stream.h, docs/SERVER.md): --window is 1..4294967295 events,
+/// --budget a positive number of seconds, booleans true/false/1/0, and
+/// --tier=vc runs races under rv or said only.
 ///
 /// Exit codes (see docs/ROBUSTNESS.md): 0 = clean run, nothing found;
 /// 1 = the analysis found races / violations / deadlocks; 2 = usage errors
@@ -32,12 +41,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/StaticPrune.h"
-#include "detect/Atomicity.h"
 #include "detect/Checkpoint.h"
-#include "detect/Deadlock.h"
-#include "detect/Detect.h"
-#include "detect/Report.h"
-#include "detect/Resilience.h"
+#include "detect/Stream.h"
+#include "detect/WindowDriver.h"
 #include "lang/Parser.h"
 #include "runtime/Interpreter.h"
 #include "support/CommandLine.h"
@@ -52,6 +58,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <sstream>
 
@@ -85,9 +92,10 @@ bool endsWith(const std::string &S, const std::string &Suffix) {
 /// catalog row (`bench:<name>`, e.g. `bench:highcop` — see
 /// workloads/Catalog.h). When the input was a MiniRV program, \p
 /// SourceOut (if non-null) receives its text, so callers can re-analyze
-/// the program statically.
+/// the program statically. \p ParseOpts applies to trace files.
 bool loadTrace(const std::string &Path, const OptionParser &Options,
-               Trace &T, std::string *SourceOut = nullptr) {
+               const TraceParseOptions &ParseOpts, Trace &T,
+               std::string *SourceOut = nullptr) {
   if (Path.rfind("bench:", 0) == 0) {
     std::string Name = Path.substr(6);
     std::optional<BenchmarkCase> Case = findBenchmark(Name);
@@ -139,11 +147,10 @@ bool loadTrace(const std::string &Path, const OptionParser &Options,
     return true;
   }
   std::string Error;
-  TraceParseOptions ParseOpts;
-  ParseOpts.FileName = Path;
-  ParseOpts.SkipBadEvents = Options.getBool("skip-bad-events");
+  TraceParseOptions FileOpts = ParseOpts;
+  FileOpts.FileName = Path;
   TraceParseStats ParseStats;
-  auto Parsed = parseTraceText(Content, Error, ParseOpts, &ParseStats);
+  auto Parsed = parseTraceText(Content, Error, FileOpts, &ParseStats);
   if (!Parsed) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return false;
@@ -163,13 +170,32 @@ bool loadTrace(const std::string &Path, const OptionParser &Options,
   return true;
 }
 
+/// Sets each of \p Keys given on the command line through the analysis
+/// options parser shared with rvpredictd and HELLO (detect/Stream.h); false
+/// after the diagnostic on a bad value.
+bool applyAnalysisFlags(const OptionParser &Options,
+                        std::initializer_list<const char *> Keys,
+                        StreamOptions &Out) {
+  std::string Error;
+  for (const char *Key : Keys)
+    if (Options.hasOption(Key) &&
+        !setAnalysisOption(Out, Key, Options.getString(Key), Error)) {
+      std::fprintf(stderr, "error: --%s\n", Error.c_str());
+      return false;
+    }
+  return true;
+}
+
 int cmdRecord(const OptionParser &Options) {
   if (Options.positional().size() < 2) {
     std::fprintf(stderr, "usage: rvpredict record <prog.rv>\n");
     return ExitUsage;
   }
+  StreamOptions Analysis;
+  if (!applyAnalysisFlags(Options, {"skip-bad-events"}, Analysis))
+    return ExitUsage;
   Trace T;
-  if (!loadTrace(Options.positional()[1], Options, T))
+  if (!loadTrace(Options.positional()[1], Options, Analysis.Parse, T))
     return ExitUsage;
   std::string Text = writeTraceText(T);
   std::string Out = Options.getString("out", "");
@@ -186,16 +212,6 @@ int cmdRecord(const OptionParser &Options) {
   std::printf("wrote %llu events to %s\n",
               static_cast<unsigned long long>(T.size()), Out.c_str());
   return 0;
-}
-
-Technique parseTechnique(const std::string &Name) {
-  if (Name == "hb")
-    return Technique::Hb;
-  if (Name == "cp")
-    return Technique::Cp;
-  if (Name == "said")
-    return Technique::Said;
-  return Technique::Maximal;
 }
 
 /// Writes \p Json (plus a trailing newline) to \p Path; "-" means stdout.
@@ -234,71 +250,23 @@ int cmdDetect(const OptionParser &Options) {
                  "thread\n");
     return ExitUsage;
   }
-  if (Options.getInt("window", 10000) <= 0) {
-    std::fprintf(stderr,
-                 "error: --window must be a positive event count (got "
-                 "%lld)\n",
-                 static_cast<long long>(Options.getInt("window", 10000)));
+  // The analysis keys and their combination rules (docs/TIERS.md), shared
+  // with rvpredictd's defaults and HELLO.
+  StreamOptions Analysis;
+  if (!applyAnalysisFlags(Options,
+                          {"property", "technique", "tier", "window",
+                           "budget", "solver", "retry-budgets",
+                           "skip-bad-events", "witness", "check-tiers"},
+                          Analysis))
     return ExitUsage;
-  }
-  std::vector<double> RetryBudgets;
   {
-    std::string BudgetError;
-    if (!parseBudgetList(Options.getString("retry-budgets", ""),
-                         RetryBudgets, BudgetError)) {
-      std::fprintf(stderr, "error: --retry-budgets: %s\n",
-                   BudgetError.c_str());
+    std::string Error;
+    if (!finishAnalysisOptions(Analysis, Error)) {
+      std::fprintf(stderr, "error: --%s\n", Error.c_str());
       return ExitUsage;
     }
   }
-  // Tier selection and its combination rules (docs/TIERS.md): the WCP
-  // vector-clock tier covers races under the solver-backed techniques
-  // only, and --check-tiers is meaningful exactly when both tiers run.
-  const std::string TierName = Options.getString("tier", "hybrid");
-  DetectTier Tier = DetectTier::Hybrid;
-  if (TierName == "vc")
-    Tier = DetectTier::Vc;
-  else if (TierName == "smt")
-    Tier = DetectTier::Smt;
-  else if (TierName != "hybrid") {
-    std::fprintf(stderr,
-                 "error: --tier must be vc, smt, or hybrid (got '%s')\n",
-                 TierName.c_str());
-    return ExitUsage;
-  }
-  const bool CheckTiers = Options.getBool("check-tiers", false);
-  const std::string PropertyName = Options.getString("property", "race");
-  const std::string TechName = Options.getString("technique", "rv");
-  if (CheckTiers && Tier != DetectTier::Hybrid) {
-    std::fprintf(stderr,
-                 "error: --check-tiers cross-validates the WCP tier "
-                 "against the solver, so it requires --tier=hybrid (got "
-                 "--tier=%s)\n",
-                 TierName.c_str());
-    return ExitUsage;
-  }
-  if (CheckTiers && (PropertyName != "race" ||
-                     (TechName != "rv" && TechName != "said"))) {
-    std::fprintf(stderr,
-                 "error: --check-tiers needs the solver-backed race "
-                 "pipeline (--property=race with --technique=rv or said)\n");
-    return ExitUsage;
-  }
-  if (Tier == DetectTier::Vc && PropertyName != "race") {
-    std::fprintf(stderr,
-                 "error: --tier=vc detects races only; --property=%s "
-                 "needs the solver (use --tier=hybrid or --tier=smt)\n",
-                 PropertyName.c_str());
-    return ExitUsage;
-  }
-  if (Tier == DetectTier::Vc && TechName != "rv" && TechName != "said") {
-    std::fprintf(stderr,
-                 "error: --tier=vc replaces the solver pipeline of the rv "
-                 "and said techniques; --technique=%s has its own "
-                 "dedicated detector (drop --tier=vc)\n",
-                 TechName.c_str());
-    return ExitUsage;
-  }
+  DetectorOptions &Detect = Analysis.Detect;
 
   std::string StatsJsonPath = Options.getString("stats-json", "");
   std::string TraceEventsPath = Options.getString("trace-events", "");
@@ -333,7 +301,8 @@ int cmdDetect(const OptionParser &Options) {
 
   Trace T;
   std::string Source;
-  if (!loadTrace(Options.positional()[1], Options, T, &Source))
+  if (!loadTrace(Options.positional()[1], Options, Analysis.Parse, T,
+                 &Source))
     return ExitUsage;
 
   ConsistencyResult C = checkConsistency(T, ConsistencyMode::Fragment);
@@ -343,21 +312,9 @@ int cmdDetect(const OptionParser &Options) {
     return ExitUsage;
   }
 
-  DetectorOptions Detect;
-  Detect.WindowSize = static_cast<uint32_t>(Options.getInt("window", 10000));
-  Detect.PerCopBudgetSeconds = Options.getDouble("budget", 60);
-  Detect.SolverName = Options.getString("solver", "idl");
-  // The vc tier never talks to a solver, so it cannot derive witness
-  // models; everything it prints is an unwitnessed (weakly sound) report.
-  Detect.CollectWitnesses =
-      Tier != DetectTier::Vc && Options.getBool("witness", true);
-  Detect.Tier = Tier;
-  Detect.CheckTiers = CheckTiers;
   Detect.Jobs = static_cast<uint32_t>(Options.getInt("jobs", 0));
   Detect.Incremental = Options.getBool("incremental", true);
   Detect.Slice = !Options.getBool("no-slice", false);
-  Detect.RetryBudgets = RetryBudgets;
-  Technique Tech = parseTechnique(Options.getString("technique", "rv"));
 
   // Checkpointing: the fingerprint pins the trace contents and every
   // result-relevant flag (jobs and no-slice excluded — reports are
@@ -375,7 +332,7 @@ int cmdDetect(const OptionParser &Options) {
         Detect.Incremental ? 1 : 0, Detect.CollectWitnesses ? 1 : 0,
         Options.getBool("static-prune") ? 1 : 0,
         Options.getString("retry-budgets", "").c_str(),
-        tierName(Tier), CheckTiers ? 1 : 0);
+        tierName(Detect.Tier), Detect.CheckTiers ? 1 : 0);
     Detect.CheckpointFingerprint =
         checkpointHash(Flags, checkpointHash(writeTraceText(T)));
   }
@@ -407,77 +364,53 @@ int cmdDetect(const OptionParser &Options) {
     }
   }
 
-  // Both renderings draw from the same DetectionStats + telemetry snapshot;
-  // returns false only on stats-json write failure.
-  auto emitStats = [&](const DetectionStats &Stats, const char *What) {
-    if (Options.getBool("stats"))
-      std::fputs(renderStatsTable(Stats, What).c_str(), stdout);
-    if (StatsJsonPath.empty())
-      return true;
-    return writeJsonOutput(StatsJsonPath, statsToJson(Stats, What));
-  };
+  // One dispatch for every property, the one streaming sessions use, so
+  // batch and streamed reports come from the same code.
+  std::unique_ptr<QueryPolicy> Policy = makePolicy(T, Analysis);
+  DriverOutput Out = runWindowDriver(T, Detect, *Policy);
+  const size_t Findings = Policy->numFindings();
+  const size_t Unknowns = Out.Unknowns.size();
+  const DetectionStats Stats = Out.Stats;
+  std::fputs(Policy->renderReport(std::move(Out), Analysis.Render).c_str(),
+             stdout);
 
-  // Detaches the collector and writes the Chrome/Perfetto trace. Called
-  // after emitStats on every analysis path so the profile spans the whole
-  // run; returns false on write failure (an internal error — the analysis
-  // itself succeeded).
-  auto finishProfile = [&]() {
-    if (ProfilePath.empty())
-      return true;
+  // Both stats renderings draw from the same DetectionStats + telemetry
+  // snapshot; race stats are labeled by technique, the others by property.
+  const char *What = Analysis.Property == StreamProperty::Race
+                         ? techniqueName(Analysis.Tech)
+                         : Policy->Phase;
+  if (Options.getBool("stats"))
+    std::fputs(renderStatsTable(Stats, What).c_str(), stdout);
+  if (!StatsJsonPath.empty() &&
+      !writeJsonOutput(StatsJsonPath, statsToJson(Stats, What)))
+    return ExitInternal;
+  // The profile spans the whole run; a write failure is an internal error
+  // (the analysis itself succeeded).
+  if (!ProfilePath.empty()) {
     ProfileCollector::setActive(nullptr);
     std::string Error;
     if (!Profiler.writeFile(ProfilePath, Error)) {
       std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return false;
+      return ExitInternal;
     }
-    return true;
-  };
-
-  // Exit code: findings → 1; a degraded run that left candidates
-  // undecided → 3 (the report may be incomplete); clean and empty → 0.
-  auto exitCode = [](size_t Findings, size_t Unknowns) {
-    if (Unknowns)
-      return static_cast<int>(ExitInternal);
-    return static_cast<int>(Findings ? ExitFindings : ExitSuccess);
-  };
-
-  if (Options.getString("property", "race") == "deadlock") {
-    DeadlockResult R = detectDeadlocks(T, Detect);
-    std::fputs(renderDeadlockReport(T, R).c_str(), stdout);
-    if (!emitStats(R.Stats, "deadlock") || !finishProfile())
-      return ExitInternal;
-    return exitCode(R.Deadlocks.size(), R.Unknowns.size());
   }
-
-  if (Options.getString("property", "race") == "atomicity") {
-    AtomicityResult R = detectAtomicityViolations(T, Detect);
-    std::fputs(renderAtomicityReport(R).c_str(), stdout);
-    if (!emitStats(R.Stats, "atomicity") || !finishProfile())
-      return ExitInternal;
-    return exitCode(R.Violations.size(), R.Unknowns.size());
-  }
-
-  DetectionResult R = detectRaces(T, Tech, Detect);
-  ReportRenderOptions Render;
-  Render.VcTier = Detect.Tier == DetectTier::Vc;
-  Render.WitnessTag = Tech == Technique::Maximal && Detect.CollectWitnesses;
-  Render.WitnessEvents = Options.getBool("witness");
-  std::fputs(renderRaceReport(T, Tech, R, Render).c_str(), stdout);
-  if (!emitStats(R.Stats, techniqueName(Tech)) || !finishProfile())
-    return ExitInternal;
   // A mismatch means the WCP tier called a pair racy that the solver
   // refuted — exactly the weak-soundness gap docs/TIERS.md describes. The
   // report above is still the solver's (check-tiers solves every COP), but
   // the run fails loudly so catalogs can gate on tier agreement.
-  if (R.Stats.WcpMismatches) {
+  if (Stats.WcpMismatches) {
     std::fprintf(stderr,
                  "error: --check-tiers found %llu WCP-racy pair(s) the "
                  "solver refutes; the vc tier would over-report on this "
                  "trace (see docs/TIERS.md)\n",
-                 static_cast<unsigned long long>(R.Stats.WcpMismatches));
+                 static_cast<unsigned long long>(Stats.WcpMismatches));
     return ExitUsage;
   }
-  return exitCode(R.raceCount(), R.Unknowns.size());
+  // Exit code: findings → 1; a degraded run that left candidates
+  // undecided → 3 (the report may be incomplete); clean and empty → 0.
+  if (Unknowns)
+    return ExitInternal;
+  return Findings ? ExitFindings : ExitSuccess;
 }
 
 int cmdReplay(const OptionParser &Options) {

@@ -29,8 +29,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "detect/Detect.h"
-#include "detect/Resilience.h"
 #include "server/Server.h"
 #include "support/CommandLine.h"
 #include "support/FaultInjector.h"
@@ -41,6 +39,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 
 using namespace rvp;
 
@@ -53,18 +52,36 @@ void onSignal(int) {
     GServer->requestStop(); // async-signal-safe: flag + self-pipe write
 }
 
-bool parseTechnique(const std::string &Name, Technique &Out) {
-  if (Name == "hb")
-    Out = Technique::Hb;
-  else if (Name == "cp")
-    Out = Technique::Cp;
-  else if (Name == "said")
-    Out = Technique::Said;
-  else if (Name == "rv")
-    Out = Technique::Maximal;
-  else
+/// Reads integer flag \p Name into \p Out, which must hold it and be at
+/// least \p Min; false after the diagnostic otherwise (a negative value
+/// must not wrap into an unbounded budget).
+template <typename T>
+bool readCount(const OptionParser &Options, const char *Name,
+               int64_t Default, int64_t Min, T &Out) {
+  int64_t Value = Options.getInt(Name, Default);
+  if (Value < Min ||
+      static_cast<uint64_t>(Value) > std::numeric_limits<T>::max()) {
+    std::fprintf(stderr, "error: --%s must be between %lld and %llu (got "
+                         "%lld)\n",
+                 Name, static_cast<long long>(Min),
+                 static_cast<unsigned long long>(std::numeric_limits<T>::max()),
+                 static_cast<long long>(Value));
     return false;
+  }
+  Out = static_cast<T>(Value);
   return true;
+}
+
+/// Reads a duration flag; negative (or NaN) is a usage error.
+bool readSeconds(const OptionParser &Options, const char *Name,
+                 double Default, double &Out) {
+  Out = Options.getDouble(Name, Default);
+  if (Out >= 0)
+    return true;
+  std::fprintf(stderr,
+               "error: --%s must be a non-negative number of seconds\n",
+               Name);
+  return false;
 }
 
 } // namespace
@@ -166,22 +183,18 @@ int main(int Argc, const char **Argv) {
                  "and/or --port=N\n");
     return ExitUsage;
   }
-  if (Options.hasOption("jobs") && Options.getInt("jobs", 1) < 0) {
-    std::fprintf(stderr, "error: --jobs must be >= 0\n");
+  if (!readCount(Options, "jobs", 1, 0, SO.Jobs) ||
+      !readCount(Options, "max-sessions", 32, 1, SO.MaxSessions) ||
+      !readCount(Options, "max-queued-windows", 8, 0, SO.MaxQueuedWindows) ||
+      !readCount(Options, "high-watermark", 1 << 20, 0, SO.HighWatermark) ||
+      !readCount(Options, "low-watermark", 64 << 10, 0, SO.LowWatermark) ||
+      !readCount(Options, "degrade-threshold", 0, 0, SO.DegradeThreshold) ||
+      !readSeconds(Options, "window-deadline", 0,
+                   SO.WindowDeadlineSeconds) ||
+      !readSeconds(Options, "idle-timeout", 0, SO.IdleTimeoutSeconds) ||
+      !readSeconds(Options, "stall-timeout", 0, SO.StallTimeoutSeconds) ||
+      !readSeconds(Options, "drain-timeout", 60, SO.DrainTimeoutSeconds))
     return ExitUsage;
-  }
-  SO.Jobs = static_cast<unsigned>(Options.getInt("jobs", 1));
-  SO.MaxSessions = static_cast<unsigned>(Options.getInt("max-sessions", 32));
-  if (SO.MaxSessions == 0) {
-    std::fprintf(stderr, "error: --max-sessions must be >= 1\n");
-    return ExitUsage;
-  }
-  SO.MaxQueuedWindows =
-      static_cast<unsigned>(Options.getInt("max-queued-windows", 8));
-  SO.HighWatermark =
-      static_cast<size_t>(Options.getInt("high-watermark", 1 << 20));
-  SO.LowWatermark =
-      static_cast<size_t>(Options.getInt("low-watermark", 64 << 10));
   if (SO.LowWatermark > SO.HighWatermark) {
     std::fprintf(stderr,
                  "error: --low-watermark (%zu) must not exceed "
@@ -189,83 +202,26 @@ int main(int Argc, const char **Argv) {
                  SO.LowWatermark, SO.HighWatermark);
     return ExitUsage;
   }
-  SO.DegradeThreshold =
-      static_cast<unsigned>(Options.getInt("degrade-threshold", 0));
-  SO.WindowDeadlineSeconds = Options.getDouble("window-deadline", 0);
-  SO.IdleTimeoutSeconds = Options.getDouble("idle-timeout", 0);
-  SO.StallTimeoutSeconds = Options.getDouble("stall-timeout", 0);
-  SO.DrainTimeoutSeconds = Options.getDouble("drain-timeout", 60);
   SO.CheckpointRoot = Options.getString("checkpoint-root", "");
 
-  // Session defaults. The same combination rules the batch CLI enforces
-  // apply here; a bad default is a usage error, a bad HELLO override is a
-  // per-session ERROR frame (the daemon never exits for a client's sake).
-  StreamOptions &St = SO.Stream;
-  const std::string PropertyName = Options.getString("property", "race");
-  if (!parseStreamProperty(PropertyName, St.Property)) {
-    std::fprintf(stderr,
-                 "error: --property must be race, atomicity, or deadlock "
-                 "(got '%s')\n",
-                 PropertyName.c_str());
-    return ExitUsage;
-  }
-  const std::string TechName = Options.getString("technique", "rv");
-  if (!parseTechnique(TechName, St.Tech)) {
-    std::fprintf(stderr,
-                 "error: --technique must be rv, said, cp, or hb (got "
-                 "'%s')\n",
-                 TechName.c_str());
-    return ExitUsage;
-  }
-  const std::string TierName = Options.getString("tier", "hybrid");
-  if (TierName == "vc")
-    St.Detect.Tier = DetectTier::Vc;
-  else if (TierName == "smt")
-    St.Detect.Tier = DetectTier::Smt;
-  else if (TierName == "hybrid")
-    St.Detect.Tier = DetectTier::Hybrid;
-  else {
-    std::fprintf(stderr,
-                 "error: --tier must be vc, smt, or hybrid (got '%s')\n",
-                 TierName.c_str());
-    return ExitUsage;
-  }
-  if (St.Detect.Tier == DetectTier::Vc &&
-      (PropertyName != "race" || (TechName != "rv" && TechName != "said"))) {
-    std::fprintf(stderr,
-                 "error: --tier=vc covers races under --technique=rv or "
-                 "said only\n");
-    return ExitUsage;
-  }
-  if (Options.getInt("window", 10000) <= 0) {
-    std::fprintf(stderr, "error: --window must be a positive event count\n");
-    return ExitUsage;
-  }
-  St.Detect.WindowSize =
-      static_cast<uint32_t>(Options.getInt("window", 10000));
-  if (Options.getDouble("budget", 60) <= 0) {
-    std::fprintf(stderr, "error: --budget must be positive\n");
-    return ExitUsage;
-  }
-  St.Detect.PerCopBudgetSeconds = Options.getDouble("budget", 60);
-  St.Detect.SolverName = Options.getString("solver", "idl");
-  {
-    std::string BudgetError;
-    if (!parseBudgetList(Options.getString("retry-budgets", ""),
-                         St.Detect.RetryBudgets, BudgetError)) {
-      std::fprintf(stderr, "error: --retry-budgets: %s\n",
-                   BudgetError.c_str());
+  // Session defaults: the analysis keys and combination rules the batch CLI
+  // and HELLO share (detect/Stream.h). A bad default is a usage error, a
+  // bad HELLO override a per-session ERROR frame (the daemon never exits
+  // for a client's sake). The defaults stay unfinished: each session
+  // finishes its own copy once HELLO has overridden them.
+  std::string Error;
+  for (const char *Key : {"property", "technique", "tier", "window", "budget",
+                          "solver", "retry-budgets", "skip-bad-events"})
+    if (Options.hasOption(Key) &&
+        !setAnalysisOption(SO.Stream, Key, Options.getString(Key), Error)) {
+      std::fprintf(stderr, "error: --%s\n", Error.c_str());
       return ExitUsage;
     }
+  StreamOptions Finished = SO.Stream;
+  if (!finishAnalysisOptions(Finished, Error)) {
+    std::fprintf(stderr, "error: --%s\n", Error.c_str());
+    return ExitUsage;
   }
-  St.Detect.CheckTiers = false;
-  St.Detect.Jobs = 1; // parallelism comes from the session pool
-  St.Detect.CollectWitnesses = St.Detect.Tier != DetectTier::Vc;
-  St.Parse.SkipBadEvents = Options.getBool("skip-bad-events");
-  St.Render.VcTier = St.Detect.Tier == DetectTier::Vc;
-  St.Render.WitnessTag =
-      St.Tech == Technique::Maximal && St.Detect.CollectWitnesses;
-  St.Render.WitnessEvents = false;
 
   const bool Stats = Options.getBool("stats");
   const std::string StatsJsonPath = Options.getString("stats-json", "");
@@ -275,7 +231,6 @@ int main(int Argc, const char **Argv) {
   }
 
   Server S(SO);
-  std::string Error;
   if (!S.start(Error)) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return ExitUsage;

@@ -27,6 +27,7 @@
 #include "detect/Cop.h"
 #include "detect/Detect.h"
 #include "detect/RaceEncoder.h"
+#include "detect/WindowDriver.h"
 #include "support/BuildInfo.h"
 #include "support/Stats.h"
 #include "support/Telemetry.h"
@@ -158,7 +159,7 @@ const Trace &highcopTrace() {
 }
 
 /// One window encoding over the full highcop span, shared by a sliced and
-/// an unsliced (--no-slice) encoder.
+/// a whole-window (--no-slice) encoder.
 struct SliceAbContext {
   const Trace &T;
   Span S;
@@ -203,31 +204,34 @@ void runConeEncodeBench(benchmark::State &State, bool Slice) {
     benchmark::DoNotOptimize(Root);
   }
   State.counters["window_events"] = static_cast<double>(Ctx.S.size());
-  if (Slice) {
-    State.counters["atoms/cop"] = static_cast<double>(Atoms);
-    State.counters["cone_events"] = static_cast<double>(ConeEvents);
-  }
+  State.counters["atoms/cop"] = static_cast<double>(Atoms);
+  State.counters["cone_events"] = static_cast<double>(ConeEvents);
+}
+
+/// One end-to-end race run through the policy path `rvpredict detect`
+/// uses, with the decision-path cone computed or the whole window.
+DriverOutput detectWith(const Trace &T, Technique Tech,
+                        const DetectorOptions &Options, bool Slice,
+                        size_t &Races) {
+  std::unique_ptr<QueryPolicy> Policy = makeRacePolicy(T, Tech, Options);
+  Policy->Encoding.Slice = Slice;
+  DriverOutput Out = runWindowDriver(T, Options, *Policy);
+  Races = Policy->numFindings();
+  return Out;
 }
 
 /// A/B dump behind --slice/--no-slice (this is the source of the
 /// checked-in BENCH_encoding.json): per-COP emitted atoms and encode time
-/// for the sliced vs. the full window encoding, plus end-to-end detect
+/// for the sliced vs. the whole-window encoding, plus end-to-end detect
 /// runs per SMT-backed technique. Decisions must agree — slicing is
 /// equisatisfiable — so only formula size and time move.
 int dumpEncodingJson(const std::string &Path) {
   SliceAbContext &Ctx = sliceAb();
-  const WindowEncoding &Enc = Ctx.Sliced.windowEncoding();
-
-  // The unsliced emission is COP-invariant: every call walks all of
-  // MhbEdges and LockConstraints.
-  uint64_t UnslicedAtoms = Enc.MhbEdges.size();
-  for (const WindowEncoding::LockConstraint &Lc : Enc.LockConstraints)
-    UnslicedAtoms += Lc.Mutex ? 2 : 1;
 
   using Clock = std::chrono::steady_clock;
   const size_t Queries = std::min<size_t>(Ctx.Cops.size(), 48);
   uint64_t SlicedAtoms = 0, ConeEvents = 0, CacheHits = 0;
-  uint64_t SlicedNodes = 0, UnslicedNodes = 0;
+  uint64_t UnslicedAtoms = 0, SlicedNodes = 0, UnslicedNodes = 0;
   double SlicedSeconds = 0, UnslicedSeconds = 0;
   for (size_t I = 0; I < Queries; ++I) {
     const Cop &C = Ctx.Cops[I];
@@ -245,10 +249,12 @@ int dumpEncodingJson(const std::string &Path) {
     }
     {
       FormulaBuilder FB;
+      EncodeStats Stats;
       Clock::time_point Start = Clock::now();
-      Ctx.Unsliced.encodeMaximalRace(FB, C.First, C.Second);
+      Ctx.Unsliced.encodeMaximalRace(FB, C.First, C.Second, &Stats);
       UnslicedSeconds += std::chrono::duration<double>(Clock::now() - Start)
                              .count();
+      UnslicedAtoms += Stats.SlicedAtoms;
       UnslicedNodes += FB.numNodes();
     }
   }
@@ -262,7 +268,7 @@ int dumpEncodingJson(const std::string &Path) {
       .field("skeleton_cache_hits", CacheHits);
   JsonObject UnslicedJson;
   UnslicedJson.field("seconds", UnslicedSeconds)
-      .field("atoms_per_cop", static_cast<double>(UnslicedAtoms))
+      .field("atoms_per_cop", static_cast<double>(UnslicedAtoms) / N)
       .field("nodes_per_cop", static_cast<double>(UnslicedNodes) / N);
   JsonObject Encode;
   Encode.field("window_events", static_cast<uint64_t>(Ctx.S.size()))
@@ -270,7 +276,7 @@ int dumpEncodingJson(const std::string &Path) {
       .raw("sliced", SlicedJson.str())
       .raw("unsliced", UnslicedJson.str())
       .field("atom_reduction",
-             SlicedAtoms ? static_cast<double>(UnslicedAtoms) * N /
+             SlicedAtoms ? static_cast<double>(UnslicedAtoms) /
                                static_cast<double>(SlicedAtoms)
                          : 0.0);
 
@@ -286,17 +292,18 @@ int dumpEncodingJson(const std::string &Path) {
       {Technique::Said, "said"},
   };
   for (const auto &[Tech, Key] : Runs) {
+    size_t SlicedRaces = 0, FullRaces = 0;
     Telemetry::instance().reset();
-    Options.Slice = true;
-    DetectionResult SlicedRun = detectRaces(Ctx.T, Tech, Options);
+    DriverOutput SlicedRun =
+        detectWith(Ctx.T, Tech, Options, /*Slice=*/true, SlicedRaces);
     std::string SlicedStats = statsToJson(SlicedRun.Stats, techniqueName(Tech));
     Telemetry::instance().reset();
-    Options.Slice = false;
-    DetectionResult FullRun = detectRaces(Ctx.T, Tech, Options);
+    DriverOutput FullRun =
+        detectWith(Ctx.T, Tech, Options, /*Slice=*/false, FullRaces);
 
     JsonObject Cmp;
-    Cmp.field("races", static_cast<uint64_t>(SlicedRun.raceCount()))
-        .field("races_agree", SlicedRun.raceCount() == FullRun.raceCount())
+    Cmp.field("races", static_cast<uint64_t>(SlicedRaces))
+        .field("races_agree", SlicedRaces == FullRaces)
         .field("speedup", SlicedRun.Stats.Seconds > 0
                               ? FullRun.Stats.Seconds / SlicedRun.Stats.Seconds
                               : 0.0)

@@ -44,11 +44,6 @@ uint32_t JobsFlag = 0;
 /// and switches the --stats-json dump to the pruning A/B comparison.
 bool StaticPruneFlag = false;
 
-/// --incremental: adds the BM_*Incremental/BM_*OneShot pairs and switches
-/// the --stats-json dump to the incremental-solving A/B comparison (the
-/// source of the checked-in BENCH_incremental.json).
-bool IncrementalFlag = false;
-
 /// --wcp: adds the BM_MaximalHybridTier/BM_MaximalSmtTier pair and
 /// switches the --stats-json dump to the tier A/B comparison (the source
 /// of the checked-in BENCH_wcp.json).
@@ -265,34 +260,6 @@ void runPruneBench(benchmark::State &State, bool UsePruner) {
       benchmark::Counter::kIsIterationInvariantRate);
 }
 
-// ------------------------------------------------ incremental solving A/B
-
-/// Times the maximal detector with and without persistent per-window
-/// solver sessions on the same multi-COP synthetic trace. Witnesses stay
-/// off so the pair isolates the solving path; byte-identity of the full
-/// reports is the IncrementalGolden test's job.
-void runIncrementalBench(benchmark::State &State, bool Incremental) {
-  Trace T = makeTrace(static_cast<uint64_t>(State.range(0)));
-  DetectorOptions Options;
-  Options.PerCopBudgetSeconds = 30;
-  Options.CollectWitnesses = false;
-  Options.Jobs = JobsFlag;
-  Options.Incremental = Incremental;
-  DetectionStats Stats;
-  size_t Races = 0;
-  for (auto _ : State) {
-    DetectionResult R = detectRaces(T, Technique::Maximal, Options);
-    Races = R.raceCount();
-    Stats = R.Stats;
-    benchmark::DoNotOptimize(R);
-  }
-  State.counters["races"] = static_cast<double>(Races);
-  State.counters["solves"] = static_cast<double>(Stats.SolverCalls);
-  State.counters["events/s"] = benchmark::Counter(
-      static_cast<double>(T.size()),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-
 // ------------------------------------------------------- WCP tier A/B
 
 /// Times the maximal detector with the solver-only and hybrid tiers on
@@ -456,66 +423,6 @@ int dumpStaticPruneJson(const std::string &Path) {
   return 0;
 }
 
-/// A/B dump behind --incremental --stats-json=<path>: the SMT-backed race
-/// techniques run once per mode on the multi-COP synthetic workload (this
-/// is the source of the checked-in BENCH_incremental.json). Race counts
-/// and solver_calls must agree — incremental solving is invisible — so
-/// only time moves.
-int dumpIncrementalJson(const std::string &Path) {
-  Telemetry::setEnabled(true);
-  Trace T = makeTrace(32000);
-  DetectorOptions Options;
-  Options.PerCopBudgetSeconds = 30;
-  Options.CollectWitnesses = false;
-  Options.Jobs = JobsFlag;
-
-  JsonObject Techs;
-  const std::pair<Technique, const char *> Runs[] = {
-      {Technique::Maximal, "rv"},
-      {Technique::Said, "said"},
-  };
-  for (const auto &[Tech, Key] : Runs) {
-    Telemetry::instance().reset();
-    Options.Incremental = false;
-    DetectionResult Legacy = detectRaces(T, Tech, Options);
-    Telemetry::instance().reset();
-    Options.Incremental = true;
-    DetectionResult Inc = detectRaces(T, Tech, Options);
-
-    JsonObject Cmp;
-    Cmp.field("races", static_cast<uint64_t>(Legacy.raceCount()))
-        .field("races_agree", Legacy.raceCount() == Inc.raceCount())
-        .field("solver_calls_agree",
-               Legacy.Stats.SolverCalls == Inc.Stats.SolverCalls)
-        .field("speedup", Inc.Stats.Seconds > 0
-                              ? Legacy.Stats.Seconds / Inc.Stats.Seconds
-                              : 0.0)
-        .raw("one_shot", statsToJson(Legacy.Stats, techniqueName(Tech)))
-        .raw("incremental", statsToJson(Inc.Stats, techniqueName(Tech)));
-    Techs.raw(Key, Cmp.str());
-  }
-  Telemetry::setEnabled(false);
-
-  JsonObject Out;
-  appendRunMetadata(Out);
-  Out.field("workload", "synthetic-32000")
-      .field("events", static_cast<uint64_t>(T.size()))
-      .field("jobs", static_cast<uint64_t>(JobsFlag))
-      .raw("techniques", Techs.str());
-  std::string Json = Out.str() + "\n";
-  if (Path == "-") {
-    std::fputs(Json.c_str(), stdout);
-    return 0;
-  }
-  std::ofstream File(Path);
-  if (!File) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", Path.c_str());
-    return 1;
-  }
-  File << Json;
-  return 0;
-}
-
 /// A/B dump behind --wcp --stats-json=<path>: the maximal detector runs
 /// once per tier (smt, then hybrid) on the highcop catalog stress row and
 /// the prunable loop workload (this is the source of the checked-in
@@ -588,7 +495,7 @@ int dumpWcpJson(const std::string &Path) {
 } // namespace
 
 // Custom main: peel off --stats-json=<path>, --jobs=<n>, --static-prune,
-// --incremental, and --wcp (google-benchmark rejects unknown flags), run
+// and --wcp (google-benchmark rejects unknown flags), run
 // the benchmarks, then do the one-shot stats dump.
 int main(int Argc, char **Argv) {
   std::string StatsJsonPath;
@@ -603,8 +510,6 @@ int main(int Argc, char **Argv) {
           std::strtoul(Argv[I] + std::strlen(Jobs), nullptr, 10));
     else if (std::strcmp(Argv[I], "--static-prune") == 0)
       StaticPruneFlag = true;
-    else if (std::strcmp(Argv[I], "--incremental") == 0)
-      IncrementalFlag = true;
     else if (std::strcmp(Argv[I], "--wcp") == 0)
       WcpFlag = true;
     else
@@ -626,24 +531,6 @@ int main(int Argc, char **Argv) {
                                  })
         ->Arg(10)
         ->Arg(40)
-        ->Unit(benchmark::kMillisecond);
-  }
-
-  if (IncrementalFlag) {
-    benchmark::RegisterBenchmark("BM_MaximalIncremental",
-                                 [](benchmark::State &S) {
-                                   runIncrementalBench(S, /*Incremental=*/true);
-                                 })
-        ->Arg(2000)
-        ->Arg(8000)
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark("BM_MaximalOneShot",
-                                 [](benchmark::State &S) {
-                                   runIncrementalBench(S,
-                                                       /*Incremental=*/false);
-                                 })
-        ->Arg(2000)
-        ->Arg(8000)
         ->Unit(benchmark::kMillisecond);
   }
 
@@ -673,8 +560,6 @@ int main(int Argc, char **Argv) {
   if (!StatsJsonPath.empty()) {
     if (WcpFlag)
       return dumpWcpJson(StatsJsonPath);
-    if (IncrementalFlag)
-      return dumpIncrementalJson(StatsJsonPath);
     return StaticPruneFlag ? dumpStaticPruneJson(StatsJsonPath)
                            : dumpStatsJson(StatsJsonPath);
   }

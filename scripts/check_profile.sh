@@ -8,8 +8,9 @@
 #     start time so Perfetto never sees out-of-order events),
 #   * give every "X" span a non-negative integer duration.
 #
-# Runs sequentially and with --jobs=4 (worker tracks), and checks that
-# --profile does not change the analysis report itself.
+# Runs sequentially and with --jobs=4 (worker tracks, whose encodes share
+# the window's skeleton cache), and checks that --profile does not change
+# the analysis report itself.
 #
 # Usage: scripts/check_profile.sh <path-to-rvpredict> [workload.rv]
 set -eu
@@ -55,9 +56,6 @@ run_profiled() {
 run_profiled seq  "$TMPDIR_PROFILE/seq.trace.json"  --jobs=1
 run_profiled par  "$TMPDIR_PROFILE/par.trace.json"  --jobs=4
 run_profiled stats "$TMPDIR_PROFILE/stats.trace.json" --jobs=1 --stats
-# Sliced (default) vs full-window encodings must both profile cleanly
-# under worker tracks (the skeleton cache is shared across workers).
-run_profiled noslice "$TMPDIR_PROFILE/noslice.trace.json" --jobs=4 --no-slice
 
 # --jobs=4 must produce named worker tracks beyond the main thread.
 CHECKS=$((CHECKS + 1))

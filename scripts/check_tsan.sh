@@ -2,17 +2,18 @@
 # Builds the thread-sanitized preset (-DRV_SANITIZE=thread) and runs the
 # concurrency-sensitive tests under it: the thread-pool and stats unit
 # tests, the parallel-vs-sequential detector comparisons, the
-# byte-identical-output determinism check, the cone-slicing tests
-# (whose shared skeleton cache is read and populated concurrently by
-# --jobs workers — docs/ENCODER.md) and the window-driver goldens (whose
-# --jobs=4 rows build witnesses concurrently: a fresh encoder per witness
-# on the shared window encoding, with thread-local cone scratch). Any
-# data race the pool, the shared per-window encoding, or the skeleton
-# cache introduces fails this script. The daemon drills stream race,
-# atomicity and deadlock sessions through a --jobs=4 rvpredictd: each
-# session's live window-driver session moves between pool threads from
-# one window to the next, and --degrade-threshold=1 sheds windows to the
-# vc tier and back.
+# byte-identical-output determinism check, the cone-slicing tests, the
+# in-process mode-equivalence sweep (whose --jobs=4 rows read and
+# populate the shared skeleton cache concurrently, for computed cones and
+# whole-window ones alike — docs/ENCODER.md) and the window-driver
+# goldens (whose --jobs=4 rows build witnesses concurrently: a fresh
+# encoder per witness on the shared window encoding, with thread-local
+# cone scratch). Any data race the pool, the shared per-window encoding,
+# or the skeleton cache introduces fails this script. The daemon drills
+# stream race, atomicity and deadlock sessions through a --jobs=4
+# rvpredictd: each session's live window-driver session moves between
+# pool threads from one window to the next, and --degrade-threshold=1
+# sheds windows to the vc tier and back.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 set -eu
@@ -25,7 +26,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc 2>/dev/null || echo 2)" \
   --target rvp_tests rvpredict rvpredictd rvpclient
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'ThreadPool|ParallelDetect|Stats\.Concurrent|DetectDeterminism|RaceEncoderCone|SliceGolden|DriverGolden|StreamDetector'
+  -R 'ThreadPool|ParallelDetect|Stats\.Concurrent|DetectDeterminism|RaceEncoderCone|ModeEquivalence|DriverGolden|StreamDetector'
 
 # The hybrid WCP tier under parallel solving: the vector-clock index is
 # built once and read by every worker, and the per-COP WcpPruned/WcpRacy

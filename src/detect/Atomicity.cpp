@@ -86,7 +86,6 @@ public:
     Phase = "atomicity";
     FindingsCounter = "detect.violations";
     WcpTier = Options.Tier != DetectTier::Smt;
-    Encoding.Slice = Options.Slice;
     Encoding.Fold = Options.CfFold; // decision path only
   }
 

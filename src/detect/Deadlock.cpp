@@ -43,7 +43,6 @@ public:
       : T(T), Options(Options) {
     Phase = "deadlock";
     FindingsCounter = "detect.deadlocks";
-    Encoding.Slice = Options.Slice;
     Encoding.Fold = Options.CfFold; // decision path only
   }
 

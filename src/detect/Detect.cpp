@@ -312,7 +312,6 @@ public:
     QcBySignature = true;
     FirstLeadsSecond = true;
     Encoding.SubstituteRaceVars = Options.SubstituteRaceVars;
-    Encoding.Slice = Options.Slice;
     // Statically constant branches lose their cf guards on the decision
     // path only; witness encodes keep the full guards, so witness orders
     // stay byte-identical to unfolded runs.

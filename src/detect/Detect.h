@@ -41,8 +41,9 @@ const char *techniqueName(Technique Tech);
 
 /// Which detection tiers run (docs/TIERS.md):
 ///  * Vc     — the linear-time WCP vector-clock detector alone; no
-///             encoder, no solver. Sound (every reported race is one the
-///             maximal detector reports) but not maximal.
+///             encoder, no solver. Weakly sound like HB and CP (the first
+///             reported race is real; later ones may depend on it) and
+///             not maximal.
 ///  * Smt    — the historical pipeline: static prune, signature,
 ///             quick check, SMT solve per residual COP.
 ///  * Hybrid — the default ladder: the WCP pass first prunes
@@ -102,12 +103,6 @@ struct DetectorOptions {
   /// Use the `Oa := Ob` substitution instead of an explicit adjacency
   /// encoding (ablation knob; Section 4).
   bool SubstituteRaceVars = true;
-  /// Cone-of-influence slicing of the per-COP encodings (docs/ENCODER.md).
-  /// The sliced formula is equisatisfiable with the full one, so reports
-  /// are identical either way; `--no-slice` is the debug cross-check
-  /// mode. Witnesses always come from a sliced encode of their own, so
-  /// witness orders match byte for byte too.
-  bool Slice = true;
   /// Extract, validate, and keep a witness order per reported race.
   bool CollectWitnesses = true;
   /// Sound static pruner consulted per COP before any other filter; null
@@ -117,14 +112,6 @@ struct DetectorOptions {
   /// lose their cf guards in the per-COP encodings (see CfFoldOracle).
   /// Null disables folding. Not owned; must outlive the detection run.
   const CfFoldOracle *CfFold = nullptr;
-  /// Decide COPs through a persistent per-window solver session
-  /// (assumption-based incremental solving: the shared window encoding is
-  /// asserted once, every COP is decided under a fresh selector literal,
-  /// and learned clauses carry over between queries — see
-  /// docs/INCREMENTAL_SOLVING.md). Reports are byte-identical with the
-  /// legacy fresh-solver-per-COP path; with Jobs > 1 each worker keeps its
-  /// own session. Each query still gets its own fresh per-COP Deadline.
-  bool Incremental = true;
   /// Worker threads for the per-COP encode+solve loop of the SMT
   /// techniques. 1 (the default) runs the exact sequential code path; 0
   /// means one worker per hardware thread. Race reports are identical for

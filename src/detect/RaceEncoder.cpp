@@ -11,6 +11,8 @@
 #include "support/Telemetry.h"
 
 #include <algorithm>
+#include <cassert>
+#include <numeric>
 
 using namespace rvp;
 
@@ -43,21 +45,23 @@ static uint64_t hashCombine(uint64_t Seed, uint64_t Value) {
 
 // ------------------------------------------------------ cone of influence
 
-/// Cone accumulator for one sliced encode call (docs/ENCODER.md). Events
-/// are recorded as the cf/value emission references their variables, the
-/// query events and all cross-thread MHB endpoints are seeded up front,
-/// and close() runs the lock fixpoint: any cone event inside (or at an
+/// Cone accumulator for one encode call (docs/ENCODER.md). Events are
+/// recorded as the query's own part references their variables, the query
+/// events and all cross-thread MHB endpoints are seeded up front, and
+/// close() runs the lock fixpoint: any cone event inside (or at an
 /// endpoint of) a critical section activates every lock constraint that
 /// section is a side of, pulling the constraint's endpoints into the cone
 /// in turn (which may activate enclosing sections — nested locking).
+/// wholeWindow() closes it to every window event and lock constraint
+/// instead.
 ///
 /// Membership tests use epoch-stamped thread_local scratch instead of a
 /// per-call bitmap so per-COP cost stays proportional to the cone, not
 /// the window (the same trick FormulaBuilder's complement scratch uses).
 struct RaceEncoder::Cone {
   const WindowEncoding &Enc;
-  std::vector<EventId> Events;     ///< insertion order until close()
-  std::vector<uint32_t> ActiveLcs; ///< insertion order until close()
+  std::vector<EventId> Events;     ///< insertion order until closed
+  std::vector<uint32_t> ActiveLcs; ///< insertion order until closed
   size_t ScanPos = 0;
 
   struct Scratch {
@@ -132,40 +136,40 @@ struct RaceEncoder::Cone {
     std::sort(Events.begin(), Events.end());
     std::sort(ActiveLcs.begin(), ActiveLcs.end());
   }
+
+  /// Every window event and every lock constraint, in canonical order.
+  void wholeWindow() {
+    Events.resize(Enc.Window.End - Enc.Window.Begin);
+    std::iota(Events.begin(), Events.end(), Enc.Window.Begin);
+    ActiveLcs.resize(Enc.LockConstraints.size());
+    std::iota(ActiveLcs.begin(), ActiveLcs.end(), 0u);
+  }
 };
 
-NodeRef RaceEncoder::encodeMhb(FormulaBuilder &FB, EventId A,
-                               EventId B) const {
-  Subst S{A, B};
+NodeRef RaceEncoder::encodeMhb(FormulaBuilder &FB) const {
+  // The anchor under the synthetic root and the program-order chain of
+  // each thread, then the fork/join and wait/notify atoms.
   std::vector<NodeRef> Conj;
-  Conj.reserve(Enc->MhbEdges.size());
-  // The precomputed list carries the anchor under the synthetic root,
-  // program-order chains, fork/join, and wait/notify atoms in emission
-  // order; the substitution never touches RootVar.
-  for (const auto &[From, To] : Enc->MhbEdges)
-    Conj.push_back(mkAtomS(FB, S(From), S(To)));
+  for (const std::vector<EventId> &Events : Enc->ThreadEvents) {
+    OrderVar Prev = WindowEncoding::RootVar;
+    for (EventId E : Events) {
+      Conj.push_back(FB.mkAtom(Prev, E));
+      Prev = E;
+    }
+  }
+  for (const auto &[From, To] : Enc->CrossEdges)
+    Conj.push_back(FB.mkAtom(From, To));
   return FB.mkAnd(std::move(Conj));
 }
 
-NodeRef RaceEncoder::encodeLock(
-    FormulaBuilder &FB, EventId A, EventId B,
-    const std::vector<EventId> &ExcludedAcquires) const {
-  Subst S{A, B};
-  auto Excluded = [&](EventId SectionAcq) {
-    return SectionAcq != InvalidEvent &&
-           std::find(ExcludedAcquires.begin(), ExcludedAcquires.end(),
-                     SectionAcq) != ExcludedAcquires.end();
-  };
+NodeRef RaceEncoder::encodeLock(FormulaBuilder &FB) const {
   std::vector<NodeRef> Conj;
   for (const WindowEncoding::LockConstraint &LC : Enc->LockConstraints) {
-    if (!ExcludedAcquires.empty() &&
-        (Excluded(LC.SectionAcqP) || Excluded(LC.SectionAcqQ)))
-      continue;
     if (LC.Mutex)
-      Conj.push_back(FB.mkOr2(mkAtomS(FB, S(LC.RelP), S(LC.AcqQ)),
-                              mkAtomS(FB, S(LC.RelQ), S(LC.AcqP))));
+      Conj.push_back(FB.mkOr2(FB.mkAtom(LC.RelP, LC.AcqQ),
+                              FB.mkAtom(LC.RelQ, LC.AcqP)));
     else
-      Conj.push_back(mkAtomS(FB, S(LC.RelP), S(LC.AcqQ)));
+      Conj.push_back(FB.mkAtom(LC.RelP, LC.AcqQ));
   }
   return FB.mkAnd(std::move(Conj));
 }
@@ -211,8 +215,7 @@ std::vector<EventId> RaceEncoder::guardingBranches(EventId E) const {
 }
 
 NodeRef RaceEncoder::cfVar(CfState &St, EventId E) const {
-  if (St.C)
-    St.C->addEvent(E);
+  St.C.addEvent(E);
   auto [It, Inserted] = St.VarOf.try_emplace(E, E);
   if (Inserted)
     St.Worklist.push_back(E);
@@ -220,10 +223,8 @@ NodeRef RaceEncoder::cfVar(CfState &St, EventId E) const {
 }
 
 NodeRef RaceEncoder::atomS(CfState &St, EventId X, EventId Y) const {
-  if (St.C) {
-    St.C->addEvent(X);
-    St.C->addEvent(Y);
-  }
+  St.C.addEvent(X);
+  St.C.addEvent(Y);
   return mkAtomS(St.FB, St.S(X), St.S(Y));
 }
 
@@ -315,7 +316,7 @@ void RaceEncoder::emitCfDefs(CfState &St) const {
   }
 }
 
-NodeRef RaceEncoder::adjacency(FormulaBuilder &FB, Subst S, EventId A,
+NodeRef RaceEncoder::adjacency(FormulaBuilder &FB, EventId A,
                                EventId B) const {
   // Naive adjacency (ablation mode): A immediately precedes B, i.e.
   // A < B and no window event lies between them.
@@ -347,18 +348,6 @@ void RaceEncoder::recordCone(const Skeleton &Sk, EncodeStats *Stats) const {
         MetricsRegistry::global().counter("encoder.cone_events");
     Events.add(Sk.Events.size());
   }
-}
-
-void RaceEncoder::recordFullCone(EncodeStats *Stats) const {
-  if (!Stats || !Stats->Cone)
-    return;
-  ConeInfo &Out = *Stats->Cone;
-  Out.Events.clear();
-  for (EventId E = Window.Begin; E < Window.End; ++E)
-    Out.Events.push_back(E);
-  Out.ActiveLocks.clear();
-  for (uint32_t I = 0; I < Enc->LockConstraints.size(); ++I)
-    Out.ActiveLocks.push_back(I);
 }
 
 const RaceEncoder::Skeleton &RaceEncoder::skeletonFor(Cone &C,
@@ -460,54 +449,53 @@ NodeRef RaceEncoder::emitSkeleton(FormulaBuilder &FB, const Skeleton &Sk,
 
 // --------------------------------------------------------- encode calls
 
+template <typename OwnPart>
+NodeRef RaceEncoder::assemble(
+    FormulaBuilder &FB, Subst S, std::initializer_list<EventId> Anchors,
+    std::initializer_list<std::pair<EventId, EventId>> Atoms,
+    const std::vector<EventId> &ExcludedAcquires, EncodeStats *Stats,
+    OwnPart Own) const {
+  // The query's own part first, so the cone is complete (every referenced
+  // variable recorded) before the skeleton is chosen. mkAnd sorts its
+  // children, so conjunct order does not change the resulting formula;
+  // node creation order does (it numbers the nodes), and stays fixed:
+  // own part, cf definitions, skeleton, query atoms.
+  Cone C(*Enc);
+  CfState St{FB, S, C, {}, {}, {}};
+  for (EventId E : Anchors)
+    C.addEvent(E);
+  C.seed();
+  std::vector<NodeRef> Conj;
+  Own(St, Conj);
+  emitCfDefs(St);
+  // The naive adjacency encoding references every window event, so there
+  // is nothing to slice.
+  if (Options.Slice && Options.SubstituteRaceVars)
+    C.close();
+  else
+    C.wholeWindow();
+  const Skeleton &Sk = skeletonFor(C, Stats);
+  recordCone(Sk, Stats);
+
+  Conj.push_back(emitSkeleton(FB, Sk, S, ExcludedAcquires, Stats));
+  for (const auto &[X, Y] : Atoms)
+    Conj.push_back(FB.mkAtom(X, Y));
+  Conj.insert(Conj.end(), St.Defs.begin(), St.Defs.end());
+  return FB.mkAnd(std::move(Conj));
+}
+
 NodeRef RaceEncoder::encodeMaximalRace(FormulaBuilder &FB, EventId A,
                                        EventId B, EncodeStats *Stats) const {
   Subst S;
   if (Options.SubstituteRaceVars)
     S = Subst{A, B};
-
-  // The naive adjacency encoding references every window event, so there
-  // is nothing to slice.
-  if (!Options.Slice || !Options.SubstituteRaceVars) {
-    recordFullCone(Stats);
-    CfState St{FB, S, {}, {}, {}};
-    std::vector<NodeRef> Conj;
-    Conj.push_back(encodeMhb(FB, S.A, S.B));
-    Conj.push_back(encodeLock(FB, S.A, S.B));
-    if (!Options.SubstituteRaceVars)
-      Conj.push_back(adjacency(FB, S, A, B));
-    Conj.push_back(branchGuards(St, A));
-    Conj.push_back(branchGuards(St, B));
-    emitCfDefs(St);
-    for (NodeRef Def : St.Defs)
-      Conj.push_back(Def);
-    return FB.mkAnd(std::move(Conj));
-  }
-
-  // Sliced: emit the control-flow part first so the cone is complete
-  // (every referenced variable recorded) before the skeleton is chosen.
-  // mkAnd sorts its children, so conjunct order does not change the
-  // resulting formula.
-  Cone C(*Enc);
-  CfState St{FB, S, {}, {}, {}, &C};
-  C.addEvent(A);
-  C.addEvent(B);
-  C.seed();
-  NodeRef GuardsA = branchGuards(St, A);
-  NodeRef GuardsB = branchGuards(St, B);
-  emitCfDefs(St);
-  C.close();
-  const Skeleton &Sk = skeletonFor(C, Stats);
-  recordCone(Sk, Stats);
-
-  std::vector<NodeRef> Conj;
-  Conj.reserve(St.Defs.size() + 3);
-  Conj.push_back(emitSkeleton(FB, Sk, S, {}, Stats));
-  Conj.push_back(GuardsA);
-  Conj.push_back(GuardsB);
-  for (NodeRef Def : St.Defs)
-    Conj.push_back(Def);
-  return FB.mkAnd(std::move(Conj));
+  return assemble(FB, S, {A, B}, {}, {}, Stats,
+                  [&](CfState &St, std::vector<NodeRef> &Conj) {
+                    Conj.push_back(branchGuards(St, A));
+                    Conj.push_back(branchGuards(St, B));
+                    if (!Options.SubstituteRaceVars)
+                      Conj.push_back(adjacency(FB, A, B));
+                  });
 }
 
 ConeInfo RaceEncoder::coneOf(EventId A, EventId B) const {
@@ -521,103 +509,32 @@ ConeInfo RaceEncoder::coneOf(EventId A, EventId B) const {
 
 NodeRef RaceEncoder::encodeBetween(FormulaBuilder &FB, EventId A1, EventId B,
                                    EventId A2, EncodeStats *Stats) const {
-  if (!Options.Slice) {
-    recordFullCone(Stats);
-    CfState St{FB, Subst{}, {}, {}, {}};
-    std::vector<NodeRef> Conj;
-    Conj.push_back(encodeMhb(FB));
-    Conj.push_back(encodeLock(FB));
-    Conj.push_back(FB.mkAtom(A1, B));
-    Conj.push_back(FB.mkAtom(B, A2));
-    Conj.push_back(branchGuards(St, A1));
-    Conj.push_back(branchGuards(St, B));
-    Conj.push_back(branchGuards(St, A2));
-    emitCfDefs(St);
-    for (NodeRef Def : St.Defs)
-      Conj.push_back(Def);
-    return FB.mkAnd(std::move(Conj));
-  }
-
-  Cone C(*Enc);
-  CfState St{FB, Subst{}, {}, {}, {}, &C};
-  C.addEvent(A1);
-  C.addEvent(B);
-  C.addEvent(A2);
-  C.seed();
-  NodeRef Guards1 = branchGuards(St, A1);
-  NodeRef Guards2 = branchGuards(St, B);
-  NodeRef Guards3 = branchGuards(St, A2);
-  emitCfDefs(St);
-  C.close();
-  const Skeleton &Sk = skeletonFor(C, Stats);
-  recordCone(Sk, Stats);
-
-  std::vector<NodeRef> Conj;
-  Conj.reserve(St.Defs.size() + 6);
-  Conj.push_back(emitSkeleton(FB, Sk, Subst{}, {}, Stats));
-  Conj.push_back(FB.mkAtom(A1, B));
-  Conj.push_back(FB.mkAtom(B, A2));
-  Conj.push_back(Guards1);
-  Conj.push_back(Guards2);
-  Conj.push_back(Guards3);
-  for (NodeRef Def : St.Defs)
-    Conj.push_back(Def);
-  return FB.mkAnd(std::move(Conj));
+  return assemble(FB, Subst{}, {A1, B, A2}, {{A1, B}, {B, A2}}, {}, Stats,
+                  [&](CfState &St, std::vector<NodeRef> &Conj) {
+                    Conj.push_back(branchGuards(St, A1));
+                    Conj.push_back(branchGuards(St, B));
+                    Conj.push_back(branchGuards(St, A2));
+                  });
 }
 
 NodeRef RaceEncoder::encodeDeadlock(FormulaBuilder &FB, EventId ReqA,
                                     EventId ReqB, const LockPair &OutA,
                                     const LockPair &OutB,
                                     EncodeStats *Stats) const {
-  if (!Options.Slice) {
-    recordFullCone(Stats);
-    CfState St{FB, Subst{}, {}, {}, {}};
-    std::vector<NodeRef> Conj;
-    Conj.push_back(encodeMhb(FB));
-    Conj.push_back(encodeLock(FB, InvalidEvent, InvalidEvent,
-                              {ReqA, ReqB}));
-    // Hold-and-wait: each request falls inside the other thread's held
-    // section.
-    Conj.push_back(FB.mkAtom(OutB.AcquireId, ReqA));
-    Conj.push_back(FB.mkAtom(ReqA, OutB.ReleaseId));
-    Conj.push_back(FB.mkAtom(OutA.AcquireId, ReqB));
-    Conj.push_back(FB.mkAtom(ReqB, OutA.ReleaseId));
-    Conj.push_back(branchGuards(St, ReqA));
-    Conj.push_back(branchGuards(St, ReqB));
-    emitCfDefs(St);
-    for (NodeRef Def : St.Defs)
-      Conj.push_back(Def);
-    return FB.mkAnd(std::move(Conj));
-  }
-
-  Cone C(*Enc);
-  CfState St{FB, Subst{}, {}, {}, {}, &C};
-  C.addEvent(ReqA);
-  C.addEvent(ReqB);
-  C.addEvent(OutA.AcquireId);
-  C.addEvent(OutA.ReleaseId);
-  C.addEvent(OutB.AcquireId);
-  C.addEvent(OutB.ReleaseId);
-  C.seed();
-  NodeRef GuardsA = branchGuards(St, ReqA);
-  NodeRef GuardsB = branchGuards(St, ReqB);
-  emitCfDefs(St);
-  C.close();
-  const Skeleton &Sk = skeletonFor(C, Stats);
-  recordCone(Sk, Stats);
-
-  std::vector<NodeRef> Conj;
-  Conj.reserve(St.Defs.size() + 7);
-  Conj.push_back(emitSkeleton(FB, Sk, Subst{}, {ReqA, ReqB}, Stats));
-  Conj.push_back(FB.mkAtom(OutB.AcquireId, ReqA));
-  Conj.push_back(FB.mkAtom(ReqA, OutB.ReleaseId));
-  Conj.push_back(FB.mkAtom(OutA.AcquireId, ReqB));
-  Conj.push_back(FB.mkAtom(ReqB, OutA.ReleaseId));
-  Conj.push_back(GuardsA);
-  Conj.push_back(GuardsB);
-  for (NodeRef Def : St.Defs)
-    Conj.push_back(Def);
-  return FB.mkAnd(std::move(Conj));
+  // Hold-and-wait: each request falls inside the other thread's held
+  // section; the requests' own sections never start.
+  return assemble(FB, Subst{},
+                  {ReqA, ReqB, OutA.AcquireId, OutA.ReleaseId, OutB.AcquireId,
+                   OutB.ReleaseId},
+                  {{OutB.AcquireId, ReqA},
+                   {ReqA, OutB.ReleaseId},
+                   {OutA.AcquireId, ReqB},
+                   {ReqB, OutA.ReleaseId}},
+                  {ReqA, ReqB}, Stats,
+                  [&](CfState &St, std::vector<NodeRef> &Conj) {
+                    Conj.push_back(branchGuards(St, ReqA));
+                    Conj.push_back(branchGuards(St, ReqB));
+                  });
 }
 
 NodeRef RaceEncoder::encodeSaidRace(FormulaBuilder &FB, EventId A,
@@ -625,40 +542,15 @@ NodeRef RaceEncoder::encodeSaidRace(FormulaBuilder &FB, EventId A,
   Subst S;
   if (Options.SubstituteRaceVars)
     S = Subst{A, B};
-
-  if (!Options.Slice || !Options.SubstituteRaceVars) {
-    recordFullCone(Stats);
-    CfState St{FB, S, {}, {}, {}};
-    std::vector<NodeRef> Conj;
-    Conj.push_back(encodeMhb(FB, S.A, S.B));
-    Conj.push_back(encodeLock(FB, S.A, S.B));
-    if (!Options.SubstituteRaceVars)
-      Conj.push_back(adjacency(FB, S, A, B));
-    // Whole-window read-write consistency: every read keeps its value.
-    for (EventId R : Enc->AllReads)
-      Conj.push_back(readValueFormula(St, R, /*Guarded=*/false));
-    assert(St.Worklist.empty() && "unguarded encoding queued cf definitions");
-    return FB.mkAnd(std::move(Conj));
-  }
-
-  Cone C(*Enc);
-  CfState St{FB, S, {}, {}, {}, &C};
-  C.addEvent(A);
-  C.addEvent(B);
-  C.seed();
-  std::vector<NodeRef> Value;
-  Value.reserve(Enc->AllReads.size());
-  for (EventId R : Enc->AllReads)
-    Value.push_back(readValueFormula(St, R, /*Guarded=*/false));
-  assert(St.Worklist.empty() && "unguarded encoding queued cf definitions");
-  C.close();
-  const Skeleton &Sk = skeletonFor(C, Stats);
-  recordCone(Sk, Stats);
-
-  std::vector<NodeRef> Conj;
-  Conj.reserve(Value.size() + 1);
-  Conj.push_back(emitSkeleton(FB, Sk, S, {}, Stats));
-  for (NodeRef V : Value)
-    Conj.push_back(V);
-  return FB.mkAnd(std::move(Conj));
+  // Whole-window read-write consistency: every read keeps its value.
+  return assemble(FB, S, {A, B}, {}, {}, Stats,
+                  [&](CfState &St, std::vector<NodeRef> &Conj) {
+                    for (EventId R : Enc->AllReads)
+                      Conj.push_back(
+                          readValueFormula(St, R, /*Guarded=*/false));
+                    assert(St.Worklist.empty() &&
+                           "unguarded encoding queued cf definitions");
+                    if (!Options.SubstituteRaceVars)
+                      Conj.push_back(adjacency(FB, A, B));
+                  });
 }

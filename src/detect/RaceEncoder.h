@@ -34,18 +34,20 @@
 /// WindowEncoding, the caller's FormulaBuilder, and the internal
 /// skeleton cache (reader/writer locked).
 ///
-/// Cone-of-influence slicing (docs/ENCODER.md): with EncoderOptions::Slice
-/// (the default) the Φ_mhb/Φ_lock conjunctions are restricted to the
-/// events that can actually constrain the query — the events referenced by
-/// the control-flow / read-consistency part, the query events themselves,
-/// every cross-thread MHB edge, and the endpoints of lock constraints one
-/// of whose critical sections contains a cone event. Per-thread program-
-/// order chains are compressed to consecutive cone events. The sliced
-/// formula is equisatisfiable with the full one (the soundness proof lives
-/// in docs/ENCODER.md), so detection decisions are unchanged. The proof's
-/// gap placement is also how the window driver builds witnesses: it
-/// extends a sliced model to the whole window (placeByGaps in
-/// detect/WitnessChecker.h).
+/// Every encode call assembles its query the same way: the query's own
+/// part (control-flow guards, read-value formulas) over the substitution,
+/// then Φ_mhb ∧ Φ_lock restricted to a cone of influence (docs/ENCODER.md),
+/// then the query atoms. The cone is either computed — the events referenced
+/// by the query's own part, the query events themselves, every cross-
+/// thread MHB edge, and the endpoints of lock constraints one of whose
+/// critical sections contains a cone event — or the whole window, meaning
+/// every window event and every lock constraint. Per-thread program-order
+/// chains are compressed to consecutive cone events, which over the whole
+/// window is the full chain. The computed cone (the default) is
+/// equisatisfiable with the whole window (the soundness proof lives in
+/// docs/ENCODER.md), so detection decisions are unchanged. The proof's gap
+/// placement is also how the window driver builds witnesses: it extends a
+/// cone model to the whole window (placeByGaps in detect/WitnessChecker.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,6 +59,7 @@
 #include "smt/Formula.h"
 #include "trace/Trace.h"
 
+#include <initializer_list>
 #include <memory>
 #include <shared_mutex>
 #include <unordered_map>
@@ -72,10 +75,11 @@ struct EncoderOptions {
   /// is the naive encoding the ablation bench compares against.
   bool SubstituteRaceVars = true;
   /// Cone-of-influence slicing (docs/ENCODER.md): restrict Φ_mhb/Φ_lock
-  /// to the events that can constrain the query. Off (`--no-slice`) emits
-  /// the full window encoding — the debug cross-check mode. The naive
-  /// adjacency encoding references every window event, so slicing is
-  /// ignored when SubstituteRaceVars is false.
+  /// to the events that can constrain the query. Off, the cone is the
+  /// whole window: the reference the equivalence tests and the
+  /// bench_constraints ablation compare against. The naive adjacency
+  /// encoding references every window event, so its cone is the whole
+  /// window either way.
   bool Slice = true;
   /// Static branch-constancy oracle (detect/Detect.h): a guarding branch
   /// it proves data-independent needs no cf constraint — the guard set
@@ -90,17 +94,17 @@ struct EncoderOptions {
 };
 
 /// The cone of influence of one query: the window events whose order
-/// variables the sliced encoding references, plus the indices of the
-/// active LockConstraints. Unsliced encodings (and the naive adjacency
-/// encoding) have the full window as their cone.
+/// variables the encoding references, plus the indices of the active
+/// LockConstraints. With EncoderOptions::Slice off (and under the naive
+/// adjacency encoding) the cone is the whole window.
 struct ConeInfo {
   std::vector<EventId> Events;       ///< ascending
   std::vector<uint32_t> ActiveLocks; ///< LockConstraint indices, ascending
 };
 
 /// Per-encode-call statistics, filled when the caller passes one to an
-/// encode method. Only the sliced path counts: an unsliced call leaves
-/// the counts zeroed.
+/// encode method. Every call counts, whether its cone was computed or is
+/// the whole window.
 struct EncodeStats {
   uint64_t ConeEvents = 0;  ///< window events in the cone of influence
   uint64_t SlicedAtoms = 0; ///< Φ_mhb/Φ_lock atoms actually emitted
@@ -161,15 +165,10 @@ public:
   /// so it can never diverge from what encodeMaximalRace emits.
   ConeInfo coneOf(EventId A, EventId B) const;
 
-  /// Pieces exposed for the Figure 5 pretty-printer and tests. \p A/B of
-  /// InvalidEvent means "no substitution". \p ExcludedAcquires names
-  /// critical sections (by acquire event) left out of the mutual-exclusion
-  /// constraints (deadlock queries).
-  NodeRef encodeMhb(FormulaBuilder &FB, EventId A = InvalidEvent,
-                    EventId B = InvalidEvent) const;
-  NodeRef encodeLock(FormulaBuilder &FB, EventId A = InvalidEvent,
-                     EventId B = InvalidEvent,
-                     const std::vector<EventId> &ExcludedAcquires = {}) const;
+  /// The whole window's Φ_mhb and Φ_lock without substitution, for the
+  /// Figure 5 pretty-printer.
+  NodeRef encodeMhb(FormulaBuilder &FB) const;
+  NodeRef encodeLock(FormulaBuilder &FB) const;
 
   /// The last branch event of each thread that must happen before \p E
   /// (the set B_e of Section 3.2), in ascending order.
@@ -182,23 +181,21 @@ private:
     OrderVar operator()(EventId E) const { return E == A ? B : E; }
   };
 
-  /// Cone-of-influence accumulator for one sliced encode call (defined in
-  /// the .cpp; CfState only carries a pointer so the unsliced path pays
-  /// nothing).
+  /// Cone-of-influence accumulator for one encode call (defined in the
+  /// .cpp).
   struct Cone;
 
-  /// Shared builder state for one encode call. When \p C is non-null the
-  /// call is sliced: every event whose order or feasibility variable the
-  /// cf/value part references is recorded into the cone as a side effect
-  /// of emission, so the cone is the referenced-variable set by
-  /// construction.
+  /// Shared builder state for one encode call. Every event whose order or
+  /// feasibility variable the query's own part references is recorded
+  /// into the cone as a side effect of emission, so the computed cone is
+  /// the referenced-variable set by construction.
   struct CfState {
     FormulaBuilder &FB;
     Subst S;
+    Cone &C;
     std::vector<NodeRef> Defs;
     std::unordered_map<EventId, uint32_t> VarOf;
     std::vector<EventId> Worklist;
-    Cone *C = nullptr;
   };
 
   /// Cone-restricted Φ_mhb/Φ_lock skeleton, memoized per cone signature
@@ -218,10 +215,22 @@ private:
   /// matched write's own feasibility variable is included (maximal mode).
   NodeRef readValueFormula(CfState &St, EventId R, bool Guarded) const;
   NodeRef branchGuards(CfState &St, EventId E) const;
-  NodeRef adjacency(FormulaBuilder &FB, Subst S, EventId A, EventId B) const;
-  /// Atom `S(X) < S(Y)` that also records X and Y into the cone when the
-  /// encode call is sliced.
+  NodeRef adjacency(FormulaBuilder &FB, EventId A, EventId B) const;
+  /// Atom `S(X) < S(Y)` that also records X and Y into the cone.
   NodeRef atomS(CfState &St, EventId X, EventId Y) const;
+
+  /// The one query-assembly path behind every encode method: seeds the
+  /// cone with \p Anchors, emits the query's own part through \p Own
+  /// (guards, read-value formulas) and the cf definitions it references,
+  /// closes the cone — or takes the whole window (Slice off, or the naive
+  /// adjacency encoding) — and conjoins the cone's Φ_mhb ∧ Φ_lock (minus
+  /// \p ExcludedAcquires' sections) and the query atoms \p Atoms.
+  template <typename OwnPart>
+  NodeRef assemble(FormulaBuilder &FB, Subst S,
+                   std::initializer_list<EventId> Anchors,
+                   std::initializer_list<std::pair<EventId, EventId>> Atoms,
+                   const std::vector<EventId> &ExcludedAcquires,
+                   EncodeStats *Stats, OwnPart Own) const;
 
   /// Looks the cone's skeleton up in the per-window cache, building and
   /// inserting it on a miss. Concurrent-reader-safe: --jobs workers share
@@ -231,10 +240,8 @@ private:
   NodeRef emitSkeleton(FormulaBuilder &FB, const Skeleton &Sk, Subst S,
                        const std::vector<EventId> &ExcludedAcquires,
                        EncodeStats *Stats) const;
-  /// Reports a sliced call's cone \p Sk into \p Stats and the counters.
+  /// Reports a call's cone \p Sk into \p Stats and the counters.
   void recordCone(const Skeleton &Sk, EncodeStats *Stats) const;
-  /// Reports an unsliced call's cone, the whole window, into \p Stats.
-  void recordFullCone(EncodeStats *Stats) const;
   /// Whether this encoder ticks the encoder.* counters right now.
   bool counting() const;
 

@@ -51,18 +51,16 @@ bool rvp::parseBudgetList(const std::string &Spec, std::vector<double> &Out,
   return true;
 }
 
-SolveHost::SolveHost(std::string SolverName, bool Incremental,
-                     double BaseBudgetSeconds,
+SolveHost::SolveHost(std::string SolverName, double BaseBudgetSeconds,
                      std::vector<double> RetryBudgets, uint64_t JitterSeed)
-    : SolverName(std::move(SolverName)), Incremental(Incremental),
-      BaseBudgetSeconds(BaseBudgetSeconds),
+    : SolverName(std::move(SolverName)), BaseBudgetSeconds(BaseBudgetSeconds),
       RetryBudgets(std::move(RetryBudgets)),
       RngState(JitterSeed ? JitterSeed : 0x9e3779b97f4a7c15ULL) {}
 
 SolveHost::~SolveHost() = default;
 
 const char *SolveHost::backendName() const {
-  if (Incremental && !SessionDead && Session)
+  if (!SessionDead && Session)
     return Session->name();
   if (Solver)
     return Solver->name();
@@ -125,7 +123,7 @@ void SolveHost::backoff() {
 
 SatResult SolveHost::attemptOnce(const FormulaBuilder &FB, NodeRef Root,
                                  double BudgetSeconds) {
-  if (Incremental && !SessionDead) {
+  if (!SessionDead) {
     ensureSession();
     SatResult Result =
         Session->query(FB, Root, Deadline::after(BudgetSeconds), nullptr);

@@ -75,13 +75,11 @@ struct ResilienceStats {
 class SolveHost {
 public:
   /// \p SolverName       backend to try first ("idl" or "z3");
-  /// \p Incremental      decide through a persistent session;
   /// \p BaseBudgetSeconds the per-COP budget when the ladder is empty;
   /// \p RetryBudgets     escalating per-attempt budgets (empty = one
   ///                     attempt at the base budget);
   /// \p JitterSeed       seeds the backoff jitter (deterministic per host).
-  SolveHost(std::string SolverName, bool Incremental,
-            double BaseBudgetSeconds, std::vector<double> RetryBudgets,
+  SolveHost(std::string SolverName, double BaseBudgetSeconds, std::vector<double> RetryBudgets,
             uint64_t JitterSeed);
   ~SolveHost();
 
@@ -114,7 +112,6 @@ private:
   static constexpr uint64_t FailedStreakLimit = 4;
 
   std::string SolverName;
-  bool Incremental;
   double BaseBudgetSeconds;
   std::vector<double> RetryBudgets;
   uint64_t RngState;

@@ -121,8 +121,8 @@ struct Decision {
 };
 
 /// Window-scoped solve state of one thread: the SolveHost (the
-/// incremental session or the one-shot solver, plus the degradation
-/// policy) and, in incremental mode, the shared hash-consing builder.
+/// incremental session, or the one-shot solver it falls back to, plus the
+/// degradation policy) and the shared hash-consing builder.
 struct SolveCtx {
   FormulaBuilder FB;
   std::unique_ptr<SolveHost> Host;
@@ -359,13 +359,11 @@ private:
     const RaceEncoder &Encoder = W.encoder();
     if (!Ctx.Host)
       Ctx.Host = std::make_unique<SolveHost>(
-          Options.SolverName, Options.Incremental, Options.PerCopBudgetSeconds,
+          Options.SolverName, Options.PerCopBudgetSeconds,
           Options.RetryBudgets, Options.RetryJitterSeed + Out.Stats.Windows);
-    // Incremental mode: one builder per window (per worker), so shared
-    // subformulas are hash-consed once and the session's learned clauses
-    // stay meaningful; legacy mode builds every query from scratch.
-    FormulaBuilder OwnFB;
-    FormulaBuilder &FB = Options.Incremental ? Ctx.FB : OwnFB;
+    // One builder per window (per worker), so shared subformulas are
+    // hash-consed once and the session's learned clauses stay meaningful.
+    FormulaBuilder &FB = Ctx.FB;
     size_t NodesBefore = FB.numNodes();
     NodeRef Root;
     EncodeStats Enc;
@@ -737,7 +735,7 @@ private:
   /// Formula-size accounting after one encode: total nodes, difference
   /// atoms, distinct cf boolean variables, and order variables reachable
   /// from the root. Only the nodes this query added to the builder count
-  /// (\p NodesBefore), so with the incremental path's shared builder
+  /// (\p NodesBefore), so with the window's shared builder
   /// encoder.nodes measures real encoding work, not re-reads of shared
   /// structure.
   static void recordFormulaMetrics(const FormulaBuilder &FB,

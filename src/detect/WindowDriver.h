@@ -176,7 +176,8 @@ public:
   /// before Second.
   bool FirstLeadsSecond = false;
   /// Decision-path encoder options; witness encodes are always sliced and
-  /// never folded.
+  /// never folded. Encoding.Slice off is the whole-window reference the
+  /// equivalence tests compare the default against.
   EncoderOptions Encoding;
 };
 

@@ -63,46 +63,29 @@ WindowEncoding::WindowEncoding(const Trace &T, Span S, const EventClosure &Mhb,
     }
   }
 
-  // Φ_mhb atoms, in encodeMhb's emission order: per-thread root anchor and
-  // program-order chain, then fork/join, then wait/notify triples.
-  for (const std::vector<EventId> &Events : ThreadEvents) {
-    if (Events.empty())
-      continue;
-    MhbEdges.emplace_back(RootVar, Events.front());
-    for (size_t I = 0; I + 1 < Events.size(); ++I)
-      MhbEdges.emplace_back(Events[I], Events[I + 1]);
-  }
-  // Cross-thread edges are mirrored into CrossEdges: the sliced encoder
-  // keeps all of them and compresses only the per-thread chains.
+  // Cross-thread Φ_mhb edges: fork/join, then wait/notify triples. The
+  // encoder keeps all of them and compresses only the per-thread chains.
   for (ThreadId Tid = 0; Tid < T.numThreads(); ++Tid) {
     EventId Fork = T.forkOf(Tid);
     EventId Begin = T.beginOf(Tid);
     if (Fork != InvalidEvent && Begin != InvalidEvent &&
-        Window.contains(Fork) && Window.contains(Begin)) {
-      MhbEdges.emplace_back(Fork, Begin);
+        Window.contains(Fork) && Window.contains(Begin))
       CrossEdges.emplace_back(Fork, Begin);
-    }
     EventId End = T.endOf(Tid);
     EventId Join = T.joinOf(Tid);
     if (End != InvalidEvent && Join != InvalidEvent &&
-        Window.contains(End) && Window.contains(Join)) {
-      MhbEdges.emplace_back(End, Join);
+        Window.contains(End) && Window.contains(Join))
       CrossEdges.emplace_back(End, Join);
-    }
   }
   // wait/notify: release(wait) < notify < acquire(wait) (Section 4).
   for (const auto &[Match, W] : TriplesByMatch) {
     (void)Match;
     if (W.Notify == InvalidEvent)
       continue;
-    if (W.Release != InvalidEvent) {
-      MhbEdges.emplace_back(W.Release, W.Notify);
+    if (W.Release != InvalidEvent)
       CrossEdges.emplace_back(W.Release, W.Notify);
-    }
-    if (W.Acquire != InvalidEvent) {
-      MhbEdges.emplace_back(W.Notify, W.Acquire);
+    if (W.Acquire != InvalidEvent)
       CrossEdges.emplace_back(W.Notify, W.Acquire);
-    }
   }
 
   // Φ_lock descriptors, in encodeLock's emission order. Exclusions are
@@ -293,8 +276,7 @@ WindowEncoding::WindowEncoding(const Trace &T, Span S, const EventClosure &Mhb,
     // Container-footprint estimate: the index vectors plus the per-read
     // skeletons. An estimate is enough — the gauge tracks growth across
     // windows, not allocator-exact bytes.
-    uint64_t Bytes = MhbEdges.size() * sizeof(MhbEdges[0]) +
-                     CrossEdges.size() * sizeof(CrossEdges[0]) +
+    uint64_t Bytes = CrossEdges.size() * sizeof(CrossEdges[0]) +
                      LockConstraints.size() * sizeof(LockConstraint);
     for (const std::vector<EventId> &V : ThreadEvents)
       Bytes += V.size() * sizeof(EventId);

@@ -11,8 +11,8 @@
 /// (detect/WindowDriver.cpp) can share it read-only across worker tasks:
 ///
 ///  * per-thread event/branch/read indices and per-variable write indices,
-///  * the Φ_mhb atom list (program order, fork/join, wait/notify) in the
-///    exact order encodeMhb emits it,
+///  * the cross-thread Φ_mhb edges (fork/join, wait/notify); program
+///    order is the per-thread event lists,
 ///  * the Φ_lock constraint descriptors (mutual exclusion of critical-
 ///    section pairs, window-clipped), tagged with the sections' acquire
 ///    events so deadlock queries can exclude sections after the fact,
@@ -72,14 +72,13 @@ public:
   /// All read events within the window (for the Said encoding).
   std::vector<EventId> AllReads;
 
-  /// Φ_mhb as ordered (from, to) atom operands; `from` may be RootVar.
-  std::vector<std::pair<OrderVar, OrderVar>> MhbEdges;
-
-  /// The cross-thread subset of Φ_mhb (fork/join and wait/notify edges,
-  /// in MhbEdges order). The cone-sliced encoder keeps every cross edge
-  /// unconditionally — they are few, and seeding their endpoints into the
-  /// cone means the per-thread chain compression can never lose an
-  /// inter-thread ordering (docs/ENCODER.md).
+  /// The cross-thread part of Φ_mhb as ordered (from, to) atom operands:
+  /// fork/join edges per thread, then wait/notify triples. Φ_mhb is these
+  /// plus each thread's program-order chain over ThreadEvents, anchored
+  /// under RootVar. The encoder keeps every cross edge unconditionally —
+  /// they are few, and seeding their endpoints into the cone means the
+  /// per-thread chain compression can never lose an inter-thread ordering
+  /// (docs/ENCODER.md).
   std::vector<std::pair<OrderVar, OrderVar>> CrossEdges;
 
   /// One Φ_lock conjunct: Or(RelP < AcqQ, RelQ < AcqP) when Mutex, the

@@ -11,9 +11,11 @@
 #include "detect/Detect.h"
 #include "detect/Lockset.h"
 #include "detect/RaceEncoder.h"
+#include "detect/WindowDriver.h"
 #include "detect/WitnessChecker.h"
 #include "lang/Parser.h"
 #include "smt/Solver.h"
+#include "support/FaultInjector.h"
 #include "workloads/Catalog.h"
 #include "workloads/Synthetic.h"
 
@@ -713,37 +715,43 @@ std::vector<SweepCase> sweepCases() {
   return Cases;
 }
 
-/// Every finding of one run as "<pair> <tag>: <witness>" lines, plus
-/// whether every witness validated.
+/// Every finding of one run as its checkpoint line (the defining events,
+/// the witness-valid flag and the witness), decided through the policy
+/// path `rvpredict detect` uses; \p WholeWindow runs the decision path on
+/// the whole-window cone. Counts the witnesses and whether every one
+/// validated.
 std::string findingsOf(const Trace &T, const std::string &Property,
-                       const DetectorOptions &Options, size_t &Witnessed,
-                       bool &AllValid) {
+                       const DetectorOptions &Options, bool WholeWindow,
+                       size_t &Witnessed, bool &AllValid) {
+  std::unique_ptr<QueryPolicy> Policy;
+  const char *Tag = "race";
+  size_t NumEvents = 2;
+  if (Property == "atomicity") {
+    Policy = makeAtomicityPolicy(T, Options);
+    Tag = "viol";
+    NumEvents = 5;
+  } else if (Property == "deadlock") {
+    Policy = makeDeadlockPolicy(T, Options);
+    Tag = "dl";
+  } else {
+    Policy = makeRacePolicy(
+        T, Property == "said" ? Technique::Said : Technique::Maximal, Options);
+  }
+  Policy->Encoding.Slice = !WholeWindow;
+  runWindowDriver(T, Options, *Policy);
   std::string Out;
-  auto add = [&](EventId A, EventId B, bool Valid,
-                 const std::vector<EventId> &Witness) {
-    Out += std::to_string(A) + "," + std::to_string(B) +
-           (Valid ? " validated:" : " UNVALIDATED:");
-    for (EventId E : Witness)
-      Out += " " + std::to_string(E);
-    Out += "\n";
+  for (size_t I = 0; I < Policy->numFindings(); ++I) {
+    std::string Line = Policy->checkpointLine(I);
+    Out += Line + "\n";
+    if (Property == "said")
+      continue; // Said has no witnesses; its findings must still agree
+    std::vector<EventId> Events, Witness;
+    bool Valid = false;
+    EXPECT_TRUE(
+        parseFindingLine(T, Line, Tag, NumEvents, Events, Valid, Witness))
+        << Line;
     Witnessed += Witness.empty() ? 0 : 1;
     AllValid = AllValid && Valid;
-  };
-  if (Property == "said") {
-    // Said has no witnesses; its findings must still agree.
-    for (const RaceReport &F : detectRaces(T, Technique::Said, Options).Races)
-      Out += std::to_string(F.First) + "," + std::to_string(F.Second) + "\n";
-  } else if (Property == "rv") {
-    for (const RaceReport &F :
-         detectRaces(T, Technique::Maximal, Options).Races)
-      add(F.First, F.Second, F.WitnessValid, F.Witness);
-  } else if (Property == "atomicity") {
-    for (const AtomicityReport &F :
-         detectAtomicityViolations(T, Options).Violations)
-      add(F.First, F.Remote, F.WitnessValid, F.Witness);
-  } else {
-    for (const DeadlockReport &F : detectDeadlocks(T, Options).Deadlocks)
-      add(F.RequestA, F.RequestB, F.WitnessValid, F.Witness);
   }
   return Out;
 }
@@ -753,11 +761,16 @@ std::string findingsOf(const Trace &T, const std::string &Property,
 TEST(WitnessSweep, CatalogWitnessesValidateAndAgreeAcrossModes) {
   // Witnesses are built the same way however the verdict was reached, so
   // every mode must print the same schedules — and every one validates.
-  using Mode = std::pair<const char *, void (*)(DetectorOptions &)>;
+  struct Mode {
+    const char *Name;
+    void (*Apply)(DetectorOptions &);
+    bool WholeWindow = false; ///< decision path on the whole-window cone
+    const char *Faults = "";  ///< session.corrupt: one-shot fallback
+  };
   const Mode Modes[] = {
       {"jobs=4", [](DetectorOptions &O) { O.Jobs = 4; }},
-      {"incremental=false", [](DetectorOptions &O) { O.Incremental = false; }},
-      {"no-slice", [](DetectorOptions &O) { O.Slice = false; }},
+      {"one-shot", [](DetectorOptions &) {}, false, faults::SessionCorrupt},
+      {"whole-window", [](DetectorOptions &) {}, true},
       {"tier=smt", [](DetectorOptions &O) { O.Tier = DetectTier::Smt; }},
       {"static-prune", nullptr},
   };
@@ -767,25 +780,28 @@ TEST(WitnessSweep, CatalogWitnessesValidateAndAgreeAcrossModes) {
       DetectorOptions Base;
       Base.WindowSize = SweepWindow;
       bool AllValid = true;
-      std::string Expected =
-          findingsOf(C.T, Property, Base, Witnessed[Property], AllValid);
+      std::string Expected = findingsOf(C.T, Property, Base, false,
+                                        Witnessed[Property], AllValid);
       EXPECT_TRUE(AllValid) << C.Name << " " << Property << ":\n"
                             << Expected;
-      for (const auto &[Name, Apply] : Modes) {
+      for (const Mode &M : Modes) {
         DetectorOptions Options = Base;
-        if (Apply) {
-          Apply(Options);
+        if (M.Apply) {
+          M.Apply(Options);
         } else if (C.Oracle) {
           Options.StaticPruner = C.Oracle.get();
           Options.CfFold = C.Oracle.get();
         } else {
           continue; // no program to analyze
         }
+        std::string Error;
+        ASSERT_TRUE(FaultInjector::configure(M.Faults, Error)) << Error;
         size_t Ignored = 0;
-        EXPECT_EQ(findingsOf(C.T, Property, Options, Ignored, AllValid),
-                  Expected)
-            << C.Name << " " << Property << " " << Name;
-        EXPECT_TRUE(AllValid) << C.Name << " " << Property << " " << Name;
+        std::string Got = findingsOf(C.T, Property, Options, M.WholeWindow,
+                                     Ignored, AllValid);
+        FaultInjector::reset();
+        EXPECT_EQ(Got, Expected) << C.Name << " " << Property << " " << M.Name;
+        EXPECT_TRUE(AllValid) << C.Name << " " << Property << " " << M.Name;
       }
     }
   }

@@ -115,11 +115,11 @@ set(ROWS
   "deadlock_timeout_j1|1|3|--property=deadlock --jobs=1 --inject-faults=solver.timeout"
   "deadlock_timeout_j4|0|3|--property=deadlock --jobs=4 --inject-faults=solver.timeout"
   # One early timeout: parked, then superseded or kept as unknown.
-  "race_rv_smt_timeout2_j1|1|3|--technique=rv --tier=smt --jobs=1 --incremental=false --inject-faults=solver.timeout=2"
-  "atomicity_timeout1_j1|1|3|--property=atomicity --jobs=1 --incremental=false --inject-faults=solver.timeout=1"
-  "deadlock_timeout1_j1|1|3|--property=deadlock --jobs=1 --incremental=false --inject-faults=solver.timeout=1"
+  "race_rv_smt_timeout2_j1|1|3|--technique=rv --tier=smt --jobs=1 --inject-faults=solver.timeout=2"
+  "atomicity_timeout1_j1|1|3|--property=atomicity --jobs=1 --inject-faults=solver.timeout=1"
+  "deadlock_timeout1_j1|1|3|--property=deadlock --jobs=1 --inject-faults=solver.timeout=1"
   # A retried timeout is decided at the next budget.
-  "race_rv_smt_retry_j1|1|3|--technique=rv --tier=smt --jobs=1 --incremental=false --retry-budgets=30s,60s --inject-faults=solver.timeout=1"
+  "race_rv_smt_retry_j1|1|3|--technique=rv --tier=smt --jobs=1 --retry-budgets=30s,60s --inject-faults=solver.timeout=1"
 )
 
 foreach(ROW ${ROWS})

@@ -308,13 +308,12 @@ TEST(Degradation, DeadSessionFallsBackToOneShotSolving) {
 }
 
 TEST(Degradation, WitnessSolveTimeoutKeepsTheRaceWithoutASchedule) {
-  // One-shot smt solving: the COP's decision is solve 1, its witness solve
-  // 2. Failing exactly the witness solve must neither drop the race nor
-  // pass a made-up order off as its schedule.
+  // Smt tier: the COP's session decision is solve 1, its one-shot witness
+  // solve 2. Failing exactly the witness solve must neither drop the race
+  // nor pass a made-up order off as its schedule.
   Trace T = figure4Trace();
   DetectorOptions Options;
   Options.Tier = DetectTier::Smt;
-  Options.Incremental = false;
   DetectionResult Healthy = detectRaces(T, Technique::Maximal, Options);
   ASSERT_EQ(Healthy.raceCount(), 1u);
   ASSERT_TRUE(Healthy.Races[0].WitnessValid);

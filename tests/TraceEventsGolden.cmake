@@ -8,8 +8,9 @@
 #   solve:  window, first, second, solver, outcome, seconds
 #
 # with cop.stage drawn from the documented prune-provenance vocabulary.
-# Checked across --jobs={1,4} x --incremental={true,false} so the
-# parallel and legacy solver paths emit the same schema.
+# Checked across --jobs={1,4} x {session, one-shot} so the parallel path
+# and the one-shot fallback a quarantined session drops to
+# (--inject-faults=session.corrupt) emit the same schema.
 # Invoked by CTest as
 #   cmake -DRVPREDICT=<tool> -DWORKLOAD=<prog.rv> -DOUT_DIR=<dir>
 #         -P TraceEventsGolden.cmake
@@ -90,14 +91,9 @@ function(check_stream EXTRA LABEL)
 endfunction()
 
 foreach(JOBS 1 4)
-  foreach(MODE incremental legacy)
-    if(MODE STREQUAL "incremental")
-      set(FLAG "--incremental=true")
-    else()
-      set(FLAG "--incremental=false")
-    endif()
-    check_stream("--jobs=${JOBS};${FLAG}" "jobs${JOBS}_${MODE}")
-  endforeach()
+  check_stream("--jobs=${JOBS}" "jobs${JOBS}_session")
+  check_stream("--jobs=${JOBS};--inject-faults=session.corrupt"
+               "jobs${JOBS}_one_shot")
 endforeach()
 
 message(STATUS "trace-events schema check passed")

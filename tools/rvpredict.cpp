@@ -14,8 +14,7 @@
 ///                     [--tier=vc|smt|hybrid] [--check-tiers]
 ///                     [--solver=idl|z3] [--budget=S] [--witness[=BOOL]]
 ///                     [--retry-budgets=50ms,250ms,1s] [--skip-bad-events]
-///                     [--jobs=N] [--incremental=BOOL] [--no-slice]
-///                     [--static-prune] [--checkpoint=dir] [--stats]
+///                     [--jobs=N] [--static-prune] [--checkpoint=dir] [--stats]
 ///                     [--stats-json=out.json] [--trace-events=events.jsonl]
 ///                     [--profile=out.trace.json] [--inject-faults=spec]
 ///   rvpredict replay  <prog.rv> --trace=trace.txt
@@ -313,23 +312,22 @@ int cmdDetect(const OptionParser &Options) {
   }
 
   Detect.Jobs = static_cast<uint32_t>(Options.getInt("jobs", 0));
-  Detect.Incremental = Options.getBool("incremental", true);
-  Detect.Slice = !Options.getBool("no-slice", false);
 
   // Checkpointing: the fingerprint pins the trace contents and every
-  // result-relevant flag (jobs and no-slice excluded — reports are
-  // identical for any value of either), so a checkpoint directory can
-  // only resume the same analysis.
+  // result-relevant flag (jobs excluded — reports are identical for any
+  // value), so a checkpoint directory can only resume the same analysis.
+  // The literal `incremental=1` stays from when session solving was a
+  // flag, so checkpoint directories written before keep resuming.
   Detect.CheckpointDir = Options.getString("checkpoint", "");
   if (!Detect.CheckpointDir.empty()) {
     std::string Flags = formatString(
         "technique=%s property=%s window=%u solver=%s budget=%g "
-        "incremental=%d witness=%d static-prune=%d retry-budgets=%s "
+        "incremental=1 witness=%d static-prune=%d retry-budgets=%s "
         "tier=%s check-tiers=%d",
         Options.getString("technique", "rv").c_str(),
         Options.getString("property", "race").c_str(), Detect.WindowSize,
         Detect.SolverName.c_str(), Detect.PerCopBudgetSeconds,
-        Detect.Incremental ? 1 : 0, Detect.CollectWitnesses ? 1 : 0,
+        Detect.CollectWitnesses ? 1 : 0,
         Options.getBool("static-prune") ? 1 : 0,
         Options.getString("retry-budgets", "").c_str(),
         tierName(Detect.Tier), Detect.CheckTiers ? 1 : 0);
@@ -478,15 +476,6 @@ int main(int Argc, const char **Argv) {
   Options.addOption("jobs",
                     "solver worker threads (0 = one per hardware thread)",
                     "0");
-  Options.addOption("incremental",
-                    "decide COPs through a persistent per-window solver "
-                    "session (assumption-based incremental solving)",
-                    "true");
-  Options.addOption("no-slice",
-                    "disable cone-of-influence slicing of the per-COP "
-                    "encodings (debug cross-check; reports are identical "
-                    "either way — see docs/ENCODER.md)",
-                    "false");
   Options.addOption("static-prune",
                     "skip COPs a static analysis of the program proves "
                     "race-free (.rv inputs only)",

@@ -28,6 +28,12 @@ cmake --build "$BUILD_DIR" -j "$(nproc 2>/dev/null || echo 2)" \
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
   -R 'ThreadPool|ParallelDetect|Stats\.Concurrent|DetectDeterminism|RaceEncoderCone|ModeEquivalence|DriverGolden|StreamDetector'
 
+# The standalone runs below keep telemetry and the trace-event sink on:
+# workers fill each decision's record (encode stats, formula size, witness
+# resolve) and the main thread folds it into the run in candidate order,
+# renders its cop event and ledger entry, and flushes once at the end.
+EVENTS="$BUILD_DIR/tsan-trace-events.jsonl"
+
 # The hybrid WCP tier under parallel solving: the vector-clock index is
 # built once and read by every worker, and the per-COP WcpPruned/WcpRacy
 # verdicts are mirrored back from the worker tasks (docs/TIERS.md). Exit
@@ -35,7 +41,8 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure \
 for w in tests/golden/prune_workload.rv tests/golden/stats_workload.rv; do
   rc=0
   "$BUILD_DIR"/tools/rvpredict detect "$w" --seed=1 --schedule=rr \
-    --technique=rv --tier=hybrid --jobs=4 >/dev/null || rc=$?
+    --technique=rv --tier=hybrid --jobs=4 --stats \
+    --trace-events="$EVENTS" >/dev/null || rc=$?
   if [ "$rc" -gt 1 ]; then
     echo "check_tsan: --tier=hybrid --jobs=4 on $w exited $rc" >&2
     exit 1
@@ -48,7 +55,7 @@ for p in atomicity deadlock; do
   rc=0
   "$BUILD_DIR"/tools/rvpredict detect tests/golden/props_workload.rv \
     --seed=1 --schedule=rr --window=24 --property="$p" --witness=true \
-    --jobs=4 >/dev/null || rc=$?
+    --jobs=4 --stats --trace-events="$EVENTS" >/dev/null || rc=$?
   if [ "$rc" -gt 1 ]; then
     echo "check_tsan: --property=$p --jobs=4 exited $rc" >&2
     exit 1

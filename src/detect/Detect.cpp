@@ -49,34 +49,28 @@ const char *rvp::tierName(DetectTier Tier) {
 
 std::string rvp::renderStatsTable(const DetectionStats &Stats,
                                   const char *What) {
+  auto U = [](uint64_t V) { return static_cast<unsigned long long>(V); };
   std::string Out = formatString(
       "windows=%llu cops=%llu pruned_static=%llu qc=%llu solves=%llu "
       "timeouts=%llu jobs=%u\n",
-      static_cast<unsigned long long>(Stats.Windows),
-      static_cast<unsigned long long>(Stats.Cops),
-      static_cast<unsigned long long>(Stats.CopsPrunedStatic),
-      static_cast<unsigned long long>(Stats.QcPassed),
-      static_cast<unsigned long long>(Stats.SolverCalls),
-      static_cast<unsigned long long>(Stats.SolverTimeouts),
+      U(Stats.Windows), U(Stats.Cops), U(Stats.CopsPrunedStatic),
+      U(Stats.QcPassed), U(Stats.SolverCalls), U(Stats.SolverTimeouts),
       static_cast<unsigned>(Stats.Jobs));
   // Degradation line only when something degraded, so healthy runs print
   // the classic summary unchanged (docs/ROBUSTNESS.md).
   if (Stats.SolverRetries || Stats.DegradedSessions || Stats.UnknownCops)
     Out += formatString(
         "resilience: retries=%llu degraded_sessions=%llu unknown=%llu\n",
-        static_cast<unsigned long long>(Stats.SolverRetries),
-        static_cast<unsigned long long>(Stats.DegradedSessions),
-        static_cast<unsigned long long>(Stats.UnknownCops));
+        U(Stats.SolverRetries), U(Stats.DegradedSessions),
+        U(Stats.UnknownCops));
   // Tier line only when the WCP tier ran (docs/TIERS.md): --tier=smt runs
   // print the classic summary unchanged.
   if (Stats.WcpRaces || Stats.WcpPruned || Stats.WcpResidue ||
       Stats.WcpShortCircuits || Stats.WcpMismatches)
     Out += formatString(
         "wcp: races=%llu pruned=%llu residue=%llu short_circuits=%llu\n",
-        static_cast<unsigned long long>(Stats.WcpRaces),
-        static_cast<unsigned long long>(Stats.WcpPruned),
-        static_cast<unsigned long long>(Stats.WcpResidue),
-        static_cast<unsigned long long>(Stats.WcpShortCircuits));
+        U(Stats.WcpRaces), U(Stats.WcpPruned), U(Stats.WcpResidue),
+        U(Stats.WcpShortCircuits));
   if (!Stats.Telemetry.Captured)
     return Out;
   Out += formatString("phases (%s, wall seconds):\n", What);
@@ -89,28 +83,61 @@ std::string rvp::renderStatsTable(const DetectionStats &Stats,
   return Out;
 }
 
+std::span<const StatsField> rvp::statsFields() {
+  using S = DetectionStats;
+  using enum StatsField::Flush;
+  static constexpr StatsField Fields[] = {
+      {&S::Windows, "detect.windows", Always, 0, "windows"},
+      {&S::Cops, "detect.cops", Always, 1, "cops"},
+      {&S::CopsPrunedStatic, "analysis.cops_pruned_static", Always, 3,
+       "cops_pruned_static"},
+      {&S::QcPassed, "detect.qc_passed_signatures", Always, 2, "qc_passed"},
+      {&S::SolverCalls, "solver.calls", Always, 4, "solver_calls"},
+      {&S::SolverTimeouts, "solver.timeouts", Always, 5, "solver_timeouts"},
+      {&S::SolverRetries, "solver.retries", Always, 6, "solver_retries"},
+      {&S::DegradedSessions, "solver.degraded_sessions", Always, 7,
+       "degraded_sessions"},
+      {&S::UnknownCops, "detect.unknown_cops", Always, -1, "unknown_cops"},
+      {&S::WcpRaces, "wcp.races", WcpTier, 13, "wcp_races"},
+      {&S::WcpPruned, "wcp.pruned_cops", WcpTier, 14, "wcp_pruned_cops"},
+      {&S::WcpResidue, "wcp.residue_cops", WcpTier, 15, "wcp_residue_cops"},
+      {&S::WcpShortCircuits, nullptr, Always, 16, "solver_calls_saved"},
+      {&S::WcpMismatches, "wcp.check_mismatches", WcpTier, 17,
+       "wcp_mismatches"},
+      {&S::QcHits, "detect.qc_hits", Always, 8},
+      {&S::QcMisses, "detect.qc_misses", Always, 9},
+      {&S::SignaturePruned, "detect.signature_pruned", Always, 10},
+      {&S::SpeculativeSolves, "detect.speculative_solves", Always, 11},
+      {&S::BackendFallbacks, "solver.backend_fallbacks", Always, 12},
+      {&S::ResumedWindows, "detect.resumed_windows", Always},
+      {&S::Formulas, "encoder.formulas", Encoded},
+      {&S::FormulaNodes, "encoder.nodes", Encoded},
+      {&S::DifferenceAtoms, "encoder.difference_atoms", Encoded},
+      {&S::BoolVars, "encoder.bool_vars", Encoded},
+      {&S::OrderVars, "encoder.order_vars", Encoded},
+      {&S::ConeEvents, "encoder.cone_events", Encoded},
+      {&S::SlicedAtoms, "encoder.sliced_atoms", Encoded},
+      {&S::BranchConstraints, "encoder.branch_constraints", Guarded},
+      {&S::ReadConsistency, "encoder.read_consistency_constraints", Nonzero},
+      {&S::CfDefs, "encoder.cf_defs", Nonzero},
+      {&S::SkeletonCacheHits, "encoder.skeleton_cache_hits", Nonzero},
+      {&S::RangesFolded, "analysis.ranges_folded", Nonzero},
+      {&S::WitnessResolves, "solver.witness_resolves", Nonzero},
+      {&S::WitnessFailures, "solver.witness_failures", Nonzero},
+  };
+  return Fields;
+}
+
 std::string rvp::statsToJson(const DetectionStats &Stats, const char *What) {
   JsonObject O;
   // Identity triple first, so trajectory tooling can key records without
   // scanning (docs/OBSERVABILITY.md).
   appendRunMetadata(O);
-  O.field("technique", What)
-      .field("seconds", Stats.Seconds)
-      .field("windows", Stats.Windows)
-      .field("cops", Stats.Cops)
-      .field("cops_pruned_static", Stats.CopsPrunedStatic)
-      .field("qc_passed", Stats.QcPassed)
-      .field("solver_calls", Stats.SolverCalls)
-      .field("solver_timeouts", Stats.SolverTimeouts)
-      .field("solver_retries", Stats.SolverRetries)
-      .field("degraded_sessions", Stats.DegradedSessions)
-      .field("unknown_cops", Stats.UnknownCops)
-      .field("wcp_races", Stats.WcpRaces)
-      .field("wcp_pruned_cops", Stats.WcpPruned)
-      .field("wcp_residue_cops", Stats.WcpResidue)
-      .field("solver_calls_saved", Stats.WcpShortCircuits)
-      .field("wcp_mismatches", Stats.WcpMismatches)
-      .field("jobs", static_cast<uint64_t>(Stats.Jobs));
+  O.field("technique", What).field("seconds", Stats.Seconds);
+  for (const StatsField &F : statsFields())
+    if (F.JsonKey)
+      O.field(F.JsonKey, Stats.*F.Member);
+  O.field("jobs", static_cast<uint64_t>(Stats.Jobs));
   if (Stats.Telemetry.Captured) {
     O.raw("metrics", metricsToJson(Stats.Telemetry.Metrics));
     O.raw("phases", Stats.Telemetry.Phases.toJson());

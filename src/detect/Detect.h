@@ -30,6 +30,7 @@
 #include "trace/Trace.h"
 #include "trace/Window.h"
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -174,6 +175,9 @@ struct UnknownReport {
   uint32_t Attempts = 1;
 };
 
+/// Everything one detection run counts, incremented once by the window
+/// driver; every stats view reads it through statsFields()
+/// (docs/OBSERVABILITY.md).
 struct DetectionStats {
   uint64_t Windows = 0;
   uint64_t Cops = 0;
@@ -208,6 +212,22 @@ struct DetectionStats {
   /// --check-tiers: WCP-racy COPs the solver decided Unsat. Always 0 when
   /// the tier is sound; any nonzero value fails the run (exit 2).
   uint64_t WcpMismatches = 0;
+  /// The quick check's passes and fails, signature-pruned candidates,
+  /// discarded decided-ahead solves (jobs > 1), backend fallbacks to idl,
+  /// and windows a checkpoint covered.
+  uint64_t QcHits = 0, QcMisses = 0, SignaturePruned = 0;
+  uint64_t SpeculativeSolves = 0, BackendFallbacks = 0, ResumedWindows = 0;
+  /// Decision-path encodes (decided-ahead ones included, witness encodes
+  /// never) and the sums of their EncodeStats and formula sizes; the
+  /// sizes are measured only while telemetry is enabled. GuardedFormulas
+  /// counts the encodes whose query carries branch guards.
+  uint64_t Formulas = 0, FormulaNodes = 0, DifferenceAtoms = 0;
+  uint64_t BoolVars = 0, OrderVars = 0, GuardedFormulas = 0;
+  uint64_t BranchConstraints = 0, ReadConsistency = 0, CfDefs = 0;
+  uint64_t ConeEvents = 0, SlicedAtoms = 0, SkeletonCacheHits = 0;
+  uint64_t RangesFolded = 0;
+  /// Witness solves, and findings whose witness solve was not Sat.
+  uint64_t WitnessResolves = 0, WitnessFailures = 0;
   /// Effective worker count used for per-COP solving (1 when the
   /// technique has no solver loop or the run was sequential).
   uint32_t Jobs = 1;
@@ -222,6 +242,31 @@ struct DetectionStats {
   /// "top_costs" member of --stats-json. See docs/OBSERVABILITY.md.
   CostLedger TopCosts;
 };
+
+/// One counted DetectionStats field and every place it is reported.
+struct StatsField {
+  /// When the telemetry flush registers the counter (it relies on this
+  /// order). A registered counter shows even at 0, so each rule keeps a
+  /// counter absent from runs that never reach its code path.
+  enum class Flush : uint8_t {
+    Always,
+    WcpTier, ///< the WCP tier ran (QueryPolicy::WcpTier)
+    Encoded, ///< the run made a decision-path encode
+    Guarded, ///< ... one whose query carries branch guards
+    Nonzero,
+  };
+
+  uint64_t DetectionStats::*Member;
+  const char *Counter; ///< registry counter, or null
+  Flush When;
+  /// Position among the checkpoint payload's counts (the `stats` line's
+  /// 8, then the `tallies` line's 10), or -1.
+  int8_t Slot = -1;
+  const char *JsonKey = nullptr; ///< top-level --stats-json key, or null
+};
+
+/// The counted fields, the ones with a JSON key first in JSON order.
+std::span<const StatsField> statsFields();
 
 /// Human-readable statistics: the classic one-line summary, followed (when
 /// a telemetry snapshot was captured) by the phase tree, the counters, and

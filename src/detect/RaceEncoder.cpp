@@ -8,7 +8,6 @@
 
 #include "detect/Detect.h"
 #include "support/Compiler.h"
-#include "support/Telemetry.h"
 
 #include <algorithm>
 #include <cassert>
@@ -174,7 +173,8 @@ NodeRef RaceEncoder::encodeLock(FormulaBuilder &FB) const {
   return FB.mkAnd(std::move(Conj));
 }
 
-std::vector<EventId> RaceEncoder::guardingBranches(EventId E) const {
+std::vector<EventId> RaceEncoder::guardingBranches(EventId E,
+                                                   uint64_t *Folded) const {
   std::vector<EventId> Guards;
   for (ThreadId Tid = 0; Tid < T.numThreads(); ++Tid) {
     const std::vector<EventId> &Branches = Enc->ThreadBranches[Tid];
@@ -196,16 +196,11 @@ std::vector<EventId> RaceEncoder::guardingBranches(EventId E) const {
     // execution, so cf(e) needs no guard for it; walk back to the last
     // branch the oracle cannot fold — guarding it still covers all
     // earlier branches (cf is monotone along the thread).
-    uint64_t Folded = 0;
     while (Best >= 0 && Options.Fold &&
            Options.Fold->foldableBranch(T, Branches[Best])) {
       --Best;
-      ++Folded;
-    }
-    if (Folded > 0 && counting()) {
-      static Counter &RangesFolded =
-          MetricsRegistry::global().counter("analysis.ranges_folded");
-      RangesFolded.add(Folded);
+      if (Folded)
+        ++*Folded;
     }
     if (Best >= 0)
       Guards.push_back(Branches[Best]);
@@ -230,15 +225,10 @@ NodeRef RaceEncoder::atomS(CfState &St, EventId X, EventId Y) const {
 
 NodeRef RaceEncoder::branchGuards(CfState &St, EventId E) const {
   std::vector<NodeRef> Conj;
-  for (EventId Branch : guardingBranches(E))
+  for (EventId Branch : guardingBranches(E, &St.Stats.RangesFolded))
     Conj.push_back(cfVar(St, Branch));
-  if (counting()) {
-    // References into the registry stay valid across reset(), so the
-    // lookup cost is paid once per process, not per constraint.
-    static Counter &BranchConstraints =
-        MetricsRegistry::global().counter("encoder.branch_constraints");
-    BranchConstraints.add(Conj.size());
-  }
+  St.Stats.Guarded = true;
+  St.Stats.BranchConstraints += Conj.size();
   return St.FB.mkAnd(std::move(Conj));
 }
 
@@ -277,11 +267,7 @@ NodeRef RaceEncoder::readValueFormula(CfState &St, EventId R,
     Disjuncts.push_back(FB.mkAnd(std::move(Conj)));
   }
 
-  if (counting()) {
-    static Counter &ReadConsistency = MetricsRegistry::global().counter(
-        "encoder.read_consistency_constraints");
-    ReadConsistency.inc();
-  }
+  ++St.Stats.ReadConsistency;
   return FB.mkOr(std::move(Disjuncts));
 }
 
@@ -308,11 +294,7 @@ void RaceEncoder::emitCfDefs(CfState &St) const {
       RVP_UNREACHABLE("cf variable for a non-branch/read/write event");
     }
     St.Defs.push_back(St.FB.mkGuardedDef(St.VarOf.at(E), Def));
-    if (counting()) {
-      static Counter &CfDefs =
-          MetricsRegistry::global().counter("encoder.cf_defs");
-      CfDefs.inc();
-    }
+    ++St.Stats.CfDefs;
   }
 }
 
@@ -331,27 +313,8 @@ NodeRef RaceEncoder::adjacency(FormulaBuilder &FB, EventId A,
 
 // ----------------------------------------------------- skeleton cache
 
-bool RaceEncoder::counting() const {
-  return Options.Counters && Telemetry::enabled();
-}
-
-void RaceEncoder::recordCone(const Skeleton &Sk, EncodeStats *Stats) const {
-  if (Stats) {
-    Stats->ConeEvents += Sk.Events.size();
-    if (Stats->Cone) {
-      Stats->Cone->Events = Sk.Events;
-      Stats->Cone->ActiveLocks = Sk.ActiveLcs;
-    }
-  }
-  if (counting()) {
-    static Counter &Events =
-        MetricsRegistry::global().counter("encoder.cone_events");
-    Events.add(Sk.Events.size());
-  }
-}
-
 const RaceEncoder::Skeleton &RaceEncoder::skeletonFor(Cone &C,
-                                                      EncodeStats *Stats) const {
+                                                      EncodeStats &Stats) const {
   uint64_t Hash = hashCombine(0x51CEDA7ABCDEF01ULL, C.Events.size());
   for (EventId E : C.Events)
     Hash = hashCombine(Hash, E);
@@ -368,13 +331,7 @@ const RaceEncoder::Skeleton &RaceEncoder::skeletonFor(Cone &C,
     if (It != SkelCache.end())
       for (const std::unique_ptr<Skeleton> &Sk : It->second)
         if (Matches(*Sk)) {
-          if (Stats)
-            Stats->CacheHit = true;
-          if (counting()) {
-            static Counter &Hits = MetricsRegistry::global().counter(
-                "encoder.skeleton_cache_hits");
-            Hits.inc();
-          }
+          Stats.CacheHit = true;
           return *Sk;
         }
   }
@@ -412,7 +369,7 @@ const RaceEncoder::Skeleton &RaceEncoder::skeletonFor(Cone &C,
 NodeRef RaceEncoder::emitSkeleton(FormulaBuilder &FB, const Skeleton &Sk,
                                   Subst S,
                                   const std::vector<EventId> &ExcludedAcquires,
-                                  EncodeStats *Stats) const {
+                                  EncodeStats &Stats) const {
   auto Excluded = [&](EventId SectionAcq) {
     return SectionAcq != InvalidEvent &&
            std::find(ExcludedAcquires.begin(), ExcludedAcquires.end(),
@@ -437,13 +394,7 @@ NodeRef RaceEncoder::emitSkeleton(FormulaBuilder &FB, const Skeleton &Sk,
       Atoms += 1;
     }
   }
-  if (Stats)
-    Stats->SlicedAtoms += Atoms;
-  if (counting()) {
-    static Counter &Sliced =
-        MetricsRegistry::global().counter("encoder.sliced_atoms");
-    Sliced.add(Atoms);
-  }
+  Stats.SlicedAtoms += Atoms;
   return FB.mkAnd(std::move(Conj));
 }
 
@@ -460,8 +411,10 @@ NodeRef RaceEncoder::assemble(
   // children, so conjunct order does not change the resulting formula;
   // node creation order does (it numbers the nodes), and stays fixed:
   // own part, cf definitions, skeleton, query atoms.
+  EncodeStats Discarded;
+  EncodeStats &Out = Stats ? *Stats : Discarded;
   Cone C(*Enc);
-  CfState St{FB, S, C, {}, {}, {}};
+  CfState St{FB, S, C, Out, {}, {}, {}};
   for (EventId E : Anchors)
     C.addEvent(E);
   C.seed();
@@ -474,10 +427,14 @@ NodeRef RaceEncoder::assemble(
     C.close();
   else
     C.wholeWindow();
-  const Skeleton &Sk = skeletonFor(C, Stats);
-  recordCone(Sk, Stats);
+  const Skeleton &Sk = skeletonFor(C, Out);
+  Out.ConeEvents += Sk.Events.size();
+  if (Out.Cone) {
+    Out.Cone->Events = Sk.Events;
+    Out.Cone->ActiveLocks = Sk.ActiveLcs;
+  }
 
-  Conj.push_back(emitSkeleton(FB, Sk, S, ExcludedAcquires, Stats));
+  Conj.push_back(emitSkeleton(FB, Sk, S, ExcludedAcquires, Out));
   for (const auto &[X, Y] : Atoms)
     Conj.push_back(FB.mkAtom(X, Y));
   Conj.insert(Conj.end(), St.Defs.begin(), St.Defs.end());

@@ -88,9 +88,6 @@ struct EncoderOptions {
   /// Shrinks the cone before construction; null (the default) folds
   /// nothing. Not owned; must outlive the encoder.
   const CfFoldOracle *Fold = nullptr;
-  /// Tick the encoder.* telemetry counters. The witness path turns them
-  /// off, so the counters measure decision-path encodes only.
-  bool Counters = true;
 };
 
 /// The cone of influence of one query: the window events whose order
@@ -102,13 +99,19 @@ struct ConeInfo {
   std::vector<uint32_t> ActiveLocks; ///< LockConstraint indices, ascending
 };
 
-/// Per-encode-call statistics, filled when the caller passes one to an
-/// encode method. Every call counts, whether its cone was computed or is
-/// the whole window.
+/// What one encode call did, added into the stats the caller passes: the
+/// encoder's only output besides the formula. Every call counts, whatever
+/// its cone; the window driver folds the decision-path calls into the
+/// run's DetectionStats (docs/OBSERVABILITY.md).
 struct EncodeStats {
-  uint64_t ConeEvents = 0;  ///< window events in the cone of influence
-  uint64_t SlicedAtoms = 0; ///< Φ_mhb/Φ_lock atoms actually emitted
-  bool CacheHit = false;    ///< skeleton served from the per-window cache
+  uint64_t ConeEvents = 0;        ///< window events in the cone of influence
+  uint64_t SlicedAtoms = 0;       ///< Φ_mhb/Φ_lock atoms actually emitted
+  uint64_t BranchConstraints = 0; ///< branch-guard conjuncts emitted
+  uint64_t ReadConsistency = 0;   ///< read-value formulas built
+  uint64_t CfDefs = 0;            ///< cf variable definitions emitted
+  uint64_t RangesFolded = 0;      ///< guards EncoderOptions::Fold dropped
+  bool CacheHit = false;          ///< skeleton served from the window cache
+  bool Guarded = false;           ///< branch guards built (all but Said)
   /// When set, receives the query's cone (the witness path extends a
   /// model over it to the whole window).
   ConeInfo *Cone = nullptr;
@@ -171,8 +174,10 @@ public:
   NodeRef encodeLock(FormulaBuilder &FB) const;
 
   /// The last branch event of each thread that must happen before \p E
-  /// (the set B_e of Section 3.2), in ascending order.
-  std::vector<EventId> guardingBranches(EventId E) const;
+  /// (the set B_e of Section 3.2), in ascending order. \p Folded, when
+  /// set, is increased by the branches EncoderOptions::Fold dropped.
+  std::vector<EventId> guardingBranches(EventId E,
+                                        uint64_t *Folded = nullptr) const;
 
 private:
   struct Subst {
@@ -193,6 +198,7 @@ private:
     FormulaBuilder &FB;
     Subst S;
     Cone &C;
+    EncodeStats &Stats;
     std::vector<NodeRef> Defs;
     std::unordered_map<EventId, uint32_t> VarOf;
     std::vector<EventId> Worklist;
@@ -235,15 +241,11 @@ private:
   /// Looks the cone's skeleton up in the per-window cache, building and
   /// inserting it on a miss. Concurrent-reader-safe: --jobs workers share
   /// the cache through the encoder they already share.
-  const Skeleton &skeletonFor(Cone &C, EncodeStats *Stats) const;
+  const Skeleton &skeletonFor(Cone &C, EncodeStats &Stats) const;
   /// Emits the skeleton's Φ_mhb ∧ Φ_lock under substitution \p S.
   NodeRef emitSkeleton(FormulaBuilder &FB, const Skeleton &Sk, Subst S,
                        const std::vector<EventId> &ExcludedAcquires,
-                       EncodeStats *Stats) const;
-  /// Reports a call's cone \p Sk into \p Stats and the counters.
-  void recordCone(const Skeleton &Sk, EncodeStats *Stats) const;
-  /// Whether this encoder ticks the encoder.* counters right now.
-  bool counting() const;
+                       EncodeStats &Stats) const;
 
   std::shared_ptr<const WindowEncoding> Enc;
   const Trace &T;

@@ -60,13 +60,6 @@ struct ResilienceStats {
   uint64_t DegradedSessions = 0;
   /// Backend factory failures absorbed by falling back to idl.
   uint64_t BackendFallbacks = 0;
-
-  ResilienceStats &operator+=(const ResilienceStats &O) {
-    Retries += O.Retries;
-    DegradedSessions += O.DegradedSessions;
-    BackendFallbacks += O.BackendFallbacks;
-    return *this;
-  }
 };
 
 /// One host per window (per worker when solving in parallel): holds the

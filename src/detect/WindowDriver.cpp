@@ -96,26 +96,40 @@ bool parseHex(std::string_view S, uint64_t &Out) {
   return true;
 }
 
+/// Measures the formula one query added to its builder since
+/// \p NodesBefore, in one pass over the new nodes: with the window's shared
+/// builder this is the query's own encoding work, not re-reads of shared
+/// structure.
+void measureFormula(const FormulaBuilder &FB, size_t NodesBefore,
+                    NodeRef Root, CopCost &Record) {
+  Record.FormulaNodes = FB.numNodes() - NodesBefore;
+  std::unordered_set<uint32_t> BoolIds;
+  for (size_t I = NodesBefore; I < FB.numNodes(); ++I) {
+    const FormulaNode &N = FB.node(static_cast<NodeRef>(I));
+    if (N.Kind == FormulaKind::Atom)
+      ++Record.DifferenceAtoms;
+    else if (N.Kind == FormulaKind::BoolVar)
+      BoolIds.insert(N.VarA);
+  }
+  Record.BoolVars = BoolIds.size();
+  Record.OrderVars = FB.collectVars(Root).size();
+}
+
 /// What deciding one candidate produced: on demand in the collect loop
-/// (one job) or ahead of it on a pool worker (jobs > 1).
+/// (one job) or ahead of it on a pool worker (jobs > 1). Nothing is
+/// counted where it is produced; the collect loop folds it into the run.
 struct Decision {
-  /// Went through a SolveHost (a WCP short-circuit does not).
-  bool Solved = false;
   SatResult Sat = SatResult::Unknown;
-  /// Escalation attempts the host spent.
-  uint32_t Attempts = 1;
   const char *Backend = "none";
-  double EncodeSeconds = 0;
-  double SolveSeconds = 0;
-  double WitnessSeconds = 0;
-  uint64_t MemDeltaBytes = 0;
-  uint64_t ConeEvents = 0;
-  /// Formula size of this query (cop trace events only).
-  uint64_t FormulaNodes = 0;
-  uint64_t DifferenceAtoms = 0;
-  uint64_t OrderVars = 0;
+  /// The decision-path encode (Cost.Solved only).
+  EncodeStats Encode;
+  /// The COP's record, Solved when it went through a SolveHost (a WCP
+  /// short-circuit does not); the collect loop names it.
+  CopCost Cost;
   std::vector<EventId> Witness;
   bool WitnessValid = false;
+  /// A witness solve ran.
+  bool WitnessResolved = false;
   /// The finding's witness solve was not Sat: reported without a witness.
   bool WitnessFailed = false;
 };
@@ -182,25 +196,26 @@ private:
     tally(Cands);
     collect(W, Cands);
 
-    double Seconds = WindowClock.seconds();
+    // The window's one record, rendered as its trace event, its ledger
+    // entry and the Perfetto counter samples of the run so far.
+    const WindowCost Record{.Index = Out.Stats.Windows - 1,
+                            .Begin = Window.Begin,
+                            .End = Window.End,
+                            .Cops = Cands.size(),
+                            .Solves = Out.Stats.SolverCalls - SolvesBefore,
+                            .Seconds = WindowClock.seconds()};
     if (TraceEventSink *Sink = activeSink()) {
       JsonObject O;
       O.field("type", "window")
-          .field("index", Out.Stats.Windows - 1)
-          .field("begin", static_cast<uint64_t>(Window.Begin))
-          .field("end", static_cast<uint64_t>(Window.End))
-          .field("cops", static_cast<uint64_t>(Cands.size()))
-          .field("seconds", Seconds);
+          .field("index", static_cast<uint64_t>(Record.Index))
+          .field("begin", Record.Begin)
+          .field("end", Record.End)
+          .field("cops", static_cast<uint64_t>(Record.Cops))
+          .field("seconds", Record.Seconds);
       Sink->write(O);
     }
-    if (Telemetry::enabled()) {
-      WindowCost Cost;
-      Cost.Index = Out.Stats.Windows - 1;
-      Cost.Cops = Cands.size();
-      Cost.Solves = Out.Stats.SolverCalls - SolvesBefore;
-      Cost.Seconds = Seconds;
-      Out.Stats.TopCosts.recordWindow(Cost);
-    }
+    if (Telemetry::enabled())
+      Out.Stats.TopCosts.recordWindow(Record);
     // Live counter tracks, sampled once per window barrier — enough
     // resolution to see trends in Perfetto without bloating the trace.
     if (ProfileCollector *P = ProfileCollector::active()) {
@@ -224,10 +239,10 @@ private:
         continue;
       }
       if (!C.QcPass) {
-        ++QcMisses;
+        ++Out.Stats.QcMisses;
         continue;
       }
-      ++QcHits;
+      ++Out.Stats.QcHits;
       if (Policy.QcBySignature)
         QcSignatures.insert(C.Sig);
     }
@@ -258,10 +273,14 @@ private:
         continue;
       }
       if (Seen.count(C.Sig)) {
-        ++SigPruned; // signature pruning (Section 4)
-        if (Pool && Ahead[I].Solved)
-          ++SpeculativeSolves;
-        emitCopEvent(C, "pruned", "signature");
+        ++Out.Stats.SignaturePruned; // signature pruning (Section 4)
+        if (Pool) {
+          // Decided ahead and discarded: its work still counts.
+          if (Ahead[I].Cost.Solved)
+            ++Out.Stats.SpeculativeSolves;
+          foldWork(Ahead[I]);
+        }
+        emitCop(C, "pruned", "signature");
         continue;
       }
       if (C.Reject) {
@@ -272,15 +291,15 @@ private:
         ++Out.Stats.QcPassed;
       switch (C.How) {
       case Candidate::Verdict::Ordered:
-        emitCopEvent(C, "ordered", "ordered");
+        emitCop(C, "ordered", "ordered");
         break;
       case Candidate::Verdict::Racy:
-        emitCopEvent(C, "race", "none");
+        emitCop(C, "race", "none");
         reportFinding(C, {}, false);
         break;
       case Candidate::Verdict::WcpRacy:
         ++Out.Stats.WcpRaces;
-        emitCopEvent(C, "race", "wcp");
+        emitCop(C, "race", "wcp");
         reportFinding(C, {}, false);
         break;
       case Candidate::Verdict::Solve:
@@ -364,42 +383,31 @@ private:
     // One builder per window (per worker), so shared subformulas are
     // hash-consed once and the session's learned clauses stay meaningful.
     FormulaBuilder &FB = Ctx.FB;
+    CopCost &Cost = D.Cost;
     size_t NodesBefore = FB.numNodes();
     NodeRef Root;
-    EncodeStats Enc;
     {
       ScopedPhaseTimer EncodePhase("encode");
       Timer EncodeClock;
-      Root = Policy.encode(Encoder, FB, C, &Enc);
-      D.EncodeSeconds = EncodeClock.seconds();
+      Root = Policy.encode(Encoder, FB, C, &D.Encode);
+      Cost.EncodeSeconds = EncodeClock.seconds();
     }
-    D.ConeEvents = Enc.ConeEvents;
-    D.MemDeltaBytes = (FB.numNodes() - NodesBefore) * sizeof(FormulaNode);
+    Cost.ConeEvents = D.Encode.ConeEvents;
+    Cost.MemDeltaBytes = (FB.numNodes() - NodesBefore) * sizeof(FormulaNode);
     if (Telemetry::enabled())
-      recordFormulaMetrics(FB, NodesBefore, Root);
-    if (activeSink()) {
-      D.FormulaNodes = FB.numNodes() - NodesBefore;
-      for (size_t I = NodesBefore; I < FB.numNodes(); ++I)
-        if (FB.node(static_cast<NodeRef>(I)).Kind == FormulaKind::Atom)
-          ++D.DifferenceAtoms;
-      D.OrderVars = FB.collectVars(Root).size();
-    }
+      measureFormula(FB, NodesBefore, Root, Cost);
 
     SolveHost::Outcome Decided;
     {
       ScopedPhaseTimer SolvePhase("solve");
       Timer SolveClock;
       Decided = Ctx.Host->decide(FB, Root);
-      D.SolveSeconds = SolveClock.seconds();
+      Cost.SolveSeconds = SolveClock.seconds();
     }
-    D.Solved = true;
+    Cost.Solved = true;
+    Cost.Attempts = Decided.Attempts;
     D.Sat = Decided.Sat;
-    D.Attempts = Decided.Attempts;
     D.Backend = Ctx.Host->backendName();
-    if (Telemetry::enabled())
-      MetricsRegistry::global()
-          .histogram("solver.latency_seconds")
-          .record(D.SolveSeconds);
     if (D.Sat == SatResult::Sat && Policy.WitnessOnSat &&
         Options.CollectWitnesses)
       D.WitnessFailed = witness(W, C, D) != SatResult::Sat;
@@ -407,14 +415,13 @@ private:
 
   /// The canonical witness, however the verdict was reached: encode the
   /// query sliced into a fresh builder through a fresh encoder on the
-  /// window's shared encoding (no cf folding, no encoder counters), solve
+  /// window's shared encoding (no cf folding, never counted), solve
   /// it one-shot, extend the cone model to the whole window by gap
   /// placement (docs/ENCODER.md) and validate the order. A fresh builder
   /// because the simplifier canonicalizes And/Or children by node
   /// reference, so a shared builder's numbering would reshape the model.
-  /// Leaves \p D's witness empty unless the solve is Sat. Tallied as
-  /// solver.witness_resolves, not as a decision: solver_calls is
-  /// mode-invariant.
+  /// Leaves \p D's witness empty unless the solve is Sat. Counted as a
+  /// witness resolve, not as a decision: solver_calls is mode-invariant.
   SatResult witness(WindowContext &W, const Candidate &C, Decision &D) const {
     // The window's encoding is built (on first use) outside the phase.
     std::shared_ptr<const WindowEncoding> Shared =
@@ -423,7 +430,6 @@ private:
     Timer WitnessClock;
     EncoderOptions Opts;
     Opts.SubstituteRaceVars = Policy.Encoding.SubstituteRaceVars;
-    Opts.Counters = false;
     RaceEncoder Encoder(std::move(Shared), Opts);
     FormulaBuilder FB;
     ConeInfo Cone;
@@ -433,8 +439,7 @@ private:
     std::unique_ptr<SmtSolver> Solver = createSolverByName(Options.SolverName);
     if (!Solver)
       Solver = createIdlSolver();
-    if (Telemetry::enabled())
-      MetricsRegistry::global().counter("solver.witness_resolves").inc();
+    D.WitnessResolved = true;
     OrderModel Model;
     SatResult Sat = Solver->solve(
         FB, Root, Deadline::after(Options.PerCopBudgetSeconds), &Model);
@@ -446,12 +451,42 @@ private:
                               Merged ? C.Second : InvalidEvent);
       D.WitnessValid = Policy.checkWitness(W, C, D.Witness);
     }
-    D.WitnessSeconds = WitnessClock.seconds();
+    D.Cost.WitnessSeconds = WitnessClock.seconds();
     return Sat;
+  }
+
+  /// Folds a decision's encode and witness work into the run: every
+  /// decision made, including decided-ahead ones signature pruning
+  /// discards, so the encoder counts match the work done.
+  void foldWork(const Decision &D) {
+    DetectionStats &S = Out.Stats;
+    S.WitnessResolves += D.WitnessResolved;
+    const CopCost &Cost = D.Cost;
+    if (!Cost.Solved)
+      return;
+    if (Telemetry::enabled())
+      MetricsRegistry::global()
+          .histogram("solver.latency_seconds")
+          .record(Cost.SolveSeconds);
+    const EncodeStats &E = D.Encode;
+    ++S.Formulas;
+    S.FormulaNodes += Cost.FormulaNodes;
+    S.DifferenceAtoms += Cost.DifferenceAtoms;
+    S.BoolVars += Cost.BoolVars;
+    S.OrderVars += Cost.OrderVars;
+    S.GuardedFormulas += E.Guarded;
+    S.BranchConstraints += E.BranchConstraints;
+    S.ReadConsistency += E.ReadConsistency;
+    S.CfDefs += E.CfDefs;
+    S.ConeEvents += E.ConeEvents;
+    S.SlicedAtoms += E.SlicedAtoms;
+    S.SkeletonCacheHits += E.CacheHit;
+    S.RangesFolded += E.RangesFolded;
   }
 
   /// Folds one decided candidate into the run, in candidate order.
   void account(const Candidate &C, Decision &D) {
+    foldWork(D);
     const bool Short = C.How == Candidate::Verdict::ShortCircuit;
     const char *Outcome = outcomeOf(D.Sat);
     if (Short && !Options.CollectWitnesses) {
@@ -477,12 +512,15 @@ private:
     }
     if (D.Sat == SatResult::Unknown) {
       ++Out.Stats.SolverTimeouts;
-      parkUnknown(C, D.Attempts);
+      // A short-circuit's one witness solve is its one attempt.
+      parkUnknown(C, std::max(D.Cost.Attempts, 1u));
     }
-    if (D.WitnessFailed && Telemetry::enabled())
-      MetricsRegistry::global().counter("solver.witness_failures").inc();
-    emitCopEvent(C, Outcome, Stage, Short ? nullptr : &D);
-    recordCopCost(C, Outcome, D);
+    Out.Stats.WitnessFailures += D.WitnessFailed;
+    if (Telemetry::enabled()) {
+      nameCop(D.Cost, C, Outcome, Stage);
+      emitCop(D.Cost);
+      Out.Stats.TopCosts.recordCop(std::move(D.Cost));
+    }
     if (D.Sat == SatResult::Sat)
       reportFinding(C, std::move(D.Witness), D.WitnessValid);
   }
@@ -490,7 +528,7 @@ private:
   void rejected(const Candidate &C, const char *Stage) {
     if (std::strcmp(Stage, "wcp") == 0)
       ++Out.Stats.WcpPruned;
-    emitCopEvent(C, rejectOutcome(Stage), Stage);
+    emitCop(C, rejectOutcome(Stage), Stage);
   }
 
   void reportFinding(const Candidate &C, std::vector<EventId> Witness,
@@ -513,29 +551,28 @@ private:
   void parkUnknown(const Candidate &C, uint32_t Attempts) {
     if (!UnknownSigs.insert(C.Sig).second)
       return;
-    UnknownReport U = describe(C.First, C.Second);
-    U.Attempts = Attempts;
     UnknownSigList.push_back(C.Sig);
-    Out.Unknowns.push_back(std::move(U));
+    describe(Out.Unknowns.emplace_back(), C.First, C.Second);
+    Out.Unknowns.back().Attempts = Attempts;
   }
 
-  /// Display names of a defining pair; a pair of lock requests names no
+  /// Fills \p Names (an UnknownReport or a CopCost) with a defining
+  /// pair and its display names; a pair of lock requests names no
   /// variable.
-  UnknownReport describe(EventId First, EventId Second) const {
-    UnknownReport U;
-    U.First = First;
-    U.Second = Second;
-    U.LocFirst = T.locName(T[First].Loc);
-    U.LocSecond = T.locName(T[Second].Loc);
+  template <typename Record>
+  void describe(Record &Names, EventId First, EventId Second) const {
+    Names.First = First;
+    Names.Second = Second;
+    Names.LocFirst = T.locName(T[First].Loc);
+    Names.LocSecond = T.locName(T[Second].Loc);
     if (T[First].isAccess())
-      U.Variable = T.varName(T[First].Target);
-    return U;
+      Names.Variable = T.varName(T[First].Target);
   }
 
   void absorbHostStats(const ResilienceStats &S) {
     Out.Stats.SolverRetries += S.Retries;
     Out.Stats.DegradedSessions += S.DegradedSessions;
-    BackendFallbacks += S.BackendFallbacks;
+    Out.Stats.BackendFallbacks += S.BackendFallbacks;
   }
 
 public:
@@ -547,19 +584,20 @@ public:
   /// the payload stays small and cannot drift from the trace (the store's
   /// fingerprint pins trace and flags).
   std::string serializeState() const {
-    const DetectionStats &S = Out.Stats;
-    std::string Payload = "stats";
-    for (uint64_t V : {S.Windows, S.Cops, S.QcPassed, S.CopsPrunedStatic,
-                       S.SolverCalls, S.SolverTimeouts, S.SolverRetries,
-                       S.DegradedSessions})
-      Payload += formatString(" %llu", static_cast<unsigned long long>(V));
-    Payload += "\ntallies";
-    for (uint64_t V :
-         {QcHits, QcMisses, SigPruned, SpeculativeSolves, BackendFallbacks,
-          S.WcpRaces, S.WcpPruned, S.WcpResidue, S.WcpShortCircuits,
-          S.WcpMismatches})
-      Payload += formatString(" %llu", static_cast<unsigned long long>(V));
-    Payload += "\nvalues";
+    uint64_t Counts[NumSlots] = {};
+    for (const StatsField &F : statsFields())
+      if (F.Slot >= 0)
+        Counts[F.Slot] = Out.Stats.*F.Member;
+    std::string Payload;
+    const uint64_t *Next = Counts;
+    for (const auto &[Tag, Width] : CountLines) {
+      Payload += Tag;
+      for (size_t I = 0; I < Width; ++I)
+        Payload += formatString(" %llu",
+                                static_cast<unsigned long long>(*Next++));
+      Payload += "\n";
+    }
+    Payload += "values";
     for (Value V : Values)
       Payload += formatString(" %lld", static_cast<long long>(V));
     Payload += "\n";
@@ -578,6 +616,13 @@ public:
     }
     return Payload;
   }
+
+  /// The payload lines holding the counted fields' slots
+  /// (StatsField::Slot), in slot order, with their widths.
+  static constexpr std::pair<std::string_view, size_t> CountLines[] = {
+      {"stats", 8}, {"tallies", 10}};
+  static constexpr size_t NumSlots =
+      CountLines[0].second + CountLines[1].second;
 
   static void appendKeySet(std::string &Out, const char *Tag,
                            const std::unordered_set<uint64_t> &Set) {
@@ -602,29 +647,30 @@ public:
       Id = static_cast<EventId>(V);
       return true;
     };
-    uint64_t S[8] = {0}, Tally[10] = {0};
+    uint64_t Counts[NumSlots] = {};
+    bool SawCounts[std::size(CountLines)] = {};
     std::vector<Value> NewValues;
     std::unordered_set<uint64_t> NewSeen, NewQc, NewUnkSet;
     std::vector<uint64_t> NewUnkList;
     std::vector<UnknownReport> NewUnknowns;
     std::vector<std::string> NewFindings;
-    bool SawStats = false, SawTallies = false, SawValues = false;
+    bool SawValues = false;
 
     for (std::string_view Line : split(Payload, '\n')) {
       Line = trim(Line);
       if (Line.empty())
         continue;
       std::vector<std::string_view> F = split(Line, ' ');
-      if (F[0] == "stats" || F[0] == "tallies") {
-        bool IsStats = F[0] == "stats";
-        uint64_t *Dst = IsStats ? S : Tally;
-        size_t N = IsStats ? std::size(S) : std::size(Tally);
-        if (F.size() != N + 1)
+      size_t L = 0, Slot = 0;
+      while (L < std::size(CountLines) && F[0] != CountLines[L].first)
+        Slot += CountLines[L++].second;
+      if (L < std::size(CountLines)) {
+        if (F.size() != CountLines[L].second + 1)
           return false;
-        for (size_t I = 0; I < N; ++I)
-          if (!parseU64(F[I + 1], Dst[I]))
+        for (size_t I = 1; I < F.size(); ++I)
+          if (!parseU64(F[I], Counts[Slot++]))
             return false;
-        (IsStats ? SawStats : SawTallies) = true;
+        SawCounts[L] = true;
       } else if (F[0] == "values") {
         for (size_t I = 1; I < F.size(); ++I) {
           int64_t V = 0;
@@ -649,36 +695,22 @@ public:
             Attempts == 0 || !parseHex(F[4], Sig) ||
             !NewUnkSet.insert(Sig).second)
           return false;
-        NewUnknowns.push_back(describe(First, Second));
+        describe(NewUnknowns.emplace_back(), First, Second);
         NewUnknowns.back().Attempts = static_cast<uint32_t>(Attempts);
         NewUnkList.push_back(Sig);
       } else {
         NewFindings.emplace_back(Line); // the policy validates these
       }
     }
-    if (!SawStats || !SawTallies || !SawValues ||
-        NewValues.size() > T.numVars() ||
+    if (!std::all_of(std::begin(SawCounts), std::end(SawCounts),
+                     [](bool Saw) { return Saw; }) ||
+        !SawValues || NewValues.size() > T.numVars() ||
         !Policy.restoreFindings(NewFindings))
       return false;
     DetectionStats &St = Out.Stats;
-    St.Windows = S[0];
-    St.Cops = S[1];
-    St.QcPassed = S[2];
-    St.CopsPrunedStatic = S[3];
-    St.SolverCalls = S[4];
-    St.SolverTimeouts = S[5];
-    St.SolverRetries = S[6];
-    St.DegradedSessions = S[7];
-    QcHits = Tally[0];
-    QcMisses = Tally[1];
-    SigPruned = Tally[2];
-    SpeculativeSolves = Tally[3];
-    BackendFallbacks = Tally[4];
-    St.WcpRaces = Tally[5];
-    St.WcpPruned = Tally[6];
-    St.WcpResidue = Tally[7];
-    St.WcpShortCircuits = Tally[8];
-    St.WcpMismatches = Tally[9];
+    for (const StatsField &F : statsFields())
+      if (F.Slot >= 0)
+        St.*F.Member = Counts[F.Slot];
     Values = std::move(NewValues);
     Seen = std::move(NewSeen);
     QcSignatures = std::move(NewQc);
@@ -686,41 +718,32 @@ public:
     UnknownSigList = std::move(NewUnkList);
     Out.Unknowns = std::move(NewUnknowns);
     St.UnknownCops = Out.Unknowns.size();
-    ResumedWindows = St.Windows;
+    St.ResumedWindows = St.Windows;
     return true;
   }
 
 private:
   // ------------------------------------------------------- telemetry
 
-  /// The run's one flush into the process-wide registry: the same
-  /// counters for every property, so disabled telemetry costs nothing on
-  /// the hot path.
+  /// The run's one flush into the process-wide registry: the counted
+  /// fields of the run record (statsFields()), each under its presence
+  /// rule, so disabled telemetry costs nothing on the hot path.
   void flushTelemetry() {
     const DetectionStats &S = Out.Stats;
     MetricsRegistry &Reg = MetricsRegistry::global();
-    Reg.counter("detect.windows").add(S.Windows);
-    Reg.counter("detect.cops").add(S.Cops);
-    Reg.counter("detect.qc_hits").add(QcHits);
-    Reg.counter("detect.qc_misses").add(QcMisses);
-    Reg.counter("detect.qc_passed_signatures").add(S.QcPassed);
-    Reg.counter("detect.signature_pruned").add(SigPruned);
-    Reg.counter("analysis.cops_pruned_static").add(S.CopsPrunedStatic);
-    Reg.counter(Policy.FindingsCounter).add(Policy.numFindings());
-    Reg.counter("solver.calls").add(S.SolverCalls);
-    Reg.counter("solver.timeouts").add(S.SolverTimeouts);
-    Reg.counter("solver.retries").add(S.SolverRetries);
-    Reg.counter("solver.degraded_sessions").add(S.DegradedSessions);
-    Reg.counter("solver.backend_fallbacks").add(BackendFallbacks);
-    Reg.counter("detect.unknown_cops").add(S.UnknownCops);
-    Reg.counter("detect.resumed_windows").add(ResumedWindows);
-    Reg.counter("detect.speculative_solves").add(SpeculativeSolves);
-    if (Policy.WcpTier) {
-      Reg.counter("wcp.races").add(S.WcpRaces);
-      Reg.counter("wcp.pruned_cops").add(S.WcpPruned);
-      Reg.counter("wcp.residue_cops").add(S.WcpResidue);
-      Reg.counter("wcp.check_mismatches").add(S.WcpMismatches);
+    // Whether the run reached the code path of each StatsField::Flush
+    // rule but Nonzero, in enum order.
+    const bool Reached[] = {true, Policy.WcpTier, S.Formulas > 0,
+                            S.GuardedFormulas > 0};
+    for (const StatsField &F : statsFields()) {
+      uint64_t Value = S.*F.Member;
+      bool Flush = F.When == StatsField::Flush::Nonzero
+                       ? Value > 0
+                       : Reached[static_cast<size_t>(F.When)];
+      if (F.Counter && Flush)
+        Reg.counter(F.Counter).add(Value);
     }
+    Reg.counter(Policy.FindingsCounter).add(Policy.numFindings());
     Reg.gauge("detect.jobs").set(S.Jobs);
     // Memory gauges: the accounted pools plus process RSS. Trace storage
     // is owned outside the detectors, so its gauge is set directly from
@@ -732,66 +755,57 @@ private:
     Reg.gauge("mem.trace_peak_bytes").set(TraceBytes);
   }
 
-  /// Formula-size accounting after one encode: total nodes, difference
-  /// atoms, distinct cf boolean variables, and order variables reachable
-  /// from the root. Only the nodes this query added to the builder count
-  /// (\p NodesBefore), so with the window's shared builder
-  /// encoder.nodes measures real encoding work, not re-reads of shared
-  /// structure.
-  static void recordFormulaMetrics(const FormulaBuilder &FB,
-                                   size_t NodesBefore, NodeRef Root) {
-    uint64_t Atoms = 0;
-    std::unordered_set<uint32_t> BoolIds;
-    for (size_t I = NodesBefore; I < FB.numNodes(); ++I) {
-      const FormulaNode &N = FB.node(static_cast<NodeRef>(I));
-      if (N.Kind == FormulaKind::Atom)
-        ++Atoms;
-      else if (N.Kind == FormulaKind::BoolVar)
-        BoolIds.insert(N.VarA);
-    }
-    MetricsRegistry &Reg = MetricsRegistry::global();
-    Reg.counter("encoder.formulas").inc();
-    Reg.counter("encoder.nodes").add(FB.numNodes() - NodesBefore);
-    Reg.counter("encoder.difference_atoms").add(Atoms);
-    Reg.counter("encoder.bool_vars").add(BoolIds.size());
-    Reg.counter("encoder.order_vars").add(FB.collectVars(Root).size());
-  }
-
   static TraceEventSink *activeSink() {
     return Telemetry::enabled() ? Telemetry::instance().sink() : nullptr;
   }
 
+  /// Completes \p Record as \p C's, decided at \p Stage with \p Outcome.
+  void nameCop(CopCost &Record, const Candidate &C, const char *Outcome,
+               const char *Stage) const {
+    describe(Record, C.First, C.Second);
+    Record.Window = Out.Stats.Windows - 1;
+    Record.Outcome = Outcome;
+    Record.Stage = Stage;
+  }
+
+  /// The cop trace event of a candidate no solver decided.
+  void emitCop(const Candidate &C, const char *Outcome,
+               const char *Stage) const {
+    if (!activeSink())
+      return;
+    CopCost Record;
+    nameCop(Record, C, Outcome, Stage);
+    emitCop(Record);
+  }
+
   /// One cop trace event: the prune provenance (which stage decided the
-  /// candidate) plus, for a solver decision \p Solved, the formula size,
-  /// the encode/solve/witness split, the formula-arena delta and the
+  /// candidate) plus, for a solver decision, the formula size, the
+  /// encode/solve/witness split, the formula-arena delta and the
   /// escalation attempts.
-  void emitCopEvent(const Candidate &C, const char *Outcome,
-                    const char *Stage,
-                    const Decision *Solved = nullptr) const {
+  void emitCop(const CopCost &R) const {
     TraceEventSink *Sink = activeSink();
     if (!Sink)
       return;
-    UnknownReport Names = describe(C.First, C.Second);
     JsonObject O;
     O.field("type", "cop")
-        .field("window", Out.Stats.Windows - 1)
-        .field("first", static_cast<uint64_t>(C.First))
-        .field("second", static_cast<uint64_t>(C.Second))
-        .field("loc_first", Names.LocFirst)
-        .field("loc_second", Names.LocSecond)
-        .field("variable", Names.Variable)
-        .field("outcome", Outcome)
-        .field("stage", Stage);
-    if (Solved)
-      O.field("formula_nodes", Solved->FormulaNodes)
-          .field("difference_atoms", Solved->DifferenceAtoms)
-          .field("order_vars", Solved->OrderVars)
-          .field("solve_seconds", Solved->SolveSeconds)
-          .field("encode_seconds", Solved->EncodeSeconds)
-          .field("witness_seconds", Solved->WitnessSeconds)
-          .field("mem_delta_bytes", Solved->MemDeltaBytes)
-          .field("attempts", static_cast<uint64_t>(Solved->Attempts))
-          .field("cone_events", Solved->ConeEvents);
+        .field("window", static_cast<uint64_t>(R.Window))
+        .field("first", R.First)
+        .field("second", R.Second)
+        .field("loc_first", R.LocFirst)
+        .field("loc_second", R.LocSecond)
+        .field("variable", R.Variable)
+        .field("outcome", R.Outcome)
+        .field("stage", R.Stage);
+    if (R.Solved)
+      O.field("formula_nodes", R.FormulaNodes)
+          .field("difference_atoms", R.DifferenceAtoms)
+          .field("order_vars", R.OrderVars)
+          .field("solve_seconds", R.SolveSeconds)
+          .field("encode_seconds", R.EncodeSeconds)
+          .field("witness_seconds", R.WitnessSeconds)
+          .field("mem_delta_bytes", R.MemDeltaBytes)
+          .field("attempts", static_cast<uint64_t>(R.Attempts))
+          .field("cone_events", R.ConeEvents);
     Sink->write(O);
   }
 
@@ -807,31 +821,8 @@ private:
         .field("second", static_cast<uint64_t>(C.Second))
         .field("solver", D.Backend)
         .field("outcome", Outcome)
-        .field("seconds", D.SolveSeconds);
+        .field("seconds", D.Cost.SolveSeconds);
     Sink->write(O);
-  }
-
-  /// Feeds one decided candidate into the run's cost ledger
-  /// (telemetry-gated; called only in candidate order on the main thread,
-  /// so the ledger needs no lock).
-  void recordCopCost(const Candidate &C, const char *Outcome,
-                     const Decision &D) {
-    if (!Telemetry::enabled())
-      return;
-    UnknownReport Names = describe(C.First, C.Second);
-    CopCost Cost;
-    Cost.Window = Out.Stats.Windows - 1;
-    Cost.LocFirst = std::move(Names.LocFirst);
-    Cost.LocSecond = std::move(Names.LocSecond);
-    Cost.Variable = std::move(Names.Variable);
-    Cost.Outcome = Outcome;
-    Cost.EncodeSeconds = D.EncodeSeconds;
-    Cost.SolveSeconds = D.SolveSeconds;
-    Cost.WitnessSeconds = D.WitnessSeconds;
-    Cost.MemDeltaBytes = D.MemDeltaBytes;
-    Cost.Attempts = D.Solved ? D.Attempts : 0;
-    Cost.ConeEvents = D.ConeEvents;
-    Out.Stats.TopCosts.recordCop(std::move(Cost));
   }
 
   const Trace &T;
@@ -848,18 +839,6 @@ private:
   /// Signatures parked in Out.Unknowns, plus the list aligned with it.
   std::unordered_set<uint64_t> UnknownSigs;
   std::vector<uint64_t> UnknownSigList;
-  /// Windows a checkpoint-directory snapshot covered
-  /// (detect.resumed_windows).
-  uint64_t ResumedWindows = 0;
-  /// Plain tallies on the hot path, flushed into the registry once per run.
-  uint64_t QcHits = 0;
-  uint64_t QcMisses = 0;
-  uint64_t SigPruned = 0;
-  /// Decisions made ahead (jobs > 1) for candidates an earlier finding of
-  /// the same window made redundant; discarded so stats match one job.
-  uint64_t SpeculativeSolves = 0;
-  /// Backend factory failures absorbed by falling back to idl.
-  uint64_t BackendFallbacks = 0;
 };
 
 } // namespace rvp

@@ -30,46 +30,44 @@ bool windowCostlier(const WindowCost &A, const WindowCost &B) {
   return A.Index < B.Index;
 }
 
+/// Appends \p Record; past 4 * TopK records keeps only the TopK costliest.
+template <typename Record, typename Costlier>
+void retain(std::vector<Record> &Records, Record R, size_t TopK,
+            Costlier Less) {
+  Records.push_back(std::move(R));
+  if (Records.size() <= 4 * TopK)
+    return;
+  std::nth_element(Records.begin(), Records.begin() + TopK - 1,
+                   Records.end(), Less);
+  Records.resize(TopK);
+}
+
+/// The TopK costliest of \p Records, costliest first.
+template <typename Record, typename Costlier>
+std::vector<Record> top(std::vector<Record> Records, size_t TopK,
+                        Costlier Less) {
+  std::sort(Records.begin(), Records.end(), Less);
+  if (Records.size() > TopK)
+    Records.resize(TopK);
+  return Records;
+}
+
 } // namespace
 
 void CostLedger::recordCop(CopCost Cost) {
-  Cops.push_back(std::move(Cost));
-  if (Cops.size() > 4 * TopK)
-    pruneCops();
+  retain(Cops, std::move(Cost), TopK, copCostlier);
 }
 
 void CostLedger::recordWindow(WindowCost Cost) {
-  Windows.push_back(Cost);
-  if (Windows.size() > 4 * TopK)
-    pruneWindows();
-}
-
-void CostLedger::pruneCops() {
-  std::nth_element(Cops.begin(), Cops.begin() + TopK - 1, Cops.end(),
-                   copCostlier);
-  Cops.resize(TopK);
-}
-
-void CostLedger::pruneWindows() {
-  std::nth_element(Windows.begin(), Windows.begin() + TopK - 1, Windows.end(),
-                   windowCostlier);
-  Windows.resize(TopK);
+  retain(Windows, Cost, TopK, windowCostlier);
 }
 
 std::vector<CopCost> CostLedger::topCops() const {
-  std::vector<CopCost> Sorted = Cops;
-  std::sort(Sorted.begin(), Sorted.end(), copCostlier);
-  if (Sorted.size() > TopK)
-    Sorted.resize(TopK);
-  return Sorted;
+  return top(Cops, TopK, copCostlier);
 }
 
 std::vector<WindowCost> CostLedger::topWindows() const {
-  std::vector<WindowCost> Sorted = Windows;
-  std::sort(Sorted.begin(), Sorted.end(), windowCostlier);
-  if (Sorted.size() > TopK)
-    Sorted.resize(TopK);
-  return Sorted;
+  return top(Windows, TopK, windowCostlier);
 }
 
 std::string CostLedger::renderTable() const {
@@ -101,44 +99,34 @@ std::string CostLedger::renderTable() const {
 }
 
 void CostLedger::addToJson(JsonObject &Json) const {
-  std::string WindowsJson = "[";
-  bool First = true;
-  for (const WindowCost &W : topWindows()) {
-    if (!First)
-      WindowsJson += ",";
-    First = false;
-    WindowsJson += JsonObject()
-                       .field("index", static_cast<uint64_t>(W.Index))
-                       .field("cops", static_cast<uint64_t>(W.Cops))
-                       .field("solves", static_cast<uint64_t>(W.Solves))
-                       .field("seconds", W.Seconds)
-                       .str();
-  }
-  WindowsJson += "]";
-
-  std::string CopsJson = "[";
-  First = true;
-  for (const CopCost &C : topCops()) {
-    if (!First)
-      CopsJson += ",";
-    First = false;
-    CopsJson += JsonObject()
-                    .field("window", static_cast<uint64_t>(C.Window))
-                    .field("first", C.LocFirst)
-                    .field("second", C.LocSecond)
-                    .field("variable", C.Variable)
-                    .field("outcome", C.Outcome)
-                    .field("encode_seconds", C.EncodeSeconds)
-                    .field("solve_seconds", C.SolveSeconds)
-                    .field("witness_seconds", C.WitnessSeconds)
-                    .field("total_seconds", C.totalSeconds())
-                    .field("mem_delta_bytes", C.MemDeltaBytes)
-                    .field("attempts", static_cast<uint64_t>(C.Attempts))
-                    .field("cone_events", C.ConeEvents)
-                    .str();
-  }
-  CopsJson += "]";
-
+  auto Array = [](const auto &Records, auto Render) {
+    std::string Out = "[";
+    for (const auto &R : Records)
+      Out += (Out.size() > 1 ? "," : "") + Render(R).str();
+    return Out + "]";
+  };
+  std::string WindowsJson = Array(topWindows(), [](const WindowCost &W) {
+    return JsonObject()
+        .field("index", static_cast<uint64_t>(W.Index))
+        .field("cops", static_cast<uint64_t>(W.Cops))
+        .field("solves", static_cast<uint64_t>(W.Solves))
+        .field("seconds", W.Seconds);
+  });
+  std::string CopsJson = Array(topCops(), [](const CopCost &C) {
+    return JsonObject()
+        .field("window", static_cast<uint64_t>(C.Window))
+        .field("first", C.LocFirst)
+        .field("second", C.LocSecond)
+        .field("variable", C.Variable)
+        .field("outcome", C.Outcome)
+        .field("encode_seconds", C.EncodeSeconds)
+        .field("solve_seconds", C.SolveSeconds)
+        .field("witness_seconds", C.WitnessSeconds)
+        .field("total_seconds", C.totalSeconds())
+        .field("mem_delta_bytes", C.MemDeltaBytes)
+        .field("attempts", static_cast<uint64_t>(C.Attempts))
+        .field("cone_events", C.ConeEvents);
+  });
   Json.raw("top_costs", JsonObject()
                             .raw("windows", WindowsJson)
                             .raw("cops", CopsJson)

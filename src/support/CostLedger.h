@@ -31,20 +31,29 @@ namespace rvp {
 
 class JsonObject;
 
-/// Cost record of one processed COP.
+/// Record of one processed COP: the window driver builds one per decided
+/// COP and renders both its `cop` trace event and its ledger entry from
+/// it.
 struct CopCost {
   size_t Window = 0;
+  uint64_t First = 0, Second = 0; ///< event ids of the defining pair
   std::string LocFirst;
   std::string LocSecond;
   std::string Variable;
   std::string Outcome;
+  /// Prune stage that decided the COP ("none" for a finding).
+  std::string Stage;
+  /// Went through the solver; the formula size below is set only then
+  /// (and only while telemetry is enabled).
+  bool Solved = false;
+  uint64_t FormulaNodes = 0, DifferenceAtoms = 0, BoolVars = 0, OrderVars = 0;
   double EncodeSeconds = 0;
   double SolveSeconds = 0;
   double WitnessSeconds = 0;
   uint64_t MemDeltaBytes = 0;
   unsigned Attempts = 0;
-  /// Cone-of-influence size of the sliced encoding (docs/ENCODER.md);
-  /// 0 for unsliced encodes and filter outcomes.
+  /// Cone-of-influence size of the decision-path encoding
+  /// (docs/ENCODER.md); 0 when nothing was encoded.
   uint64_t ConeEvents = 0;
 
   double totalSeconds() const {
@@ -52,9 +61,11 @@ struct CopCost {
   }
 };
 
-/// Cost record of one processed window.
+/// Record of one processed window, rendered as its `window` trace event
+/// and its ledger entry.
 struct WindowCost {
   size_t Index = 0;
+  uint64_t Begin = 0, End = 0; ///< event range [Begin, End)
   size_t Cops = 0;
   size_t Solves = 0;
   double Seconds = 0;
@@ -70,10 +81,6 @@ public:
 
   void recordCop(CopCost Cost);
   void recordWindow(WindowCost Cost);
-
-  size_t copCount() const { return Cops.size(); }
-  size_t windowCount() const { return Windows.size(); }
-  size_t topK() const { return TopK; }
 
   /// The K most expensive COPs, most expensive first. Ties break by
   /// (window, loc_first, loc_second) so output is deterministic across
@@ -96,9 +103,6 @@ public:
   void addToJson(JsonObject &Json) const;
 
 private:
-  void pruneCops();
-  void pruneWindows();
-
   size_t TopK;
   std::vector<CopCost> Cops;
   std::vector<WindowCost> Windows;

@@ -68,8 +68,11 @@ foreach(TECHNIQUE rv said hb)
   endif()
 endforeach()
 
+# Under --tier=smt: the default hybrid tier short-circuits every staticflow
+# COP past the encoder, and analysis.ranges_folded counts decision-path
+# encodes only.
 execute_process(
-  COMMAND "${RVPREDICT}" detect bench:staticflow --static-prune
+  COMMAND "${RVPREDICT}" detect bench:staticflow --static-prune --tier=smt
           --stats-json=-
   RESULT_VARIABLE RC
   OUTPUT_VARIABLE STATS_JSON

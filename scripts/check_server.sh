@@ -158,6 +158,58 @@ stop_daemon
 expect_counter server.worker_aborts 1 worker_abort
 expect_counter server.sessions_errored 1 worker_abort
 
+# --- Inconsistent input: streamed and batch ingest reject alike ---------
+# One impossible read, no skip-bad-events: batch detect exits 2 and the
+# streamed session ends in an ERROR frame, both with the same diagnostic
+# after the location prefix. With skip-bad-events both drop the line and
+# agree with each other again.
+
+awk 'NR == 40 { print "read t1 never_written 5 @bad" } { print }' \
+  "$WORK/racy.txt" >"$WORK/bad_read.txt"
+RC=0
+"$RVPREDICT" detect "$WORK/bad_read.txt" --window=30 \
+  >/dev/null 2>"$WORK/bad_batch_err.txt" || RC=$?
+CHECKS=$((CHECKS + 1))
+if [ "$RC" -ne 2 ] || ! grep -q "inconsistent input trace" \
+    "$WORK/bad_batch_err.txt"; then
+  fail "inconsistent: batch detect did not reject (rc=$RC)" \
+    "$WORK/bad_batch_err.txt"
+fi
+start_daemon
+RC=0
+"$RVPCLIENT" "$WORK/bad_read.txt" --socket="$SOCK" --window=30 \
+  --summary-only >"$WORK/bad_stream_out.txt" \
+  2>"$WORK/bad_stream_err.txt" || RC=$?
+CHECKS=$((CHECKS + 1))
+sed -n 's/.*\(inconsistent input trace.*\)/\1/p' "$WORK/bad_batch_err.txt" \
+  >"$WORK/bad_batch.diag"
+sed -n 's/.*\(inconsistent input trace.*\)/\1/p' "$WORK/bad_stream_err.txt" \
+  >"$WORK/bad_stream.diag"
+if [ "$RC" -eq 0 ] || [ -s "$WORK/bad_stream_out.txt" ] || \
+   ! grep -q "server error: trace error:" "$WORK/bad_stream_err.txt" || \
+   ! cmp -s "$WORK/bad_batch.diag" "$WORK/bad_stream.diag"; then
+  fail "inconsistent: streamed session did not fail like batch (rc=$RC)" \
+    "$WORK/bad_batch_err.txt" "$WORK/bad_stream_err.txt" \
+    "$WORK/bad_stream_out.txt"
+fi
+"$RVPREDICT" detect "$WORK/bad_read.txt" --window=30 --skip-bad-events \
+  >"$WORK/bad_skip_batch.txt" 2>/dev/null || true
+"$RVPCLIENT" "$WORK/bad_read.txt" --socket="$SOCK" --window=30 \
+  --skip-bad-events --summary-only >"$WORK/bad_skip_stream.txt" \
+  2>/dev/null || true
+CHECKS=$((CHECKS + 1))
+if ! normalize "$WORK/bad_skip_batch.txt" >"$WORK/bad_skip_batch.n" || \
+   ! normalize "$WORK/bad_skip_stream.txt" >"$WORK/bad_skip_stream.n" || \
+   ! cmp -s "$WORK/bad_skip_batch.n" "$WORK/bad_skip_stream.n" || \
+   ! cmp -s "$WORK/batch.n" "$WORK/bad_skip_batch.n"; then
+  fail "inconsistent: skip-bad-events summaries differ" \
+    "$WORK/batch.txt" "$WORK/bad_skip_batch.txt" "$WORK/bad_skip_stream.txt"
+fi
+daemon_alive inconsistent
+clean_client inconsistent
+stop_daemon
+expect_counter server.sessions_errored 1 inconsistent
+
 # --- Client stall: --stall-timeout reaps the session ---------------------
 
 start_daemon --stall-timeout=1

@@ -13,7 +13,11 @@
 # stream race, atomicity and deadlock sessions through a --jobs=4
 # rvpredictd: each session's live window-driver session moves between
 # pool threads from one window to the next, and --degrade-threshold=1
-# sheds windows to the vc tier and back.
+# sheds windows to the vc tier and back. The chunked-stream tests
+# (StreamDetector, the generative IngestTest, ServerSession) and a daemon
+# drill with HELLO skip-bad-events=1 cover ingest: the I/O thread reads
+# each DATA chunk's lines into the session's trace, and a pool worker
+# finalizes that trace and steps the window.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 set -eu
@@ -26,7 +30,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc 2>/dev/null || echo 2)" \
   --target rvp_tests rvpredict rvpredictd rvpclient
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'ThreadPool|ParallelDetect|Stats\.Concurrent|DetectDeterminism|RaceEncoderCone|ModeEquivalence|DriverGolden|StreamDetector'
+  -R 'ThreadPool|ParallelDetect|Stats\.Concurrent|DetectDeterminism|RaceEncoderCone|ModeEquivalence|DriverGolden|StreamDetector|IngestTest|ServerSession'
 
 # The standalone runs below keep telemetry and the trace-event sink on:
 # workers fill each decision's record (encode stats, formula size, witness
@@ -106,6 +110,17 @@ for p in atomicity deadlock; do
     --property="$p" --window=24 --connections=2 --summary-only >/dev/null
 done
 stop_daemon "race, atomicity and deadlock sessions"
+
+# Skip-bad ingest: every other line of the trace is preceded by an
+# impossible read, sent in small chunks, so the I/O thread reads and drops
+# lines between the worker's window steps.
+BAD_TRACE="$BUILD_DIR/tsan-server-bad.txt"
+awk 'NR % 2 == 0 { print "read ghost ghost_v 7 @bad" } { print }' \
+  "$RACE_TRACE" >"$BAD_TRACE"
+start_daemon
+"$BUILD_DIR"/tools/rvpclient "$BAD_TRACE" --socket="$SOCK" --window=10 \
+  --skip-bad-events --chunk=97 --connections=2 --summary-only >/dev/null
+stop_daemon "skip-bad-events=1"
 
 # Load shedding: with more than one window pending, race windows are
 # answered by the vc tier, and the same live session switches back to

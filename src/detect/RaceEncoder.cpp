@@ -29,9 +29,8 @@ RaceEncoder::RaceEncoder(std::shared_ptr<const WindowEncoding> Encoding,
 // --------------------------------------------------------------- helpers
 
 /// Atom under substitution; two events merged onto one position can never
-/// be strictly ordered, so such atoms collapse to False. (They arise only
-/// in queries that are unsatisfiable anyway; see the interference
-/// discussion in readValueFormula.)
+/// be strictly ordered, so such atoms collapse to False. (readValueFormula
+/// never asks for one: it orders the merged race pair itself.)
 static NodeRef mkAtomS(FormulaBuilder &FB, OrderVar X, OrderVar Y) {
   if (X == Y)
     return FB.mkFalse();
@@ -237,6 +236,13 @@ NodeRef RaceEncoder::readValueFormula(CfState &St, EventId R,
   FormulaBuilder &FB = St.FB;
   const Subst &S = St.S;
   const WindowEncoding::ReadInfo &Info = Enc->readInfo(R);
+  // X takes place before Y. The race pair merged by the substitution
+  // shares one position with nothing between its events, which may take
+  // either order: for that pair the atom over the events' own variables
+  // (the first one's is otherwise unused) decides which (docs/ENCODER.md).
+  auto before = [&](EventId X, EventId Y) {
+    return X != Y && S(X) == S(Y) ? FB.mkAtom(X, Y) : atomS(St, X, Y);
+  };
 
   std::vector<NodeRef> Disjuncts;
   for (const WindowEncoding::ReadCandidate &Cand : Info.Candidates) {
@@ -254,7 +260,7 @@ NodeRef RaceEncoder::readValueFormula(CfState &St, EventId R,
       Conj.push_back(cfVar(St, W));
     Conj.push_back(atomS(St, W, R));
     for (EventId W2 : Cand.Others)
-      Conj.push_back(FB.mkOr2(atomS(St, W2, W), atomS(St, R, W2)));
+      Conj.push_back(FB.mkOr2(before(W2, W), before(R, W2)));
     Disjuncts.push_back(FB.mkAnd(std::move(Conj)));
   }
 
@@ -263,7 +269,7 @@ NodeRef RaceEncoder::readValueFormula(CfState &St, EventId R,
   if (Info.InitialOk) {
     std::vector<NodeRef> Conj;
     for (EventId W : Info.Interfering)
-      Conj.push_back(atomS(St, R, W));
+      Conj.push_back(before(R, W));
     Disjuncts.push_back(FB.mkAnd(std::move(Conj)));
   }
 
@@ -300,15 +306,19 @@ void RaceEncoder::emitCfDefs(CfState &St) const {
 
 NodeRef RaceEncoder::adjacency(FormulaBuilder &FB, EventId A,
                                EventId B) const {
-  // Naive adjacency (ablation mode): A immediately precedes B, i.e.
-  // A < B and no window event lies between them.
-  std::vector<NodeRef> Conj = {FB.mkAtom(A, B)};
-  for (EventId E = Window.Begin; E < Window.End; ++E) {
-    if (E == A || E == B)
-      continue;
-    Conj.push_back(FB.mkOr2(FB.mkAtom(E, A), FB.mkAtom(B, E)));
-  }
-  return FB.mkAnd(std::move(Conj));
+  // Naive adjacency (ablation mode): one of A and B immediately precedes
+  // the other, i.e. X < Y and no window event lies between them, for
+  // (X, Y) = (A, B) or (B, A) — the two orders the substitution merges.
+  auto precedes = [&](EventId X, EventId Y) {
+    std::vector<NodeRef> Conj = {FB.mkAtom(X, Y)};
+    for (EventId E = Window.Begin; E < Window.End; ++E) {
+      if (E == A || E == B)
+        continue;
+      Conj.push_back(FB.mkOr2(FB.mkAtom(E, X), FB.mkAtom(Y, E)));
+    }
+    return FB.mkAnd(std::move(Conj));
+  };
+  return FB.mkOr2(precedes(A, B), precedes(B, A));
 }
 
 // ----------------------------------------------------- skeleton cache

@@ -185,7 +185,7 @@ StreamDetector::StreamDetector(StreamOptions Opts) : Opts(std::move(Opts)) {}
 StreamDetector::~StreamDetector() = default;
 
 void StreamDetector::reset() {
-  Live.reset(); // first: it refers to Run.Parsed
+  Live.reset(); // first: it refers to Run.Reader's trace
   Recovered.reset();
   Run = DetectorRun();
 }
@@ -210,26 +210,17 @@ void StreamDetector::feed(std::string_view Text) {
   Run.Dirty = true;
 }
 
-bool StreamDetector::ensureParsed(std::string &Error) {
-  if (!Run.Dirty && Run.Parsed)
-    return true;
-  // Re-parsing the whole prefix keeps interning byte-identical to the
-  // batch parse of the full trace (intern order is prefix-stable), which
-  // is what makes streamed window K equal batch window K.
-  std::string ParseError;
-  TraceParseStats Stats;
-  std::optional<Trace> T =
-      parseTraceText(Run.Buffer, ParseError, Opts.Parse, &Stats);
-  if (!T) {
-    Error = ParseError;
-    return false;
+bool StreamDetector::checkParse(std::string &Error) {
+  if (!Run.Reader)
+    Run.Reader = std::make_unique<TraceReader>(Opts.Parse);
+  if (Run.Dirty) {
+    Run.Reader->read(Run.Buffer);
+    Run.Buffer.clear();
+    Run.Dirty = false;
+    Run.SkippedEvents = Run.Reader->skippedEvents();
   }
-  Run.SkippedEvents = Stats.SkippedEvents;
-  // Move-assigning into the engaged optional replaces the Trace in place,
-  // so the live session's reference to it stays valid.
-  Run.Parsed = std::move(T);
-  Run.Dirty = false;
-  return true;
+  Error = Run.Reader->error();
+  return Run.Reader->ok();
 }
 
 uint64_t StreamDetector::totalWindows(const Trace &T, bool Final) const {
@@ -243,9 +234,9 @@ uint64_t StreamDetector::totalWindows(const Trace &T, bool Final) const {
 
 uint64_t StreamDetector::pendingWindows() {
   std::string Error;
-  if (!ensureParsed(Error))
+  if (!checkParse(Error))
     return 0;
-  uint64_t Total = totalWindows(*Run.Parsed, Run.Finished);
+  uint64_t Total = totalWindows(Run.Reader->trace(), Run.Finished);
   return Total > Run.WindowsDone ? Total - Run.WindowsDone : 0;
 }
 
@@ -255,7 +246,7 @@ bool StreamDetector::windowReady() {
 
 bool StreamDetector::ensureSession(std::string &Error) {
   if (!Live)
-    Live = std::make_unique<Session>(*Run.Parsed, Opts);
+    Live = std::make_unique<Session>(Run.Reader->trace(), Opts);
   if (!Recovered)
     return true;
   // Kept on failure, so every later step fails the same way.
@@ -271,9 +262,13 @@ bool StreamDetector::ensureSession(std::string &Error) {
 bool StreamDetector::step(StreamStep &Out, bool Degrade,
                           std::string &Error) {
   Error.clear();
-  if (!ensureParsed(Error))
+  if (!checkParse(Error))
     return false;
-  const Trace &T = *Run.Parsed;
+  // The O(prefix) index rebuild runs here, on the daemon's worker, not on
+  // the I/O thread that reads the lines.
+  Trace &T = Run.Reader->trace();
+  if (!T.finalized())
+    T.finalize();
   if (Run.WindowsDone >= totalWindows(T, Run.Finished))
     return false;
   if (!ensureSession(Error))
@@ -326,11 +321,12 @@ bool StreamDetector::finish(std::string &Summary, std::string &Error,
     }
     Run.Finished = true;
   }
-  if (!ensureParsed(Error))
+  if (!checkParse(Error))
     return false;
   // A replay that ends short of the recovered windows is a different
   // trace: analyze it from scratch.
-  if (Recovered && totalWindows(*Run.Parsed, false) < Run.WindowsDone) {
+  if (Recovered &&
+      totalWindows(Run.Reader->trace(), false) < Run.WindowsDone) {
     Recovered.reset();
     Run.WindowsDone = 0;
   }

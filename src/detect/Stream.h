@@ -6,13 +6,16 @@
 //
 // StreamDetector analyzes a trace that arrives incrementally, one window
 // at a time — the analysis core of rvpredictd. Each session keeps one live
-// WindowDriver session, whose policy is picked once from StreamOptions.
-// Each step re-parses the accumulated text prefix into the same Trace
+// WindowDriver session, whose policy is picked once from StreamOptions, on
+// the trace of one TraceReader: each complete line received is read once
+// and checked against the events before it, as the batch parse reads it
 // (interning is prefix-stable, so window K's events and name tables are
-// byte-identical to the batch parse) and analyzes the next window on the
-// live session. The cumulative result after the last step is therefore
-// the batch result, and finish() renders it with the shared Report
-// renderers — the property the ServerGolden gate checks byte for byte.
+// byte-identical to the batch parse's, and both reject the same lines).
+// Each step finalizes the trace (an O(prefix) index rebuild) and analyzes
+// the next window on the live session. The cumulative result after the
+// last step is therefore the batch result, and finish() renders it with
+// the shared Report renderers — the property the ServerGolden gate checks
+// byte for byte.
 //
 // The checkpoint payload is built only by state() and installed only by
 // restore() (crash recovery). reset() replaces the DetectorRun value and
@@ -99,10 +102,12 @@ struct StreamStep {
 /// fresh value, which is what guarantees session isolation (no
 /// interned-string, value, or signature bleed).
 struct DetectorRun {
-  std::string Buffer;   ///< complete lines received so far
+  std::string Buffer;   ///< complete lines received but not yet read
   std::string Pending;  ///< trailing partial line (no newline yet)
-  std::optional<Trace> Parsed; ///< parseTraceText(Buffer), in place
-  bool Dirty = true;    ///< Buffer changed since Parsed was built
+  /// Reads each line once into the session's trace (created on first
+  /// use; its trace address is stable, so the live session can keep it).
+  std::unique_ptr<TraceReader> Reader;
+  bool Dirty = false; ///< Buffer holds lines the reader has not read
   bool Finished = false;
   uint64_t WindowsDone = 0;
   uint64_t DegradedWindows = 0;
@@ -125,16 +130,17 @@ public:
   /// Appends raw trace text; chunks may end mid-line.
   void feed(std::string_view Text);
 
-  /// True when at least one full unanalyzed window is buffered. Parses
-  /// the buffer if it changed; a parse error reports false here and
-  /// surfaces from the next step()/finish().
+  /// True when at least one full unanalyzed window is buffered. Reads
+  /// the lines fed since the last read; a rejected line reports false
+  /// here and surfaces from the next step()/finish().
   bool windowReady();
 
-  /// Analyzes the next pending window (one full window; partial tails
-  /// wait for finish()). \p Degrade answers this window from the WCP
+  /// Reads any unread lines, finalizes the trace and analyzes the next
+  /// pending window (one full window; partial tails wait for finish()).
+  /// \p Degrade answers this window from the WCP
   /// vector-clock tier instead of the solver pipeline — race property
   /// only; atomicity/deadlock steps ignore it and run normally. Returns
-  /// false with \p Error set on parse failure or a restore() payload that
+  /// false with \p Error set on a rejected line or a restore() payload that
   /// does not fit the replayed trace, false with \p Error empty when no
   /// full window is pending.
   bool step(StreamStep &Out, bool Degrade, std::string &Error);
@@ -161,13 +167,15 @@ public:
     Run.WindowsDone = WindowsDone;
   }
 
-  /// Full windows buffered but not yet analyzed (the backpressure and
-  /// load-shedding signal). 0 while the buffer fails to parse.
+  /// Full windows read but not yet analyzed (the backpressure and
+  /// load-shedding signal). 0 once a line was rejected.
   uint64_t pendingWindows();
 
-  /// Eager parse check so the daemon can fail a session on the first bad
-  /// DATA chunk instead of waiting for the next analysis step.
-  bool checkParse(std::string &Error) { return ensureParsed(Error); }
+  /// Reads the lines fed so far, so the daemon fails a session on the
+  /// first rejected line of a DATA chunk, on its I/O thread, instead of
+  /// waiting for the next analysis step. False with the reader's
+  /// diagnostic once a line was rejected.
+  bool checkParse(std::string &Error);
 
   const DetectorRun &run() const { return Run; }
   const StreamOptions &options() const { return Opts; }
@@ -178,7 +186,6 @@ public:
 private:
   struct Session; ///< the live policy and driver session
 
-  bool ensureParsed(std::string &Error);
   /// Starts the live session on first use and applies a pending restore().
   bool ensureSession(std::string &Error);
   /// Windows the batch run would analyze for the current buffer.

@@ -29,6 +29,8 @@
 #include "trace/Trace.h"
 
 #include <string>
+#include <unordered_set>
+#include <vector>
 
 namespace rvp {
 
@@ -50,6 +52,53 @@ struct ConsistencyResult {
   }
 };
 
+/// The streaming checker behind checkConsistency: feed events in
+/// sequence order through step(), then call finish(). A failed step()
+/// leaves the state as it was, so a reader that drops the offending event
+/// can go on checking the events after it (`--skip-bad-events`); the
+/// verdict on each event depends only on the events accepted before it.
+class ConsistencyChecker {
+public:
+  ConsistencyChecker(const Trace &T, ConsistencyMode Mode)
+      : T(T), Mode(Mode) {}
+
+  /// Checks event \p Id against the events accepted so far and, when it
+  /// passes, accepts it.
+  ConsistencyResult step(EventId Id);
+  /// End of the sequence: Strict mode requires every lock released.
+  ConsistencyResult finish() const;
+
+private:
+  struct ThreadState {
+    bool Started = false;
+    bool Ended = false;
+    bool Forked = false;
+  };
+  struct LockState {
+    bool Held = false;
+    ThreadId Holder = 0;
+  };
+  struct VarState {
+    bool Written = false;
+    Value Last = 0;
+  };
+
+  /// Dense per-id state, grown on first touch.
+  template <typename S> static S &at(std::vector<S> &States, uint32_t Id) {
+    if (Id >= States.size())
+      States.resize(Id + 1);
+    return States[Id];
+  }
+
+  const Trace &T;
+  ConsistencyMode Mode;
+  std::vector<ThreadState> Threads;
+  std::vector<LockState> Locks;
+  std::vector<VarState> Vars;
+  std::unordered_set<uint32_t> PendingWaits;
+  std::unordered_set<uint32_t> SeenNotify;
+};
+
 /// Checks a sequence of events given by ids \p Order into \p T. The
 /// sequence need not be a permutation of the whole trace (prefixes and
 /// windows are sequences too).
@@ -59,13 +108,6 @@ ConsistencyResult checkConsistency(const Trace &T,
 
 /// Checks the trace in its recorded order.
 ConsistencyResult checkConsistency(const Trace &T, ConsistencyMode Mode);
-
-/// Read consistency only, ignoring read values for events in
-/// \p DataAbstract (their values are allowed to differ, as in data-abstract
-/// equivalence, Section 2.3). Pass an empty set to check all reads.
-ConsistencyResult
-checkReadConsistency(const Trace &T, const std::vector<EventId> &Order,
-                     const std::vector<bool> &DataAbstract);
 
 } // namespace rvp
 

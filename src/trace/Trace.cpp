@@ -113,6 +113,30 @@ LocId Trace::internLoc(const std::string &Name) {
   return internName(Name, LocNames, LocMap);
 }
 
+void Trace::forgetNames(uint32_t Keep, std::vector<std::string> &Names,
+                        std::unordered_map<std::string, uint32_t> &Map) {
+  for (size_t Id = Keep; Id < Names.size(); ++Id)
+    Map.erase(Names[Id]);
+  Names.resize(std::min<size_t>(Keep, Names.size()));
+}
+
+Trace::Mark Trace::mark() const {
+  return {Events.size(), numThreads(), numVars(), numLocks(),
+          static_cast<uint32_t>(LocNames.size())};
+}
+
+void Trace::rollback(const Mark &M) {
+  IsFinalized = false;
+  Events.resize(std::min<uint64_t>(M.Events, Events.size()));
+  forgetNames(M.Threads, ThreadNames, ThreadMap);
+  forgetNames(M.Vars, VarNames, VarMap);
+  forgetNames(M.Locks, LockNames, LockMap);
+  forgetNames(M.Locs, LocNames, LocMap);
+  // Only variables interned since the mark can have gained an entry.
+  if (InitValues.size() > M.Vars)
+    InitValues.resize(M.Vars);
+}
+
 void Trace::setInitialValue(VarId Var, Value V) {
   if (InitValues.size() <= Var)
     InitValues.resize(Var + 1, 0);

@@ -90,6 +90,17 @@ public:
   /// until the next finalize().
   EventId append(const Event &E);
 
+  /// Event and name-table sizes at one point of construction.
+  struct Mark {
+    uint64_t Events = 0;
+    uint32_t Threads = 0, Vars = 0, Locks = 0, Locs = 0;
+  };
+  Mark mark() const;
+  /// Drops every event appended and every name interned since \p M, as if
+  /// they never were: how an append-only reader takes back a line it
+  /// rejects after interning it.
+  void rollback(const Mark &M);
+
   /// Sets the value variable \p Var holds before the first event
   /// (variables default to 0, as in the paper's "initially x = y = 0").
   void setInitialValue(VarId Var, Value V);
@@ -161,6 +172,8 @@ private:
   static uint32_t internName(const std::string &Name,
                              std::vector<std::string> &Names,
                              std::unordered_map<std::string, uint32_t> &Map);
+  static void forgetNames(uint32_t Keep, std::vector<std::string> &Names,
+                          std::unordered_map<std::string, uint32_t> &Map);
 
   std::vector<Event> Events;
   std::vector<Value> InitValues;

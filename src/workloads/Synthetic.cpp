@@ -125,24 +125,31 @@ private:
       });
     }
 
-    for (uint32_t I = 0; I < Spec.HbNotSaidRaces; ++I) {
-      // Tb reads x's initial value before Ta's locked write; bringing the
-      // read next to the write would change the value read, so Said's
-      // whole-trace consistency refutes it while HB sees the pair
-      // unordered. The write-write pair is lock-protected (no companion
-      // race).
-      std::string X = formatString("hbns%u_x", I);
-      std::string L = formatString("hbns%u_l", I);
-      std::string La = formatString("hbns%u_a", I);
-      std::string Lb = formatString("hbns%u_b", I);
+    if (Spec.HbNotSaidRaces > 0) {
+      // One instance holds every hbNotSaid race. Ta writes each x_i, then
+      // the flag f; Tb reads f, then each x_i, and every read keeps the
+      // value Ta wrote. Keeping Tb's read of f forces f's write and read
+      // between x_i's write and read, so Said (which keeps every read's
+      // value) refutes each x_i pair. HB and CP see no synchronization,
+      // and RV keeps no read no branch depends on, so all three report
+      // every x_i pair. The flag pair itself races for every technique.
+      std::string F = "hbns_f";
+      uint32_t N = Spec.HbNotSaidRaces;
       add([=](std::string Ta, std::string Tb) -> std::vector<Step> {
-        return {[=](TraceBuilder &B) { B.read(Tb, X, 0, Lb); },
-                [=](TraceBuilder &B) { B.acquire(Ta, L); },
-                [=](TraceBuilder &B) { B.write(Ta, X, 1, La); },
-                [=](TraceBuilder &B) { B.release(Ta, L); },
-                [=](TraceBuilder &B) { B.acquire(Tb, L); },
-                [=](TraceBuilder &B) { B.write(Tb, X, 2); },
-                [=](TraceBuilder &B) { B.release(Tb, L); }};
+        std::vector<Step> Steps;
+        for (uint32_t I = 0; I < N; ++I)
+          Steps.push_back([=](TraceBuilder &B) {
+            B.write(Ta, formatString("hbns%u_x", I), 1,
+                    formatString("hbns%u_a", I));
+          });
+        Steps.push_back([=](TraceBuilder &B) { B.write(Ta, F, 1); });
+        Steps.push_back([=](TraceBuilder &B) { B.read(Tb, F, 1); });
+        for (uint32_t I = 0; I < N; ++I)
+          Steps.push_back([=](TraceBuilder &B) {
+            B.read(Tb, formatString("hbns%u_x", I), 1,
+                   formatString("hbns%u_b", I));
+          });
+        return Steps;
       });
     }
 
@@ -354,7 +361,7 @@ std::vector<SyntheticSpec> rvp::realSystemSpecs() {
   Ftp.Name = "ftpserver";
   Ftp.Workers = 11;
   Ftp.TargetEvents = 40000;
-  Ftp.PlainRaces = 3;
+  Ftp.PlainRaces = 2; // plus the hbNotSaid flag race
   Ftp.HbNotSaidRaces = 24;
   Ftp.CpOnlyRaces = 4;
   Ftp.RvOnlyRaces = 7;
@@ -379,7 +386,7 @@ std::vector<SyntheticSpec> rvp::realSystemSpecs() {
   Derby.Name = "derby";
   Derby.Workers = 6;
   Derby.TargetEvents = 80000;
-  Derby.PlainRaces = 10;
+  Derby.PlainRaces = 9; // plus the hbNotSaid flag race
   Derby.HbNotSaidRaces = 2;
   Derby.CpOnlyRaces = 2;
   Derby.SaidOnlyRaces = 3;

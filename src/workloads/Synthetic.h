@@ -16,9 +16,12 @@
 ///                missed by HB, found by CP/Said/RV.
 ///   saidOnly   — like cpOnly but the sections conflict: missed by HB/CP,
 ///                found by Said/RV.
-///   hbNotSaid  — a pre-race read forces whole-trace inconsistency:
-///                found by HB/CP/RV, missed by Said (the ftpserver
-///                phenomenon the paper describes).
+///   hbNotSaid  — a later read's value puts an unsynchronized flag
+///                write and read between the pair: found by HB/CP/RV,
+///                missed by Said (the ftpserver phenomenon the paper
+///                describes). All of them share one flag, whose own pair
+///                races for every technique (`flag` below: 1 when there
+///                is any hbNotSaid race, else 0).
 ///   rvOnly     — Figure-1-shaped: a value read under a lock with no
 ///                control-flow dependence: found only by RV.
 ///   qcOnly     — the Section 4 array pattern: passes the quick check but
@@ -26,10 +29,10 @@
 ///   ordered    — lock-protected conflicting pairs: filtered by lockset.
 ///
 /// Expected counts per technique follow directly:
-///   HB   = plain + hbNotSaid
+///   HB   = plain + flag + hbNotSaid
 ///   CP   = HB + cpOnly
-///   Said = plain + cpOnly + saidOnly
-///   RV   = plain + cpOnly + saidOnly + hbNotSaid + rvOnly
+///   Said = plain + flag + cpOnly + saidOnly
+///   RV   = plain + flag + cpOnly + saidOnly + hbNotSaid + rvOnly
 ///   QC   = RV + qcOnly
 ///
 /// Pattern instances are interleaved in clusters padded away from window
@@ -79,16 +82,19 @@ struct SyntheticSpec {
   uint32_t PatternSpread = 0;
   uint64_t Seed = 1;
 
-  uint32_t expectedHb() const {
-    return PlainRaces + HbNotSaidRaces + 2 * AtomicityPairs;
+  /// Races every technique reports: plain pairs, the hbNotSaid flag
+  /// pair, and two per atomicity pattern.
+  uint32_t expectedCommon() const {
+    return PlainRaces + (HbNotSaidRaces > 0 ? 1 : 0) + 2 * AtomicityPairs;
   }
+  uint32_t expectedHb() const { return expectedCommon() + HbNotSaidRaces; }
   uint32_t expectedCp() const { return expectedHb() + CpOnlyRaces; }
   uint32_t expectedSaid() const {
-    return PlainRaces + CpOnlyRaces + SaidOnlyRaces + 2 * AtomicityPairs;
+    return expectedCommon() + CpOnlyRaces + SaidOnlyRaces;
   }
   uint32_t expectedRv() const {
-    return PlainRaces + CpOnlyRaces + SaidOnlyRaces + HbNotSaidRaces +
-           RvOnlyRaces + 2 * AtomicityPairs;
+    return expectedCommon() + CpOnlyRaces + SaidOnlyRaces + HbNotSaidRaces +
+           RvOnlyRaces;
   }
   uint32_t expectedQc() const {
     return expectedRv() + QcOnlyPairs + 2 * AtomicityPairs;

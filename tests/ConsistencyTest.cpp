@@ -175,17 +175,3 @@ TEST(Consistency, ReorderedSequenceChecked) {
   // Swapping the writes makes the read stale.
   EXPECT_FALSE(checkConsistency(T, {1, 0, 2}, ConsistencyMode::Strict).Ok);
 }
-
-TEST(Consistency, ReadConsistencyWithDataAbstractEvents) {
-  TraceBuilder B;
-  B.write("t1", "x", 1); // 0
-  B.read("t2", "x", 1);  // 1
-  Trace T = B.build();
-  // Reordered so the read precedes the write: inconsistent normally...
-  std::vector<bool> NoAbstract(2, false);
-  EXPECT_FALSE(checkReadConsistency(T, {1, 0}, NoAbstract).Ok);
-  // ...but fine if the read is allowed to be data-abstract (its value may
-  // differ in the reordered trace, Section 2.3).
-  std::vector<bool> Abstract = {false, true};
-  EXPECT_TRUE(checkReadConsistency(T, {1, 0}, Abstract).Ok);
-}

@@ -227,21 +227,22 @@ TEST(RaceEncoder, InterferingWriteForcesOrdering) {
 }
 
 TEST(RaceEncoder, SaidRejectsValueChangingAdjacency) {
-  // Said: the read of x must keep value 0, so the write cannot be moved
-  // next to it.
+  // Said: the read of x must keep value 1, so it stays after write 0 and
+  // before write 2, and the two writes cannot be moved next to each other.
   TraceBuilder B;
-  B.read("t2", "x", 0);  // 0
-  B.write("t1", "x", 1); // 1
+  B.write("t1", "x", 1); // 0
+  B.read("t2", "x", 1);  // 1
+  B.write("t2", "x", 2); // 2
   Trace T = B.build();
   EventClosure Mhb(T, T.fullSpan(), ClosureConfig::mhb());
   RaceEncoder Encoder(T, T.fullSpan(), Mhb, T.initialValues());
   FormulaBuilder FB;
-  NodeRef Root = Encoder.encodeSaidRace(FB, 0, 1);
+  NodeRef Root = Encoder.encodeSaidRace(FB, 0, 2);
   EXPECT_EQ(createIdlSolver()->solve(FB, Root, Deadline(), nullptr),
             SatResult::Unsat);
   // The maximal encoding has no such constraint (nothing branches on it).
   FormulaBuilder FB2;
-  NodeRef Root2 = Encoder.encodeMaximalRace(FB2, 0, 1);
+  NodeRef Root2 = Encoder.encodeMaximalRace(FB2, 0, 2);
   EXPECT_EQ(createIdlSolver()->solve(FB2, Root2, Deadline(), nullptr),
             SatResult::Sat);
 }

@@ -284,6 +284,26 @@ TEST(Separations, CpRuleBOrdersThroughAnotherLock) {
       << "whole-trace consistency pins the read of z";
 }
 
+TEST(Separations, SaidKeepsReadWriteRaceUnderSubstitution) {
+  // Schedule "read 0, then the remote write" keeps every read's value, so
+  // La<->Lc is a Said race. The `Oa := Ob` substitution merges the read
+  // and the remote write onto one position; the read's own value formula
+  // must let the merged pair take either order.
+  TraceBuilder B;
+  B.acquire("t1", "l", "Lacq");
+  B.read("t1", "v", 0, "La");
+  B.write("t1", "v", 1, "Lb");
+  B.release("t1", "l", "Lrel");
+  B.write("t2", "v", 7, "Lc");
+  Trace T = B.build();
+  for (Technique Tech : {Technique::Hb, Technique::Cp, Technique::Said,
+                         Technique::Maximal}) {
+    DetectionResult R = detect(T, Tech);
+    EXPECT_TRUE(R.hasRaceAt("La", "Lc")) << techniqueName(Tech);
+    EXPECT_TRUE(R.hasRaceAt("Lb", "Lc")) << techniqueName(Tech);
+  }
+}
+
 TEST(Separations, PlainUnsynchronizedRaceFoundByAll) {
   TraceBuilder B;
   B.write("t1", "x", 1, "p1");

@@ -311,9 +311,12 @@ TEST_P(EncodingAgreementTest, SubstitutionMatchesNaiveAdjacency) {
   DetectorOptions Naive = Subst;
   Naive.SubstituteRaceVars = false;
 
-  DetectionResult A = detectRaces(T, Technique::Maximal, Subst);
-  DetectionResult B = detectRaces(T, Technique::Maximal, Naive);
-  EXPECT_EQ(signatureSet(A), signatureSet(B)) << "seed " << GetParam();
+  for (Technique Tech : {Technique::Maximal, Technique::Said}) {
+    DetectionResult A = detectRaces(T, Tech, Subst);
+    DetectionResult B = detectRaces(T, Tech, Naive);
+    EXPECT_EQ(signatureSet(A), signatureSet(B))
+        << techniqueName(Tech) << " seed " << GetParam();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, EncodingAgreementTest,

@@ -71,7 +71,8 @@ endif()
 
 run_tool(detect "${GOLDEN_DIR}/inconsistent.txt")
 expect_rc(2 "strict parse of inconsistent.txt")
-expect_stderr("inconsistent input trace" "semantic-reject diagnostic")
+expect_stderr("inconsistent.txt:5:1: inconsistent input trace: lock m released by non-holder"
+              "semantic-reject diagnostic names file:line:col")
 
 run_tool(detect "${GOLDEN_DIR}/inconsistent.txt" --skip-bad-events=true)
 expect_rc(1 "detect with --skip-bad-events (semantic rejects)")

@@ -593,6 +593,42 @@ TEST(ServerHello, BadOptionsGetOneErrorFrameAndTheDaemonServesOn) {
   }
 }
 
+/// The line of a rejected-line diagnostic after its location prefix
+/// ("file:3:1: " batch, "line 3, col 1: " streamed).
+std::string fromInconsistent(const std::string &Diagnostic) {
+  size_t At = Diagnostic.find("inconsistent input trace");
+  if (At == std::string::npos)
+    return std::string();
+  return Diagnostic.substr(At, Diagnostic.find('\n', At) - At);
+}
+
+TEST(ServerSession, InconsistentTraceFailsLikeBatch) {
+  // A trace with one impossible read, streamed without skip-bad-events,
+  // must end its session with an ERROR frame carrying the diagnostic the
+  // batch parse (what `rvpredict detect` prints before exiting 2) gives.
+  LiveServer Daemon;
+  ASSERT_TRUE(Daemon.started());
+  const std::string Text =
+      racyTrace(4) + "read t2 x1 9 @bad\n" + racyTrace(2);
+  std::string BatchError;
+  ASSERT_FALSE(parseTraceText(Text, BatchError, TraceParseOptions()));
+  const std::string Want = fromInconsistent(BatchError);
+  ASSERT_EQ(Want,
+            "inconsistent input trace: read of x1 returned 9 but last write "
+            "was 2");
+
+  std::vector<Frame> Got = Daemon.session(
+      encodeFrame(FrameType::Hello, "window=4") +
+      encodeFrame(FrameType::Data, Text) + encodeFrame(FrameType::Fin, ""));
+  ASSERT_FALSE(Got.empty());
+  EXPECT_EQ(countFrames(Got, FrameType::Summary), 0u);
+  ASSERT_EQ(Got.back().Type, FrameType::Error);
+  EXPECT_EQ(fromInconsistent(Got.back().Payload), Want)
+      << Got.back().Payload;
+  EXPECT_NE(Got.back().Payload.find("line 9, col 1: "), std::string::npos)
+      << Got.back().Payload;
+}
+
 TEST(StreamDetector, ParseStreamPropertyNames) {
   StreamProperty P = StreamProperty::Race;
   EXPECT_TRUE(parseStreamProperty("race", P));

@@ -125,6 +125,39 @@ TEST(TraceIO, RejectsMalformedValue) {
   EXPECT_FALSE(parseTraceText("write t1 x 1 match=zz", Error).has_value());
 }
 
+TEST(TraceIO, FirstBadLineWinsWhetherGrammarOrSemantic) {
+  // One pass: each line is parsed and its event checked before the next
+  // line is read, so the diagnostic names the earliest bad line.
+  TraceParseOptions Opts;
+  Opts.FileName = "t.txt";
+  std::string Error;
+  EXPECT_FALSE(parseTraceText("write t1 x 1\n  read t2 x 5 @r\nfrobnicate\n",
+                              Error, Opts));
+  EXPECT_EQ(Error, "t.txt:2:3: inconsistent input trace: read of x returned "
+                   "5 but last write was 1");
+  EXPECT_FALSE(parseTraceText("write t1 x 1\nfrobnicate t1\nread t2 x 5\n",
+                              Error, Opts));
+  EXPECT_EQ(Error.rfind("t.txt:2:1: unknown event kind", 0), 0u) << Error;
+}
+
+TEST(TraceIO, SkippedLineInternsNothing) {
+  // A rejected line takes the names it introduced back with it.
+  TraceParseOptions Opts;
+  Opts.SkipBadEvents = true;
+  std::string Error;
+  TraceParseStats Stats;
+  auto T = parseTraceText("acquire t1 l @a\nrelease t9 l @b\n"
+                          "read t8 y 3 @c\nwrite t2 x 1\n",
+                          Error, Opts, &Stats);
+  ASSERT_TRUE(T.has_value()) << Error;
+  EXPECT_EQ(Stats.SkippedEvents, 2u);
+  EXPECT_EQ(T->numThreads(), 2u); // t1, t2
+  EXPECT_EQ(T->numVars(), 1u);    // x
+  EXPECT_EQ(T->threadName(1), "t2");
+  EXPECT_EQ(T->locName((*T)[0].Loc), "a");
+  EXPECT_EQ((*T)[1].Loc, UnknownLoc);
+}
+
 TEST(TraceIO, SpanSerialization) {
   TraceBuilder B;
   B.write("t1", "x", 1);

@@ -49,7 +49,6 @@
 #include "support/FaultInjector.h"
 #include "support/Profile.h"
 #include "support/StringUtils.h"
-#include "trace/Consistency.h"
 #include "trace/TraceIO.h"
 #include "workloads/Catalog.h"
 #include "workloads/Fuzzer.h"
@@ -303,13 +302,6 @@ int cmdDetect(const OptionParser &Options) {
   if (!loadTrace(Options.positional()[1], Options, Analysis.Parse, T,
                  &Source))
     return ExitUsage;
-
-  ConsistencyResult C = checkConsistency(T, ConsistencyMode::Fragment);
-  if (!C.Ok) {
-    std::fprintf(stderr, "error: inconsistent input trace: %s\n",
-                 C.Message.c_str());
-    return ExitUsage;
-  }
 
   Detect.Jobs = static_cast<uint32_t>(Options.getInt("jobs", 0));
 

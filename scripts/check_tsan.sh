@@ -16,8 +16,8 @@
 # sheds windows to the vc tier and back. The chunked-stream tests
 # (StreamDetector, the generative IngestTest, ServerSession) and a daemon
 # drill with HELLO skip-bad-events=1 cover ingest: the I/O thread reads
-# each DATA chunk's lines into the session's trace, and a pool worker
-# finalizes that trace and steps the window.
+# each DATA chunk's lines into the session's trace, updating its indices
+# as each event lands, and a pool worker reads them to step the window.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 set -eu

@@ -134,7 +134,7 @@ public:
                     const std::vector<EventId> &Order) const override {
     const Triple &X = Triples[C.Index];
     return checkAtomicityWitness(T, W.Window, Order, X.A1, X.B, X.A2,
-                                 W.encoder(), W.mhb(), W.Values)
+                                 W.encoder(), W.Values)
         .Ok;
   }
 
@@ -169,8 +169,7 @@ public:
     for (const std::string &Line : Lines) {
       AtomicityReport V;
       if (!parseFindingLine(T, Line, "viol", 5, E, V.WitnessValid,
-                            V.Witness) ||
-          !T[E[0]].isAcquire() || T[E[0]].Target >= T.numLocks())
+                            V.Witness))
         return false;
       V.RegionLock = T[E[0]].Target;
       V.RegionAcquire = E[0];
@@ -178,8 +177,7 @@ public:
       V.First = E[2];
       V.Remote = E[3];
       V.Second = E[4];
-      if (!classifyAtomicity(T[V.First], T[V.Remote], T[V.Second],
-                             V.Pattern))
+      if (!isCandidate(V))
         return false;
       Restored.push_back(describe(std::move(V)));
     }
@@ -241,6 +239,29 @@ private:
         }
       }
     }
+  }
+
+  /// Whether \p V has the shape of an enumerateRegion candidate: a complete
+  /// critical section, two of its own accesses to one variable inside it
+  /// and a non-serializable remote access to that variable.
+  bool isCandidate(const AtomicityReport &V) const {
+    const Event &Acquire = T[V.RegionAcquire];
+    if (!Acquire.isAcquire())
+      return false;
+    const std::vector<LockPair> &Pairs = T.lockPairsOf(Acquire.Target);
+    bool Region = std::any_of(Pairs.begin(), Pairs.end(), [&](const auto &P) {
+      return P.AcquireId == V.RegionAcquire && P.ReleaseId == V.RegionRelease;
+    });
+    auto access = [&](EventId Id, bool Local) {
+      const Event &E = T[Id];
+      return E.isAccess() && !E.Volatile && (E.Tid == Acquire.Tid) == Local &&
+             E.Target == T[V.First].Target;
+    };
+    AtomicityPattern Pattern;
+    return Region && V.RegionAcquire < V.First && V.First < V.Second &&
+           V.Second < V.RegionRelease && access(V.First, true) &&
+           access(V.Second, true) && access(V.Remote, false) &&
+           classifyAtomicity(T[V.First], T[V.Remote], T[V.Second], Pattern);
   }
 
   /// Fills the pattern and display names from the event ids.

@@ -6,28 +6,24 @@
 
 #include "detect/Cop.h"
 
+#include <algorithm>
+
 using namespace rvp;
 
 std::vector<Cop> rvp::collectCops(const Trace &T, Span S) {
   std::vector<Cop> Cops;
   for (VarId Var = 0; Var < T.numVars(); ++Var) {
+    // The window's slice of the sorted access list.
     const std::vector<EventId> &Accesses = T.accessesOf(Var);
-    // Restrict to the window.
-    size_t Begin = 0;
-    while (Begin < Accesses.size() && Accesses[Begin] < S.Begin)
-      ++Begin;
-    size_t End = Begin;
-    while (End < Accesses.size() && Accesses[End] < S.End)
-      ++End;
-    for (size_t I = Begin; I < End; ++I) {
-      const Event &A = T[Accesses[I]];
+    auto Begin = std::lower_bound(Accesses.begin(), Accesses.end(), S.Begin);
+    auto End = std::lower_bound(Begin, Accesses.end(), S.End);
+    for (auto I = Begin; I != End; ++I) {
+      const Event &A = T[*I];
       if (A.Volatile)
         continue;
-      for (size_t J = I + 1; J < End; ++J) {
-        const Event &B = T[Accesses[J]];
-        if (conflicting(A, B))
-          Cops.push_back({Accesses[I], Accesses[J]});
-      }
+      for (auto J = I + 1; J != End; ++J)
+        if (conflicting(A, T[*J]))
+          Cops.push_back({*I, *J});
     }
   }
   return Cops;

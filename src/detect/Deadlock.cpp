@@ -106,8 +106,7 @@ public:
     if (B.RequestPair.ReleaseId != InvalidEvent)
       Skip.insert(B.RequestPair.ReleaseId);
     return checkDeadlockWitness(T, W.Window, Order, A.Request, B.Request,
-                                A.Outer, B.Outer, Skip, W.encoder(), W.mhb(),
-                                W.Values)
+                                A.Outer, B.Outer, Skip, W.encoder(), W.Values)
         .Ok;
   }
 
@@ -133,7 +132,7 @@ public:
       if (!parseFindingLine(T, Line, "dl", 2, Req, Valid, Witness))
         return false;
       for (EventId Id : Req)
-        if (!T[Id].isAcquire() || T[Id].Target >= T.numLocks())
+        if (!T[Id].isAcquire())
           return false;
       Restored.push_back(makeReport(Req[0], Req[1], Witness, Valid));
     }

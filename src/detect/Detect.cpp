@@ -464,7 +464,7 @@ public:
   bool checkWitness(WindowContext &W, const Candidate &C,
                     const std::vector<EventId> &Order) const override {
     return rvp::checkWitness(T, W.Window, Order, C.First, C.Second,
-                             W.encoder(), W.mhb(), W.Values)
+                             W.encoder(), W.Values)
         .Ok;
   }
 
@@ -487,7 +487,10 @@ public:
     std::vector<EventId> Pair, Witness;
     bool Valid = false;
     for (const std::string &Line : Lines) {
-      if (!parseFindingLine(T, Line, "race", 2, Pair, Valid, Witness))
+      // A finding is a conflicting pair in trace order, as collectCops
+      // enumerates them.
+      if (!parseFindingLine(T, Line, "race", 2, Pair, Valid, Witness) ||
+          Pair[0] >= Pair[1] || !conflicting(T[Pair[0]], T[Pair[1]]))
         return false;
       Restored.push_back(makeReport(Pair[0], Pair[1], Witness, Valid));
     }

@@ -264,11 +264,7 @@ bool StreamDetector::step(StreamStep &Out, bool Degrade,
   Error.clear();
   if (!checkParse(Error))
     return false;
-  // The O(prefix) index rebuild runs here, on the daemon's worker, not on
-  // the I/O thread that reads the lines.
-  Trace &T = Run.Reader->trace();
-  if (!T.finalized())
-    T.finalize();
+  const Trace &T = Run.Reader->trace();
   if (Run.WindowsDone >= totalWindows(T, Run.Finished))
     return false;
   if (!ensureSession(Error))

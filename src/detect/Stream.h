@@ -11,11 +11,11 @@
 // and checked against the events before it, as the batch parse reads it
 // (interning is prefix-stable, so window K's events and name tables are
 // byte-identical to the batch parse's, and both reject the same lines).
-// Each step finalizes the trace (an O(prefix) index rebuild) and analyzes
-// the next window on the live session. The cumulative result after the
-// last step is therefore the batch result, and finish() renders it with
-// the shared Report renderers — the property the ServerGolden gate checks
-// byte for byte.
+// The trace keeps its indices current as each line is appended, so a step
+// rebuilds nothing over the prefix: it analyzes the next window on the
+// live session. The cumulative result after the last step is therefore
+// the batch result, and finish() renders it with the shared Report
+// renderers — the property the ServerGolden gate checks byte for byte.
 //
 // The checkpoint payload is built only by state() and installed only by
 // restore() (crash recovery). reset() replaces the DetectorRun value and
@@ -135,8 +135,8 @@ public:
   /// here and surfaces from the next step()/finish().
   bool windowReady();
 
-  /// Reads any unread lines, finalizes the trace and analyzes the next
-  /// pending window (one full window; partial tails wait for finish()).
+  /// Reads any unread lines and analyzes the next pending window (one
+  /// full window; partial tails wait for finish()).
   /// \p Degrade answers this window from the WCP
   /// vector-clock tier instead of the solver pipeline — race property
   /// only; atomicity/deadlock steps ignore it and run normally. Returns

@@ -197,9 +197,9 @@ bool parseFindingLine(const Trace &T, std::string_view Line, const char *Tag,
 
 /// One run of a policy, one window per analyze() call: the resumable
 /// session behind runWindowDriver and every streaming session. The trace
-/// may grow between calls (a streamed session appends each line it reads
-/// and finalizes again); event ids and interning are prefix-stable, so
-/// analyzed windows never change.
+/// may grow between calls (a streamed session appends each line it reads,
+/// and the trace keeps its indices current); event ids and interning are
+/// prefix-stable, so analyzed windows never change.
 class WindowDriver {
 public:
   /// \p T, \p Options and \p Policy must outlive the driver.

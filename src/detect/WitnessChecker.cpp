@@ -202,9 +202,7 @@ WitnessCheckResult rvp::checkWitness(const Trace &T, Span S,
                                      const std::vector<EventId> &Order,
                                      EventId A, EventId B,
                                      const RaceEncoder &Encoder,
-                                     const EventClosure &Mhb,
                                      const std::vector<Value> &Initial) {
-  (void)Mhb;
   std::vector<uint32_t> Pos;
   WitnessCheckResult Core =
       checkCore(T, S, Order, {A, B}, Encoder, Initial, Pos);
@@ -223,9 +221,7 @@ WitnessCheckResult rvp::checkDeadlockWitness(
     const Trace &T, Span S, const std::vector<EventId> &Order,
     EventId ReqA, EventId ReqB, const LockPair &OutA, const LockPair &OutB,
     const std::unordered_set<EventId> &SkipLockEffects,
-    const RaceEncoder &Encoder, const EventClosure &Mhb,
-    const std::vector<Value> &Initial) {
-  (void)Mhb;
+    const RaceEncoder &Encoder, const std::vector<Value> &Initial) {
   std::vector<uint32_t> Pos;
   WitnessCheckResult Core = checkCore(T, S, Order, {ReqA, ReqB}, Encoder,
                                       Initial, Pos, SkipLockEffects);
@@ -246,9 +242,7 @@ WitnessCheckResult rvp::checkDeadlockWitness(
 WitnessCheckResult rvp::checkAtomicityWitness(
     const Trace &T, Span S, const std::vector<EventId> &Order,
     EventId First, EventId Remote, EventId Second,
-    const RaceEncoder &Encoder, const EventClosure &Mhb,
-    const std::vector<Value> &Initial) {
-  (void)Mhb;
+    const RaceEncoder &Encoder, const std::vector<Value> &Initial) {
   std::vector<uint32_t> Pos;
   WitnessCheckResult Core =
       checkCore(T, S, Order, {First, Remote, Second}, Encoder, Initial,

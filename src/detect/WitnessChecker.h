@@ -41,12 +41,11 @@ struct WitnessCheckResult {
 
 /// Validates \p Order (a permutation of the events of \p S) as a witness
 /// that \p A and \p B race. \p Encoder supplies the window's guarding
-/// branches and initial values; \p Mhb the window's MHB closure.
+/// branches and initial values.
 WitnessCheckResult checkWitness(const Trace &T, Span S,
                                 const std::vector<EventId> &Order,
                                 EventId A, EventId B,
                                 const RaceEncoder &Encoder,
-                                const EventClosure &Mhb,
                                 const std::vector<Value> &InitialValues);
 
 /// Validates \p Order as a hold-and-wait deadlock witness: \p ReqA sits
@@ -57,8 +56,7 @@ WitnessCheckResult checkDeadlockWitness(
     const Trace &T, Span S, const std::vector<EventId> &Order,
     EventId ReqA, EventId ReqB, const LockPair &OutA, const LockPair &OutB,
     const std::unordered_set<EventId> &SkipLockEffects,
-    const RaceEncoder &Encoder, const EventClosure &Mhb,
-    const std::vector<Value> &InitialValues);
+    const RaceEncoder &Encoder, const std::vector<Value> &InitialValues);
 
 /// Validates \p Order as an atomicity-violation witness: \p Remote
 /// executes strictly between \p First and \p Second, with the same
@@ -67,7 +65,7 @@ WitnessCheckResult
 checkAtomicityWitness(const Trace &T, Span S,
                       const std::vector<EventId> &Order, EventId First,
                       EventId Remote, EventId Second,
-                      const RaceEncoder &Encoder, const EventClosure &Mhb,
+                      const RaceEncoder &Encoder,
                       const std::vector<Value> &InitialValues);
 
 /// Gap placement (docs/ENCODER.md): extends \p Model, a model of a sliced

@@ -40,7 +40,6 @@ public:
       Result.HitEventLimit = anyUnfinished();
     for (uint32_t Cell = 0; Cell < P.numCells(); ++Cell)
       Result.FinalCells[P.CellNames[Cell]] = Cells[Cell];
-    T.finalize();
     flushTelemetry();
     return std::move(Result);
   }

@@ -62,9 +62,9 @@ struct RunResult {
   bool ok() const { return !Deadlocked && !HitEventLimit && Errors.empty(); }
 };
 
-/// Executes \p P under scheduler \p S, appending events to \p T (which is
-/// finalized before returning). Thread ids in the trace equal the indices
-/// of P.Threads (main == RootThread == 0).
+/// Executes \p P under scheduler \p S, appending events to \p T. Thread
+/// ids in the trace equal the indices of P.Threads (main == RootThread ==
+/// 0).
 RunResult runProgram(const CompiledProgram &P, Scheduler &S, Trace &T,
                      const RunLimits &Limits = RunLimits());
 

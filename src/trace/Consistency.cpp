@@ -16,8 +16,7 @@ static ConsistencyResult fail(EventId Id, std::string Msg) {
   return ConsistencyResult::failure(Id, std::move(Msg));
 }
 
-ConsistencyResult ConsistencyChecker::step(EventId Id) {
-  const Event &E = T[Id];
+ConsistencyResult ConsistencyChecker::step(const Event &E, EventId Id) {
   // Every rule fails before it changes any state.
   ThreadState &TS = at(Threads, E.Tid);
   if (TS.Ended)
@@ -127,7 +126,7 @@ ConsistencyResult rvp::checkConsistency(const Trace &T,
                                         ConsistencyMode Mode) {
   ConsistencyChecker C(T, Mode);
   for (EventId Id : Order)
-    if (ConsistencyResult R = C.step(Id); !R.Ok)
+    if (ConsistencyResult R = C.step(T[Id], Id); !R.Ok)
       return R;
   return C.finish();
 }

@@ -57,14 +57,16 @@ struct ConsistencyResult {
 /// leaves the state as it was, so a reader that drops the offending event
 /// can go on checking the events after it (`--skip-bad-events`); the
 /// verdict on each event depends only on the events accepted before it.
+/// The trace supplies names and initial values only, so an event can be
+/// judged before it is appended to it.
 class ConsistencyChecker {
 public:
   ConsistencyChecker(const Trace &T, ConsistencyMode Mode)
       : T(T), Mode(Mode) {}
 
-  /// Checks event \p Id against the events accepted so far and, when it
-  /// passes, accepts it.
-  ConsistencyResult step(EventId Id);
+  /// Checks \p E, reported as event \p Id, against the events accepted so
+  /// far and, when it passes, accepts it.
+  ConsistencyResult step(const Event &E, EventId Id);
   /// End of the sequence: Strict mode requires every lock released.
   ConsistencyResult finish() const;
 

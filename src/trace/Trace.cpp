@@ -7,7 +7,6 @@
 #include "trace/Trace.h"
 
 #include "support/Compiler.h"
-#include "support/StringUtils.h"
 
 #include <algorithm>
 #include <charconv>
@@ -101,13 +100,19 @@ uint32_t Trace::internName(const std::string &Name,
 }
 
 ThreadId Trace::internThread(const std::string &Name) {
-  return internName(Name, ThreadNames, ThreadMap);
+  ThreadId Id = internName(Name, ThreadNames, ThreadMap);
+  ByThread.resize(ThreadNames.size());
+  return Id;
 }
 VarId Trace::internVar(const std::string &Name) {
-  return internName(Name, VarNames, VarMap);
+  VarId Id = internName(Name, VarNames, VarMap);
+  ByVar.resize(VarNames.size());
+  return Id;
 }
 LockId Trace::internLock(const std::string &Name) {
-  return internName(Name, LockNames, LockMap);
+  LockId Id = internName(Name, LockNames, LockMap);
+  ByLock.resize(LockNames.size());
+  return Id;
 }
 LocId Trace::internLoc(const std::string &Name) {
   return internName(Name, LocNames, LocMap);
@@ -121,17 +126,19 @@ void Trace::forgetNames(uint32_t Keep, std::vector<std::string> &Names,
 }
 
 Trace::Mark Trace::mark() const {
-  return {Events.size(), numThreads(), numVars(), numLocks(),
+  return {numThreads(), numVars(), numLocks(),
           static_cast<uint32_t>(LocNames.size())};
 }
 
 void Trace::rollback(const Mark &M) {
-  IsFinalized = false;
-  Events.resize(std::min<uint64_t>(M.Events, Events.size()));
   forgetNames(M.Threads, ThreadNames, ThreadMap);
   forgetNames(M.Vars, VarNames, VarMap);
   forgetNames(M.Locks, LockNames, LockMap);
   forgetNames(M.Locs, LocNames, LocMap);
+  // No event names the forgotten ids, so their index entries are empty.
+  ByThread.resize(ThreadNames.size());
+  ByVar.resize(VarNames.size());
+  ByLock.resize(LockNames.size());
   // Only variables interned since the mark can have gained an entry.
   if (InitValues.size() > M.Vars)
     InitValues.resize(M.Vars);
@@ -144,135 +151,95 @@ void Trace::setInitialValue(VarId Var, Value V) {
 }
 
 EventId Trace::append(const Event &E) {
-  assert(E.Kind != EventKind::Wait &&
-         "traces store wait() in lowered release/acquire form");
-  IsFinalized = false;
+  assert(E.Tid < numThreads() && "intern the thread first");
+  EventId Id = static_cast<EventId>(Events.size());
   Events.push_back(E);
-  return static_cast<EventId>(Events.size() - 1);
+  ByThread[E.Tid].Events.push_back(Id);
+  switch (E.Kind) {
+  case EventKind::Read:
+  case EventKind::Write:
+    assert(E.Target < numVars() && "intern the variable first");
+    ByVar[E.Target].push_back(Id);
+    break;
+  case EventKind::Acquire:
+    pairAcquire(Id, E);
+    break;
+  case EventKind::Release:
+    pairRelease(Id, E);
+    break;
+  case EventKind::Fork:
+    assert(E.Target < numThreads() && "intern the child first");
+    ByThread[E.Target].Fork = Id;
+    break;
+  case EventKind::Join:
+    assert(E.Target < numThreads() && "intern the child first");
+    ByThread[E.Target].Join = Id;
+    break;
+  case EventKind::Begin:
+    ByThread[E.Tid].Begin = Id;
+    break;
+  case EventKind::End:
+    ByThread[E.Tid].End = Id;
+    break;
+  case EventKind::Notify:
+    assert(E.Target < numLocks() && "intern the lock first");
+    if (E.Aux != 0)
+      NotifyByMatch[E.Aux] = Id;
+    break;
+  case EventKind::Branch:
+    break;
+  case EventKind::Wait:
+    RVP_UNREACHABLE("traces store wait() in lowered release/acquire form");
+  }
+  return Id;
 }
 
-/// Extends \p Names with synthesized entries so ids up to \p Count are
-/// printable even when the trace was built without interned names.
-static void padNames(std::vector<std::string> &Names, uint32_t Count,
-                     const char *Prefix) {
-  while (Names.size() < Count)
-    Names.push_back(formatString("%s%zu", Prefix, Names.size()));
+// Pairs are pushed at their first event (the acquire, or a release without
+// one), so each lock's list stays in trace order of that event.
+
+void Trace::pairAcquire(EventId Id, const Event &E) {
+  assert(E.Target < numLocks() && "intern the lock first");
+  LockIndex &L = ByLock[E.Target];
+  auto Open = std::find_if(L.Open.begin(), L.Open.end(),
+                           [&](const auto &O) { return O.first == E.Tid; });
+  if (Open != L.Open.end()) {
+    // The holder acquires again: its earlier acquire pairs with nothing.
+    uint32_t Dropped = Open->second;
+    L.Pairs.erase(L.Pairs.begin() + Dropped);
+    L.Open.erase(Open);
+    for (auto &[Tid, Index] : L.Open)
+      if (Index > Dropped)
+        --Index;
+  }
+  L.Open.emplace_back(E.Tid, static_cast<uint32_t>(L.Pairs.size()));
+  L.Pairs.push_back({Id, InvalidEvent, E.Tid, E.Target});
 }
 
-void Trace::finalize() {
-  uint32_t MaxThread = numThreads();
-  uint32_t MaxVar = numVars();
-  uint32_t MaxLock = numLocks();
-  for (const Event &E : Events) {
-    MaxThread = std::max(MaxThread, E.Tid + 1);
-    if (E.Kind == EventKind::Fork || E.Kind == EventKind::Join)
-      MaxThread = std::max(MaxThread, E.Target + 1);
-    if (E.isAccess())
-      MaxVar = std::max(MaxVar, E.Target + 1);
-    if (E.isAcquire() || E.isRelease() || E.Kind == EventKind::Notify)
-      MaxLock = std::max(MaxLock, E.Target + 1);
+void Trace::pairRelease(EventId Id, const Event &E) {
+  assert(E.Target < numLocks() && "intern the lock first");
+  LockIndex &L = ByLock[E.Target];
+  auto Open = std::find_if(L.Open.begin(), L.Open.end(),
+                           [&](const auto &O) { return O.first == E.Tid; });
+  if (Open == L.Open.end()) {
+    L.Pairs.push_back({InvalidEvent, Id, E.Tid, E.Target});
+    return;
   }
-  padNames(ThreadNames, MaxThread, "t");
-  padNames(VarNames, MaxVar, "v");
-  padNames(LockNames, MaxLock, "l");
-
-  ByThread.assign(MaxThread, {});
-  ByVar.assign(MaxVar, {});
-  ByLock.assign(MaxLock, {});
-  ForkEvent.assign(MaxThread, InvalidEvent);
-  BeginEvent.assign(MaxThread, InvalidEvent);
-  EndEvent.assign(MaxThread, InvalidEvent);
-  JoinEvent.assign(MaxThread, InvalidEvent);
-  NotifyByMatch.clear();
-
-  // Pending (unmatched) acquire per lock per thread, for pair building.
-  std::vector<std::unordered_map<ThreadId, EventId>> Pending(MaxLock);
-
-  for (EventId Id = 0; Id < Events.size(); ++Id) {
-    const Event &E = Events[Id];
-    ByThread[E.Tid].push_back(Id);
-    switch (E.Kind) {
-    case EventKind::Read:
-    case EventKind::Write:
-      ByVar[E.Target].push_back(Id);
-      break;
-    case EventKind::Acquire:
-      Pending[E.Target][E.Tid] = Id;
-      break;
-    case EventKind::Release: {
-      auto &PerThread = Pending[E.Target];
-      auto It = PerThread.find(E.Tid);
-      LockPair Pair;
-      Pair.ReleaseId = Id;
-      Pair.Tid = E.Tid;
-      Pair.Lock = E.Target;
-      if (It != PerThread.end()) {
-        Pair.AcquireId = It->second;
-        PerThread.erase(It);
-      }
-      ByLock[E.Target].push_back(Pair);
-      break;
-    }
-    case EventKind::Fork:
-      ForkEvent[E.Target] = Id;
-      break;
-    case EventKind::Join:
-      JoinEvent[E.Target] = Id;
-      break;
-    case EventKind::Begin:
-      BeginEvent[E.Tid] = Id;
-      break;
-    case EventKind::End:
-      EndEvent[E.Tid] = Id;
-      break;
-    case EventKind::Notify:
-      if (E.Aux != 0)
-        NotifyByMatch[E.Aux] = Id;
-      break;
-    case EventKind::Branch:
-      break;
-    case EventKind::Wait:
-      RVP_UNREACHABLE("wait events are lowered before recording");
-    }
-  }
-
-  // Acquires still held at the end of the trace become half-open pairs.
-  for (LockId Lock = 0; Lock < MaxLock; ++Lock) {
-    for (const auto &[Tid, AcqId] : Pending[Lock]) {
-      LockPair Pair;
-      Pair.AcquireId = AcqId;
-      Pair.Tid = Tid;
-      Pair.Lock = Lock;
-      ByLock[Lock].push_back(Pair);
-    }
-    // Keep pairs sorted by acquire position for deterministic iteration.
-    std::sort(ByLock[Lock].begin(), ByLock[Lock].end(),
-              [](const LockPair &A, const LockPair &B) {
-                EventId KeyA =
-                    A.AcquireId != InvalidEvent ? A.AcquireId : A.ReleaseId;
-                EventId KeyB =
-                    B.AcquireId != InvalidEvent ? B.AcquireId : B.ReleaseId;
-                return KeyA < KeyB;
-              });
-  }
-
-  IsFinalized = true;
+  L.Pairs[Open->second].ReleaseId = Id;
+  L.Open.erase(Open);
 }
 
 EventId Trace::notifyOfMatch(uint32_t Aux) const {
-  assert(IsFinalized && "finalize() the trace first");
   auto It = NotifyByMatch.find(Aux);
   return It == NotifyByMatch.end() ? InvalidEvent : It->second;
 }
 
 TraceStats Trace::stats(Span S) const {
   TraceStats Stats;
-  std::vector<bool> SeenThread(ByThread.empty() ? 64 : ByThread.size(),
-                               false);
+  std::vector<bool> SeenThread(numThreads(), false);
   for (EventId Id = S.Begin; Id < S.End && Id < Events.size(); ++Id) {
     const Event &E = Events[Id];
     ++Stats.Events;
-    if (E.Tid < SeenThread.size() && !SeenThread[E.Tid]) {
+    if (!SeenThread[E.Tid]) {
       SeenThread[E.Tid] = true;
       ++Stats.Threads;
     }

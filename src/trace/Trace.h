@@ -8,7 +8,9 @@
 /// A Trace is a sequence of events (Section 2.2) together with interning
 /// tables for thread/variable/lock/location names and derived indices
 /// (per-thread projections, per-variable access lists, lock acquire/release
-/// pairs) that every detector consumes.
+/// pairs) that every detector consumes. The indices are kept current as
+/// each event is appended, so a trace that is still growing (a streamed
+/// session) can be analyzed at any point without a rebuild.
 ///
 /// Wait/notify is stored in lowered form (Section 4): a wait() appears as a
 /// Release followed by an Acquire sharing a nonzero Aux match id; the
@@ -24,6 +26,7 @@
 #include <cassert>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace rvp {
@@ -59,8 +62,9 @@ struct TraceStats {
 
 /// An execution trace plus name tables and derived indices.
 ///
-/// Usage: append events (or use TraceBuilder / the runtime Recorder), then
-/// call finalize() once; the derived indices are only valid afterwards.
+/// Usage: intern the names an event refers to, then append it (or use
+/// TraceBuilder, the text reader or the interpreter). Every accessor
+/// reflects the events appended so far.
 class Trace {
 public:
   Trace() = default;
@@ -86,19 +90,18 @@ public:
   uint32_t numLocks() const { return static_cast<uint32_t>(LockNames.size()); }
 
   // -------------------------------------------------- construction
-  /// Appends an event and returns its id. Invalidates derived indices
-  /// until the next finalize().
+  /// Appends an event, updates every derived index and returns its id.
+  /// The thread, variable or lock ids it names must be interned.
   EventId append(const Event &E);
 
-  /// Event and name-table sizes at one point of construction.
+  /// Name-table sizes at one point of construction.
   struct Mark {
-    uint64_t Events = 0;
     uint32_t Threads = 0, Vars = 0, Locks = 0, Locs = 0;
   };
   Mark mark() const;
-  /// Drops every event appended and every name interned since \p M, as if
-  /// they never were: how an append-only reader takes back a line it
-  /// rejects after interning it.
+  /// Forgets every name interned since \p M, as if it never was: how an
+  /// append-only reader takes back the names of a line it rejects. No
+  /// event may have been appended since \p M.
   void rollback(const Mark &M);
 
   /// Sets the value variable \p Var holds before the first event
@@ -114,11 +117,6 @@ public:
   /// numVars(); missing entries are 0).
   const std::vector<Value> &initialValues() const { return InitValues; }
 
-  /// Builds the derived indices. Must be called after the last append().
-  void finalize();
-
-  bool finalized() const { return IsFinalized; }
-
   // -------------------------------------------------- access
   uint64_t size() const { return Events.size(); }
   bool empty() const { return Events.empty(); }
@@ -130,33 +128,31 @@ public:
 
   /// All event ids of thread \p Tid, in trace order.
   const std::vector<EventId> &threadEvents(ThreadId Tid) const {
-    assert(IsFinalized && "finalize() the trace first");
-    return ByThread[Tid];
+    return ByThread[Tid].Events;
   }
 
   /// All read/write event ids on variable \p Var, in trace order
   /// (volatile accesses included; callers filter as needed).
   const std::vector<EventId> &accessesOf(VarId Var) const {
-    assert(IsFinalized && "finalize() the trace first");
     return ByVar[Var];
   }
 
-  /// Matched acquire/release pairs, grouped per lock.
+  /// Acquire/release pairs of \p Lock, in the order of their first event:
+  /// each acquire pairs with its thread's next release of the lock. A pair
+  /// lacks its release while the lock is held and its acquire for a
+  /// release without one; an acquire its thread repeats before releasing
+  /// has no pair.
   const std::vector<LockPair> &lockPairsOf(LockId Lock) const {
-    assert(IsFinalized && "finalize() the trace first");
-    return ByLock[Lock];
+    return ByLock[Lock].Pairs;
   }
 
   /// Fork event of thread \p Tid (the event fork(_, Tid)), or InvalidEvent.
-  EventId forkOf(ThreadId Tid) const {
-    assert(IsFinalized && "finalize() the trace first");
-    return ForkEvent[Tid];
-  }
+  EventId forkOf(ThreadId Tid) const { return ByThread[Tid].Fork; }
   /// Begin/End events of thread \p Tid, or InvalidEvent.
-  EventId beginOf(ThreadId Tid) const { return BeginEvent[Tid]; }
-  EventId endOf(ThreadId Tid) const { return EndEvent[Tid]; }
+  EventId beginOf(ThreadId Tid) const { return ByThread[Tid].Begin; }
+  EventId endOf(ThreadId Tid) const { return ByThread[Tid].End; }
   /// Join event joining thread \p Tid, or InvalidEvent.
-  EventId joinOf(ThreadId Tid) const { return JoinEvent[Tid]; }
+  EventId joinOf(ThreadId Tid) const { return ByThread[Tid].Join; }
 
   /// The Notify event matched with wait match-id \p Aux, or InvalidEvent.
   EventId notifyOfMatch(uint32_t Aux) const;
@@ -175,19 +171,34 @@ private:
   static void forgetNames(uint32_t Keep, std::vector<std::string> &Names,
                           std::unordered_map<std::string, uint32_t> &Map);
 
+  /// The derived state of one thread: the events it runs and the ones
+  /// that start, fork, end and join it (the last of each, if repeated).
+  struct ThreadIndex {
+    std::vector<EventId> Events;
+    EventId Fork = InvalidEvent, Begin = InvalidEvent, End = InvalidEvent,
+            Join = InvalidEvent;
+  };
+  /// The pairs of one lock, plus the threads whose latest acquire awaits
+  /// its release, with the index of that pair in Pairs.
+  struct LockIndex {
+    std::vector<LockPair> Pairs;
+    std::vector<std::pair<ThreadId, uint32_t>> Open;
+  };
+
+  void pairAcquire(EventId Id, const Event &E);
+  void pairRelease(EventId Id, const Event &E);
+
   std::vector<Event> Events;
   std::vector<Value> InitValues;
-  bool IsFinalized = false;
 
   std::vector<std::string> ThreadNames, VarNames, LockNames, LocNames;
   std::unordered_map<std::string, uint32_t> ThreadMap, VarMap, LockMap,
       LocMap;
 
-  // Derived indices, valid after finalize().
-  std::vector<std::vector<EventId>> ByThread; // per thread
-  std::vector<std::vector<EventId>> ByVar;    // per variable, accesses only
-  std::vector<std::vector<LockPair>> ByLock;  // per lock
-  std::vector<EventId> ForkEvent, BeginEvent, EndEvent, JoinEvent;
+  // Derived indices: interning sizes them, append() fills them.
+  std::vector<ThreadIndex> ByThread;
+  std::vector<std::vector<EventId>> ByVar; // accesses only
+  std::vector<LockIndex> ByLock;
   std::unordered_map<uint32_t, EventId> NotifyByMatch;
 };
 

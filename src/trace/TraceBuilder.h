@@ -131,11 +131,8 @@ public:
     return *this;
   }
 
-  /// Finalizes and returns the trace; the builder is left empty.
-  Trace build() {
-    T.finalize();
-    return std::move(T);
-  }
+  /// Returns the trace; the builder is left empty.
+  Trace build() { return std::move(T); }
 
 private:
   Event base(const std::string &Thread, EventKind Kind,

@@ -215,11 +215,13 @@ bool TraceReader::readLine(std::string_view Raw, std::string_view Line) {
     break;
   }
 
-  // The event's verdict depends only on the accepted prefix; a rejected
-  // event takes its names back with it.
-  ConsistencyResult C = Checker.step(T.append(E));
-  if (C.Ok)
+  // The event's verdict depends only on the accepted prefix: only an
+  // accepted event is appended, and a rejected one takes its names back.
+  ConsistencyResult C = Checker.step(E, static_cast<EventId>(T.size()));
+  if (C.Ok) {
+    T.append(E);
     return true;
+  }
   T.rollback(Before);
   return fail(columnOf(Kind), "inconsistent input trace: " + C.Message, {});
 }
@@ -235,6 +237,5 @@ rvp::parseTraceText(std::string_view Text, std::string &Error,
   }
   if (Stats)
     Stats->SkippedEvents = Reader.skippedEvents();
-  Reader.trace().finalize();
   return std::move(Reader.trace());
 }

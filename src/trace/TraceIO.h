@@ -86,12 +86,12 @@ public:
   const std::string &error() const { return Error; }
   /// Lines dropped under SkipBadEvents.
   uint64_t skippedEvents() const { return Skipped; }
-  /// The accepted events. Not finalized: the consumer finalizes it before
-  /// analysis, and appending further lines unfinalizes it again.
+  /// The accepted events, with every index current; further lines extend
+  /// it in place.
   Trace &trace() { return T; }
 
 private:
-  /// Parses, interns, appends and checks one non-blank, non-comment line;
+  /// Parses, interns, checks and appends one non-blank, non-comment line;
   /// false with Error set (and the trace as before) when it is rejected.
   bool readLine(std::string_view Raw, std::string_view Line);
   bool fail(size_t Col, const std::string &Msg, std::string_view Token);
@@ -108,10 +108,10 @@ private:
   uint64_t Skipped = 0;
 };
 
-/// Parses the text format with one TraceReader. On success returns a
-/// finalized trace; on failure returns std::nullopt and stores the
-/// reader's diagnostic in \p Error, pointing at the offending line,
-/// column, and token.
+/// Parses the text format with one TraceReader. On success returns the
+/// trace; on failure returns std::nullopt and stores the reader's
+/// diagnostic in \p Error, pointing at the offending line, column, and
+/// token.
 std::optional<Trace> parseTraceText(std::string_view Text,
                                     std::string &Error,
                                     const TraceParseOptions &Options = {},

@@ -103,7 +103,7 @@ struct SyntheticSpec {
   uint32_t expectedDeadlocks() const { return DeadlockCycles; }
 };
 
-/// Generates the trace for \p Spec (finalized, strictly consistent).
+/// Generates the trace for \p Spec (strictly consistent).
 Trace generateSynthetic(const SyntheticSpec &Spec);
 
 /// The seven real-system rows of Table 1, with pattern counts calibrated

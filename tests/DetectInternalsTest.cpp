@@ -452,7 +452,7 @@ struct WitnessFixture {
 
   WitnessCheckResult check(const std::vector<EventId> &Order, EventId A,
                            EventId B) {
-    return checkWitness(T, T.fullSpan(), Order, A, B, Encoder, Mhb,
+    return checkWitness(T, T.fullSpan(), Order, A, B, Encoder,
                         T.initialValues());
   }
 
@@ -570,8 +570,7 @@ struct GapFixture {
 
   WitnessCheckResult check(const std::vector<EventId> &Order, EventId A,
                            EventId B) {
-    return checkWitness(T, Window, Order, A, B, Encoder, Mhb,
-                        T.initialValues());
+    return checkWitness(T, Window, Order, A, B, Encoder, T.initialValues());
   }
 
   Trace T;

@@ -9,7 +9,10 @@
 /// statsToJson all read the one table statsFields(). These tests pin the
 /// table's shape, the checkpoint round trip through it, and the one
 /// encoder count whose source moved into the record
-/// (analysis.ranges_folded counts decision-path folds only).
+/// (analysis.ranges_folded counts decision-path folds only). A payload
+/// read back from disk is outside input: fixed-seed, structure-aware
+/// mutations of real payloads must either resume with well-formed
+/// findings or leave the driver's state as it was.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +21,10 @@
 #include "detect/WindowDriver.h"
 #include "lang/Parser.h"
 #include "runtime/Interpreter.h"
+#include "support/Random.h"
+#include "support/StringUtils.h"
 #include "support/Telemetry.h"
+#include "trace/TraceBuilder.h"
 #include "workloads/Catalog.h"
 
 #include <gtest/gtest.h>
@@ -54,6 +60,133 @@ StreamOptions propertyOptions(const char *Property) {
   EXPECT_TRUE(setAnalysisOption(Opts, "witness", "true", Error)) << Error;
   EXPECT_TRUE(finishAnalysisOptions(Opts, Error)) << Error;
   return Opts;
+}
+
+/// Three nested critical sections of t1 around a read of x, a second read
+/// of x in the outermost one, and t2's remote write of x.
+Trace nestedLocksTrace() {
+  TraceBuilder B;
+  B.acquire("t1", "a"); // 0
+  B.acquire("t1", "b"); // 1
+  B.acquire("t1", "c"); // 2
+  B.read("t1", "x", 0); // 3
+  B.release("t1", "c"); // 4
+  B.release("t1", "b"); // 5
+  B.read("t1", "x", 0); // 6
+  B.release("t1", "a"); // 7
+  B.write("t2", "x", 1); // 8
+  return B.build();
+}
+
+/// A payload with every required line and no finding.
+const char *const EmptyPayload = "stats 0 0 0 0 0 0 0 0\n"
+                                 "tallies 0 0 0 0 0 0 0 0 0 0\n"
+                                 "values\nseen\nqcsig\n";
+
+std::string joinLines(const std::vector<std::string> &Lines) {
+  std::string Out;
+  for (const std::string &Line : Lines)
+    Out += Line + "\n";
+  return Out;
+}
+
+/// One structure-aware mutation of a checkpoint payload: a field (half of
+/// the time one of a line's first six, where a finding names its events)
+/// swapped for an event id of any kind, -1, 2^64, an empty token or hex
+/// garbage; a line dropped, duplicated or swapped with another; or the
+/// payload cut at a random byte.
+std::string mutatePayload(const std::string &Payload, uint64_t NumEvents,
+                          Rng &R) {
+  std::vector<std::string> Lines;
+  for (std::string_view Line : split(Payload, '\n'))
+    if (!Line.empty())
+      Lines.emplace_back(Line);
+  size_t L = R.below(Lines.size());
+  switch (R.below(5)) {
+  case 0:
+  case 1: { // swap one field
+    std::vector<std::string> Fields;
+    for (std::string_view F : split(Lines[L], ' '))
+      Fields.emplace_back(F);
+    size_t Head = std::min<size_t>(Fields.size(), 6);
+    std::string &Field =
+        Fields[R.below(R.chance(1, 2) ? Head : Fields.size())];
+    switch (R.below(5)) {
+    case 0:
+      Field = std::to_string(R.below(NumEvents));
+      break;
+    case 1:
+      Field = "-1";
+      break;
+    case 2:
+      Field = "18446744073709551616";
+      break;
+    case 3:
+      Field.clear();
+      break;
+    default:
+      Field = formatString("%llxg%c", static_cast<unsigned long long>(R.next()),
+                           static_cast<char>('!' + R.below(90)));
+      break;
+    }
+    std::string Line;
+    for (size_t I = 0; I < Fields.size(); ++I)
+      Line += (I ? " " : "") + Fields[I];
+    Lines[L] = Line;
+    return joinLines(Lines);
+  }
+  case 2:
+    Lines.erase(Lines.begin() + L);
+    return joinLines(Lines);
+  case 3:
+    Lines.insert(Lines.begin() + L, Lines[L]);
+    return joinLines(Lines);
+  default:
+    if (R.chance(1, 2)) {
+      std::swap(Lines[L], Lines[R.below(Lines.size())]);
+      return joinLines(Lines);
+    }
+    return Payload.substr(0, R.below(Payload.size()));
+  }
+}
+
+/// Every finding line of \p Payload names events of the shape the
+/// policies enumerate: a conflicting pair in trace order (race), a
+/// critical section with two of its accesses to one variable and another
+/// thread's access to it (viol), two acquires (dl).
+void expectFindingsWellFormed(const Trace &T, const std::string &Payload) {
+  for (std::string_view Line : split(Payload, '\n')) {
+    if (Line.empty())
+      continue;
+    std::vector<std::string_view> F = split(Line, ' ');
+    std::vector<EventId> E;
+    for (size_t I = 1; I < F.size() && I < 6; ++I) {
+      int64_t Id = 0;
+      if (parseInt(F[I], Id) && Id >= 0 && static_cast<uint64_t>(Id) < T.size())
+        E.push_back(static_cast<EventId>(Id));
+    }
+    if (F[0] == "race") {
+      ASSERT_GE(E.size(), 2u) << Line;
+      EXPECT_TRUE(E[0] < E[1] && conflicting(T[E[0]], T[E[1]])) << Line;
+    } else if (F[0] == "viol") {
+      ASSERT_GE(E.size(), 5u) << Line;
+      const Event &Acq = T[E[0]], &Rel = T[E[1]];
+      const Event &First = T[E[2]], &Remote = T[E[3]], &Second = T[E[4]];
+      EXPECT_TRUE(Acq.isAcquire() && Rel.isRelease() &&
+                  Acq.Target == Rel.Target && Acq.Tid == Rel.Tid)
+          << Line;
+      EXPECT_TRUE(E[0] < E[2] && E[2] < E[4] && E[4] < E[1]) << Line;
+      EXPECT_TRUE(First.isAccess() && Second.isAccess() &&
+                  Remote.isAccess() && First.Tid == Acq.Tid &&
+                  Second.Tid == Acq.Tid && Remote.Tid != Acq.Tid &&
+                  First.Target == Second.Target &&
+                  Remote.Target == First.Target)
+          << Line;
+    } else if (F[0] == "dl") {
+      ASSERT_GE(E.size(), 2u) << Line;
+      EXPECT_TRUE(T[E[0]].isAcquire() && T[E[1]].isAcquire()) << Line;
+    }
+  }
 }
 
 /// Every field the checkpoint payload holds, plus the unknown count it
@@ -212,4 +345,98 @@ TEST(DriverStats, RangesFoldedCountsDecisionPathFoldsOnly) {
   }
   EXPECT_GE(Folded[true], 1u);
   EXPECT_EQ(Folded[true], Folded[false]);
+}
+
+TEST(DriverCheckpoint, RaceLineMustNameAConflictingPairInTraceOrder) {
+  Trace T = nestedLocksTrace();
+  StreamOptions Opts = propertyOptions("race");
+  std::unique_ptr<QueryPolicy> Policy = makePolicy(T, Opts);
+  WindowDriver Driver(T, Opts.Detect, *Policy);
+  const std::string Empty = EmptyPayload, Before = Driver.saveState();
+  for (const char *Bad : {"race 2 8 0\n",   // event 2 acquires a lock
+                          "race 8 3 0\n",   // out of trace order
+                          "race 3 6 0\n",   // one thread
+                          "race 3 3 0\n"}) { // one event
+    SCOPED_TRACE(Bad);
+    EXPECT_FALSE(Driver.resume(Empty + Bad));
+    EXPECT_EQ(Driver.saveState(), Before);
+  }
+  std::string Good = Empty + "race 3 8 0\n";
+  ASSERT_TRUE(Driver.resume(Good));
+  EXPECT_EQ(Driver.saveState(), Good);
+  EXPECT_NE(Policy->renderFinding(0, Opts.Render).find("x"),
+            std::string::npos);
+}
+
+TEST(DriverCheckpoint, ViolationLineMustHaveTheCandidateShape) {
+  Trace T = nestedLocksTrace();
+  StreamOptions Opts = propertyOptions("atomicity");
+  std::unique_ptr<QueryPolicy> Policy = makePolicy(T, Opts);
+  WindowDriver Driver(T, Opts.Detect, *Policy);
+  const std::string Empty = EmptyPayload, Before = Driver.saveState();
+  for (const char *Bad : {"viol 0 7 2 8 3 0\n", // event 2 acquires a lock
+                          "viol 0 5 3 8 6 0\n", // 5 releases another lock
+                          "viol 1 5 3 8 6 0\n", // 6 is outside the region
+                          "viol 0 7 6 8 3 0\n", // local pair out of order
+                          "viol 0 7 3 6 6 0\n", // the remote is local
+                          "viol 3 7 3 8 6 0\n", // 3 is no acquire
+                          "viol 0 7 3 8 3 0\n"}) { // one local access
+    SCOPED_TRACE(Bad);
+    EXPECT_FALSE(Driver.resume(Empty + Bad));
+    EXPECT_EQ(Driver.saveState(), Before);
+  }
+  std::string Good = Empty + "viol 0 7 3 8 6 0\n";
+  ASSERT_TRUE(Driver.resume(Good));
+  EXPECT_EQ(Driver.saveState(), Good);
+  EXPECT_NE(Policy->renderFinding(0, Opts.Render).find("x"),
+            std::string::npos);
+}
+
+TEST(DriverCheckpoint, MutatedPayloadsResumeOrLeaveTheStateAlone) {
+  Trace T = propsTrace();
+  Rng R(20261017);
+  for (const char *Property : {"race", "atomicity", "deadlock"}) {
+    SCOPED_TRACE(Property);
+    StreamOptions Opts = propertyOptions(Property);
+    std::vector<Span> Windows = splitWindows(T, Opts.Detect.WindowSize);
+    ASSERT_EQ(Windows.size(), 3u);
+    // The snapshots after two windows and after all three (the deadlock
+    // is found in the last one).
+    std::string Payloads[2];
+    {
+      std::unique_ptr<QueryPolicy> Policy = makePolicy(T, Opts);
+      WindowDriver Driver(T, Opts.Detect, *Policy);
+      Driver.analyze(Windows[0]);
+      Driver.analyze(Windows[1]);
+      Payloads[0] = Driver.saveState();
+      Driver.analyze(Windows[2]);
+      Payloads[1] = Driver.saveState();
+      ASSERT_GT(Policy->numFindings(), 0u);
+    }
+    size_t Resumed = 0, Rejected = 0;
+    for (int I = 0; I < 200; ++I) {
+      bool AfterTwo = I % 2 == 0;
+      std::string Mutant = mutatePayload(Payloads[!AfterTwo], T.size(), R);
+      SCOPED_TRACE(Mutant);
+      std::unique_ptr<QueryPolicy> Policy = makePolicy(T, Opts);
+      WindowDriver Driver(T, Opts.Detect, *Policy);
+      Driver.analyze(Windows[0]);
+      std::string Before = Driver.saveState();
+      if (!Driver.resume(Mutant)) {
+        ++Rejected;
+        EXPECT_EQ(Driver.saveState(), Before);
+        continue;
+      }
+      ++Resumed;
+      expectFindingsWellFormed(T, Driver.saveState());
+      if (AfterTwo)
+        Driver.analyze(Windows[2]);
+      for (size_t F = 0; F < Policy->numFindings(); ++F)
+        Policy->renderFinding(F, Opts.Render);
+      Policy->renderReport(Driver.finish(), Opts.Render);
+    }
+    // The mix exercises both outcomes.
+    EXPECT_GT(Resumed, 0u);
+    EXPECT_GT(Rejected, 0u);
+  }
 }

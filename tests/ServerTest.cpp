@@ -9,8 +9,9 @@
 // options an in-process daemon accepts. The invariants
 // pinned here are what the end-to-end ServerGolden and CheckServer gates
 // rely on: chunk boundaries never change results, the cumulative summary
-// is byte-identical to the batch report, and a recycled detector carries
-// nothing across reset().
+// is byte-identical to the batch report, a recycled detector carries
+// nothing across reset(), and a mutated frame stream decodes, waits for
+// more, or stays Malformed.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 #include "server/Framing.h"
 #include "server/Server.h"
 #include "support/FaultInjector.h"
+#include "support/Random.h"
 #include "trace/TraceIO.h"
 
 #include <gtest/gtest.h>
@@ -100,6 +102,80 @@ std::string streamAll(StreamDetector &Det, const std::string &Text,
 // ----------------------------------------------------------------------
 // Framing
 // ----------------------------------------------------------------------
+
+/// One byte-level mutation of a frame stream: a flipped bit, a changed
+/// length or type byte, a cut, a duplicated or deleted range, or
+/// inserted random bytes.
+std::string mutateWire(std::string Wire, Rng &R) {
+  if (Wire.empty())
+    return Wire;
+  size_t At = R.below(Wire.size());
+  switch (R.below(6)) {
+  case 0:
+    Wire[At] = static_cast<char>(Wire[At] ^ (1 << R.below(8)));
+    break;
+  case 1:
+    Wire[At] = static_cast<char>(R.below(256));
+    break;
+  case 2:
+    Wire.resize(At);
+    break;
+  case 3:
+    Wire.insert(At, Wire.substr(At, R.below(32)));
+    break;
+  case 4:
+    Wire.erase(At, R.below(32));
+    break;
+  default:
+    for (uint64_t I = R.below(8) + 1; I > 0; --I)
+      Wire.insert(Wire.begin() + At, static_cast<char>(R.below(256)));
+    break;
+  }
+  return Wire;
+}
+
+struct Decoded {
+  std::vector<Frame> Frames;
+  bool Malformed = false;
+  std::string Error;
+};
+
+/// Feeds \p Wire to a FrameDecoder in chunks of 1..\p MaxChunk bytes
+/// (whole when MaxChunk is 0), draining every frame after each chunk.
+Decoded decode(const std::string &Wire, size_t MaxChunk, Rng &R) {
+  Decoded Out;
+  FrameDecoder Decoder;
+  size_t Fed = 0;
+  while (Fed < Wire.size()) {
+    size_t Chunk = MaxChunk ? 1 + R.below(MaxChunk) : Wire.size();
+    Decoder.feed(std::string_view(Wire).substr(Fed, Chunk));
+    Fed += std::min(Chunk, Wire.size() - Fed);
+    for (;;) {
+      Frame F;
+      std::string Error;
+      FrameDecoder::Result Res = Decoder.next(F, Error);
+      if (Res == FrameDecoder::Result::Ready) {
+        EXPECT_FALSE(Out.Malformed) << "Malformed must stay Malformed";
+        EXPECT_LE(F.Payload.size(), MaxFramePayload);
+        Out.Frames.push_back(std::move(F));
+        continue;
+      }
+      if (Res == FrameDecoder::Result::Malformed) {
+        EXPECT_FALSE(Error.empty());
+        if (Out.Malformed) {
+          EXPECT_EQ(Error, Out.Error);
+        }
+        Out.Malformed = true;
+        Out.Error = Error;
+      } else {
+        EXPECT_EQ(Res, FrameDecoder::Result::NeedMore);
+        EXPECT_FALSE(Out.Malformed) << "Malformed must stay Malformed";
+      }
+      break;
+    }
+  }
+  return Out;
+}
 
 TEST(ServerFraming, RoundTripCoalesced) {
   std::string Wire = encodeFrame(FrameType::Hello, "technique=rv\n");
@@ -187,6 +263,40 @@ TEST(ServerFraming, GarbleFaultCorruptsTheStream) {
     EXPECT_NE(F.Payload, "write t1 x 1 @a\n");
   else
     EXPECT_EQ(R, FrameDecoder::Result::Malformed);
+}
+
+TEST(ServerFraming, MutatedStreamsDecodeWaitOrStayMalformed) {
+  Rng R(71016202);
+  std::string Clean = encodeFrame(FrameType::Hello, "technique=rv\nwindow=8\n");
+  for (const char *Chunk :
+       {"begin t0\nwrite t0 x 1 @a\n", "fork t0 t1\nbegin t1\n",
+        "read t1 x 1 @b\nwrite t0 x 2 @c\nend t1\n"})
+    Clean += encodeFrame(FrameType::Data, Chunk);
+  Clean += encodeFrame(FrameType::Fin, "");
+  size_t Malformed = 0;
+  for (int I = 0; I < 400; ++I) {
+    std::string Wire = mutateWire(Clean, R);
+    if (R.chance(1, 4))
+      Wire = mutateWire(Wire, R);
+    Decoded Whole = decode(Wire, 0, R);
+    Decoded Chunked = decode(Wire, 1 + R.below(16), R);
+    // Chunking changes nothing, and the frames decoded are exactly the
+    // bytes consumed: a prefix of the stream.
+    EXPECT_EQ(Chunked.Malformed, Whole.Malformed);
+    EXPECT_EQ(Chunked.Error, Whole.Error);
+    ASSERT_EQ(Chunked.Frames.size(), Whole.Frames.size());
+    std::string Consumed;
+    for (size_t F = 0; F < Whole.Frames.size(); ++F) {
+      EXPECT_EQ(Chunked.Frames[F].Type, Whole.Frames[F].Type);
+      EXPECT_EQ(Chunked.Frames[F].Payload, Whole.Frames[F].Payload);
+      Consumed += encodeFrame(Whole.Frames[F].Type, Whole.Frames[F].Payload);
+    }
+    EXPECT_EQ(Wire.compare(0, Consumed.size(), Consumed), 0);
+    Malformed += Whole.Malformed;
+  }
+  // The mix exercises both outcomes.
+  EXPECT_GT(Malformed, 0u);
+  EXPECT_LT(Malformed, 400u);
 }
 
 // ----------------------------------------------------------------------

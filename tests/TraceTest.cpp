@@ -4,11 +4,20 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "runtime/Interpreter.h"
 #include "trace/Trace.h"
 #include "trace/TraceBuilder.h"
+#include "trace/TraceIO.h"
 #include "trace/Window.h"
+#include "workloads/Fuzzer.h"
+#include "workloads/Synthetic.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <unordered_map>
+#include <unordered_set>
 
 using namespace rvp;
 
@@ -177,7 +186,6 @@ TEST(Window, ZeroMeansWholeTrace) {
 
 TEST(Window, EmptyTrace) {
   Trace T;
-  T.finalize();
   EXPECT_TRUE(splitWindows(T, 10).empty());
   EXPECT_TRUE(splitWindows(T, 0).empty());
 }
@@ -193,4 +201,249 @@ TEST(Event, ToStringForms) {
   EXPECT_EQ(toString(T[1]), "acquire(t0, l0)");
   EXPECT_EQ(toString(T[2]), "branch(t0)");
   EXPECT_EQ(toString(T[3]), "fork(t0, t1)");
+}
+
+// ----------------------------------------------------- incremental indices
+
+namespace {
+
+/// The derived indices of a trace rebuilt from its events in one pass
+/// after the last append — the reference the incremental indices must
+/// equal at every prefix.
+struct RebuiltIndex {
+  std::vector<std::vector<EventId>> ByThread, ByVar;
+  std::vector<std::vector<LockPair>> ByLock;
+  std::vector<EventId> Fork, Begin, End, Join;
+  std::unordered_map<uint32_t, EventId> NotifyByMatch;
+};
+
+RebuiltIndex rebuildIndex(const Trace &T) {
+  RebuiltIndex R;
+  R.ByThread.assign(T.numThreads(), {});
+  R.ByVar.assign(T.numVars(), {});
+  R.ByLock.assign(T.numLocks(), {});
+  R.Fork.assign(T.numThreads(), InvalidEvent);
+  R.Begin.assign(T.numThreads(), InvalidEvent);
+  R.End.assign(T.numThreads(), InvalidEvent);
+  R.Join.assign(T.numThreads(), InvalidEvent);
+  // Pending (unmatched) acquire per lock per thread, for pair building.
+  std::vector<std::unordered_map<ThreadId, EventId>> Pending(T.numLocks());
+  for (EventId Id = 0; Id < T.size(); ++Id) {
+    const Event &E = T[Id];
+    R.ByThread[E.Tid].push_back(Id);
+    switch (E.Kind) {
+    case EventKind::Read:
+    case EventKind::Write:
+      R.ByVar[E.Target].push_back(Id);
+      break;
+    case EventKind::Acquire:
+      Pending[E.Target][E.Tid] = Id;
+      break;
+    case EventKind::Release: {
+      auto &PerThread = Pending[E.Target];
+      auto It = PerThread.find(E.Tid);
+      LockPair Pair;
+      Pair.ReleaseId = Id;
+      Pair.Tid = E.Tid;
+      Pair.Lock = E.Target;
+      if (It != PerThread.end()) {
+        Pair.AcquireId = It->second;
+        PerThread.erase(It);
+      }
+      R.ByLock[E.Target].push_back(Pair);
+      break;
+    }
+    case EventKind::Fork:
+      R.Fork[E.Target] = Id;
+      break;
+    case EventKind::Join:
+      R.Join[E.Target] = Id;
+      break;
+    case EventKind::Begin:
+      R.Begin[E.Tid] = Id;
+      break;
+    case EventKind::End:
+      R.End[E.Tid] = Id;
+      break;
+    case EventKind::Notify:
+      if (E.Aux != 0)
+        R.NotifyByMatch[E.Aux] = Id;
+      break;
+    case EventKind::Branch:
+    case EventKind::Wait:
+      break;
+    }
+  }
+  // Acquires still held at the end of the trace become half-open pairs,
+  // and each lock's pairs are sorted by their first event.
+  for (LockId Lock = 0; Lock < T.numLocks(); ++Lock) {
+    for (const auto &[Tid, AcqId] : Pending[Lock]) {
+      LockPair Pair;
+      Pair.AcquireId = AcqId;
+      Pair.Tid = Tid;
+      Pair.Lock = Lock;
+      R.ByLock[Lock].push_back(Pair);
+    }
+    std::sort(R.ByLock[Lock].begin(), R.ByLock[Lock].end(),
+              [](const LockPair &A, const LockPair &B) {
+                EventId KeyA =
+                    A.AcquireId != InvalidEvent ? A.AcquireId : A.ReleaseId;
+                EventId KeyB =
+                    B.AcquireId != InvalidEvent ? B.AcquireId : B.ReleaseId;
+                return KeyA < KeyB;
+              });
+  }
+  return R;
+}
+
+std::vector<std::array<uint32_t, 4>> pairFields(
+    const std::vector<LockPair> &Pairs) {
+  std::vector<std::array<uint32_t, 4>> Out;
+  for (const LockPair &P : Pairs)
+    Out.push_back({P.AcquireId, P.ReleaseId, P.Tid, P.Lock});
+  return Out;
+}
+
+/// Every index accessor of \p T equals the one-pass rebuild.
+void expectIndexMatchesRebuild(const Trace &T, const std::string &What) {
+  SCOPED_TRACE(What + " at " + std::to_string(T.size()) + " events");
+  RebuiltIndex R = rebuildIndex(T);
+  for (ThreadId Tid = 0; Tid < T.numThreads(); ++Tid) {
+    EXPECT_EQ(T.threadEvents(Tid), R.ByThread[Tid]) << "thread " << Tid;
+    EXPECT_EQ(T.forkOf(Tid), R.Fork[Tid]) << "thread " << Tid;
+    EXPECT_EQ(T.beginOf(Tid), R.Begin[Tid]) << "thread " << Tid;
+    EXPECT_EQ(T.endOf(Tid), R.End[Tid]) << "thread " << Tid;
+    EXPECT_EQ(T.joinOf(Tid), R.Join[Tid]) << "thread " << Tid;
+  }
+  for (VarId Var = 0; Var < T.numVars(); ++Var)
+    EXPECT_EQ(T.accessesOf(Var), R.ByVar[Var]) << "variable " << Var;
+  for (LockId Lock = 0; Lock < T.numLocks(); ++Lock)
+    EXPECT_EQ(pairFields(T.lockPairsOf(Lock)), pairFields(R.ByLock[Lock]))
+        << "lock " << Lock;
+  std::unordered_set<uint32_t> Matches = {0, 0xfffffffe};
+  for (const Event &E : T.events())
+    Matches.insert(E.Aux);
+  for (uint32_t Aux : Matches) {
+    auto It = R.NotifyByMatch.find(Aux);
+    EXPECT_EQ(T.notifyOfMatch(Aux),
+              It == R.NotifyByMatch.end() ? InvalidEvent : It->second)
+        << "match " << Aux;
+  }
+}
+
+/// Appends \p Source's events one by one to a fresh trace with the same
+/// name tables, comparing against the rebuild about \p Samples times on
+/// the way and at the end; then compares \p Source itself.
+void expectEveryPrefixMatches(const Trace &Source, const std::string &What,
+                              uint64_t Samples = 24) {
+  Trace T;
+  for (ThreadId Tid = 0; Tid < Source.numThreads(); ++Tid)
+    T.internThread(Source.threadName(Tid));
+  for (VarId Var = 0; Var < Source.numVars(); ++Var)
+    T.internVar(Source.varName(Var));
+  for (LockId Lock = 0; Lock < Source.numLocks(); ++Lock)
+    T.internLock(Source.lockName(Lock));
+  uint64_t Every = std::max<uint64_t>(1, Source.size() / Samples);
+  for (EventId Id = 0; Id < Source.size(); ++Id) {
+    T.append(Source[Id]);
+    if (T.size() % Every == 0)
+      expectIndexMatchesRebuild(T, What);
+  }
+  expectIndexMatchesRebuild(T, What);
+  expectIndexMatchesRebuild(Source, What + " (source)");
+}
+
+Trace recordFuzzedTrace(uint64_t Seed) {
+  Trace T;
+  RunResult Result;
+  std::string Error;
+  RandomScheduler S(Seed * 17 + 5);
+  FuzzConfig Config;
+  Config.MaxThreads = 4;
+  Config.MaxStmtsPerThread = 24;
+  Config.MaxLoopIters = 5;
+  RunLimits Limits;
+  Limits.MaxEvents = 4000;
+  EXPECT_TRUE(recordTrace(fuzzProgram(Seed, Config), T, Result, Error, &S,
+                          Limits))
+      << Error;
+  return T;
+}
+
+} // namespace
+
+TEST(TraceIndex, FuzzedRecordingsMatchRebuild) {
+  for (uint64_t Seed = 1; Seed <= 16; ++Seed) {
+    Trace T = recordFuzzedTrace(Seed);
+    EXPECT_GT(T.size(), 50u);
+    expectEveryPrefixMatches(T, "fuzz seed " + std::to_string(Seed));
+    // The text reader interns, judges and appends line by line.
+    std::string Error;
+    std::optional<Trace> Parsed = parseTraceText(writeTraceText(T), Error);
+    ASSERT_TRUE(Parsed) << Error;
+    expectIndexMatchesRebuild(*Parsed, "parsed seed " + std::to_string(Seed));
+  }
+}
+
+TEST(TraceIndex, SyntheticTracesMatchRebuild) {
+  SyntheticSpec Spec;
+  Spec.Workers = 5;
+  Spec.TargetEvents = 3000;
+  Spec.PlainRaces = 3;
+  Spec.CpOnlyRaces = 1;
+  Spec.RvOnlyRaces = 2;
+  Spec.AtomicityPairs = 2;
+  Spec.DeadlockCycles = 2;
+  Spec.AlignWindow = 500;
+  for (uint64_t Seed : {1, 2, 3}) {
+    Spec.Seed = Seed;
+    expectEveryPrefixMatches(generateSynthetic(Spec),
+                             "synthetic seed " + std::to_string(Seed));
+  }
+}
+
+TEST(TraceIndex, EdgeTracesMatchRebuild) {
+  TraceBuilder B;
+  B.fork("t1", "t2");
+  B.fork("t1", "t2"); // a second fork of one thread
+  B.release("t1", "l"); // a release without an acquire
+  B.acquire("t1", "l");
+  B.acquire("t2", "l");
+  B.acquire("t1", "l"); // re-acquired by its holder, behind t2's acquire
+  B.release("t2", "l");
+  B.release("t1", "l");
+  B.waitSuspend("t2", "m", 7);
+  B.notify("t1", "m", 7);
+  B.notify("t1", "m", 7); // two notifies with one match id
+  B.waitResume("t2", "m", 7);
+  B.begin("t2");
+  B.end("t2");
+  B.join("t1", "t2");
+  B.acquire("t1", "m"); // held at the end
+  Trace T = B.build();
+  expectEveryPrefixMatches(T, "edge trace", T.size());
+
+  LockId L = 0, M = 1;
+  // The holder's first acquire (event 3) pairs with nothing.
+  EXPECT_EQ(pairFields(T.lockPairsOf(L)),
+            (std::vector<std::array<uint32_t, 4>>{
+                {InvalidEvent, 2, 0, L}, {4, 6, 1, L}, {5, 7, 0, L}}));
+  EXPECT_EQ(pairFields(T.lockPairsOf(M)),
+            (std::vector<std::array<uint32_t, 4>>{{InvalidEvent, 8, 1, M},
+                                                  {11, InvalidEvent, 1, M},
+                                                  {15, InvalidEvent, 0, M}}));
+  EXPECT_EQ(T.forkOf(1), 1u);
+  EXPECT_EQ(T.notifyOfMatch(7), 10u);
+
+  // The text reader drops the lines a trace must not have (the second
+  // fork, the acquires of a held lock, ...) before appending anything.
+  std::string Error;
+  TraceParseOptions SkipBad;
+  SkipBad.SkipBadEvents = true;
+  TraceParseStats Stats;
+  std::optional<Trace> Parsed =
+      parseTraceText(writeTraceText(T), Error, SkipBad, &Stats);
+  ASSERT_TRUE(Parsed) << Error;
+  EXPECT_GT(Stats.SkippedEvents, 0u);
+  expectIndexMatchesRebuild(*Parsed, "edge trace, skip-bad parse");
 }

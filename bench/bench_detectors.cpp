@@ -14,12 +14,15 @@
 
 #include "analysis/StaticPrune.h"
 #include "detect/Atomicity.h"
+#include "detect/Cop.h"
 #include "detect/Deadlock.h"
 #include "detect/Detect.h"
 #include "support/BuildInfo.h"
 #include "lang/Parser.h"
 #include "runtime/Interpreter.h"
 #include "runtime/Scheduler.h"
+#include "trace/TraceIO.h"
+#include "trace/Window.h"
 #include "workloads/Catalog.h"
 #include "workloads/Synthetic.h"
 
@@ -134,6 +137,45 @@ void BM_Deadlock(benchmark::State &State) {
     benchmark::DoNotOptimize(R);
   }
   State.counters["deadlocks"] = static_cast<double>(Found);
+}
+
+// ------------------------------------------------------ ingest layers
+
+/// An eclipse-shaped trace (Table 1's largest row) of about \p Events.
+Trace makeEclipseTrace(int64_t Events) {
+  SyntheticSpec Spec = realSystemSpec("eclipse");
+  Spec.TargetEvents = static_cast<uint64_t>(Events);
+  return generateSynthetic(Spec);
+}
+
+/// The trace reader alone: tokenize, intern, check and append each line.
+void BM_ParseTrace(benchmark::State &State) {
+  std::string Text = writeTraceText(makeEclipseTrace(State.range(0)));
+  for (auto _ : State) {
+    std::string Error;
+    std::optional<Trace> T = parseTraceText(Text, Error);
+    if (!T)
+      State.SkipWithError(Error.c_str());
+    benchmark::DoNotOptimize(T);
+  }
+  State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
+                          static_cast<int64_t>(Text.size()));
+}
+
+/// COP enumeration alone, over the default windows.
+void BM_CollectCops(benchmark::State &State) {
+  Trace T = makeEclipseTrace(State.range(0));
+  std::vector<Span> Windows = splitWindows(T, DefaultWindowSize);
+  size_t Cops = 0;
+  for (auto _ : State) {
+    Cops = 0;
+    for (Span W : Windows) {
+      std::vector<Cop> C = collectCops(T, W);
+      Cops += C.size();
+      benchmark::DoNotOptimize(C);
+    }
+  }
+  State.counters["cops"] = static_cast<double>(Cops);
 }
 
 // ----------------------------------------------------- static prune A/B
@@ -304,6 +346,16 @@ BENCHMARK(BM_MaximalNoQuickCheck)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Atomicity)->Arg(2000)->Arg(8000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Deadlock)->Arg(2000)->Arg(8000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ParseTrace)
+    ->Arg(2000)
+    ->Arg(8000)
+    ->Arg(32000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CollectCops)
+    ->Arg(2000)
+    ->Arg(8000)
+    ->Arg(32000)
+    ->Unit(benchmark::kMillisecond);
 
 namespace {
 

@@ -12,6 +12,7 @@
 #include "support/Compiler.h"
 
 #include <algorithm>
+#include <ranges>
 
 using namespace rvp;
 
@@ -93,13 +94,25 @@ public:
     Triples.clear();
     {
       ScopedPhaseTimer CopPhase("cop-enum");
-      for (LockId Lock = 0; Lock < T.numLocks(); ++Lock)
-        for (const LockPair &Region : T.lockPairsOf(Lock))
-          if (Region.AcquireId != InvalidEvent &&
-              Region.ReleaseId != InvalidEvent &&
-              W.Window.contains(Region.AcquireId) &&
-              W.Window.contains(Region.ReleaseId))
-            enumerateRegion(W.Window, Lock, Region, Out);
+      // A lock's pairs are in the order of their first event: the
+      // window's regions are the run from the first pair that starts in
+      // it, up to the first that starts after it.
+      auto firstEvent = [](const LockPair &P) {
+        return P.AcquireId != InvalidEvent ? P.AcquireId : P.ReleaseId;
+      };
+      for (LockId Lock = 0; Lock < T.numLocks(); ++Lock) {
+        const std::vector<LockPair> &Pairs = T.lockPairsOf(Lock);
+        auto It = std::lower_bound(Pairs.begin(), Pairs.end(),
+                                   W.Window.Begin,
+                                   [&](const LockPair &P, EventId Id) {
+                                     return firstEvent(P) < Id;
+                                   });
+        for (; It != Pairs.end() && firstEvent(*It) < W.Window.End; ++It)
+          if (It->AcquireId != InvalidEvent &&
+              It->ReleaseId != InvalidEvent &&
+              W.Window.contains(It->ReleaseId))
+            enumerateRegion(W.Window, Lock, *It, Out);
+      }
     }
     if (Out.empty() || !Options.UseQuickCheck)
       return;
@@ -223,10 +236,14 @@ private:
         EventId A2 = Local[J];
         if (T[A1].Target != T[A2].Target)
           continue;
-        // Candidate remote accesses on the same variable.
-        for (EventId B : T.accessesOf(T[A1].Target)) {
+        // Candidate remote accesses on the same variable, in the window.
+        const std::vector<EventId> &Accesses = T.accessesOf(T[A1].Target);
+        auto Begin =
+            std::lower_bound(Accesses.begin(), Accesses.end(), Window.Begin);
+        auto End = std::lower_bound(Begin, Accesses.end(), Window.End);
+        for (EventId B : std::ranges::subrange(Begin, End)) {
           AtomicityPattern Pattern;
-          if (!Window.contains(B) || T[B].Tid == Region.Tid ||
+          if (T[B].Tid == Region.Tid ||
               T[B].Volatile || !classifyAtomicity(T[A1], T[B], T[A2], Pattern))
             continue;
           Candidate C;

@@ -17,6 +17,10 @@ std::vector<Cop> rvp::collectCops(const Trace &T, Span S) {
     const std::vector<EventId> &Accesses = T.accessesOf(Var);
     auto Begin = std::lower_bound(Accesses.begin(), Accesses.end(), S.Begin);
     auto End = std::lower_bound(Begin, Accesses.end(), S.End);
+    // A slice one thread owns holds no COP: skip it in one pass.
+    if (std::all_of(Begin, End,
+                    [&](EventId Id) { return T[Id].Tid == T[*Begin].Tid; }))
+      continue;
     for (auto I = Begin; I != End; ++I) {
       const Event &A = T[*I];
       if (A.Volatile)

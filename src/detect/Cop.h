@@ -54,8 +54,10 @@ struct Cop {
 };
 
 /// Enumerates all COPs within \p S, in deterministic order (by variable,
-/// then by position). Quadratic per variable in the number of accesses;
-/// callers bound work via windowing.
+/// then by position). A variable's slice of \p S that a single thread
+/// owns is skipped in one linear pass; a slice two or more threads touch
+/// costs time quadratic in its accesses, and callers bound that work via
+/// windowing.
 std::vector<Cop> collectCops(const Trace &T, Span S);
 
 } // namespace rvp

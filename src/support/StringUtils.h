@@ -13,6 +13,7 @@
 #ifndef RVP_SUPPORT_STRINGUTILS_H
 #define RVP_SUPPORT_STRINGUTILS_H
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,6 +36,16 @@ std::string join(const std::vector<std::string> &Parts,
 /// Parses a signed 64-bit decimal integer. Returns false on any malformed
 /// input (empty, overflow, trailing junk).
 bool parseInt(std::string_view Text, int64_t &Out);
+
+/// A std::string hash that also takes a std::string_view: with
+/// std::equal_to<>, an unordered container keyed by std::string is
+/// searched from a view without building a string.
+struct StringHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view Text) const {
+    return std::hash<std::string_view>()(Text);
+  }
+};
 
 /// printf-style formatting into a std::string.
 std::string formatString(const char *Fmt, ...)

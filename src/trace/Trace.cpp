@@ -87,39 +87,38 @@ void rvp::appendEvent(std::string &Out, const Event &E) {
   RVP_UNREACHABLE("unknown event kind");
 }
 
-uint32_t Trace::internName(const std::string &Name,
-                           std::vector<std::string> &Names,
-                           std::unordered_map<std::string, uint32_t> &Map) {
+uint32_t Trace::internName(std::string_view Name,
+                           std::vector<std::string> &Names, NameMap &Map) {
   auto It = Map.find(Name);
   if (It != Map.end())
     return It->second;
   uint32_t Id = static_cast<uint32_t>(Names.size());
-  Names.push_back(Name);
-  Map.emplace(Name, Id);
+  Names.emplace_back(Name);
+  Map.emplace(Names.back(), Id);
   return Id;
 }
 
-ThreadId Trace::internThread(const std::string &Name) {
+ThreadId Trace::internThread(std::string_view Name) {
   ThreadId Id = internName(Name, ThreadNames, ThreadMap);
   ByThread.resize(ThreadNames.size());
   return Id;
 }
-VarId Trace::internVar(const std::string &Name) {
+VarId Trace::internVar(std::string_view Name) {
   VarId Id = internName(Name, VarNames, VarMap);
   ByVar.resize(VarNames.size());
   return Id;
 }
-LockId Trace::internLock(const std::string &Name) {
+LockId Trace::internLock(std::string_view Name) {
   LockId Id = internName(Name, LockNames, LockMap);
   ByLock.resize(LockNames.size());
   return Id;
 }
-LocId Trace::internLoc(const std::string &Name) {
+LocId Trace::internLoc(std::string_view Name) {
   return internName(Name, LocNames, LocMap);
 }
 
 void Trace::forgetNames(uint32_t Keep, std::vector<std::string> &Names,
-                        std::unordered_map<std::string, uint32_t> &Map) {
+                        NameMap &Map) {
   for (size_t Id = Keep; Id < Names.size(); ++Id)
     Map.erase(Names[Id]);
   Names.resize(std::min<size_t>(Keep, Names.size()));

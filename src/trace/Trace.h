@@ -10,7 +10,10 @@
 /// (per-thread projections, per-variable access lists, lock acquire/release
 /// pairs) that every detector consumes. The indices are kept current as
 /// each event is appended, so a trace that is still growing (a streamed
-/// session) can be analyzed at any point without a rebuild.
+/// session) can be analyzed at any point without a rebuild. Names are
+/// interned from a std::string_view: a name already in its table is found
+/// by a heterogeneous lookup, without building a std::string, and only a
+/// new one is copied.
 ///
 /// Wait/notify is stored in lowered form (Section 4): a wait() appears as a
 /// Release followed by an Acquire sharing a nonzero Aux match id; the
@@ -21,10 +24,12 @@
 #ifndef RVP_TRACE_TRACE_H
 #define RVP_TRACE_TRACE_H
 
+#include "support/StringUtils.h"
 #include "trace/Event.h"
 
 #include <cassert>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -70,10 +75,10 @@ public:
   Trace() = default;
 
   // -------------------------------------------------- name interning
-  ThreadId internThread(const std::string &Name);
-  VarId internVar(const std::string &Name);
-  LockId internLock(const std::string &Name);
-  LocId internLoc(const std::string &Name);
+  ThreadId internThread(std::string_view Name);
+  VarId internVar(std::string_view Name);
+  LockId internLock(std::string_view Name);
+  LocId internLoc(std::string_view Name);
 
   const std::string &threadName(ThreadId Id) const { return ThreadNames[Id]; }
   const std::string &varName(VarId Id) const { return VarNames[Id]; }
@@ -93,6 +98,9 @@ public:
   /// Appends an event, updates every derived index and returns its id.
   /// The thread, variable or lock ids it names must be interned.
   EventId append(const Event &E);
+
+  /// Reserves room for \p N events (a hint; the trace may grow past it).
+  void reserve(size_t N) { Events.reserve(N); }
 
   /// Name-table sizes at one point of construction.
   struct Mark {
@@ -165,11 +173,13 @@ public:
   TraceStats stats() const { return stats(fullSpan()); }
 
 private:
-  static uint32_t internName(const std::string &Name,
-                             std::vector<std::string> &Names,
-                             std::unordered_map<std::string, uint32_t> &Map);
+  using NameMap =
+      std::unordered_map<std::string, uint32_t, StringHash, std::equal_to<>>;
+
+  static uint32_t internName(std::string_view Name,
+                             std::vector<std::string> &Names, NameMap &Map);
   static void forgetNames(uint32_t Keep, std::vector<std::string> &Names,
-                          std::unordered_map<std::string, uint32_t> &Map);
+                          NameMap &Map);
 
   /// The derived state of one thread: the events it runs and the ones
   /// that start, fork, end and join it (the last of each, if repeated).
@@ -192,8 +202,7 @@ private:
   std::vector<Value> InitValues;
 
   std::vector<std::string> ThreadNames, VarNames, LockNames, LocNames;
-  std::unordered_map<std::string, uint32_t> ThreadMap, VarMap, LockMap,
-      LocMap;
+  NameMap ThreadMap, VarMap, LockMap, LocMap;
 
   // Derived indices: interning sizes them, append() fills them.
   std::vector<ThreadIndex> ByThread;

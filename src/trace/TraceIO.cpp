@@ -10,6 +10,7 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <array>
 
 using namespace rvp;
 
@@ -96,30 +97,120 @@ bool TraceReader::read(std::string_view Text) {
   return ok();
 }
 
+namespace {
+
+/// Fields a line keeps inline; a longer line (repeated modifiers, junk)
+/// spills into a heap vector.
+constexpr size_t InlineFields = 8;
+
+/// The fields of one line: its runs of non-space characters. Only a space
+/// separates fields; a tab or any other byte belongs to its field.
+class LineFields {
+public:
+  explicit LineFields(std::string_view Line) {
+    for (size_t I = 0; I < Line.size();) {
+      if (Line[I] == ' ') {
+        ++I;
+        continue;
+      }
+      size_t End = std::min(Line.find(' ', I), Line.size());
+      push(Line.substr(I, End - I));
+      I = End;
+    }
+  }
+
+  size_t size() const { return Size; }
+  std::string_view operator[](size_t I) const {
+    return Spilled.empty() ? Inline[I] : Spilled[I];
+  }
+
+private:
+  void push(std::string_view Field) {
+    if (RVP_LIKELY(Size < InlineFields))
+      Inline[Size] = Field;
+    else
+      spill(Field);
+    ++Size;
+  }
+
+  /// Moves the fields to the heap on the first call, then appends there.
+  void spill(std::string_view Field) {
+    if (Spilled.empty())
+      Spilled.assign(Inline.begin(), Inline.end());
+    Spilled.push_back(Field);
+  }
+
+  std::array<std::string_view, InlineFields> Inline;
+  std::vector<std::string_view> Spilled;
+  size_t Size = 0;
+};
+
+/// The event kind \p Name spells: its first character picks the one
+/// candidate (the length splits read/release and begin/branch) and a
+/// single compare with eventKindName confirms it.
+std::optional<EventKind> eventKindNamed(std::string_view Name) {
+  EventKind Kind;
+  switch (Name[0]) {
+  case 'r':
+    Kind = Name.size() == 4 ? EventKind::Read : EventKind::Release;
+    break;
+  case 'w':
+    Kind = EventKind::Write;
+    break;
+  case 'a':
+    Kind = EventKind::Acquire;
+    break;
+  case 'n':
+    Kind = EventKind::Notify;
+    break;
+  case 'f':
+    Kind = EventKind::Fork;
+    break;
+  case 'j':
+    Kind = EventKind::Join;
+    break;
+  case 'b':
+    Kind = Name.size() == 5 ? EventKind::Begin : EventKind::Branch;
+    break;
+  case 'e':
+    Kind = EventKind::End;
+    break;
+  default:
+    return std::nullopt;
+  }
+  if (Name != eventKindName(Kind))
+    return std::nullopt;
+  return Kind;
+}
+
+} // namespace
+
 bool TraceReader::readLine(std::string_view Raw, std::string_view Line) {
   auto columnOf = [&](std::string_view Field) {
     return static_cast<size_t>(Field.data() - Raw.data()) + 1;
   };
-  std::vector<std::string_view> Fields = split(Line, ' ');
-  Fields.erase(std::remove(Fields.begin(), Fields.end(), std::string_view()),
-               Fields.end());
-  if (Fields.empty())
-    return true;
+  LineFields Fields(Line);
 
-  // Trailing modifiers: @loc, volatile, match=N.
+  // Trailing modifiers: @loc (the leftmost wins), volatile, match=N (the
+  // rightmost wins).
   Event E;
   std::string_view Loc;
+  bool HasMatch = false;
   size_t NumCore = Fields.size();
   while (NumCore > 0) {
     std::string_view Last = Fields[NumCore - 1];
-    if (Last == "volatile") {
-      E.Volatile = true;
-    } else if (startsWith(Last, "@")) {
+    if (Last[0] == '@') {
       Loc = Last.substr(1);
+    } else if (Last == "volatile") {
+      E.Volatile = true;
     } else if (startsWith(Last, "match=")) {
       int64_t Match = 0;
       if (!parseInt(Last.substr(6), Match) || Match < 0)
         return fail(columnOf(Last), "malformed match id", Last);
+      if (!HasMatch) {
+        E.Aux = static_cast<uint32_t>(Match);
+        HasMatch = true;
+      }
     } else {
       break;
     }
@@ -141,62 +232,58 @@ bool TraceReader::readLine(std::string_view Raw, std::string_view Line) {
     Inits[std::string(Fields[1])] = Init;
     return true;
   }
-  auto expected = [&](const char *Operands) {
+  std::optional<EventKind> Named = eventKindNamed(Kind);
+  if (!Named)
+    return fail(columnOf(Kind),
+                "unknown event kind '" + std::string(Kind) + "'", Kind);
+  E.Kind = *Named;
+  auto arity = [&](size_t Core, const char *Operands) {
+    if (NumCore == Core)
+      return true;
     return fail(columnOf(Kind),
                 "expected '" + std::string(Kind) + " <thread>" + Operands +
                     "'",
                 Kind);
   };
-  int64_t Value = 0;
-
-  if (Kind == "read" || Kind == "write") {
-    if (NumCore != 4)
-      return expected(" <var> <value>");
-    E.Kind = Kind == "read" ? EventKind::Read : EventKind::Write;
+  switch (E.Kind) {
+  case EventKind::Read:
+  case EventKind::Write: {
+    if (!arity(4, " <var> <value>"))
+      return false;
+    int64_t Value = 0;
     if (!parseInt(Fields[3], Value))
       return fail(columnOf(Fields[3]), "malformed value", Fields[3]);
     E.Data = Value;
-  } else if (Kind == "acquire" || Kind == "release" || Kind == "notify") {
-    if (NumCore != 3)
-      return expected(" <lock>");
-    E.Kind = Kind == "acquire"   ? EventKind::Acquire
-             : Kind == "release" ? EventKind::Release
-                                 : EventKind::Notify;
-  } else if (Kind == "fork" || Kind == "join") {
-    if (NumCore != 3)
-      return expected(" <child>");
-    E.Kind = Kind == "fork" ? EventKind::Fork : EventKind::Join;
-  } else if (Kind == "begin" || Kind == "end" || Kind == "branch") {
-    if (NumCore != 2)
-      return expected("");
-    E.Kind = Kind == "begin" ? EventKind::Begin
-             : Kind == "end" ? EventKind::End
-                             : EventKind::Branch;
-  } else {
-    return fail(columnOf(Kind),
-                "unknown event kind '" + std::string(Kind) + "'", Kind);
+    break;
   }
-
-  // The modifier loop already parsed match=N; re-derive Aux now that the
-  // line is known good.
-  for (size_t I = NumCore; I < Fields.size(); ++I)
-    if (startsWith(Fields[I], "match=")) {
-      int64_t Match = 0;
-      parseInt(Fields[I].substr(6), Match);
-      E.Aux = static_cast<uint32_t>(Match);
-    }
+  case EventKind::Acquire:
+  case EventKind::Release:
+  case EventKind::Notify:
+    if (!arity(3, " <lock>"))
+      return false;
+    break;
+  case EventKind::Fork:
+  case EventKind::Join:
+    if (!arity(3, " <child>"))
+      return false;
+    break;
+  default:
+    if (!arity(2, ""))
+      return false;
+    break;
+  }
 
   // Interning happens last, in the historical order (thread, location,
   // target), so well-formed traces get byte-identical name tables.
   Trace::Mark Before = T.mark();
-  E.Tid = T.internThread(std::string(Fields[1]));
-  E.Loc = Loc.empty() ? UnknownLoc : T.internLoc(std::string(Loc));
+  E.Tid = T.internThread(Fields[1]);
+  E.Loc = Loc.empty() ? UnknownLoc : T.internLoc(Loc);
   switch (E.Kind) {
   case EventKind::Read:
   case EventKind::Write: {
-    E.Target = T.internVar(std::string(Fields[2]));
+    E.Target = T.internVar(Fields[2]);
     if (E.Target == Before.Vars && !Inits.empty()) {
-      auto It = Inits.find(std::string(Fields[2]));
+      auto It = Inits.find(Fields[2]);
       if (It != Inits.end())
         T.setInitialValue(E.Target, It->second);
     }
@@ -205,11 +292,11 @@ bool TraceReader::readLine(std::string_view Raw, std::string_view Line) {
   case EventKind::Acquire:
   case EventKind::Release:
   case EventKind::Notify:
-    E.Target = T.internLock(std::string(Fields[2]));
+    E.Target = T.internLock(Fields[2]);
     break;
   case EventKind::Fork:
   case EventKind::Join:
-    E.Target = T.internThread(std::string(Fields[2]));
+    E.Target = T.internThread(Fields[2]);
     break;
   default:
     break;
@@ -231,6 +318,12 @@ rvp::parseTraceText(std::string_view Text, std::string &Error,
                     const TraceParseOptions &Options,
                     TraceParseStats *Stats) {
   TraceReader Reader(Options);
+  // One event per line at most.
+  size_t Lines = 1;
+  for (size_t At = Text.find('\n'); At != std::string_view::npos;
+       At = Text.find('\n', At + 1))
+    ++Lines;
+  Reader.trace().reserve(Lines);
   if (!Reader.read(Text)) {
     Error = Reader.error();
     return std::nullopt;

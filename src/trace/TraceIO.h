@@ -21,13 +21,22 @@
 ///   end     <thread> [@<loc>]
 ///   branch  <thread> [@<loc>]
 ///
-/// Blank lines and lines starting with '#' are ignored.
+/// Blank lines and lines starting with '#' are ignored. Fields are
+/// separated by spaces only; whitespace at either end of a line is
+/// trimmed.
+///
+/// TraceReader reads a line in one pass without allocating: its fields
+/// are std::string_views into the text, held in a fixed array (a line
+/// with more fields than it holds spills into a heap vector), the kind is
+/// picked by its first character, and names are interned from the views,
+/// so only a name the trace has not seen is copied.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RVP_TRACE_TRACEIO_H
 #define RVP_TRACE_TRACEIO_H
 
+#include "support/StringUtils.h"
 #include "trace/Consistency.h"
 #include "trace/Trace.h"
 
@@ -103,7 +112,7 @@ private:
   /// `init` values by variable name, applied when the variable is first
   /// interned by an event: interning order stays that of the events, so a
   /// prefix of the text interns exactly like the whole of it.
-  std::unordered_map<std::string, Value> Inits;
+  std::unordered_map<std::string, Value, StringHash, std::equal_to<>> Inits;
   std::string Error;
   uint64_t Skipped = 0;
 };

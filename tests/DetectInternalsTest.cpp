@@ -14,9 +14,12 @@
 #include "detect/WindowDriver.h"
 #include "detect/WitnessChecker.h"
 #include "lang/Parser.h"
+#include "runtime/Interpreter.h"
+#include "runtime/Scheduler.h"
 #include "smt/Solver.h"
 #include "support/FaultInjector.h"
 #include "workloads/Catalog.h"
+#include "workloads/Fuzzer.h"
 #include "workloads/Synthetic.h"
 
 #include "trace/TraceBuilder.h"
@@ -66,6 +69,103 @@ TEST(Cop, SignatureIsUnordered) {
   Trace T = B.build();
   EXPECT_EQ(RaceSignature::of(T, 0, 1).key(),
             RaceSignature::of(T, 1, 0).key());
+}
+
+namespace {
+
+/// The enumeration collectCops had before it skipped single-thread
+/// slices: every pair of a variable's accesses in the window, checked with
+/// conflicting().
+std::vector<Cop> allPairsCops(const Trace &T, Span S) {
+  std::vector<Cop> Cops;
+  for (VarId Var = 0; Var < T.numVars(); ++Var) {
+    const std::vector<EventId> &Accesses = T.accessesOf(Var);
+    auto Begin = std::lower_bound(Accesses.begin(), Accesses.end(), S.Begin);
+    auto End = std::lower_bound(Begin, Accesses.end(), S.End);
+    for (auto I = Begin; I != End; ++I) {
+      const Event &A = T[*I];
+      if (A.Volatile)
+        continue;
+      for (auto J = I + 1; J != End; ++J)
+        if (conflicting(A, T[*J]))
+          Cops.push_back({*I, *J});
+    }
+  }
+  return Cops;
+}
+
+std::vector<std::pair<EventId, EventId>> pairsOf(const std::vector<Cop> &C) {
+  std::vector<std::pair<EventId, EventId>> Pairs;
+  for (const Cop &P : C)
+    Pairs.emplace_back(P.First, P.Second);
+  return Pairs;
+}
+
+/// collectCops equals the reference, in order, over the whole trace and
+/// over every window of 1000 and of 37 events.
+void expectCopsMatchReference(const Trace &T, const std::string &What) {
+  EXPECT_EQ(pairsOf(collectCops(T, T.fullSpan())),
+            pairsOf(allPairsCops(T, T.fullSpan())))
+      << What << ", full span";
+  for (EventId Width : {1000u, 37u})
+    for (EventId Begin = 0; Begin < T.size(); Begin += Width) {
+      Span W{Begin, static_cast<EventId>(
+                        std::min<uint64_t>(Begin + Width, T.size()))};
+      ASSERT_EQ(pairsOf(collectCops(T, W)), pairsOf(allPairsCops(T, W)))
+          << What << ", window [" << W.Begin << ", " << W.End << ")";
+    }
+}
+
+} // namespace
+
+TEST(Cop, MatchesAllPairsReference) {
+  for (uint64_t Seed = 1; Seed <= 16; ++Seed) {
+    Trace T;
+    RunResult Result;
+    std::string Error;
+    RandomScheduler S(Seed * 17 + 5);
+    FuzzConfig Config;
+    Config.MaxThreads = 4;
+    Config.MaxStmtsPerThread = 24;
+    Config.MaxLoopIters = 5;
+    RunLimits Limits;
+    Limits.MaxEvents = 4000;
+    ASSERT_TRUE(recordTrace(fuzzProgram(Seed, Config), T, Result, Error, &S,
+                            Limits))
+        << Error;
+    expectCopsMatchReference(T, "fuzz seed " + std::to_string(Seed));
+  }
+
+  for (const char *Shape : {"eclipse", "derby"}) {
+    SyntheticSpec Spec = realSystemSpec(Shape);
+    Spec.TargetEvents = 8000;
+    Spec.AlignWindow = 1000;
+    expectCopsMatchReference(generateSynthetic(Spec), Shape);
+  }
+
+  // Edge slices: y is owned by t1 (a volatile access included) in every
+  // window; x's second thread shows up only at the last event of [0, 6);
+  // z has no access in [0, 6).
+  TraceBuilder B;
+  B.write("t1", "x", 1);                 // 0
+  B.write("t1", "y", 1, "", true);       // 1
+  B.read("t1", "y", 1);                  // 2
+  B.write("t1", "y", 2, "", true);       // 3
+  B.write("t1", "x", 2);                 // 4
+  B.read("t2", "x", 2);                  // 5
+  B.write("t2", "z", 1);                 // 6
+  B.write("t2", "y", 3, "", true);       // 7
+  B.write("t1", "z", 2);                 // 8
+  Trace T = B.build();
+  EXPECT_EQ(pairsOf(collectCops(T, {0, 6})),
+            (std::vector<std::pair<EventId, EventId>>{{0, 5}, {4, 5}}));
+  EXPECT_TRUE(collectCops(T, {0, 5}).empty());
+  expectCopsMatchReference(T, "edge trace");
+  for (EventId Begin = 0; Begin < T.size(); ++Begin)
+    for (EventId End = Begin; End <= T.size(); ++End)
+      EXPECT_EQ(pairsOf(collectCops(T, {Begin, End})),
+                pairsOf(allPairsCops(T, {Begin, End})))
+          << "edge trace, [" << Begin << ", " << End << ")";
 }
 
 // --------------------------------------------------------------- lockset

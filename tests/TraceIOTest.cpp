@@ -158,6 +158,179 @@ TEST(TraceIO, SkippedLineInternsNothing) {
   EXPECT_EQ((*T)[1].Loc, UnknownLoc);
 }
 
+namespace {
+
+/// The diagnostic parsing \p Text gives (empty when it parses).
+std::string diagnosticOf(std::string_view Text, const char *FileName = "") {
+  TraceParseOptions Opts;
+  Opts.FileName = FileName;
+  std::string Error;
+  bool Parsed = parseTraceText(Text, Error, Opts).has_value();
+  EXPECT_EQ(Parsed, Error.empty());
+  return Error;
+}
+
+/// Every name table and event of \p A and \p B are the same, ids included.
+void expectSameTrace(const Trace &A, const Trace &B) {
+  ASSERT_EQ(A.numThreads(), B.numThreads());
+  for (ThreadId Id = 0; Id < A.numThreads(); ++Id)
+    EXPECT_EQ(A.threadName(Id), B.threadName(Id));
+  ASSERT_EQ(A.numVars(), B.numVars());
+  for (VarId Id = 0; Id < A.numVars(); ++Id) {
+    EXPECT_EQ(A.varName(Id), B.varName(Id));
+    EXPECT_EQ(A.initialValueOf(Id), B.initialValueOf(Id));
+  }
+  ASSERT_EQ(A.numLocks(), B.numLocks());
+  for (LockId Id = 0; Id < A.numLocks(); ++Id)
+    EXPECT_EQ(A.lockName(Id), B.lockName(Id));
+  ASSERT_EQ(A.size(), B.size());
+  for (EventId Id = 0; Id < A.size(); ++Id) {
+    const Event &X = A[Id], &Y = B[Id];
+    EXPECT_EQ(toString(X), toString(Y)) << "event " << Id;
+    EXPECT_EQ(X.Loc, Y.Loc) << "event " << Id;
+    EXPECT_EQ(X.Aux, Y.Aux) << "event " << Id;
+    if (X.Loc != UnknownLoc) {
+      EXPECT_EQ(A.locName(X.Loc), B.locName(Y.Loc));
+    }
+  }
+}
+
+} // namespace
+
+// Diagnostics and traces pinned byte for byte from the split-based reader
+// the one-pass tokenizer replaced.
+
+TEST(TraceIOTokenizer, LinesLongerThanTheInlineFields) {
+  std::string Error;
+  auto T = parseTraceText("write t1 x 5 @a volatile volatile match=1 match=2 "
+                          "@b volatile volatile match=3\n",
+                          Error);
+  ASSERT_TRUE(T) << Error;
+  ASSERT_EQ(T->size(), 1u);
+  // The leftmost @loc and the rightmost match= win.
+  EXPECT_EQ(toString((*T)[0]), "write(t0, v0, 5) volatile");
+  EXPECT_EQ(T->locName((*T)[0].Loc), "a");
+  EXPECT_EQ((*T)[0].Aux, 3u);
+
+  EXPECT_EQ(diagnosticOf("frob t1 a b c d e f g h i j k\n"),
+            "line 1, col 1: unknown event kind 'frob' (offending token "
+            "'frob')");
+  EXPECT_EQ(diagnosticOf("frob t1 a b c d e f g h i j k\n", "t.txt"),
+            "t.txt:1:1: unknown event kind 'frob' (offending token 'frob')");
+  EXPECT_EQ(diagnosticOf("read t1 x 5 6 7 8 9 10 11 12 13\n"),
+            "line 1, col 1: expected 'read <thread> <var> <value>' "
+            "(offending token 'read')");
+  EXPECT_EQ(diagnosticOf("read t1 x 5 @a @b @c @d @e @f @g @h match=zz\n"),
+            "line 1, col 37: malformed match id (offending token "
+            "'match=zz')");
+}
+
+TEST(TraceIOTokenizer, RunsOfSpaces) {
+  std::string Error;
+  auto T = parseTraceText("write   t1    x  1\nread  t2  x   1  @r\n", Error);
+  ASSERT_TRUE(T) << Error;
+  EXPECT_EQ(writeTraceText(*T),
+            "# rvp-trace v1\nwrite t1 x 1\nread t2 x 1 @r\n");
+  EXPECT_EQ(diagnosticOf("write  t1   x   abc\n"),
+            "line 1, col 17: malformed value (offending token 'abc')");
+  // Names of every length up to 80 bytes, with and without a newline
+  // after the line.
+  for (size_t Length = 1; Length <= 80; ++Length)
+    for (const char *Gap : {" ", "   "})
+      for (const char *Newline : {"", "\n"}) {
+        std::string Var(Length, 'v');
+        std::string Text = std::string("write") + Gap + "t1" + Gap + Var +
+                           Gap + "7" + Gap + "@" + Var + Newline;
+        T = parseTraceText(Text, Error);
+        ASSERT_TRUE(T) << Error;
+        EXPECT_EQ(T->varName(0), Var);
+        EXPECT_EQ(T->locName((*T)[0].Loc), Var);
+        EXPECT_EQ((*T)[0].Data, 7);
+      }
+}
+
+TEST(TraceIOTokenizer, TabsAreTrimmedAtTheEndsButNotSeparators) {
+  std::string Error;
+  auto T = parseTraceText("\twrite t1 x 1\t\n", Error);
+  ASSERT_TRUE(T) << Error;
+  EXPECT_EQ(writeTraceText(*T), "# rvp-trace v1\nwrite t1 x 1\n");
+  EXPECT_EQ(diagnosticOf("\t\tfrob t1\n"),
+            "line 1, col 3: unknown event kind 'frob' (offending token "
+            "'frob')");
+  EXPECT_EQ(diagnosticOf("write t1\tx 1\n"),
+            "line 1, col 1: expected 'write <thread> <var> <value>' "
+            "(offending token 'write')");
+  EXPECT_EQ(diagnosticOf("write t1 x 1\t@a\n"),
+            "line 1, col 12: malformed value (offending token '1\t@a')");
+  // A value is trimmed before it is parsed; a name keeps its tab.
+  T = parseTraceText("write t1 x \t7\nwrite t\t1 x 8\n", Error);
+  ASSERT_TRUE(T) << Error;
+  EXPECT_EQ(writeTraceText(*T),
+            "# rvp-trace v1\nwrite t1 x 7\nwrite t\t1 x 8\n");
+  EXPECT_EQ(T->threadName(1), "t\t1");
+}
+
+TEST(TraceIOTokenizer, CrlfLineEnds) {
+  std::string Error;
+  auto T = parseTraceText("write t1 x 1\r\nread t2 x 1 @a\r\n", Error);
+  ASSERT_TRUE(T) << Error;
+  EXPECT_EQ(writeTraceText(*T),
+            "# rvp-trace v1\nwrite t1 x 1\nread t2 x 1 @a\n");
+  EXPECT_EQ(diagnosticOf("write t1 x abc\r\n"),
+            "line 1, col 12: malformed value (offending token 'abc')");
+  EXPECT_EQ(diagnosticOf("write t1 x 1\r\nread t2 x 2\r\n", "t.txt"),
+            "t.txt:2:1: inconsistent input trace: read of x returned 2 but "
+            "last write was 1");
+}
+
+TEST(TraceIOTokenizer, MatchGivenTwice) {
+  std::string Error;
+  auto T = parseTraceText("acquire t1 l match=1 match=2\n", Error);
+  ASSERT_TRUE(T) << Error;
+  EXPECT_EQ((*T)[0].Aux, 2u);
+  EXPECT_EQ(diagnosticOf("acquire t1 l match=zz match=2\n"),
+            "line 1, col 14: malformed match id (offending token "
+            "'match=zz')");
+  EXPECT_EQ(diagnosticOf("acquire t1 l match=1 match=-3\n"),
+            "line 1, col 22: malformed match id (offending token "
+            "'match=-3')");
+}
+
+TEST(TraceIOTokenizer, InitAfterTheFirstEvent) {
+  EXPECT_EQ(diagnosticOf("write t1 x 1\ninit y 2\n"),
+            "line 2, col 1: init line after the first event (offending "
+            "token 'init')");
+  EXPECT_EQ(diagnosticOf("write t1 x 1\ninit y 2\n", "t.txt"),
+            "t.txt:2:1: init line after the first event (offending token "
+            "'init')");
+}
+
+TEST(TraceIOTokenizer, SkippedLineNamesAreReinternedInOrder) {
+  // Each rejected line introduces names that later lines re-use; they get
+  // the ids the text without the rejected line gives.
+  TraceParseOptions Skip;
+  Skip.SkipBadEvents = true;
+  const std::pair<const char *, const char *> Cases[] = {
+      {"acquire t1 l\nacquire t9 l @b\nwrite t9 y 3 @c\nrelease t1 l\n"
+       "acquire t9 l @b\nwrite t9 y 3 @c\n",
+       "acquire t1 l\nwrite t9 y 3 @c\nrelease t1 l\nacquire t9 l @b\n"
+       "write t9 y 3 @c\n"},
+      {"init y 4\nwrite t1 x 1\nread t7 y 9 @q\nwrite t1 z 2\n"
+       "read t7 y 4 @q\n",
+       "init y 4\nwrite t1 x 1\nwrite t1 z 2\nread t7 y 4 @q\n"},
+  };
+  for (const auto &[WithBad, Without] : Cases) {
+    std::string Error;
+    TraceParseStats Stats;
+    auto Skipped = parseTraceText(WithBad, Error, Skip, &Stats);
+    ASSERT_TRUE(Skipped) << Error;
+    EXPECT_EQ(Stats.SkippedEvents, 1u);
+    auto Clean = parseTraceText(Without, Error);
+    ASSERT_TRUE(Clean) << Error;
+    expectSameTrace(*Skipped, *Clean);
+  }
+}
+
 TEST(TraceIO, SpanSerialization) {
   TraceBuilder B;
   B.write("t1", "x", 1);

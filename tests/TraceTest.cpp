@@ -59,6 +59,36 @@ TEST(Trace, InterningIsStable) {
   EXPECT_EQ(T.varName(X), "x");
 }
 
+TEST(Trace, RollbackForgetsNewNames) {
+  // Names interned since a mark are forgotten, however many there were;
+  // the older names keep their ids and a forgotten name comes back with
+  // the next free id.
+  Trace T;
+  for (int I = 0; I < 100; ++I)
+    EXPECT_EQ(T.internVar("v" + std::to_string(I)), static_cast<VarId>(I));
+  Trace::Mark M = T.mark();
+  for (int I = 0; I < 500; ++I)
+    T.internVar("w" + std::to_string(I));
+  T.rollback(M);
+  ASSERT_EQ(T.numVars(), 100u);
+  for (int I = 0; I < 100; ++I)
+    EXPECT_EQ(T.internVar("v" + std::to_string(I)), static_cast<VarId>(I));
+  EXPECT_EQ(T.internVar("w7"), 100u);
+  EXPECT_EQ(T.internVar("w3"), 101u);
+  // One name at a time, as a skip-bad reader rolls back a rejected line.
+  for (int I = 0; I < 1000; ++I) {
+    Trace::Mark Line = T.mark();
+    T.internVar("x" + std::to_string(I));
+    if (I % 3 == 0)
+      T.rollback(Line);
+  }
+  ASSERT_EQ(T.numVars(), 102u + 666u);
+  for (VarId Id = 0; Id < T.numVars(); ++Id)
+    EXPECT_EQ(T.internVar(T.varName(Id)), Id);
+  VarId Next = T.numVars();
+  EXPECT_EQ(T.internVar("x0"), Next);
+}
+
 TEST(Trace, Figure4Shape) {
   Trace T = figure4Trace();
   EXPECT_EQ(T.size(), 15u);

@@ -94,25 +94,13 @@ public:
     Triples.clear();
     {
       ScopedPhaseTimer CopPhase("cop-enum");
-      // A lock's pairs are in the order of their first event: the
-      // window's regions are the run from the first pair that starts in
-      // it, up to the first that starts after it.
-      auto firstEvent = [](const LockPair &P) {
-        return P.AcquireId != InvalidEvent ? P.AcquireId : P.ReleaseId;
-      };
-      for (LockId Lock = 0; Lock < T.numLocks(); ++Lock) {
-        const std::vector<LockPair> &Pairs = T.lockPairsOf(Lock);
-        auto It = std::lower_bound(Pairs.begin(), Pairs.end(),
-                                   W.Window.Begin,
-                                   [&](const LockPair &P, EventId Id) {
-                                     return firstEvent(P) < Id;
-                                   });
-        for (; It != Pairs.end() && firstEvent(*It) < W.Window.End; ++It)
-          if (It->AcquireId != InvalidEvent &&
-              It->ReleaseId != InvalidEvent &&
-              W.Window.contains(It->ReleaseId))
-            enumerateRegion(W.Window, Lock, *It, Out);
-      }
+      // The window's regions are its complete sections: pairs whose
+      // acquire, so their first event, and release are both in it.
+      for (LockId Lock = 0; Lock < T.numLocks(); ++Lock)
+        for (const LockPair &P : T.lockPairsStartingIn(Lock, W.Window))
+          if (P.AcquireId != InvalidEvent && P.ReleaseId != InvalidEvent &&
+              W.Window.contains(P.ReleaseId))
+            enumerateRegion(W.Window, Lock, P, Out);
     }
     if (Out.empty() || !Options.UseQuickCheck)
       return;

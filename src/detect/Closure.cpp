@@ -6,13 +6,11 @@
 
 #include "detect/Closure.h"
 
-#include <cassert>
 #include <unordered_map>
 
 using namespace rvp;
 
-EventClosure::EventClosure(const Trace &T, Span S, ClosureConfig Config,
-                           const std::vector<ExtraEdge> &Extra)
+EventClosure::EventClosure(const Trace &T, Span S, ClosureConfig Config)
     : T(T), Window(S) {
   uint32_t NumThreads = T.numThreads();
   Clocks.assign(S.size(), VectorClock(NumThreads));
@@ -25,13 +23,6 @@ EventClosure::EventClosure(const Trace &T, Span S, ClosureConfig Config,
   std::unordered_map<VarId, VectorClock> LastVolatileWrite;
   std::unordered_map<uint32_t, VectorClock> WaitReleaseClock; // by match
   std::unordered_map<uint32_t, VectorClock> NotifyClock;      // by match
-
-  // Extra edges, grouped by target event.
-  std::unordered_map<EventId, std::vector<EventId>> ExtraByTarget;
-  for (const ExtraEdge &E : Extra) {
-    assert(E.From < E.To && "extra edges must point forward");
-    ExtraByTarget[E.To].push_back(E.From);
-  }
 
   for (EventId Id = S.Begin; Id < S.End; ++Id) {
     const Event &E = T[Id];
@@ -89,13 +80,6 @@ EventClosure::EventClosure(const Trace &T, Span S, ClosureConfig Config,
     default:
       break;
     }
-    if (!ExtraByTarget.empty()) {
-      auto It = ExtraByTarget.find(Id);
-      if (It != ExtraByTarget.end())
-        for (EventId From : It->second)
-          Current.join(Clocks[From - S.Begin]);
-    }
-
     // The event itself.
     Current.tick(E.Tid);
     Clocks[Id - S.Begin] = Current;

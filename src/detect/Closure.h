@@ -14,8 +14,8 @@
 ///    quick check.
 ///  * HB (Lamport happens-before): MHB + release->later-acquire edges per
 ///    lock + volatile write->access edges. The classic sound detector.
-///  * CP: MHB + volatile edges + an explicit set of *active* lock edges,
-///    recomputed per fixpoint round by the CP detector.
+///  * CP base: MHB + volatile edges. The CP detector composes its
+///    *active* lock edges with HB on both sides.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,19 +42,10 @@ struct ClosureConfig {
   static ClosureConfig cpBase() { return {true, true, false, true}; }
 };
 
-/// An ordered edge between two events of the window, used to inject the
-/// CP detector's active lock edges.
-struct ExtraEdge {
-  EventId From = InvalidEvent;
-  EventId To = InvalidEvent;
-};
-
 class EventClosure {
 public:
-  /// Builds per-event clocks for \p S. \p Extra edges must point forward
-  /// in trace order (From < To), as all lock edges do.
-  EventClosure(const Trace &T, Span S, ClosureConfig Config,
-               const std::vector<ExtraEdge> &Extra = {});
+  /// Builds per-event clocks for \p S.
+  EventClosure(const Trace &T, Span S, ClosureConfig Config);
 
   /// True iff \p A happens before \p B in this closure (strict). Inline
   /// because guardingBranches' binary search makes this the hottest call

@@ -165,8 +165,8 @@ private:
     };
     std::vector<std::vector<ThreadPair>> PerThread(T.numThreads());
     for (LockId Lock = 0; Lock < T.numLocks(); ++Lock)
-      for (const LockPair &P : T.lockPairsOf(Lock))
-        if (P.AcquireId != InvalidEvent && Window.contains(P.AcquireId))
+      for (const LockPair &P : T.lockPairsStartingIn(Lock, Window))
+        if (P.AcquireId != InvalidEvent)
           PerThread[P.Tid].push_back({Lock, P});
 
     std::vector<LockDependency> Deps;

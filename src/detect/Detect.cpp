@@ -66,7 +66,7 @@ std::string rvp::renderStatsTable(const DetectionStats &Stats,
   // Tier line only when the WCP tier ran (docs/TIERS.md): --tier=smt runs
   // print the classic summary unchanged.
   if (Stats.WcpRaces || Stats.WcpPruned || Stats.WcpResidue ||
-      Stats.WcpShortCircuits || Stats.WcpMismatches)
+      Stats.WcpShortCircuits)
     Out += formatString(
         "wcp: races=%llu pruned=%llu residue=%llu short_circuits=%llu\n",
         U(Stats.WcpRaces), U(Stats.WcpPruned), U(Stats.WcpResidue),
@@ -102,8 +102,6 @@ std::span<const StatsField> rvp::statsFields() {
       {&S::WcpPruned, "wcp.pruned_cops", WcpTier, 14, "wcp_pruned_cops"},
       {&S::WcpResidue, "wcp.residue_cops", WcpTier, 15, "wcp_residue_cops"},
       {&S::WcpShortCircuits, nullptr, Always, 16, "solver_calls_saved"},
-      {&S::WcpMismatches, "wcp.check_mismatches", WcpTier, 17,
-       "wcp_mismatches"},
       {&S::QcHits, "detect.qc_hits", Always, 8},
       {&S::QcMisses, "detect.qc_misses", Always, 9},
       {&S::SignaturePruned, "detect.signature_pruned", Always, 10},
@@ -166,26 +164,26 @@ namespace {
 /// rules justify:
 ///
 ///  (a) the two critical sections contain conflicting accesses, or
-///  (b) they contain CP-ordered events — decided through a fixpoint over
-///      the section graph, with HB composition on both sides implicit in
-///      the vector-clock closure.
+///  (b) they contain CP-ordered events,
+///
+/// and (c) composes with all of HB on both sides, lock edges included: A
+/// is CP-before B when some active edge (r, a) has A <=hb r and a <=hb B.
+/// Every active edge is itself an HB edge, so one edge covers a chain of
+/// them, and the fixpoint over rule (b) needs no closure rebuild.
 class CpOrder {
 public:
-  CpOrder(const Trace &T, Span S) : T(T), Window(S) {
+  CpOrder(const Trace &T, Span S)
+      : T(T), Window(S), Base(T, S, ClosureConfig::cpBase()),
+        Hb(T, S, ClosureConfig::hb()) {
     collectSections();
     seedConflictEdges();
-    // Fixpoint: recompute the closure with the active edges, then try to
-    // activate more candidate edges via rule (b).
-    for (;;) {
-      rebuildClosure();
-      if (!activateByRuleB())
-        break;
+    while (activateByRuleB()) {
     }
   }
 
   /// Final CP-order query (A before B in trace order).
   bool ordered(EventId A, EventId B) const {
-    return Closure->ordered(A, B);
+    return Base.ordered(A, B) || throughActiveEdge(A, B);
   }
 
 private:
@@ -264,45 +262,39 @@ private:
     for (size_t C = 0; C < Candidates.size(); ++C) {
       auto [I, J] = Candidates[C];
       if (bodiesConflict(Sections[I], Sections[J]))
-        Active[C] = true;
+        activate(C);
     }
   }
 
-  void rebuildClosure() {
-    std::vector<ExtraEdge> Edges;
-    for (size_t C = 0; C < Candidates.size(); ++C) {
-      if (!Active[C])
-        continue;
-      auto [I, J] = Candidates[C];
-      Edges.push_back({Sections[I].Rel, Sections[J].Acq});
-    }
-    Closure.emplace(T, Window, ClosureConfig::cpBase(), Edges);
+  void activate(size_t C) {
+    Active[C] = true;
+    auto [I, J] = Candidates[C];
+    ActiveEdges.emplace_back(Sections[I].Rel, Sections[J].Acq);
   }
 
-  bool orderedEq(EventId A, EventId B) const {
-    return A == B || Closure->ordered(A, B);
+  bool hbEq(EventId A, EventId B) const { return A == B || Hb.ordered(A, B); }
+
+  /// Rule (c): A <=hb r and a <=hb B for some active edge (r, a).
+  bool throughActiveEdge(EventId A, EventId B) const {
+    for (const auto &[Rel, Acq] : ActiveEdges)
+      if (hbEq(A, Rel) && hbEq(Acq, B))
+        return true;
+    return false;
   }
 
   /// Rule (b): activate candidate (i,j) when some event of CS_i is
-  /// CP-before some event of CS_j through an already-active edge (m,n);
-  /// taking the earliest event of CS_i and the latest of CS_j gives the
-  /// exact existential check.
+  /// CP-before some event of CS_j through an active edge; taking the
+  /// earliest event of CS_i and the latest of CS_j gives the exact
+  /// existential check.
   bool activateByRuleB() {
     bool Any = false;
     for (size_t C = 0; C < Candidates.size(); ++C) {
       if (Active[C])
         continue;
       auto [I, J] = Candidates[C];
-      for (size_t C2 = 0; C2 < Candidates.size(); ++C2) {
-        if (!Active[C2])
-          continue;
-        auto [M, N] = Candidates[C2];
-        if (orderedEq(Sections[I].FirstEv, Sections[M].Rel) &&
-            orderedEq(Sections[N].Acq, Sections[J].LastEv)) {
-          Active[C] = true;
-          Any = true;
-          break;
-        }
+      if (throughActiveEdge(Sections[I].FirstEv, Sections[J].LastEv)) {
+        activate(C);
+        Any = true;
       }
     }
     return Any;
@@ -310,10 +302,13 @@ private:
 
   const Trace &T;
   Span Window;
+  /// HB without its lock edges, and HB itself.
+  EventClosure Base, Hb;
   std::vector<Section> Sections;
   std::vector<std::pair<uint32_t, uint32_t>> Candidates;
   std::vector<bool> Active;
-  std::optional<EventClosure> Closure;
+  /// The active candidates as (release, acquire) edges.
+  std::vector<std::pair<EventId, EventId>> ActiveEdges;
 };
 
 // -------------------------------------------------------------- policy
@@ -331,13 +326,8 @@ public:
     // SMT techniques only, and the vc tier replaces their solver with it.
     Solves = SmtTech && Options.Tier != DetectTier::Vc;
     WcpTier = SmtTech && Options.Tier != DetectTier::Smt;
-    // --check-tiers disables the hybrid fast paths, so the cross
-    // validation compares WCP against the full SMT semantics.
-    FastPath = Solves && WcpTier && !Options.CheckTiers;
-    WcpResidue = FastPath;
+    WcpResidue = Solves && WcpTier;
     WitnessOnSat = Tech == Technique::Maximal;
-    QcBySignature = true;
-    FirstLeadsSecond = true;
     Encoding.SubstituteRaceVars = Options.SubstituteRaceVars;
     // Statically constant branches lose their cf guards on the decision
     // path only; witness encodes keep the full guards, so witness orders
@@ -440,16 +430,13 @@ public:
     for (Candidate &C : Out) {
       if (C.PreReject)
         continue;
-      C.WcpClaimsRace = Wcp->racy(C.First, C.Second);
-      if (!FastPath)
-        continue;
       // WCP/MHB prune: the exact mirror of the closure the quick check
       // uses, so every pair pruned here would have been a qc-fail in the
       // smt tier — reports are identical, the weak-HB recheck is skipped.
       if (Wcp->mhbOrdered(C.First, C.Second) ||
           Wcp->mhbOrdered(C.Second, C.First))
         C.PreReject = "wcp";
-      else if (Tech == Technique::Maximal && C.WcpClaimsRace)
+      else if (Tech == Technique::Maximal && Wcp->racy(C.First, C.Second))
         C.How = Candidate::Verdict::ShortCircuit;
     }
   }
@@ -530,8 +517,6 @@ private:
   const Trace &T;
   Technique Tech;
   const DetectorOptions &Options;
-  /// Hybrid fast paths: the WCP prune and the short-circuit.
-  bool FastPath = false;
   /// Every finding so far, in report order.
   std::vector<RaceReport> Races;
 };

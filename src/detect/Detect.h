@@ -140,12 +140,6 @@ struct DetectorOptions {
   /// WCP vector-clock pass before the SMT stages; Smt is the historical
   /// solver-only pipeline; Vc is the vector-clock detector alone.
   DetectTier Tier = DetectTier::Hybrid;
-  /// Cross-validation oracle (`--check-tiers`, Hybrid + Maximal only):
-  /// every solved COP additionally gets a WCP verdict, a WCP-racy COP the
-  /// solver decided Unsat counts as a mismatch (DetectionStats::
-  /// WcpMismatches), and the fast paths are disabled so the full SMT
-  /// semantics is what WCP is checked against.
-  bool CheckTiers = false;
 };
 
 /// One reported race (first COP found per signature).
@@ -209,9 +203,6 @@ struct DetectionStats {
   /// Solver calls the Hybrid tier skipped because WCP already proved the
   /// COP racy (the `solver_calls_saved` JSON field).
   uint64_t WcpShortCircuits = 0;
-  /// --check-tiers: WCP-racy COPs the solver decided Unsat. Always 0 when
-  /// the tier is sound; any nonzero value fails the run (exit 2).
-  uint64_t WcpMismatches = 0;
   /// The quick check's passes and fails, signature-pruned candidates,
   /// discarded decided-ahead solves (jobs > 1), backend fallbacks to idl,
   /// and windows a checkpoint covered.
@@ -260,7 +251,7 @@ struct StatsField {
   const char *Counter; ///< registry counter, or null
   Flush When;
   /// Position among the checkpoint payload's counts (the `stats` line's
-  /// 8, then the `tallies` line's 10), or -1.
+  /// 8, then the `tallies` line's 9), or -1.
   int8_t Slot = -1;
   const char *JsonKey = nullptr; ///< top-level --stats-json key, or null
 };

@@ -442,6 +442,8 @@ NodeRef RaceEncoder::assemble(
   if (Out.Cone) {
     Out.Cone->Events = Sk.Events;
     Out.Cone->ActiveLocks = Sk.ActiveLcs;
+    Out.Cone->MergedFirst = S.A;
+    Out.Cone->MergedSecond = S.B;
   }
 
   Conj.push_back(emitSkeleton(FB, Sk, S, ExcludedAcquires, Out));

@@ -97,6 +97,11 @@ struct EncoderOptions {
 struct ConeInfo {
   std::vector<EventId> Events;       ///< ascending
   std::vector<uint32_t> ActiveLocks; ///< LockConstraint indices, ascending
+  /// The race pair the `Oa := Ob` substitution merged onto one order
+  /// variable (MergedFirst has none of its own), or InvalidEvent twice:
+  /// gap placement puts MergedFirst right before MergedSecond.
+  EventId MergedFirst = InvalidEvent;
+  EventId MergedSecond = InvalidEvent;
 };
 
 /// What one encode call did, added into the stats the caller passes: the

@@ -109,7 +109,6 @@ bool rvp::setAnalysisOption(StreamOptions &Opts, std::string_view Key,
     return false;
   }
   bool *Flag = Key == "skip-bad-events" ? &Opts.Parse.SkipBadEvents
-               : Key == "check-tiers"   ? &D.CheckTiers
                : Key == "witness"       ? &D.CollectWitnesses
                                         : nullptr;
   if (Flag) {
@@ -130,20 +129,6 @@ bool rvp::finishAnalysisOptions(StreamOptions &Opts, std::string &Error) {
   const bool Race = Opts.Property == StreamProperty::Race;
   const bool SolverTech =
       Opts.Tech == Technique::Maximal || Opts.Tech == Technique::Said;
-  // check-tiers is a batch flag only, so its diagnostics name flags. It
-  // cross-validates the WCP tier against the solver: both must run.
-  if (D.CheckTiers && D.Tier != DetectTier::Hybrid) {
-    Error = std::string("check-tiers cross-validates the WCP tier against "
-                        "the solver, so it requires --tier=hybrid (got "
-                        "--tier=") +
-            tierName(D.Tier) + ")";
-    return false;
-  }
-  if (D.CheckTiers && !(Race && SolverTech)) {
-    Error = "check-tiers needs the solver-backed race pipeline "
-            "(--property=race with --technique=rv or said)";
-    return false;
-  }
   // The WCP vector-clock tier covers races under the solver-backed
   // techniques only (docs/TIERS.md).
   if (D.Tier == DetectTier::Vc && !Race) {

@@ -62,8 +62,8 @@ struct StreamOptions {
 /// The analysis keys `rvpredict detect` flags, rvpredictd's session
 /// defaults and HELLO options share (docs/SERVER.md lists which front end
 /// accepts which): property, technique, tier, window, budget, solver,
-/// retry-budgets, skip-bad-events, witness, check-tiers. Each front end
-/// only picks the keys it exposes and how it reports an error.
+/// retry-budgets, skip-bad-events, witness. Each front end only picks the
+/// keys it exposes and how it reports an error.
 ///
 /// Sets \p Key from its text \p Value, range-checked. False with \p Error
 /// on an unknown key or a bad value; the message starts with the key name
@@ -71,9 +71,8 @@ struct StreamOptions {
 bool setAnalysisOption(StreamOptions &Opts, std::string_view Key,
                        std::string_view Value, std::string &Error);
 
-/// Applies the cross-key rules (the vc tier covers races under rv/said
-/// only; check-tiers needs the hybrid tier and the solver-backed race
-/// pipeline) and derives Detect.CollectWitnesses and Render from the keys.
+/// Applies the cross-key rule (the vc tier covers races under rv/said
+/// only) and derives Detect.CollectWitnesses and Render from the keys.
 /// Run it once per set of keys: the vc tier turns witness collection off
 /// for good, so the daemon keeps its defaults unfinished and finishes each
 /// session's copy after HELLO.

@@ -243,11 +243,9 @@ private:
         continue;
       }
       ++Out.Stats.QcHits;
-      if (Policy.QcBySignature)
-        QcSignatures.insert(C.Sig);
+      QcSignatures.insert(C.Sig);
     }
-    if (Policy.QcBySignature)
-      Out.Stats.QcPassed = QcSignatures.size();
+    Out.Stats.QcPassed = QcSignatures.size();
   }
 
   /// Whether \p C reaches a decision as far as window start can tell.
@@ -287,8 +285,6 @@ private:
         rejected(C, C.Reject);
         continue;
       }
-      if (!Policy.QcBySignature && Options.UseQuickCheck)
-        ++Out.Stats.QcPassed;
       switch (C.How) {
       case Candidate::Verdict::Ordered:
         emitCop(C, "ordered", "ordered");
@@ -368,8 +364,8 @@ private:
       // session solve. With witnesses on, the witness solve the Smt tier
       // runs for the same pair is the verdict, so every outcome matches
       // the Smt tier byte for byte; with witnesses off the WCP verdict
-      // stands (the vc-tier semantics; --check-tiers is the standing
-      // oracle).
+      // stands (the vc-tier semantics; the WcpCrossCheck test checks it
+      // against the solver).
       if (Options.CollectWitnesses)
         D.Sat = witness(W, C, D);
       return;
@@ -444,11 +440,8 @@ private:
     SatResult Sat = Solver->solve(
         FB, Root, Deadline::after(Options.PerCopBudgetSeconds), &Model);
     if (Sat == SatResult::Sat) {
-      const bool Merged =
-          Policy.FirstLeadsSecond && Policy.Encoding.SubstituteRaceVars;
       D.Witness = placeByGaps(Encoder.windowEncoding(), Cone.Events, Model,
-                              Merged ? C.First : InvalidEvent,
-                              Merged ? C.Second : InvalidEvent);
+                              Cone.MergedFirst, Cone.MergedSecond);
       D.WitnessValid = Policy.checkWitness(W, C, D.Witness);
     }
     D.Cost.WitnessSeconds = WitnessClock.seconds();
@@ -503,11 +496,6 @@ private:
       ++Out.Stats.SolverCalls;
       if (Policy.WcpResidue)
         ++Out.Stats.WcpResidue;
-      // --check-tiers: WCP claimed a race the full pipeline refutes — the
-      // windowed over-report weak soundness permits beyond the first
-      // race. Counted here, surfaced as an error by the front end.
-      if (Options.CheckTiers && C.WcpClaimsRace && D.Sat == SatResult::Unsat)
-        ++Out.Stats.WcpMismatches;
       emitSolveEvent(C, Outcome, D);
     }
     if (D.Sat == SatResult::Unknown) {
@@ -620,7 +608,7 @@ public:
   /// The payload lines holding the counted fields' slots
   /// (StatsField::Slot), in slot order, with their widths.
   static constexpr std::pair<std::string_view, size_t> CountLines[] = {
-      {"stats", 8}, {"tallies", 10}};
+      {"stats", 8}, {"tallies", 9}};
   static constexpr size_t NumSlots =
       CountLines[0].second + CountLines[1].second;
 
@@ -834,7 +822,7 @@ private:
   std::vector<Value> Values;
   /// Signatures of the findings so far (signature pruning).
   std::unordered_set<uint64_t> Seen;
-  /// Distinct signatures past the quick check (QueryPolicy::QcBySignature).
+  /// Distinct signatures past the quick check (Table 1's qc_passed).
   std::unordered_set<uint64_t> QcSignatures;
   /// Signatures parked in Out.Unknowns, plus the list aligned with it.
   std::unordered_set<uint64_t> UnknownSigs;

@@ -85,8 +85,6 @@ struct Candidate {
   /// The quick check passed (tallied even when it does not filter).
   bool QcPass = true;
   Verdict How = Verdict::Solve;
-  /// --check-tiers: WCP calls the pair racy; an Unsat solve is a mismatch.
-  bool WcpClaimsRace = false;
 };
 
 /// The per-window state a policy enumerates and encodes against. The MHB
@@ -124,7 +122,12 @@ struct DriverOutput {
   DetectionStats Stats;
 };
 
-/// The property-specific half of detection.
+/// The property-specific half of detection. The settings below are what
+/// the driver cannot work out from the candidates themselves; everything
+/// else is the same for every property: qc_passed counts the distinct
+/// signatures past the quick check (Table 1), and a witness places a pair
+/// the encoder merged under the `Oa := Ob` substitution from the cone the
+/// encoder reports (ConeInfo::MergedFirst).
 class QueryPolicy {
 public:
   virtual ~QueryPolicy() = default;
@@ -168,13 +171,6 @@ public:
   bool WcpResidue = false;
   /// Solved findings get a witness (with DetectorOptions::CollectWitnesses).
   bool WitnessOnSat = true;
-  /// qc_passed counts distinct signatures past the quick check (Table 1)
-  /// instead of solver-bound candidates.
-  bool QcBySignature = false;
-  /// Under the `Oa := Ob` substitution (Encoding.SubstituteRaceVars)
-  /// First has no order variable of its own: the witness places it right
-  /// before Second.
-  bool FirstLeadsSecond = false;
   /// Decision-path encoder options; witness encodes are always sliced and
   /// never folded. Encoding.Slice off is the whole-window reference the
   /// equivalence tests compare the default against.

@@ -9,6 +9,8 @@
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 
 using namespace rvp;
@@ -97,4 +99,25 @@ std::string rvp::formatString(const char *Fmt, ...) {
   }
   va_end(ArgsCopy);
   return Result;
+}
+
+bool rvp::readFile(const std::string &Path, std::string &Out) {
+  std::ifstream In(Path, std::ios::binary);
+  if (!In)
+    return false;
+  Out.clear();
+  // file_size fails for anything but a regular file; what a short read
+  // left, or a file that grew since, is read in blocks below.
+  std::error_code Error;
+  uintmax_t Size = std::filesystem::file_size(Path, Error);
+  if (!Error) {
+    Out.resize(Size);
+    In.read(Out.data(), static_cast<std::streamsize>(Size));
+    Out.resize(static_cast<size_t>(In.gcount()));
+    In.clear(In.rdstate() & std::ios::badbit);
+  }
+  char Block[1 << 16];
+  while (In.read(Block, sizeof(Block)) || In.gcount() > 0)
+    Out.append(Block, static_cast<size_t>(In.gcount()));
+  return !In.bad();
 }

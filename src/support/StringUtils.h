@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Minimal string utilities shared by the trace serializer, the MiniRV
-/// lexer, and the command-line front ends.
+/// lexer, and the command-line front ends, including the one file reader
+/// the tools load their inputs with.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,6 +47,12 @@ struct StringHash {
     return std::hash<std::string_view>()(Text);
   }
 };
+
+/// Replaces \p Out with the contents of the file at \p Path, read straight
+/// into the string: a regular file in one read of its size, anything else
+/// (a pipe, a FIFO) in blocks until end of file. False when the file cannot
+/// be opened or a read fails.
+bool readFile(const std::string &Path, std::string &Out);
 
 /// printf-style formatting into a std::string.
 std::string formatString(const char *Fmt, ...)

@@ -227,6 +227,17 @@ void Trace::pairRelease(EventId Id, const Event &E) {
   L.Open.erase(Open);
 }
 
+std::span<const LockPair> Trace::lockPairsStartingIn(LockId Lock,
+                                                     Span S) const {
+  const std::vector<LockPair> &Pairs = ByLock[Lock].Pairs;
+  auto StartsBefore = [](const LockPair &P, EventId Id) {
+    return (P.AcquireId != InvalidEvent ? P.AcquireId : P.ReleaseId) < Id;
+  };
+  auto Begin =
+      std::lower_bound(Pairs.begin(), Pairs.end(), S.Begin, StartsBefore);
+  return {Begin, std::lower_bound(Begin, Pairs.end(), S.End, StartsBefore)};
+}
+
 EventId Trace::notifyOfMatch(uint32_t Aux) const {
   auto It = NotifyByMatch.find(Aux);
   return It == NotifyByMatch.end() ? InvalidEvent : It->second;

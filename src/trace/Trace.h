@@ -28,6 +28,7 @@
 #include "trace/Event.h"
 
 #include <cassert>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -153,6 +154,10 @@ public:
   const std::vector<LockPair> &lockPairsOf(LockId Lock) const {
     return ByLock[Lock].Pairs;
   }
+  /// The pairs of \p Lock whose first event lies in \p S: one run of
+  /// lockPairsOf(Lock), found by binary search. Every pair with an
+  /// acquire in \p S is among them.
+  std::span<const LockPair> lockPairsStartingIn(LockId Lock, Span S) const;
 
   /// Fork event of thread \p Tid (the event fork(_, Tid)), or InvalidEvent.
   EventId forkOf(ThreadId Tid) const { return ByThread[Tid].Fork; }

@@ -104,18 +104,6 @@ TEST(Closure, WaitNotifyOrdering) {
   EXPECT_TRUE(Mhb.ordered(3, 7)) << "transitively through the notify";
 }
 
-TEST(Closure, ExtraEdgesInjectOrder) {
-  TraceBuilder B;
-  B.write("t1", "a", 1); // 0
-  B.write("t2", "b", 1); // 1
-  Trace T = B.build();
-  EventClosure Without(T, T.fullSpan(), ClosureConfig::mhb());
-  EXPECT_FALSE(Without.ordered(0, 1));
-  std::vector<ExtraEdge> Edges = {{0, 1}};
-  EventClosure With(T, T.fullSpan(), ClosureConfig::mhb(), Edges);
-  EXPECT_TRUE(With.ordered(0, 1));
-}
-
 TEST(Closure, WindowedClosureIgnoresOutsideEvents) {
   TraceBuilder B;
   B.fork("t1", "t2");    // 0 (outside the window below)

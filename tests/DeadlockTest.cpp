@@ -6,8 +6,12 @@
 
 #include "detect/Deadlock.h"
 
+#include "detect/WindowDriver.h"
 #include "runtime/Interpreter.h"
 #include "trace/TraceBuilder.h"
+#include "trace/Window.h"
+#include "workloads/Fuzzer.h"
+#include "workloads/Synthetic.h"
 
 #include <gtest/gtest.h>
 
@@ -194,4 +198,106 @@ main {
   ASSERT_TRUE(recordTrace(Source, Replayed, ReplayRun, Error, &S));
   EXPECT_TRUE(ReplayRun.Deadlocked)
       << "the predicted schedule must reach the real deadlock";
+}
+
+namespace {
+
+using EventPairs = std::vector<std::pair<EventId, EventId>>;
+
+/// The reference the deadlock policy's bounded scan must match: every lock
+/// pair of the whole trace, kept when its acquire is in \p Window, then
+/// the opposite-order dependency pairs of different threads.
+EventPairs referenceCandidates(const Trace &T, Span Window) {
+  struct Held {
+    LockId Lock;
+    LockPair Pair;
+  };
+  std::vector<std::vector<Held>> PerThread(T.numThreads());
+  for (LockId Lock = 0; Lock < T.numLocks(); ++Lock)
+    for (const LockPair &P : T.lockPairsOf(Lock))
+      if (P.AcquireId != InvalidEvent && Window.contains(P.AcquireId))
+        PerThread[P.Tid].push_back({Lock, P});
+  struct Dependency {
+    ThreadId Tid;
+    LockId Outer, Inner;
+    EventId Request;
+  };
+  std::vector<Dependency> Deps;
+  for (ThreadId Tid = 0; Tid < T.numThreads(); ++Tid)
+    for (const Held &Req : PerThread[Tid])
+      for (const Held &Out : PerThread[Tid])
+        if (Out.Lock != Req.Lock && Out.Pair.ReleaseId != InvalidEvent &&
+            Window.contains(Out.Pair.ReleaseId) &&
+            Out.Pair.AcquireId < Req.Pair.AcquireId &&
+            Req.Pair.AcquireId < Out.Pair.ReleaseId)
+          Deps.push_back({Tid, Out.Lock, Req.Lock, Req.Pair.AcquireId});
+  EventPairs Pairs;
+  for (size_t I = 0; I < Deps.size(); ++I)
+    for (size_t J = I + 1; J < Deps.size(); ++J)
+      if (Deps[I].Tid != Deps[J].Tid && Deps[I].Outer == Deps[J].Inner &&
+          Deps[I].Inner == Deps[J].Outer)
+        Pairs.emplace_back(Deps[I].Request, Deps[J].Request);
+  return Pairs;
+}
+
+/// Compares, window by window, each lock's pairs starting in the window
+/// and the deadlock candidates with the whole-trace filters; returns the
+/// number of candidates seen.
+size_t expectBoundedScanExact(const Trace &T, uint32_t WindowSize) {
+  DetectorOptions Options;
+  Options.WindowSize = WindowSize;
+  std::unique_ptr<QueryPolicy> Policy = makeDeadlockPolicy(T, Options);
+  size_t Seen = 0;
+  for (Span Window : splitWindows(T, WindowSize)) {
+    SCOPED_TRACE(Window.Begin);
+    auto firstEvent = [](const LockPair &P) {
+      return P.AcquireId != InvalidEvent ? P.AcquireId : P.ReleaseId;
+    };
+    for (LockId Lock = 0; Lock < T.numLocks(); ++Lock) {
+      std::vector<EventId> Want, Got;
+      for (const LockPair &P : T.lockPairsOf(Lock))
+        if (Window.contains(firstEvent(P)))
+          Want.push_back(firstEvent(P));
+      for (const LockPair &P : T.lockPairsStartingIn(Lock, Window))
+        Got.push_back(firstEvent(P));
+      EXPECT_EQ(Got, Want) << "lock " << Lock;
+    }
+    WindowContext W(T, Window, T.initialValues(), Policy->Encoding,
+                    /*Degraded=*/false);
+    std::vector<Candidate> Cands;
+    Policy->enumerate(W, Cands);
+    EventPairs Got;
+    for (const Candidate &C : Cands)
+      Got.emplace_back(C.First, C.Second);
+    EXPECT_EQ(Got, referenceCandidates(T, Window));
+    Seen += Got.size();
+  }
+  return Seen;
+}
+
+} // namespace
+
+// The deadlock scan visits only the lock pairs whose first event is in
+// the window, and that is exact: a pair with its acquire in the window
+// has that acquire as its first event.
+TEST(Deadlock, BoundedScanMatchesWholeTraceFilter) {
+  std::vector<Trace> Traces;
+  for (uint64_t Seed = 1; Seed <= 6; ++Seed) {
+    RandomScheduler S(Seed);
+    Trace T;
+    RunResult Run;
+    std::string Error;
+    ASSERT_TRUE(recordTrace(fuzzProgram(Seed), T, Run, Error, &S)) << Error;
+    Traces.push_back(std::move(T));
+  }
+  SyntheticSpec Derby = realSystemSpec("derby");
+  Derby.TargetEvents = 8000;
+  Derby.AtomicityPairs = 4;
+  Derby.DeadlockCycles = 4;
+  Traces.push_back(generateSynthetic(Derby));
+  size_t Candidates = 0;
+  for (const Trace &T : Traces)
+    for (uint32_t WindowSize : {static_cast<uint32_t>(T.size()), 1000u, 37u})
+      Candidates += expectBoundedScanExact(T, WindowSize);
+  EXPECT_GT(Candidates, 0u);
 }

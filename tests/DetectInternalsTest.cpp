@@ -665,7 +665,8 @@ struct GapFixture {
     OrderModel Model;
     EXPECT_EQ(createIdlSolver()->solve(FB, Root, Deadline(), &Model),
               SatResult::Sat);
-    return placeByGaps(Encoder.windowEncoding(), Cone.Events, Model, A, B);
+    return placeByGaps(Encoder.windowEncoding(), Cone.Events, Model,
+                       Cone.MergedFirst, Cone.MergedSecond);
   }
 
   WitnessCheckResult check(const std::vector<EventId> &Order, EventId A,
@@ -693,6 +694,8 @@ TEST(GapPlacement, MergedPairStaysAdjacentPastNonConeSuccessors) {
   GapFixture F(B.build());
   std::vector<EventId> Order = F.witness(0, 4);
   EXPECT_EQ(F.Cone.Events, (std::vector<EventId>{0, 4}));
+  EXPECT_EQ(F.Cone.MergedFirst, 0u) << "the encoder reports the merge";
+  EXPECT_EQ(F.Cone.MergedSecond, 4u);
   // A's block waits until B is placed, so the pair stays adjacent.
   EXPECT_EQ(Order, (std::vector<EventId>{3, 0, 4, 1, 2, 5}));
   WitnessCheckResult R = F.check(Order, 0, 4);

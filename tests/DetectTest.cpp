@@ -284,6 +284,29 @@ TEST(Separations, CpRuleBOrdersThroughAnotherLock) {
       << "whole-trace consistency pins the read of z";
 }
 
+TEST(Separations, CpComposesWithLockHandoffs) {
+  // Shrunk from fuzz seed 24: rA <=po main's release ≺cp t1's acquire
+  // (both sections write y) <=po t1's release →hb t2's acquire <=po rB.
+  // The t1/t2 handoff is no CP edge of its own, but rule (c) composes CP
+  // with all of HB, lock edges included, so CP orders the pair.
+  TraceBuilder B;
+  B.read("main", "x", 0, "rA"); // race event A
+  B.acquire("main", "m");
+  B.write("main", "y", 1);
+  B.release("main", "m");
+  B.acquire("t1", "m");
+  B.write("t1", "y", 2);
+  B.release("t1", "m");
+  B.acquire("t2", "m");
+  B.write("t2", "z", 1);
+  B.release("t2", "m");
+  B.write("t2", "x", 1, "rB"); // race event B
+  Trace T = B.build();
+  EXPECT_EQ(detect(T, Technique::Hb).raceCount(), 0u);
+  EXPECT_FALSE(detect(T, Technique::Cp).hasRaceAt("rA", "rB"))
+      << "main's edge to t1 reaches rB through t1's handoff to t2";
+}
+
 TEST(Separations, SaidKeepsReadWriteRaceUnderSubstitution) {
   // Schedule "read 0, then the remote write" keeps every read's value, so
   // La<->Lc is a Said race. The `Oa := Ob` substitution merges the read

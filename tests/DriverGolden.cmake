@@ -27,7 +27,7 @@ include(${CMAKE_CURRENT_LIST_DIR}/DriverRows.cmake)
 set(TABLE1_FIELDS
   windows cops cops_pruned_static qc_passed solver_calls solver_timeouts
   solver_retries degraded_sessions unknown_cops wcp_races wcp_pruned_cops
-  wcp_residue_cops solver_calls_saved wcp_mismatches jobs)
+  wcp_residue_cops solver_calls_saved jobs)
 
 # Runs one detect and renders "<report>-- table1 --\n<field>=<value>...".
 # \p WANT_STATS=0 leaves the Table-1 block out (rows whose solve-to-worker

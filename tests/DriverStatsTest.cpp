@@ -17,6 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/StaticPrune.h"
+#include "detect/Checkpoint.h"
 #include "detect/Stream.h"
 #include "detect/WindowDriver.h"
 #include "lang/Parser.h"
@@ -29,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -80,7 +82,7 @@ Trace nestedLocksTrace() {
 
 /// A payload with every required line and no finding.
 const char *const EmptyPayload = "stats 0 0 0 0 0 0 0 0\n"
-                                 "tallies 0 0 0 0 0 0 0 0 0 0\n"
+                                 "tallies 0 0 0 0 0 0 0 0 0\n"
                                  "values\nseen\nqcsig\n";
 
 std::string joinLines(const std::vector<std::string> &Lines) {
@@ -224,10 +226,10 @@ TEST(StatsFields, EachFieldHasOneRowAndEachSlotOneField) {
           << "slot " << static_cast<int>(F.Slot);
     }
   }
-  // The payload's 8 stats and 10 tallies, each held by one field.
-  ASSERT_EQ(Slots.size(), 18u);
+  // The payload's 8 stats and 9 tallies, each held by one field.
+  ASSERT_EQ(Slots.size(), 17u);
   EXPECT_EQ(*Slots.begin(), 0);
-  EXPECT_EQ(*Slots.rbegin(), 17);
+  EXPECT_EQ(*Slots.rbegin(), 16);
 }
 
 TEST(DriverCheckpoint, EveryWindowRoundTripsThroughAFreshDriver) {
@@ -293,7 +295,7 @@ TEST(DriverCheckpoint, PayloadLayoutIsStable) {
   std::unique_ptr<QueryPolicy> Policy = makePolicy(T, Opts);
   WindowDriver Driver(T, Opts.Detect, *Policy);
   std::string Payload = "stats 1 2 3 4 5 6 7 8\n"
-                        "tallies 9 10 11 12 13 14 15 16 17 18\n"
+                        "tallies 9 10 11 12 13 14 15 16 17\n"
                         "values\nseen\nqcsig\n";
   ASSERT_TRUE(Driver.resume(Payload));
   EXPECT_EQ(Driver.saveState(), Payload);
@@ -303,10 +305,57 @@ TEST(DriverCheckpoint, PayloadLayoutIsStable) {
                      S.SolverRetries,    S.DegradedSessions, S.QcHits,
                      S.QcMisses,         S.SignaturePruned, S.SpeculativeSolves,
                      S.BackendFallbacks, S.WcpRaces,       S.WcpPruned,
-                     S.WcpResidue,       S.WcpShortCircuits, S.WcpMismatches};
+                     S.WcpResidue,       S.WcpShortCircuits};
   for (uint64_t I = 0; I < std::size(Want); ++I)
     EXPECT_EQ(Want[I], I + 1) << "slot " << I;
   EXPECT_EQ(S.ResumedWindows, 1u);
+}
+
+TEST(DriverCheckpoint, TenTallyPayloadIsRejectedAndEveryWindowRedone) {
+  // Payloads written before the tier cross-check's tally was retired
+  // carry a tenth tally. rvpredict's fingerprint did not change with it,
+  // so such a snapshot still reaches resume: it must be rejected whole,
+  // and the run must redo every window to the report of a run without
+  // checkpoints.
+  Trace T = propsTrace();
+  StreamOptions Opts = propertyOptions("race");
+  auto report = [&](const DetectorOptions &Detect, DetectionStats &Stats) {
+    std::unique_ptr<QueryPolicy> Policy = makePolicy(T, Opts);
+    DriverOutput Out = runWindowDriver(T, Detect, *Policy);
+    Stats = Out.Stats;
+    // The header's wall time differs between runs.
+    std::string Text = Policy->renderReport(std::move(Out), Opts.Render);
+    size_t In = Text.find(" in ");
+    return Text.erase(In, Text.find('\n') - In);
+  };
+  DetectionStats FreshStats;
+  const std::string Fresh = report(Opts.Detect, FreshStats);
+  ASSERT_NE(Fresh.find("race on"), std::string::npos) << Fresh;
+
+  std::string Payload;
+  {
+    std::unique_ptr<QueryPolicy> Policy = makePolicy(T, Opts);
+    WindowDriver Driver(T, Opts.Detect, *Policy);
+    std::vector<Span> Windows = splitWindows(T, Opts.Detect.WindowSize);
+    ASSERT_EQ(Windows.size(), 3u);
+    Driver.analyze(Windows[0]);
+    Driver.analyze(Windows[1]);
+    Payload = Driver.saveState();
+  }
+  Payload.insert(Payload.find('\n', Payload.find("tallies")), " 0");
+
+  DetectorOptions Detect = Opts.Detect;
+  Detect.CheckpointDir = ::testing::TempDir() + "rvp_ckpt_ten_tallies";
+  Detect.CheckpointFingerprint = 21;
+  std::error_code Ec;
+  std::filesystem::remove_all(Detect.CheckpointDir, Ec);
+  CheckpointStore Store(Detect.CheckpointDir, Detect.CheckpointFingerprint);
+  ASSERT_TRUE(Store.save(1, Payload));
+  DetectionStats Stats;
+  EXPECT_EQ(report(Detect, Stats), Fresh);
+  EXPECT_EQ(Stats.ResumedWindows, 0u);
+  EXPECT_EQ(Stats.Windows, 3u);
+  EXPECT_EQ(Stats.SolverCalls, FreshStats.SolverCalls);
 }
 
 TEST(DriverStats, RangesFoldedCountsDecisionPathFoldsOnly) {

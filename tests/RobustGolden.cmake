@@ -137,17 +137,10 @@ run_tool(detect "${GOLDEN_DIR}/quiet.txt" --tier=turbo)
 expect_rc(2 "--tier=turbo")
 expect_stderr("--tier must be vc, smt, or hybrid" "--tier diagnostic")
 
+# The WCP/solver cross-check is a test (WcpCrossCheck), not a flag.
 run_tool(detect "${GOLDEN_DIR}/quiet.txt" --check-tiers)
-# --check-tiers alone is fine: the default tier is hybrid.
-expect_rc(0 "--check-tiers with the default (hybrid) tier")
-
-run_tool(detect "${GOLDEN_DIR}/quiet.txt" --tier=smt --check-tiers)
-expect_rc(2 "--check-tiers with --tier=smt")
-expect_stderr("requires --tier=hybrid" "--check-tiers tier diagnostic")
-
-run_tool(detect "${GOLDEN_DIR}/quiet.txt" --check-tiers --technique=hb)
-expect_rc(2 "--check-tiers with --technique=hb")
-expect_stderr("solver-backed race pipeline" "--check-tiers technique diagnostic")
+expect_rc(2 "--check-tiers")
+expect_stderr("unknown option '--check-tiers'" "--check-tiers diagnostic")
 
 run_tool(detect "${GOLDEN_DIR}/quiet.txt" --tier=vc --property=deadlock)
 expect_rc(2 "--tier=vc with --property=deadlock")
@@ -193,11 +186,6 @@ run_tool(detect "${GOLDEN_DIR}/quiet.txt" --witness=maybe)
 expect_rc(2 "--witness=maybe")
 expect_stderr("--witness must be true, false, 1, or 0 (got 'maybe')"
               "--witness diagnostic")
-
-run_tool(detect "${GOLDEN_DIR}/quiet.txt" --check-tiers=maybe)
-expect_rc(2 "--check-tiers=maybe")
-expect_stderr("--check-tiers must be true, false, 1, or 0 (got 'maybe')"
-              "--check-tiers diagnostic")
 
 run_tool(detect "${GOLDEN_DIR}/corrupt_kind.txt" --skip-bad-events=yes)
 expect_rc(2 "--skip-bad-events=yes")

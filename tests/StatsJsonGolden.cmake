@@ -128,8 +128,7 @@ if(RC GREATER 1)
 endif()
 file(READ "${WCP_OUT}" JSON_TEXT)
 if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
-  foreach(FIELD wcp_races wcp_pruned_cops wcp_residue_cops solver_calls_saved
-          wcp_mismatches)
+  foreach(FIELD wcp_races wcp_pruned_cops wcp_residue_cops solver_calls_saved)
     string(JSON VALUE ERROR_VARIABLE JSON_ERR GET "${JSON_TEXT}" ${FIELD})
     if(JSON_ERR)
       message(FATAL_ERROR "missing or unparsable field '${FIELD}': ${JSON_ERR}\n${JSON_TEXT}")

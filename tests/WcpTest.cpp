@@ -9,9 +9,16 @@
 #include "detect/Closure.h"
 #include "detect/Cop.h"
 #include "detect/Detect.h"
+#include "detect/WindowDriver.h"
+#include "runtime/Interpreter.h"
+#include "support/StringUtils.h"
 #include "trace/TraceBuilder.h"
+#include "workloads/Catalog.h"
+#include "workloads/Fuzzer.h"
 
 #include <gtest/gtest.h>
+
+#include <unordered_set>
 
 using namespace rvp;
 
@@ -300,16 +307,144 @@ TEST(Wcp, HybridSavesSolverCalls) {
   EXPECT_LT(RH.Stats.SolverCalls, RS.Stats.SolverCalls);
 }
 
-// --check-tiers solves everything and must find no mismatch on a trace
-// whose WCP races are all feasible.
-TEST(Wcp, CheckTiersFindsNoMismatch) {
-  Trace T = forkJoinRacyTrace();
+// ------------------------------------------------------- cross-check
+
+namespace {
+
+/// The maximal race policy under the smt tier, recording what the WCP
+/// tier would claim: each candidate WCP calls racy in its window, each
+/// candidate that reached the solver, and each one the solver reported.
+/// Witnesses stay off, so every encode is a decision-path encode.
+class CrossCheckPolicy : public QueryPolicy {
+public:
+  CrossCheckPolicy(const Trace &T, const DetectorOptions &Options)
+      : T(T), Inner(makeRacePolicy(T, Technique::Maximal, Options)) {
+    Phase = Inner->Phase;
+    FindingsCounter = Inner->FindingsCounter;
+    Solves = Inner->Solves;
+    WcpTier = Inner->WcpTier;
+    WcpResidue = Inner->WcpResidue;
+    WitnessOnSat = Inner->WitnessOnSat;
+    Encoding = Inner->Encoding;
+  }
+
+  /// WCP-racy candidates the solver decided and did not report.
+  size_t mismatches() const {
+    size_t N = 0;
+    for (uint64_t Pair : Solved)
+      N += WcpRacy.count(Pair) && !Reported.count(Pair);
+    return N;
+  }
+
+  void enumerate(WindowContext &W, std::vector<Candidate> &Out) override {
+    Inner->enumerate(W, Out);
+    WcpIndex Wcp(T, W.Window);
+    for (const Candidate &C : Out)
+      if (Wcp.racy(C.First, C.Second))
+        WcpRacy.insert(key(C));
+  }
+  NodeRef encode(const RaceEncoder &Encoder, FormulaBuilder &FB,
+                 const Candidate &C, EncodeStats *Stats) const override {
+    Solved.insert(key(C));
+    return Inner->encode(Encoder, FB, C, Stats);
+  }
+  bool checkWitness(WindowContext &W, const Candidate &C,
+                    const std::vector<EventId> &Order) const override {
+    return Inner->checkWitness(W, C, Order);
+  }
+  void report(const Candidate &C, std::vector<EventId> Witness,
+              bool WitnessValid) override {
+    Reported.insert(key(C));
+    Inner->report(C, std::move(Witness), WitnessValid);
+  }
+  size_t numFindings() const override { return Inner->numFindings(); }
+  std::string checkpointLine(size_t I) const override {
+    return Inner->checkpointLine(I);
+  }
+  bool restoreFindings(const std::vector<std::string> &Lines) override {
+    return Inner->restoreFindings(Lines);
+  }
+  std::string renderFinding(size_t I,
+                            const ReportRenderOptions &Opts) const override {
+    return Inner->renderFinding(I, Opts);
+  }
+  std::string renderReport(DriverOutput Out,
+                           const ReportRenderOptions &Opts) override {
+    return Inner->renderReport(std::move(Out), Opts);
+  }
+
+private:
+  static uint64_t key(const Candidate &C) {
+    return uint64_t{C.First} << 32 | C.Second;
+  }
+
+  const Trace &T;
+  std::unique_ptr<QueryPolicy> Inner;
+  std::unordered_set<uint64_t> WcpRacy, Reported;
+  /// Filled by encode, which the driver calls on one thread (Jobs = 1).
+  mutable std::unordered_set<uint64_t> Solved;
+};
+
+/// Pairs WCP calls racy that the maximal solver refutes, over every window
+/// of \p T under the default window size.
+size_t crossCheckMismatches(const Trace &T) {
   DetectorOptions Options;
-  Options.Tier = DetectTier::Hybrid;
-  Options.CheckTiers = true;
-  DetectionResult R = detectRaces(T, Technique::Maximal, Options);
-  EXPECT_EQ(R.Stats.WcpMismatches, 0u);
-  EXPECT_EQ(R.Stats.WcpShortCircuits, 0u)
-      << "check-tiers disables the fast path";
-  EXPECT_GT(R.Stats.SolverCalls, 0u);
+  Options.Tier = DetectTier::Smt;
+  Options.CollectWitnesses = false;
+  Options.Jobs = 1;
+  CrossCheckPolicy Policy(T, Options);
+  DriverOutput Out = runWindowDriver(T, Options, Policy);
+  EXPECT_EQ(Out.Stats.SolverTimeouts, 0u)
+      << "an undecided pair is no refutation";
+  return Policy.mismatches();
+}
+
+/// The trace `rvpredict detect <Source> --seed=<Seed>` records: a random
+/// schedule, or with \p RoundRobin the `--schedule=rr` one.
+Trace recorded(const std::string &Source, uint64_t Seed, bool RoundRobin) {
+  RoundRobinScheduler Rr(3);
+  RandomScheduler Random(Seed);
+  Trace T;
+  RunResult Run;
+  std::string Error;
+  EXPECT_TRUE(recordTrace(Source, T, Run, Error,
+                          RoundRobin ? static_cast<Scheduler *>(&Rr)
+                                     : &Random))
+      << Error;
+  return T;
+}
+
+} // namespace
+
+// Kini et al.'s WCP is weakly sound: its first race is predictable, later
+// ones need not be. The hybrid tier therefore only short-circuits a
+// WCP-racy pair through a witness solve, and the vc tier reports WCP's
+// verdict as is. The fixed workloads and the catalog carry no pair WCP
+// calls racy that the maximal solver refutes.
+TEST(WcpCrossCheck, FixedWorkloadsAndCatalogAgree) {
+  EXPECT_EQ(crossCheckMismatches(forkJoinRacyTrace()), 0u);
+  for (const char *Name : {"prune_workload.rv", "stats_workload.rv"}) {
+    SCOPED_TRACE(Name);
+    std::string Source;
+    ASSERT_TRUE(readFile(std::string(RVP_GOLDEN_DIR) + "/" + Name, Source));
+    EXPECT_EQ(crossCheckMismatches(recorded(Source, 1, true)), 0u);
+  }
+  for (const BenchmarkCase &Case : table1Benchmarks()) {
+    SCOPED_TRACE(Case.Name);
+    Trace T;
+    std::string Error;
+    ASSERT_TRUE(benchmarkTrace(Case, T, Error)) << Error;
+    EXPECT_EQ(crossCheckMismatches(T), 0u);
+  }
+}
+
+// The negative control: on these fuzzed programs weak soundness shows,
+// WCP calling pairs racy that no feasible reordering makes a race.
+TEST(WcpCrossCheck, FuzzSeedsShowWeakSoundness) {
+  for (auto [Seed, Mismatches] : {std::pair<uint64_t, size_t>{24, 8},
+                                  std::pair<uint64_t, size_t>{33, 148}}) {
+    SCOPED_TRACE(Seed);
+    EXPECT_EQ(crossCheckMismatches(recorded(fuzzProgram(Seed), Seed, false)),
+              Mismatches);
+  }
 }

@@ -24,25 +24,14 @@
 #include "analysis/Lint.h"
 #include "lang/Parser.h"
 #include "support/CommandLine.h"
+#include "support/StringUtils.h"
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 using namespace rvp;
 
 namespace {
-
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In)
-    return false;
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return true;
-}
 
 std::string baseName(const std::string &Path) {
   size_t Slash = Path.find_last_of("/\\");

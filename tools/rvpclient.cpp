@@ -36,6 +36,7 @@
 #include "server/Framing.h"
 #include "support/CommandLine.h"
 #include "support/FaultInjector.h"
+#include "support/StringUtils.h"
 #include "trace/TraceIO.h"
 #include "workloads/Catalog.h"
 
@@ -51,9 +52,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <mutex>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -285,16 +284,6 @@ bool runConnection(const ClientConfig &Cfg, std::string &SummaryOut) {
     SummaryOut = Summary;
   }
   return GotSummary && !Failed;
-}
-
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In)
-    return false;
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return true;
 }
 
 } // namespace

@@ -11,7 +11,7 @@
 ///                     [--out=trace.txt]
 ///   rvpredict detect  <trace.txt|prog.rv> [--technique=rv|said|cp|hb]
 ///                     [--property=race|atomicity|deadlock] [--window=N]
-///                     [--tier=vc|smt|hybrid] [--check-tiers]
+///                     [--tier=vc|smt|hybrid]
 ///                     [--solver=idl|z3] [--budget=S] [--witness[=BOOL]]
 ///                     [--retry-budgets=50ms,250ms,1s] [--skip-bad-events]
 ///                     [--jobs=N] [--static-prune] [--checkpoint=dir] [--stats]
@@ -25,10 +25,10 @@
 /// fly); anything else is parsed as a trace in the text format.
 ///
 /// The analysis flags (--technique, --property, --window, --tier,
-/// --check-tiers, --solver, --budget, --witness, --retry-budgets and
-/// --skip-bad-events, the one record takes too) go through the parser and
-/// rule set that rvpredictd's defaults and its HELLO options use
-/// (detect/Stream.h, docs/SERVER.md): --window is 1..4294967295 events,
+/// --solver, --budget, --witness, --retry-budgets and --skip-bad-events,
+/// the one record takes too) go through the parser and rule set that
+/// rvpredictd's defaults and its HELLO options use (detect/Stream.h,
+/// docs/SERVER.md): --window is 1..4294967295 events,
 /// --budget a positive number of seconds, booleans true/false/1/0, and
 /// --tier=vc runs races under rv or said only.
 ///
@@ -58,19 +58,16 @@
 #include <fstream>
 #include <initializer_list>
 #include <memory>
-#include <sstream>
 
 using namespace rvp;
 
 namespace {
 
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In)
+/// Reads an input file through the shared reader, then applies the
+/// injected read failures.
+bool readInput(const std::string &Path, std::string &Out) {
+  if (!readFile(Path, Out))
     return false;
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
   // Injected read failures (docs/ROBUSTNESS.md): a short read truncates
   // the content mid-stream, a garble corrupts one byte in the middle.
   // Both surface downstream as parse diagnostics, never as crashes.
@@ -111,7 +108,7 @@ bool loadTrace(const std::string &Path, const OptionParser &Options,
     return true;
   }
   std::string Content;
-  if (!readFile(Path, Content)) {
+  if (!readInput(Path, Content)) {
     std::fprintf(stderr, "error: cannot open '%s'\n", Path.c_str());
     return false;
   }
@@ -254,7 +251,7 @@ int cmdDetect(const OptionParser &Options) {
   if (!applyAnalysisFlags(Options,
                           {"property", "technique", "tier", "window",
                            "budget", "solver", "retry-budgets",
-                           "skip-bad-events", "witness", "check-tiers"},
+                           "skip-bad-events", "witness"},
                           Analysis))
     return ExitUsage;
   {
@@ -308,21 +305,22 @@ int cmdDetect(const OptionParser &Options) {
   // Checkpointing: the fingerprint pins the trace contents and every
   // result-relevant flag (jobs excluded — reports are identical for any
   // value), so a checkpoint directory can only resume the same analysis.
-  // The literal `incremental=1` stays from when session solving was a
-  // flag, so checkpoint directories written before keep resuming.
+  // The literals `incremental=1` and `check-tiers=0` stay from when
+  // session solving and the tier cross-check were flags, so a checkpoint
+  // directory written before is not refused as another analysis'.
   Detect.CheckpointDir = Options.getString("checkpoint", "");
   if (!Detect.CheckpointDir.empty()) {
     std::string Flags = formatString(
         "technique=%s property=%s window=%u solver=%s budget=%g "
         "incremental=1 witness=%d static-prune=%d retry-budgets=%s "
-        "tier=%s check-tiers=%d",
+        "tier=%s check-tiers=0",
         Options.getString("technique", "rv").c_str(),
         Options.getString("property", "race").c_str(), Detect.WindowSize,
         Detect.SolverName.c_str(), Detect.PerCopBudgetSeconds,
         Detect.CollectWitnesses ? 1 : 0,
         Options.getBool("static-prune") ? 1 : 0,
         Options.getString("retry-budgets", "").c_str(),
-        tierName(Detect.Tier), Detect.CheckTiers ? 1 : 0);
+        tierName(Detect.Tier));
     Detect.CheckpointFingerprint =
         checkpointHash(Flags, checkpointHash(writeTraceText(T)));
   }
@@ -384,18 +382,6 @@ int cmdDetect(const OptionParser &Options) {
       return ExitInternal;
     }
   }
-  // A mismatch means the WCP tier called a pair racy that the solver
-  // refuted — exactly the weak-soundness gap docs/TIERS.md describes. The
-  // report above is still the solver's (check-tiers solves every COP), but
-  // the run fails loudly so catalogs can gate on tier agreement.
-  if (Stats.WcpMismatches) {
-    std::fprintf(stderr,
-                 "error: --check-tiers found %llu WCP-racy pair(s) the "
-                 "solver refutes; the vc tier would over-report on this "
-                 "trace (see docs/TIERS.md)\n",
-                 static_cast<unsigned long long>(Stats.WcpMismatches));
-    return ExitUsage;
-  }
   // Exit code: findings → 1; a degraded run that left candidates
   // undecided → 3 (the report may be incomplete); clean and empty → 0.
   if (Unknowns)
@@ -410,12 +396,12 @@ int cmdReplay(const OptionParser &Options) {
     return ExitUsage;
   }
   std::string Source;
-  if (!readFile(Options.positional()[1], Source)) {
+  if (!readInput(Options.positional()[1], Source)) {
     std::fprintf(stderr, "error: cannot open program\n");
     return ExitUsage;
   }
   std::string TraceText;
-  if (!readFile(Options.getString("trace"), TraceText)) {
+  if (!readInput(Options.getString("trace"), TraceText)) {
     std::fprintf(stderr, "error: cannot open trace\n");
     return ExitUsage;
   }
@@ -477,11 +463,6 @@ int main(int Argc, const char **Argv) {
                     "(solver only), or hybrid (WCP prunes and "
                     "short-circuits ahead of the solver)",
                     "hybrid");
-  Options.addOption("check-tiers",
-                    "cross-validate the WCP tier against the solver on "
-                    "every COP; mismatches fail the run with exit 2 "
-                    "(requires --tier=hybrid)",
-                    "false");
   Options.addOption("witness", "print witness reorderings", "false");
   Options.addOption("stats", "print detection statistics", "false");
   Options.addOption("stats-json", "write stats as JSON ('-' for stdout)", "");

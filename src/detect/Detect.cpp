@@ -200,16 +200,12 @@ private:
 
   void collectSections() {
     for (LockId Lock = 0; Lock < T.numLocks(); ++Lock) {
-      for (const LockPair &P : T.lockPairsOf(Lock)) {
+      for (const LockPair &P : T.lockPairsTouching(Lock, Window)) {
         Section Sec;
         Sec.Lock = Lock;
         Sec.Tid = P.Tid;
-        if (P.AcquireId != InvalidEvent && Window.contains(P.AcquireId))
-          Sec.Acq = P.AcquireId;
-        if (P.ReleaseId != InvalidEvent && Window.contains(P.ReleaseId))
-          Sec.Rel = P.ReleaseId;
-        if (Sec.Acq == InvalidEvent && Sec.Rel == InvalidEvent)
-          continue;
+        Sec.Acq = P.acquireIn(Window);
+        Sec.Rel = P.releaseIn(Window);
         // Body range in trace positions (clipped to the window).
         EventId Lo = Sec.Acq != InvalidEvent ? Sec.Acq : Window.Begin;
         EventId Hi = Sec.Rel != InvalidEvent ? Sec.Rel : Window.End - 1;
@@ -410,7 +406,7 @@ public:
     {
       ScopedPhaseTimer WcpPhase("wcp");
       Timer WcpClock;
-      Wcp.emplace(T, W.Window);
+      Wcp.emplace(T, W.Window, Mhb);
       if (Telemetry::enabled())
         MetricsRegistry::global()
             .histogram("wcp.latency_seconds")
@@ -430,9 +426,9 @@ public:
     for (Candidate &C : Out) {
       if (C.PreReject)
         continue;
-      // WCP/MHB prune: the exact mirror of the closure the quick check
-      // uses, so every pair pruned here would have been a qc-fail in the
-      // smt tier — reports are identical, the weak-HB recheck is skipped.
+      // MHB prune: the closure the quick check uses, so every pair pruned
+      // here would have been a qc-fail in the smt tier — reports are
+      // identical, the weak-HB recheck is skipped.
       if (Wcp->mhbOrdered(C.First, C.Second) ||
           Wcp->mhbOrdered(C.Second, C.First))
         C.PreReject = "wcp";

@@ -126,8 +126,6 @@ struct DetectorOptions {
   /// means a single attempt at PerCopBudgetSeconds — the exact historical
   /// behaviour. See docs/ROBUSTNESS.md.
   std::vector<double> RetryBudgets;
-  /// Seed for the retry backoff jitter (deterministic runs).
-  uint64_t RetryJitterSeed = 1;
   /// Directory for per-window checkpoints (`--checkpoint`); empty
   /// disables them. A run restarted with the same flags and trace resumes
   /// after the last completed window. See docs/ROBUSTNESS.md.

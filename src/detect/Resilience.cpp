@@ -9,10 +9,8 @@
 #include "support/Profile.h"
 #include "support/StringUtils.h"
 
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <thread>
 
 using namespace rvp;
 
@@ -52,10 +50,9 @@ bool rvp::parseBudgetList(const std::string &Spec, std::vector<double> &Out,
 }
 
 SolveHost::SolveHost(std::string SolverName, double BaseBudgetSeconds,
-                     std::vector<double> RetryBudgets, uint64_t JitterSeed)
+                     std::vector<double> RetryBudgets)
     : SolverName(std::move(SolverName)), BaseBudgetSeconds(BaseBudgetSeconds),
-      RetryBudgets(std::move(RetryBudgets)),
-      RngState(JitterSeed ? JitterSeed : 0x9e3779b97f4a7c15ULL) {}
+      RetryBudgets(std::move(RetryBudgets)) {}
 
 SolveHost::~SolveHost() = default;
 
@@ -111,16 +108,6 @@ void SolveHost::quarantineSession() {
     RebuiltOnce = true;
 }
 
-void SolveHost::backoff() {
-  // xorshift64* — deterministic per host, sub-millisecond so escalation
-  // never dominates the budget it protects.
-  RngState ^= RngState >> 12;
-  RngState ^= RngState << 25;
-  RngState ^= RngState >> 27;
-  uint64_t Us = 50 + (RngState * 0x2545f4914f6cdd1dULL >> 32) % 400;
-  std::this_thread::sleep_for(std::chrono::microseconds(Us));
-}
-
 SatResult SolveHost::attemptOnce(const FormulaBuilder &FB, NodeRef Root,
                                  double BudgetSeconds) {
   if (!SessionDead) {
@@ -158,7 +145,6 @@ SolveHost::Outcome SolveHost::decide(const FormulaBuilder &FB, NodeRef Root) {
         ++Stats.Retries;
         if (ProfileCollector *P = ProfileCollector::active())
           P->instant("solver-retry", "resilience");
-        backoff();
       }
       uint64_t QuarantinesBefore = Stats.DegradedSessions;
       Out.Sat = attemptOnce(FB, Root, Budget);

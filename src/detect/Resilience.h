@@ -10,8 +10,7 @@
 /// wrong between "formula encoded" and "COP decided":
 ///
 ///  * budget escalation — an Unknown answer is retried through the
-///    `--retry-budgets` ladder (with a tiny seeded jittered backoff
-///    between attempts) before the COP is given up;
+///    `--retry-budgets` ladder before the COP is given up;
 ///  * session quarantine — a poisoned incremental session (failed
 ///    clause-database allocation, backend exception, injected
 ///    `session.corrupt`) or a long streak of failed queries gets the
@@ -70,10 +69,9 @@ public:
   /// \p SolverName       backend to try first ("idl" or "z3");
   /// \p BaseBudgetSeconds the per-COP budget when the ladder is empty;
   /// \p RetryBudgets     escalating per-attempt budgets (empty = one
-  ///                     attempt at the base budget);
-  /// \p JitterSeed       seeds the backoff jitter (deterministic per host).
-  SolveHost(std::string SolverName, double BaseBudgetSeconds, std::vector<double> RetryBudgets,
-            uint64_t JitterSeed);
+  ///                     attempt at the base budget).
+  SolveHost(std::string SolverName, double BaseBudgetSeconds,
+            std::vector<double> RetryBudgets);
   ~SolveHost();
 
   struct Outcome {
@@ -98,7 +96,6 @@ private:
   void ensureSession();
   void ensureSolver();
   void quarantineSession();
-  void backoff();
 
   /// Consecutive failed session queries that get the session quarantined
   /// on suspicion of sickness even without a poisoned() report.
@@ -107,7 +104,6 @@ private:
   std::string SolverName;
   double BaseBudgetSeconds;
   std::vector<double> RetryBudgets;
-  uint64_t RngState;
 
   std::unique_ptr<SmtSession> Session;
   std::unique_ptr<SmtSolver> Solver;

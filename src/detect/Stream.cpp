@@ -209,12 +209,8 @@ bool StreamDetector::checkParse(std::string &Error) {
 }
 
 uint64_t StreamDetector::totalWindows(const Trace &T, bool Final) const {
-  uint32_t WS = Opts.Detect.WindowSize;
-  if (WS == 0) // one window over the whole trace: only FIN closes it
-    return Final && T.size() > 0 ? 1 : 0;
-  if (Final)
-    return (T.size() + WS - 1) / WS;
-  return T.size() / WS; // full windows only; the tail waits for FIN
+  // Full windows only until FIN: the tail may still grow.
+  return windowCount(T.size(), Opts.Detect.WindowSize, Final);
 }
 
 uint64_t StreamDetector::pendingWindows() {
@@ -266,7 +262,8 @@ bool StreamDetector::step(StreamStep &Out, bool Degrade,
   {
     ScopedPhaseTimer Phase(Live->Policy->Phase);
     Live->Driver.analyze(
-        splitWindows(T, Opts.Detect.WindowSize)[Run.WindowsDone], Degraded);
+        windowAt(T.size(), Opts.Detect.WindowSize, Run.WindowsDone),
+        Degraded);
   }
   const QueryPolicy &Policy = *Live->Policy;
   const std::vector<UnknownReport> &Unknowns = Live->Driver.output().Unknowns;

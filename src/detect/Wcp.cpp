@@ -21,9 +21,9 @@ uint64_t lockVarKey(LockId L, VarId V) {
 }
 
 /// One open critical section of a thread. AcqTime is 0 for sections whose
-/// acquire precedes the window (the pre-pass below); their rule-(b)
-/// trigger is then vacuously true, which over-orders — the safe direction:
-/// an over-ordered pair falls back to the solver, it is never called racy.
+/// acquire precedes the window; their rule-(b) trigger is then vacuously
+/// true, which over-orders — the safe direction: an over-ordered pair
+/// falls back to the solver, it is never called racy.
 struct OpenSection {
   LockId Lock = 0;
   uint64_t AcqTime = 0;
@@ -50,48 +50,42 @@ struct LockState {
 
 } // namespace
 
-WcpIndex::WcpIndex(const Trace &T, Span S) : T(T), Window(S) { build(); }
+WcpIndex::WcpIndex(const Trace &T, Span S, const EventClosure &Mhb)
+    : T(T), Window(S), Mhb(Mhb) {
+  build();
+}
 
 void WcpIndex::build() {
   const uint32_t NumThreads = T.numThreads();
-  Snapshots.assign(Window.size(), PerEvent{VectorClock(NumThreads),
-                                           VectorClock(NumThreads)});
+  P.assign(Window.size(), VectorClock(NumThreads));
 
-  std::vector<VectorClock> P(NumThreads, VectorClock(NumThreads));
-  std::vector<VectorClock> M(NumThreads, VectorClock(NumThreads));
+  std::vector<VectorClock> Clock(NumThreads, VectorClock(NumThreads));
 
-  // HB-edge carries for P (rule (c): x ≺wcp y ≤hb z ⇒ x ≺wcp z) and the
-  // MHB mirror for M — the same maps, keyed the same way, as Closure.cpp
-  // so the M verdicts match the quick check's EventClosure exactly. M
-  // deliberately has no lock or volatile entries (ClosureConfig::mhb()).
-  std::unordered_map<ThreadId, VectorClock> PendingBeginP, PendingBeginM;
-  std::unordered_map<ThreadId, VectorClock> EndP, EndM;
-  std::unordered_map<LockId, VectorClock> LastReleaseP;
-  std::unordered_map<VarId, VectorClock> LastVolatileWriteP;
-  std::unordered_map<uint32_t, VectorClock> WaitRelP, WaitRelM;
-  std::unordered_map<uint32_t, VectorClock> NotifyP, NotifyM;
+  // HB-edge carries (rule (c): x ≺wcp y ≤hb z ⇒ x ≺wcp z), keyed the same
+  // way as Closure.cpp's.
+  std::unordered_map<ThreadId, VectorClock> PendingBegin, EndClock;
+  std::unordered_map<LockId, VectorClock> LastRelease;
+  std::unordered_map<VarId, VectorClock> LastVolatileWrite;
+  std::unordered_map<uint32_t, VectorClock> WaitRelease, NotifyClock;
 
   std::unordered_map<uint64_t, VectorClock> ReadSends, WriteSends;
   std::unordered_map<LockId, LockState> Locks;
   std::vector<std::vector<OpenSection>> Open(NumThreads);
 
-  // Pre-pass: a release whose acquire lies before the window means the
-  // thread entered the window already holding the lock; open a section
-  // for it from the window start so rule (a) still sees its accesses.
+  // A thread that enters the window holding a lock has a section open from
+  // the window start, so rule (a) still sees its accesses.
   {
-    std::vector<std::vector<LockId>> Depth(NumThreads);
-    for (EventId Id = Window.Begin; Id < Window.End; ++Id) {
-      const Event &E = T[Id];
-      if (E.isAcquire()) {
-        Depth[E.Tid].push_back(E.Target);
-      } else if (E.isRelease()) {
-        std::vector<LockId> &D = Depth[E.Tid];
-        if (!D.empty() && D.back() == E.Target)
-          D.pop_back();
-        else
-          Open[E.Tid].push_back(OpenSection{E.Target, 0, {}, {}});
-      }
-    }
+    std::vector<const LockPair *> Entry;
+    for (LockId Lock = 0; Lock < T.numLocks(); ++Lock)
+      for (const LockPair &Pair : T.lockPairsTouching(Lock, Window))
+        if (Pair.acquireIn(Window) == InvalidEvent)
+          Entry.push_back(&Pair);
+    std::sort(Entry.begin(), Entry.end(),
+              [](const LockPair *A, const LockPair *B) {
+                return A->ReleaseId < B->ReleaseId;
+              });
+    for (const LockPair *Pair : Entry)
+      Open[Pair->Tid].push_back(OpenSection{Pair->Lock, 0, {}, {}});
   }
 
   auto joinIfPresent = [](VectorClock &Into, const auto &Map, auto Key) {
@@ -112,7 +106,7 @@ void WcpIndex::build() {
     LockConsumer &C = LS.Consumers[Tid];
     while (C.NextImport < LS.Records.size())
       C.Pending.push_back(C.NextImport++);
-    VectorClock &PT = P[Tid];
+    VectorClock &PT = Clock[Tid];
     bool Progress = true;
     while (Progress) {
       Progress = false;
@@ -132,38 +126,31 @@ void WcpIndex::build() {
 
   for (EventId Id = Window.Begin; Id < Window.End; ++Id) {
     const Event &E = T[Id];
-    VectorClock &PT = P[E.Tid];
-    VectorClock &MT = M[E.Tid];
+    VectorClock &PT = Clock[E.Tid];
 
-    // Inbound edges join before the event's own stamp.
+    // Inbound edges join before the event's own snapshot.
     switch (E.Kind) {
     case EventKind::Begin:
-      joinIfPresent(PT, PendingBeginP, E.Tid);
-      joinIfPresent(MT, PendingBeginM, E.Tid);
+      joinIfPresent(PT, PendingBegin, E.Tid);
       break;
     case EventKind::Join:
-      joinIfPresent(PT, EndP, static_cast<ThreadId>(E.Target));
-      joinIfPresent(MT, EndM, static_cast<ThreadId>(E.Target));
+      joinIfPresent(PT, EndClock, static_cast<ThreadId>(E.Target));
       break;
     case EventKind::Acquire:
-      joinIfPresent(PT, LastReleaseP, static_cast<LockId>(E.Target));
-      if (E.Aux != 0) {
-        joinIfPresent(PT, NotifyP, E.Aux);
-        joinIfPresent(MT, NotifyM, E.Aux);
-      }
+      joinIfPresent(PT, LastRelease, static_cast<LockId>(E.Target));
+      if (E.Aux != 0)
+        joinIfPresent(PT, NotifyClock, E.Aux);
       Open[E.Tid].push_back(
           OpenSection{static_cast<LockId>(E.Target), time(Id), {}, {}});
       break;
     case EventKind::Notify:
-      if (E.Aux != 0) {
-        joinIfPresent(PT, WaitRelP, E.Aux);
-        joinIfPresent(MT, WaitRelM, E.Aux);
-      }
+      if (E.Aux != 0)
+        joinIfPresent(PT, WaitRelease, E.Aux);
       break;
     case EventKind::Read:
     case EventKind::Write:
       if (E.Volatile) {
-        joinIfPresent(PT, LastVolatileWriteP, static_cast<VarId>(E.Target));
+        joinIfPresent(PT, LastVolatileWrite, static_cast<VarId>(E.Target));
       } else {
         // Rule (a): under each held lock, join the sends of earlier
         // sections whose accesses conflict with this one, and record the
@@ -189,28 +176,21 @@ void WcpIndex::build() {
       break; // Branch, Wait marker, Fork, End: no inbound edges
     }
 
-    // The event itself: own program order is MHB, never proper WCP.
-    MT.set(E.Tid, time(Id));
-    PerEvent &Snap = Snapshots[Id - Window.Begin];
-    Snap.P = PT;
-    Snap.M = MT;
+    // Own program order is MHB, never proper WCP: P holds no own tick.
+    P[Id - Window.Begin] = PT;
 
-    // Outbound edges snapshot the clocks after the event.
+    // Outbound edges snapshot the clock after the event.
     switch (E.Kind) {
     case EventKind::Fork:
-      PendingBeginP[static_cast<ThreadId>(E.Target)] = PT;
-      PendingBeginM[static_cast<ThreadId>(E.Target)] = MT;
+      PendingBegin[static_cast<ThreadId>(E.Target)] = PT;
       break;
     case EventKind::End:
-      EndP[E.Tid] = PT;
-      EndM[E.Tid] = MT;
+      EndClock[E.Tid] = PT;
       break;
     case EventKind::Release: {
-      if (E.Aux != 0) {
-        WaitRelP[E.Aux] = PT;
-        WaitRelM[E.Aux] = MT;
-      }
-      LastReleaseP[static_cast<LockId>(E.Target)] = PT;
+      if (E.Aux != 0)
+        WaitRelease[E.Aux] = PT;
+      LastRelease[static_cast<LockId>(E.Target)] = PT;
       // Close the innermost open section on this lock and publish its
       // send: P at the release joined with the releaser's own time — the
       // one place WCP hands out its own component (rules (a)/(b)).
@@ -239,14 +219,12 @@ void WcpIndex::build() {
       break;
     }
     case EventKind::Notify:
-      if (E.Aux != 0) {
-        NotifyP[E.Aux] = PT;
-        NotifyM[E.Aux] = MT;
-      }
+      if (E.Aux != 0)
+        NotifyClock[E.Aux] = PT;
       break;
     case EventKind::Write:
       if (E.Volatile)
-        LastVolatileWriteP[static_cast<VarId>(E.Target)] = PT;
+        LastVolatileWrite[static_cast<VarId>(E.Target)] = PT;
       break;
     default:
       break;

@@ -373,9 +373,9 @@ private:
 
     const RaceEncoder &Encoder = W.encoder();
     if (!Ctx.Host)
-      Ctx.Host = std::make_unique<SolveHost>(
-          Options.SolverName, Options.PerCopBudgetSeconds,
-          Options.RetryBudgets, Options.RetryJitterSeed + Out.Stats.Windows);
+      Ctx.Host = std::make_unique<SolveHost>(Options.SolverName,
+                                             Options.PerCopBudgetSeconds,
+                                             Options.RetryBudgets);
     // One builder per window (per worker), so shared subformulas are
     // hash-consed once and the session's learned clauses stay meaningful.
     FormulaBuilder &FB = Ctx.FB;

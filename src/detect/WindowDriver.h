@@ -167,7 +167,9 @@ public:
   bool Solves = true;
   /// The WCP tier runs, so its counters are flushed.
   bool WcpTier = false;
-  /// Solver-bound candidates are the WCP tier's residue.
+  /// Solver-bound candidates are the WCP tier's residue. Not derived
+  /// from Solves && WcpTier: atomicity's wcp stage is only its MHB
+  /// prune, and it counts no residue.
   bool WcpResidue = false;
   /// Solved findings get a witness (with DetectorOptions::CollectWitnesses).
   bool WitnessOnSat = true;

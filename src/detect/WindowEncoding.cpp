@@ -125,16 +125,13 @@ WindowEncoding::WindowEncoding(const Trace &T, Span S, const EventClosure &Mhb,
   };
   for (LockId Lock = 0; Lock < T.numLocks(); ++Lock) {
     std::vector<SpanPair> Pairs;
-    for (const LockPair &P : T.lockPairsOf(Lock)) {
+    for (const LockPair &P : T.lockPairsTouching(Lock, Window)) {
       SpanPair SP;
       SP.Tid = P.Tid;
       SP.SectionAcq = P.AcquireId;
-      if (P.AcquireId != InvalidEvent && Window.contains(P.AcquireId))
-        SP.Acq = P.AcquireId;
-      if (P.ReleaseId != InvalidEvent && Window.contains(P.ReleaseId))
-        SP.Rel = P.ReleaseId;
-      if (SP.Acq != InvalidEvent || SP.Rel != InvalidEvent)
-        Pairs.push_back(SP);
+      SP.Acq = P.acquireIn(Window);
+      SP.Rel = P.releaseIn(Window);
+      Pairs.push_back(SP);
     }
     for (size_t I = 0; I < Pairs.size(); ++I) {
       for (size_t J = I + 1; J < Pairs.size(); ++J) {

@@ -62,9 +62,8 @@ WitnessCheckResult checkCore(const Trace &T, Span S,
   // Sections active at window entry (release without acquire) hold their
   // lock from the start.
   for (LockId Lock = 0; Lock < T.numLocks(); ++Lock)
-    for (const LockPair &P : T.lockPairsOf(Lock))
-      if (P.ReleaseId != InvalidEvent && S.contains(P.ReleaseId) &&
-          (P.AcquireId == InvalidEvent || !S.contains(P.AcquireId)))
+    for (const LockPair &P : T.lockPairsTouching(Lock, S))
+      if (P.acquireIn(S) == InvalidEvent)
         Holder[Lock] = P.Tid;
 
   for (uint32_t Pos = 0; Pos < Order.size(); ++Pos) {

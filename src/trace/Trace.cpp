@@ -238,6 +238,15 @@ std::span<const LockPair> Trace::lockPairsStartingIn(LockId Lock,
   return {Begin, std::lower_bound(Begin, Pairs.end(), S.End, StartsBefore)};
 }
 
+std::span<const LockPair> Trace::lockPairsTouching(LockId Lock,
+                                                   Span S) const {
+  std::span<const LockPair> Starting = lockPairsStartingIn(Lock, S);
+  const LockPair *First = Starting.data();
+  if (First != ByLock[Lock].Pairs.data() && S.contains(First[-1].ReleaseId))
+    --First;
+  return {First, Starting.data() + Starting.size()};
+}
+
 EventId Trace::notifyOfMatch(uint32_t Aux) const {
   auto It = NotifyByMatch.find(Aux);
   return It == NotifyByMatch.end() ? InvalidEvent : It->second;

@@ -55,6 +55,17 @@ struct LockPair {
   EventId ReleaseId = InvalidEvent;
   ThreadId Tid = 0;
   LockId Lock = 0;
+
+  /// The acquire if it lies in \p S, else InvalidEvent: the section was
+  /// entered before the window (or never, in a trace fragment).
+  EventId acquireIn(Span S) const {
+    return S.contains(AcquireId) ? AcquireId : InvalidEvent;
+  }
+  /// The release if it lies in \p S, else InvalidEvent: the lock is still
+  /// held at the window end.
+  EventId releaseIn(Span S) const {
+    return S.contains(ReleaseId) ? ReleaseId : InvalidEvent;
+  }
 };
 
 /// Aggregate counts reported in Table 1 of the paper.
@@ -158,6 +169,15 @@ public:
   /// lockPairsOf(Lock), found by binary search. Every pair with an
   /// acquire in \p S is among them.
   std::span<const LockPair> lockPairsStartingIn(LockId Lock, Span S) const;
+  /// The critical sections of \p Lock that window \p S sees, in pair
+  /// order: the pairs starting in \p S, preceded by the one pair that
+  /// straddles the window start (acquired before \p S, released in it),
+  /// if any. A section that spans the whole window is not among them.
+  /// The window clips each at its ends (LockPair::acquireIn/releaseIn).
+  /// The same binary search as lockPairsStartingIn: on a consistent trace
+  /// at most one thread holds the lock at the seam, and its pair is the
+  /// last one to start before it.
+  std::span<const LockPair> lockPairsTouching(LockId Lock, Span S) const;
 
   /// Fork event of thread \p Tid (the event fork(_, Tid)), or InvalidEvent.
   EventId forkOf(ThreadId Tid) const { return ByThread[Tid].Fork; }

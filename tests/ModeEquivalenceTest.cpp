@@ -22,9 +22,10 @@
 /// cp and hb relations, which never reach a solver. prune_workload.rv asks
 /// the solver one satisfiable query, so rv and said also run on
 /// props_workload.rv at the smt tier, whose windows hold unsatisfiable
-/// queries too. Non-vacuity checks make sure the default run really slices
-/// and really decides through sessions. DetectorPropertyTest repeats both
-/// comparisons on fuzzed traces.
+/// queries too, and rv at the default tier in 37-event windows, whose
+/// seam cuts through a critical section. Non-vacuity checks make sure the
+/// default run really slices and really decides through sessions.
+/// DetectorPropertyTest repeats both comparisons on fuzzed traces.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,6 +89,13 @@ std::vector<Row> solverRows() {
     for (uint32_t Jobs : {1u, 4u})
       Rows.push_back({"props_workload.rv", "rr", Jobs,
                       {{"property", Property}, {"window", "24"}}});
+  // At 37 events the seam cuts through a critical section, so the WCP
+  // tier, the encoder and the witness checks of the second window read a
+  // section open at window entry (Trace::lockPairsTouching), concurrently
+  // with four jobs.
+  for (uint32_t Jobs : {1u, 4u})
+    Rows.push_back({"props_workload.rv", "rr", Jobs,
+                    {{"technique", "rv"}, {"window", "37"}}});
   return Rows;
 }
 

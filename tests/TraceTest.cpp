@@ -477,3 +477,75 @@ TEST(TraceIndex, EdgeTracesMatchRebuild) {
   EXPECT_GT(Stats.SkippedEvents, 0u);
   expectIndexMatchesRebuild(*Parsed, "edge trace, skip-bad parse");
 }
+
+namespace {
+
+/// The reference for Trace::lockPairsTouching: every pair of \p Lock in
+/// the whole trace, kept when its acquire or its release lies in \p Window.
+std::vector<LockPair> wholeTraceSections(const Trace &T, LockId Lock,
+                                         Span Window) {
+  std::vector<LockPair> Pairs;
+  for (const LockPair &P : T.lockPairsOf(Lock))
+    if (Window.contains(P.AcquireId) || Window.contains(P.ReleaseId))
+      Pairs.push_back(P);
+  return Pairs;
+}
+
+} // namespace
+
+// The seam view finds a window's critical sections by binary search, and
+// that is exact on recorded traces: at most one thread holds a lock at
+// the seam, and its pair is the last one to start before it.
+TEST(TraceIndex, SeamViewMatchesWholeTraceFilter) {
+  std::vector<Trace> Traces;
+  for (uint64_t Seed = 1; Seed <= 6; ++Seed)
+    Traces.push_back(recordFuzzedTrace(Seed));
+  for (const char *Name : {"derby", "eclipse"}) {
+    SyntheticSpec Spec = realSystemSpec(Name);
+    Spec.TargetEvents = 8000;
+    Traces.push_back(generateSynthetic(Spec));
+  }
+  size_t Straddling = 0;
+  for (const Trace &T : Traces) {
+    for (uint32_t WindowSize : {static_cast<uint32_t>(T.size()), 1000u, 37u}) {
+      for (Span Window : splitWindows(T, WindowSize)) {
+        for (LockId Lock = 0; Lock < T.numLocks(); ++Lock) {
+          std::span<const LockPair> Seen = T.lockPairsTouching(Lock, Window);
+          std::vector<LockPair> Got(Seen.begin(), Seen.end());
+          EXPECT_EQ(pairFields(Got),
+                    pairFields(wholeTraceSections(T, Lock, Window)))
+              << "window " << Window.Begin << ", lock " << Lock;
+          for (const LockPair &P : Got)
+            Straddling += P.AcquireId != InvalidEvent &&
+                          P.acquireIn(Window) == InvalidEvent;
+        }
+      }
+    }
+  }
+  EXPECT_GT(Straddling, 0u) << "no window starts inside a critical section";
+}
+
+TEST(Window, CountAndIndexAgreeWithSplit) {
+  for (uint64_t Total : {0u, 1u, 14u, 15u, 16u}) {
+    for (uint32_t Size : {0u, 1u, 4u, 15u, 40u}) {
+      SCOPED_TRACE(std::to_string(Total) + " events, window " +
+                   std::to_string(Size));
+      TraceBuilder B;
+      for (uint64_t I = 0; I < Total; ++I)
+        B.branch("t1");
+      Trace T = B.build();
+      std::vector<Span> Windows = splitWindows(T, Size);
+      ASSERT_EQ(windowCount(Total, Size, /*Final=*/true), Windows.size());
+      for (uint64_t K = 0; K < Windows.size(); ++K) {
+        EXPECT_EQ(windowAt(Total, Size, K).Begin, Windows[K].Begin);
+        EXPECT_EQ(windowAt(Total, Size, K).End, Windows[K].End);
+      }
+      // Before the end only full windows count; one whole-trace window
+      // never is.
+      uint64_t Full = 0;
+      for (Span W : Windows)
+        Full += Size != 0 && W.size() == Size;
+      EXPECT_EQ(windowCount(Total, Size, /*Final=*/false), Full);
+    }
+  }
+}

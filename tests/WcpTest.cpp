@@ -24,37 +24,21 @@ using namespace rvp;
 
 namespace {
 
-WcpIndex index(const Trace &T) { return WcpIndex(T, T.fullSpan()); }
+/// The window's MHB closure, which the index reads, held ahead of it.
+struct MhbOf {
+  EventClosure Closure;
+};
+
+/// The WCP index of \p T as one window, owning the MHB closure it reads.
+struct WholeTraceWcp : MhbOf, WcpIndex {
+  explicit WholeTraceWcp(const Trace &T)
+      : MhbOf{EventClosure(T, T.fullSpan(), ClosureConfig::mhb())},
+        WcpIndex(T, T.fullSpan(), Closure) {}
+};
 
 } // namespace
 
-// ------------------------------------------------------------- MHB mirror
-
-// The M clocks must agree with the quick check's EventClosure on every
-// ordered pair — the wcp-prune stage is sound only because of this.
-TEST(Wcp, MhbMirrorsEventClosure) {
-  TraceBuilder B;
-  B.write("t1", "a", 1);   // 0
-  B.fork("t1", "t2");      // 1
-  B.begin("t2");           // 2
-  B.write("t2", "b", 1);   // 3
-  B.acquire("t2", "l");    // 4
-  B.write("t2", "c", 1);   // 5
-  B.release("t2", "l");    // 6
-  B.acquire("t1", "l");    // 7
-  B.write("t1", "c", 2);   // 8
-  B.release("t1", "l");    // 9
-  B.end("t2");             // 10
-  B.join("t1", "t2");      // 11
-  B.write("t1", "b", 2);   // 12
-  Trace T = B.build();
-  EventClosure C(T, T.fullSpan(), ClosureConfig::mhb());
-  WcpIndex W = index(T);
-  for (EventId A = 0; A < T.size(); ++A)
-    for (EventId Z = A + 1; Z < T.size(); ++Z)
-      EXPECT_EQ(W.mhbOrdered(A, Z), C.ordered(A, Z))
-          << "events " << A << " -> " << Z;
-}
+// ------------------------------------------------------------- MHB
 
 TEST(Wcp, MhbIgnoresLockEdges) {
   TraceBuilder B;
@@ -65,7 +49,7 @@ TEST(Wcp, MhbIgnoresLockEdges) {
   B.write("t2", "y", 1); // 4
   B.release("t2", "l");  // 5
   Trace T = B.build();
-  WcpIndex W = index(T);
+  WholeTraceWcp W(T);
   EXPECT_FALSE(W.mhbOrdered(1, 4))
       << "release->acquire is an HB edge, not an MHB edge";
   EXPECT_TRUE(W.mhbOrdered(0, 2)) << "program order is MHB";
@@ -86,7 +70,7 @@ TEST(Wcp, RuleAOrdersConflictingSections) {
   B.write("t2", "x", 2); // 6
   B.release("t2", "l");  // 7
   Trace T = B.build();
-  WcpIndex W = index(T);
+  WholeTraceWcp W(T);
   EXPECT_TRUE(W.wcpOrdered(3, 6)) << "release(4) ≺wcp conflicting write(6)";
   EXPECT_FALSE(W.racy(3, 6));
 }
@@ -105,7 +89,7 @@ TEST(Wcp, NoOrderWithoutConflictingAccess) {
   B.release("t2", "l");  // 7
   B.write("t1", "y", 2); // 8
   Trace T = B.build();
-  WcpIndex W = index(T);
+  WholeTraceWcp W(T);
   EXPECT_TRUE(W.racy(6, 8))
       << "the y accesses share no conflicting critical sections";
 }
@@ -128,7 +112,7 @@ TEST(Wcp, RuleAReadsOnlyOrderAgainstWrites) {
   B.write("t3", "x", 1); // 11
   B.release("t3", "l");  // 12
   Trace T = B.build();
-  WcpIndex W = index(T);
+  WholeTraceWcp W(T);
   EXPECT_FALSE(W.wcpOrdered(5, 8)) << "read-read does not conflict";
   EXPECT_TRUE(W.wcpOrdered(5, 11)) << "read(5) orders the later write(11)";
   EXPECT_TRUE(W.wcpOrdered(8, 11));
@@ -156,7 +140,7 @@ TEST(Wcp, RuleBOrdersReleases) {
   B.write("t2", "y", 2); // 12
   B.release("t2", "m");  // 13
   Trace T = B.build();
-  WcpIndex W = index(T);
+  WholeTraceWcp W(T);
   // Rule (a) orders the x accesses; rule (b) then lifts acquire(2) ≺wcp
   // release(13) to release(7) ≺wcp release(13)... but y(6) precedes
   // release(7) only via program order *backward*, so check the direct
@@ -185,7 +169,7 @@ TEST(Wcp, HbCompositionCarriesOrder) {
   B.begin("t3");         // 9
   B.write("t3", "x", 3); // 10
   Trace T = B.build();
-  WcpIndex W = index(T);
+  WholeTraceWcp W(T);
   EXPECT_TRUE(W.wcpOrdered(3, 10))
       << "x(3) ≺wcp x(6) composes through fork(8) into t3";
 }
@@ -199,7 +183,7 @@ TEST(Wcp, UnprotectedConflictIsRacy) {
   B.write("t1", "x", 1); // 2
   B.write("t2", "x", 2); // 3
   Trace T = B.build();
-  WcpIndex W = index(T);
+  WholeTraceWcp W(T);
   EXPECT_TRUE(W.racy(2, 3));
   EXPECT_FALSE(W.mhbOrdered(2, 3));
 }
@@ -218,7 +202,7 @@ TEST(Wcp, CommonLockNeverRacyInWindow) {
   B.read("t2", "x", 1);  // 6
   B.release("t2", "l");  // 7
   Trace T = B.build();
-  WcpIndex W = index(T);
+  WholeTraceWcp W(T);
   EXPECT_FALSE(W.racy(3, 6));
 }
 
@@ -234,9 +218,31 @@ TEST(Wcp, WindowClippedSectionOverOrders) {
   B.write("t2", "x", 2); // 5
   B.release("t2", "l");  // 6
   Trace T = B.build();
-  WcpIndex W = index(T);
+  WholeTraceWcp W(T);
   EXPECT_FALSE(W.racy(2, 5))
       << "the clipped t1 section still publishes x into the lock";
+}
+
+// A thread that releases out of nesting order (m1 while it still holds
+// m2) enters the window holding nothing: its sections come from the lock
+// pairs, so no section on m1 stays open after the release, and the later
+// unlocked write races with the write under m1.
+TEST(Wcp, NonLifoReleaseOpensNoEntrySection) {
+  TraceBuilder B;
+  B.fork("t1", "t2");     // 0
+  B.begin("t2");          // 1
+  B.acquire("t2", "m1");  // 2
+  B.write("t2", "x", 1);  // 3
+  B.release("t2", "m1");  // 4
+  B.acquire("t1", "m1");  // 5
+  B.acquire("t1", "m2");  // 6
+  B.release("t1", "m1");  // 7  m2 is still held
+  B.release("t1", "m2");  // 8
+  B.write("t1", "x", 2);  // 9  no lock held
+  Trace T = B.build();
+  WholeTraceWcp W(T);
+  EXPECT_TRUE(W.racy(3, 9)) << "write(9) lies in no section over m1";
+  EXPECT_FALSE(W.mhbOrdered(3, 9));
 }
 
 // ----------------------------------------------------- tier equivalence
@@ -338,7 +344,7 @@ public:
 
   void enumerate(WindowContext &W, std::vector<Candidate> &Out) override {
     Inner->enumerate(W, Out);
-    WcpIndex Wcp(T, W.Window);
+    WcpIndex Wcp(T, W.Window, W.mhb());
     for (const Candidate &C : Out)
       if (Wcp.racy(C.First, C.Second))
         WcpRacy.insert(key(C));

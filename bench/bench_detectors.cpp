@@ -28,6 +28,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -236,6 +237,27 @@ std::string prunableSource(uint32_t Iters) {
          "}\n";
 }
 
+/// Counts which rule pruned each COP the oracle it wraps is asked about:
+/// the bench's per-rule breakdown (a detection run counts only the total
+/// and the MHB rule). The driver consults the pruner from one thread.
+class RuleCountingPruner : public CopPruner {
+public:
+  explicit RuleCountingPruner(const CopPruner &Inner) : Inner(Inner) {}
+
+  Rule prunable(const Trace &T, EventId A, EventId B) const override {
+    Rule R = Inner.prunable(T, A, B);
+    ++Counts[static_cast<size_t>(R)];
+    return R;
+  }
+
+  uint64_t count(Rule R) const { return Counts[static_cast<size_t>(R)]; }
+  void reset() { Counts.fill(0); }
+
+private:
+  const CopPruner &Inner;
+  mutable std::array<uint64_t, 4> Counts{};
+};
+
 /// Program, recorded trace, and bound oracle; the oracle holds references
 /// into both, so the three live and die together.
 struct PruneWorkload {
@@ -278,24 +300,27 @@ void runPruneBench(benchmark::State &State, bool UsePruner) {
   Options.PerCopBudgetSeconds = 30;
   Options.CollectWitnesses = false;
   Options.Jobs = JobsFlag;
-  Options.StaticPruner = UsePruner ? &W.Oracle : nullptr;
+  RuleCountingPruner Stages(W.Oracle);
+  Options.StaticPruner = UsePruner ? &Stages : nullptr;
   Options.CfFold = UsePruner ? &W.Oracle : nullptr;
   DetectionStats Stats;
   size_t Races = 0;
   for (auto _ : State) {
-    W.Oracle.resetStageCounts();
+    Stages.reset();
     DetectionResult R = detectRaces(W.T, Technique::Maximal, Options);
     Races = R.raceCount();
     Stats = R.Stats;
     benchmark::DoNotOptimize(R);
   }
-  PruneStageCounts Stages = W.Oracle.stageCounts();
+  using Rule = CopPruner::Rule;
   State.counters["races"] = static_cast<double>(Races);
   State.counters["cops"] = static_cast<double>(Stats.Cops);
   State.counters["pruned"] = static_cast<double>(Stats.CopsPrunedStatic);
-  State.counters["pruned_interval"] = static_cast<double>(Stages.Interval);
-  State.counters["pruned_lockset"] = static_cast<double>(Stages.Lockset);
-  State.counters["pruned_mhb"] = static_cast<double>(Stages.Mhb);
+  State.counters["pruned_interval"] =
+      static_cast<double>(Stages.count(Rule::Interval));
+  State.counters["pruned_lockset"] =
+      static_cast<double>(Stages.count(Rule::Lockset));
+  State.counters["pruned_mhb"] = static_cast<double>(Stages.count(Rule::Mhb));
   State.counters["solves"] = static_cast<double>(Stats.SolverCalls);
   State.counters["events/s"] = benchmark::Counter(
       static_cast<double>(W.T.size()),
@@ -431,16 +456,16 @@ int dumpStaticPruneJson(const std::string &Path) {
     Options.CfFold = nullptr;
     DetectionResult Baseline = detectRaces(W.T, Tech, Options);
     Telemetry::instance().reset();
-    Options.StaticPruner = &W.Oracle;
+    RuleCountingPruner Stages(W.Oracle);
+    Options.StaticPruner = &Stages;
     Options.CfFold = &W.Oracle;
-    W.Oracle.resetStageCounts();
     DetectionResult Pruned = detectRaces(W.T, Tech, Options);
-    PruneStageCounts Stages = W.Oracle.stageCounts();
 
+    using Rule = CopPruner::Rule;
     JsonObject StageObj;
-    StageObj.field("interval", Stages.Interval)
-        .field("lockset", Stages.Lockset)
-        .field("mhb", Stages.Mhb);
+    StageObj.field("interval", Stages.count(Rule::Interval))
+        .field("lockset", Stages.count(Rule::Lockset))
+        .field("mhb", Stages.count(Rule::Mhb));
 
     JsonObject Cmp;
     Cmp.field("races", static_cast<uint64_t>(Baseline.raceCount()))

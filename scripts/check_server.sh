@@ -86,6 +86,18 @@ expect_counter() {
   fi
 }
 
+# expect_run_metadata <label>: the daemon's stats JSON starts with the run
+# metadata every --stats-json object carries (docs/OBSERVABILITY.md).
+expect_run_metadata() {
+  CHECKS=$((CHECKS + 1))
+  if ! head -c 200 "$WORK/stats.json" | grep -Eq \
+      '^\{"schema_version":[0-9]+,"git_sha":"[^"]+","timestamp":"[0-9T:-]+Z",'
+  then
+    fail "$1: stats JSON does not start with the run metadata" \
+      "$WORK/stats.json"
+  fi
+}
+
 # clean_client <label>: a fresh session must still match batch exactly.
 clean_client() {
   LABEL="$1"
@@ -157,6 +169,7 @@ clean_client worker_abort
 stop_daemon
 expect_counter server.worker_aborts 1 worker_abort
 expect_counter server.sessions_errored 1 worker_abort
+expect_run_metadata worker_abort
 
 # --- Inconsistent input: streamed and batch ingest reject alike ---------
 # One impossible read, no skip-bad-events: batch detect exits 2 and the

@@ -9,7 +9,6 @@
 #include "analysis/AstWalk.h"
 #include "analysis/Cfg.h"
 #include "analysis/StaticLockset.h"
-#include "support/Telemetry.h"
 
 using namespace rvp;
 
@@ -91,15 +90,15 @@ uint32_t StaticPruneOracle::lineOf(const Event &E) const {
   return E.Loc != UnknownLoc && E.Loc < LocLine.size() ? LocLine[E.Loc] : 0;
 }
 
-bool StaticPruneOracle::prunable(const Trace &T, EventId A,
-                                 EventId B) const {
+CopPruner::Rule StaticPruneOracle::prunable(const Trace &T, EventId A,
+                                            EventId B) const {
   if (Bound != &T)
-    return false; // unbound or different trace: no information
+    return Rule::None; // unbound or different trace: no information
   const Event &Ea = T[A];
   const Event &Eb = T[B];
   uint32_t Ta = Ea.Tid, Tb = Eb.Tid;
   if (Ta == Tb || Ta >= NumThreads || Tb >= NumThreads)
-    return false;
+    return Rule::None;
   uint32_t La = lineOf(Ea);
   uint32_t Lb = lineOf(Eb);
 
@@ -108,19 +107,15 @@ bool StaticPruneOracle::prunable(const Trace &T, EventId A,
   // orders them for every technique.
   if (!Escape.mayHappenInParallel(Ta, Tb) ||
       (Ta == 0 && La != 0 && !Escape.lineMayOverlap(La, Tb)) ||
-      (Tb == 0 && Lb != 0 && !Escape.lineMayOverlap(Lb, Ta))) {
-    PrunedInterval.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
+      (Tb == 0 && Lb != 0 && !Escape.lineMayOverlap(Lb, Ta)))
+    return Rule::Interval;
 
   // 2. Common must-held lock: the accesses sit in critical sections of
   // the same lock in every execution; mutual exclusion orders them in
   // every technique (boundary sections are closed by the encodings).
   if (La != 0 && Lb != 0 &&
-      (mustLocksAt(Ta, La) & mustLocksAt(Tb, Lb)) != 0) {
-    PrunedLockset.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
+      (mustLocksAt(Ta, La) & mustLocksAt(Tb, Lb)) != 0)
+    return Rule::Lockset;
 
   // 3. Static must-happen-before beyond stage 1's top-level intervals:
   // fork/join dominance orders the statement pair in every execution
@@ -128,17 +123,10 @@ bool StaticPruneOracle::prunable(const Trace &T, EventId A,
   // lies inside every window containing both.
   if (La != 0 && Lb != 0 &&
       (Mhb.orderedBefore(Ta, La, Tb, Lb) ||
-       Mhb.orderedBefore(Tb, Lb, Ta, La))) {
-    PrunedMhb.fetch_add(1, std::memory_order_relaxed);
-    if (Telemetry::enabled()) {
-      static Counter &MhbPruned =
-          MetricsRegistry::global().counter("analysis.pruned_static_mhb");
-      MhbPruned.add(1);
-    }
-    return true;
-  }
+       Mhb.orderedBefore(Tb, Lb, Ta, La)))
+    return Rule::Mhb;
 
-  return false;
+  return Rule::None;
 }
 
 bool StaticPruneOracle::foldableBranch(const Trace &T,

@@ -7,7 +7,9 @@
 /// \file
 /// StaticPruneOracle: the CopPruner implementation that lets the dynamic
 /// detectors skip conflicting operation pairs the *program text* already
-/// proves race-free. A pair is prunable when any stage fires:
+/// proves race-free. A pair is prunable when any stage fires; prunable()
+/// names the first that does (CopPruner::Rule), and the window driver
+/// counts it:
 ///
 ///  1. the two accesses can never overlap in time — their threads' live
 ///     intervals (top-level spawn/join in main) are disjoint, or the main
@@ -52,21 +54,11 @@
 #include "detect/Detect.h"
 #include "lang/Ast.h"
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <vector>
 
 namespace rvp {
-
-/// Per-stage prune tallies since construction or the last reset (the
-/// bench's per-stage breakdown; stages are tried in order, so each COP is
-/// counted at the first stage that fires).
-struct PruneStageCounts {
-  uint64_t Interval = 0; ///< stage 1: temporal disjointness
-  uint64_t Lockset = 0;  ///< stage 2: common must-held lock
-  uint64_t Mhb = 0;      ///< stage 3: static must-happen-before
-};
 
 class StaticPruneOracle : public CopPruner, public CfFoldOracle {
 public:
@@ -79,7 +71,7 @@ public:
   /// trace conservatively answer false.
   void bind(const Trace &T);
 
-  bool prunable(const Trace &T, EventId A, EventId B) const override;
+  Rule prunable(const Trace &T, EventId A, EventId B) const override;
 
   /// CfFoldOracle: branch events whose every site at (thread, line) the
   /// value-range pass proves statically determined.
@@ -92,17 +84,6 @@ public:
   const ThreadEscapeAnalysis &escape() const { return Escape; }
   const StaticMhbAnalysis &staticMhb() const { return Mhb; }
   const ValueRangeAnalysis &valueRange() const { return Ranges; }
-
-  PruneStageCounts stageCounts() const {
-    return PruneStageCounts{PrunedInterval.load(std::memory_order_relaxed),
-                            PrunedLockset.load(std::memory_order_relaxed),
-                            PrunedMhb.load(std::memory_order_relaxed)};
-  }
-  void resetStageCounts() const {
-    PrunedInterval.store(0, std::memory_order_relaxed);
-    PrunedLockset.store(0, std::memory_order_relaxed);
-    PrunedMhb.store(0, std::memory_order_relaxed);
-  }
 
 private:
   /// Must-held lock bitmask for one event of (thread, line), intersected
@@ -124,12 +105,6 @@ private:
   const Trace *Bound = nullptr;
   /// LocId -> source line (0 = unparsable/unknown), for the bound trace.
   std::vector<uint32_t> LocLine;
-
-  /// Stage tallies; relaxed atomics because the parallel drivers may
-  /// consult the oracle from several workers.
-  mutable std::atomic<uint64_t> PrunedInterval{0};
-  mutable std::atomic<uint64_t> PrunedLockset{0};
-  mutable std::atomic<uint64_t> PrunedMhb{0};
 };
 
 } // namespace rvp

@@ -122,6 +122,15 @@ std::span<const StatsField> rvp::statsFields() {
       {&S::RangesFolded, "analysis.ranges_folded", Nonzero},
       {&S::WitnessResolves, "solver.witness_resolves", Nonzero},
       {&S::WitnessFailures, "solver.witness_failures", Nonzero},
+      {&S::PrunedStaticMhb, "analysis.pruned_static_mhb", Nonzero},
+      {&S::SatDecisions, "sat.decisions", Searched},
+      {&S::SatPropagations, "sat.propagations", Searched},
+      {&S::SatConflicts, "sat.conflicts", Searched},
+      {&S::SatRestarts, "sat.restarts", Searched},
+      {&S::SatAssumptionConflicts, "sat.assumption_conflicts",
+       SessionSearched},
+      {&S::IncrementalCalls, "solver.incremental_calls", Nonzero},
+      {&S::Z3Calls, "solver.z3.calls", Nonzero},
   };
   return Fields;
 }
@@ -322,7 +331,6 @@ public:
     // SMT techniques only, and the vc tier replaces their solver with it.
     Solves = SmtTech && Options.Tier != DetectTier::Vc;
     WcpTier = SmtTech && Options.Tier != DetectTier::Smt;
-    WcpResidue = Solves && WcpTier;
     WitnessOnSat = Tech == Technique::Maximal;
     Encoding.SubstituteRaceVars = Options.SubstituteRaceVars;
     // Statically constant branches lose their cf guards on the decision
@@ -349,9 +357,11 @@ public:
     // every dynamic filter — identical across schedules, jobs and windows.
     if (Options.StaticPruner) {
       ScopedPhaseTimer PrunePhase("static-prune");
-      for (Candidate &C : Out)
-        if (Options.StaticPruner->prunable(T, C.First, C.Second))
+      for (Candidate &C : Out) {
+        C.Pruned = Options.StaticPruner->prunable(T, C.First, C.Second);
+        if (C.Pruned != CopPruner::Rule::None)
           C.PreReject = "static-prune";
+      }
     }
     const EventClosure &Mhb = W.mhb();
     {

@@ -59,17 +59,22 @@ const char *tierName(DetectTier Tier);
 /// StaticPruneOracle implements it; the detectors only see this base so
 /// rvp_detect does not depend on rvp_analysis).
 ///
-/// Soundness obligation on implementations: prunable(T, A, B) may return
-/// true only when NO technique could report the pair — i.e. when every
+/// Soundness obligation on implementations: prunable(T, A, B) may name a
+/// rule only when NO technique could report the pair — i.e. when every
 /// feasible reordering of any window containing both events keeps them
 /// ordered or mutually excluded. The driver then skips the pair before
 /// quick-check/encoding, and race reports are byte-identical with and
 /// without the pruner.
 class CopPruner {
 public:
+  /// The rule that proved a pair ordered (docs/STATIC_ANALYSIS.md): the
+  /// threads' live intervals, a common must-held lock, or the static
+  /// must-happen-before relation. None: the pair is not prunable.
+  enum class Rule : uint8_t { None, Interval, Lockset, Mhb };
+
   virtual ~CopPruner() = default;
   /// \p A and \p B are the trace-ordered events of one COP.
-  virtual bool prunable(const Trace &T, EventId A, EventId B) const = 0;
+  virtual Rule prunable(const Trace &T, EventId A, EventId B) const = 0;
 };
 
 /// Interface for static control-flow constant folding (the analysis
@@ -176,8 +181,9 @@ struct DetectionStats {
   /// Distinct signatures passing the quick check (Table 1's QC column).
   uint64_t QcPassed = 0;
   /// COPs skipped by DetectorOptions::StaticPruner before any dynamic
-  /// filter ran (0 when no pruner is installed).
-  uint64_t CopsPrunedStatic = 0;
+  /// filter ran (0 when no pruner is installed), and the ones of them its
+  /// static must-happen-before rule pruned.
+  uint64_t CopsPrunedStatic = 0, PrunedStaticMhb = 0;
   uint64_t SolverCalls = 0;
   uint64_t SolverTimeouts = 0;
   /// Extra solve attempts beyond each COP's first (the escalation ladder;
@@ -217,6 +223,13 @@ struct DetectionStats {
   uint64_t RangesFolded = 0;
   /// Witness solves, and findings whose witness solve was not Sat.
   uint64_t WitnessResolves = 0, WitnessFailures = 0;
+  /// The summed SolveWork of every solve the run made: decisions,
+  /// decided-ahead ones and witness solves. Not checkpointed: a resumed
+  /// run counts only its own solves.
+  uint64_t SatSearches = 0, SatSessionSearches = 0;
+  uint64_t SatDecisions = 0, SatPropagations = 0, SatConflicts = 0;
+  uint64_t SatRestarts = 0, SatAssumptionConflicts = 0;
+  uint64_t IncrementalCalls = 0, Z3Calls = 0;
   /// Effective worker count used for per-COP solving (1 when the
   /// technique has no solver loop or the run was sequential).
   uint32_t Jobs = 1;
@@ -242,6 +255,8 @@ struct StatsField {
     WcpTier, ///< the WCP tier ran (QueryPolicy::WcpTier)
     Encoded, ///< the run made a decision-path encode
     Guarded, ///< ... one whose query carries branch guards
+    Searched, ///< the in-tree solver searched (SatSearches > 0)
+    SessionSearched, ///< ... in a session (SatSessionSearches > 0)
     Nonzero,
   };
 

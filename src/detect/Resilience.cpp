@@ -110,10 +110,12 @@ void SolveHost::quarantineSession() {
 
 SatResult SolveHost::attemptOnce(const FormulaBuilder &FB, NodeRef Root,
                                  double BudgetSeconds) {
+  SolveWork Attempt;
   if (!SessionDead) {
     ensureSession();
-    SatResult Result =
-        Session->query(FB, Root, Deadline::after(BudgetSeconds), nullptr);
+    SatResult Result = Session->query(FB, Root, Deadline::after(BudgetSeconds),
+                                      nullptr, &Attempt);
+    Work += Attempt;
     if (Session->poisoned()) {
       quarantineSession();
       return SatResult::Unknown;
@@ -128,7 +130,10 @@ SatResult SolveHost::attemptOnce(const FormulaBuilder &FB, NodeRef Root,
   }
 
   ensureSolver();
-  return Solver->solve(FB, Root, Deadline::after(BudgetSeconds), nullptr);
+  SatResult Result = Solver->solve(FB, Root, Deadline::after(BudgetSeconds),
+                                   nullptr, &Attempt);
+  Work += Attempt;
+  return Result;
 }
 
 SolveHost::Outcome SolveHost::decide(const FormulaBuilder &FB, NodeRef Root) {

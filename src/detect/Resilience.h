@@ -86,6 +86,8 @@ public:
   Outcome decide(const FormulaBuilder &FB, NodeRef Root);
 
   const ResilienceStats &stats() const { return Stats; }
+  /// The summed work of every solve attempt the host made.
+  const SolveWork &work() const { return Work; }
 
   /// Name of the backend actually answering queries right now.
   const char *backendName() const;
@@ -113,6 +115,7 @@ private:
   bool SessionDead = false;
   uint64_t FailedStreak = 0;
   ResilienceStats Stats;
+  SolveWork Work;
 };
 
 } // namespace rvp

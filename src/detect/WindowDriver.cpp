@@ -128,8 +128,9 @@ struct Decision {
   CopCost Cost;
   std::vector<EventId> Witness;
   bool WitnessValid = false;
-  /// A witness solve ran.
+  /// A witness solve ran, and its work.
   bool WitnessResolved = false;
+  SolveWork WitnessWork;
   /// The finding's witness solve was not Sat: reported without a witness.
   bool WitnessFailed = false;
 };
@@ -234,8 +235,9 @@ private:
   void tally(const std::vector<Candidate> &Cands) {
     Out.Stats.Cops += Cands.size();
     for (const Candidate &C : Cands) {
-      if (C.PreReject && std::strcmp(C.PreReject, "static-prune") == 0) {
+      if (C.Pruned != CopPruner::Rule::None) {
         ++Out.Stats.CopsPrunedStatic;
+        Out.Stats.PrunedStaticMhb += C.Pruned == CopPruner::Rule::Mhb;
         continue;
       }
       if (!C.QcPass) {
@@ -312,7 +314,7 @@ private:
     }
     for (const SolveCtx &Ctx : Contexts)
       if (Ctx.Host)
-        absorbHostStats(Ctx.Host->stats());
+        absorbHost(*Ctx.Host);
   }
 
   /// Jobs > 1: decides every candidate that survives the window-start
@@ -355,8 +357,8 @@ private:
     }
   }
 
-  /// Decides one candidate. Touches only immutable window state, \p Ctx,
-  /// \p D and the (thread-safe) registry, so it can run on any worker.
+  /// Decides one candidate. Touches only immutable window state, \p Ctx
+  /// and \p D, so it can run on any worker.
   void decide(WindowContext &W, const Candidate &C, SolveCtx &Ctx,
               Decision &D) const {
     if (C.How == Candidate::Verdict::ShortCircuit) {
@@ -437,8 +439,9 @@ private:
       Solver = createIdlSolver();
     D.WitnessResolved = true;
     OrderModel Model;
-    SatResult Sat = Solver->solve(
-        FB, Root, Deadline::after(Options.PerCopBudgetSeconds), &Model);
+    SatResult Sat =
+        Solver->solve(FB, Root, Deadline::after(Options.PerCopBudgetSeconds),
+                      &Model, &D.WitnessWork);
     if (Sat == SatResult::Sat) {
       D.Witness = placeByGaps(Encoder.windowEncoding(), Cone.Events, Model,
                               Cone.MergedFirst, Cone.MergedSecond);
@@ -450,10 +453,11 @@ private:
 
   /// Folds a decision's encode and witness work into the run: every
   /// decision made, including decided-ahead ones signature pruning
-  /// discards, so the encoder counts match the work done.
+  /// discards, so the encoder and solver counts match the work done.
   void foldWork(const Decision &D) {
     DetectionStats &S = Out.Stats;
     S.WitnessResolves += D.WitnessResolved;
+    foldSolveWork(D.WitnessWork);
     const CopCost &Cost = D.Cost;
     if (!Cost.Solved)
       return;
@@ -494,7 +498,7 @@ private:
         ++Out.Stats.WcpRaces;
     } else {
       ++Out.Stats.SolverCalls;
-      if (Policy.WcpResidue)
+      if (Policy.WcpTier) // a solved candidate is the WCP tier's residue
         ++Out.Stats.WcpResidue;
       emitSolveEvent(C, Outcome, D);
     }
@@ -557,10 +561,25 @@ private:
       Names.Variable = T.varName(T[First].Target);
   }
 
-  void absorbHostStats(const ResilienceStats &S) {
-    Out.Stats.SolverRetries += S.Retries;
-    Out.Stats.DegradedSessions += S.DegradedSessions;
-    Out.Stats.BackendFallbacks += S.BackendFallbacks;
+  void absorbHost(const SolveHost &Host) {
+    const ResilienceStats &R = Host.stats();
+    Out.Stats.SolverRetries += R.Retries;
+    Out.Stats.DegradedSessions += R.DegradedSessions;
+    Out.Stats.BackendFallbacks += R.BackendFallbacks;
+    foldSolveWork(Host.work());
+  }
+
+  void foldSolveWork(const SolveWork &W) {
+    DetectionStats &S = Out.Stats;
+    S.SatSearches += W.Searches;
+    S.SatSessionSearches += W.SessionSearches;
+    S.SatDecisions += W.Decisions;
+    S.SatPropagations += W.Propagations;
+    S.SatConflicts += W.Conflicts;
+    S.SatRestarts += W.Restarts;
+    S.SatAssumptionConflicts += W.AssumptionConflicts;
+    S.IncrementalCalls += W.SessionQueries;
+    S.Z3Calls += W.Z3Calls;
   }
 
 public:
@@ -721,8 +740,12 @@ private:
     MetricsRegistry &Reg = MetricsRegistry::global();
     // Whether the run reached the code path of each StatsField::Flush
     // rule but Nonzero, in enum order.
-    const bool Reached[] = {true, Policy.WcpTier, S.Formulas > 0,
-                            S.GuardedFormulas > 0};
+    const bool Reached[] = {true,
+                            Policy.WcpTier,
+                            S.Formulas > 0,
+                            S.GuardedFormulas > 0,
+                            S.SatSearches > 0,
+                            S.SatSessionSearches > 0};
     for (const StatsField &F : statsFields()) {
       uint64_t Value = S.*F.Member;
       bool Flush = F.When == StatsField::Flush::Nonzero

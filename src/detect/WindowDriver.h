@@ -82,6 +82,8 @@ struct Candidate {
   /// Prune stage that rejects it after the signature check ("wcp",
   /// "lockset", "quick-check"), or null.
   const char *Reject = nullptr;
+  /// The static pruner's rule when it rejected the candidate.
+  CopPruner::Rule Pruned = CopPruner::Rule::None;
   /// The quick check passed (tallied even when it does not filter).
   bool QcPass = true;
   Verdict How = Verdict::Solve;
@@ -165,12 +167,9 @@ public:
   const char *FindingsCounter = "detect.races";
   /// Candidates reach the solver (pool, hosts and Stats.Jobs apply).
   bool Solves = true;
-  /// The WCP tier runs, so its counters are flushed.
+  /// The WCP tier runs, so its counters are flushed, and with Solves
+  /// every solver-bound candidate counts as its residue.
   bool WcpTier = false;
-  /// Solver-bound candidates are the WCP tier's residue. Not derived
-  /// from Solves && WcpTier: atomicity's wcp stage is only its MHB
-  /// prune, and it counts no residue.
-  bool WcpResidue = false;
   /// Solved findings get a witness (with DetectorOptions::CollectWitnesses).
   bool WitnessOnSat = true;
   /// Decision-path encoder options; witness encodes are always sliced and

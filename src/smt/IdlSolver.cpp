@@ -17,29 +17,40 @@
 #include "smt/Tseitin.h"
 
 #include "support/FaultInjector.h"
-#include "support/Telemetry.h"
 
 using namespace rvp;
 
 SmtSolver::~SmtSolver() = default;
 
-namespace {
-
-/// Flushes the per-call search statistics into the global registry
-/// (telemetry-enabled runs only).
-void recordSolveTelemetry(const SatSolver &Sat, double Seconds) {
-  MetricsRegistry &Reg = MetricsRegistry::global();
-  Reg.counter("sat.decisions").add(Sat.numDecisions());
-  Reg.counter("sat.propagations").add(Sat.numPropagations());
-  Reg.counter("sat.conflicts").add(Sat.numConflicts());
-  Reg.counter("sat.restarts").add(Sat.numRestarts());
-  Reg.histogram("solver.idl.latency_seconds").record(Seconds);
+SolveWork &SolveWork::operator+=(const SolveWork &Other) {
+  Searches += Other.Searches;
+  SessionSearches += Other.SessionSearches;
+  Decisions += Other.Decisions;
+  Propagations += Other.Propagations;
+  Conflicts += Other.Conflicts;
+  Restarts += Other.Restarts;
+  AssumptionConflicts += Other.AssumptionConflicts;
+  SessionQueries += Other.SessionQueries;
+  Z3Calls += Other.Z3Calls;
+  return *this;
 }
+
+void SolveWork::recordSearch(const SatSolver &Sat, bool InSession) {
+  Searches = 1;
+  SessionSearches = InSession;
+  Decisions = Sat.numDecisions();
+  Propagations = Sat.numPropagations();
+  Conflicts = Sat.numConflicts();
+  Restarts = Sat.numRestarts();
+  AssumptionConflicts = Sat.numAssumptionConflicts();
+}
+
+namespace {
 
 class IdlSolver : public SmtSolver {
 public:
   SatResult solve(const FormulaBuilder &FB, NodeRef Root, Deadline Limit,
-                  OrderModel *ModelOut) override {
+                  OrderModel *ModelOut, SolveWork *Work) override {
     const FormulaNode &RootNode = FB.node(Root);
     if (RootNode.Kind == FormulaKind::True)
       return SatResult::Sat; // no constraints; ModelOut stays empty
@@ -48,21 +59,15 @@ public:
     if (FaultInjector::shouldFail(faults::SolverTimeout))
       return SatResult::Unknown; // injected budget expiry
 
-    Timer Clock;
     DiffLogicTheory Theory;
     SatSolver Sat(&Theory);
     TseitinEncoder Encoder(Sat, Theory);
     Lit RootLit = Encoder.encode(FB, Root);
 
-    if (!Sat.addClause({RootLit})) {
-      if (Telemetry::enabled())
-        recordSolveTelemetry(Sat, Clock.seconds());
-      return SatResult::Unsat;
-    }
-
-    SatResult Result = Sat.solve(Limit);
-    if (Telemetry::enabled())
-      recordSolveTelemetry(Sat, Clock.seconds());
+    SatResult Result =
+        Sat.addClause({RootLit}) ? Sat.solve(Limit) : SatResult::Unsat;
+    if (Work)
+      Work->recordSearch(Sat, /*InSession=*/false);
     if (Result == SatResult::Sat && ModelOut)
       Encoder.readModel(*ModelOut);
     return Result;

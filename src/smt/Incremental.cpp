@@ -23,7 +23,6 @@
 #include "smt/Tseitin.h"
 
 #include "support/FaultInjector.h"
-#include "support/Telemetry.h"
 
 using namespace rvp;
 
@@ -35,27 +34,12 @@ class IdlSession : public SmtSession {
 public:
   IdlSession() : Sat(&Theory), Encoder(Sat, Theory) {}
 
-  void assertFormula(const FormulaBuilder &FB, NodeRef Root) override {
-    const FormulaNode &N = FB.node(Root);
-    if (N.Kind == FormulaKind::True)
-      return;
-    if (N.Kind == FormulaKind::False) {
-      CoreUnsat = true;
-      return;
-    }
-    Sat.backtrackToRoot();
-    Lit L = Encoder.encode(FB, Root);
-    if (!Sat.addClause({L}))
-      CoreUnsat = true;
-  }
-
   SatResult query(const FormulaBuilder &FB, NodeRef Root, Deadline Limit,
-                  OrderModel *ModelOut) override {
-    Timer Clock;
-    DidSolve = false;
-    SatResult Result = queryImpl(FB, Root, Limit, ModelOut);
-    if (Telemetry::enabled())
-      recordQueryTelemetry(Clock.seconds());
+                  OrderModel *ModelOut, SolveWork *Work) override {
+    SolveWork Query{.SessionQueries = 1};
+    SatResult Result = queryImpl(FB, Root, Limit, ModelOut, Query);
+    if (Work)
+      *Work = Query;
     return Result;
   }
 
@@ -64,8 +48,10 @@ public:
   const char *name() const override { return "idl"; }
 
 private:
+  /// Fills \p Work's search counters when the query searched (not when
+  /// it was decided without searching: constant root, poisoned core).
   SatResult queryImpl(const FormulaBuilder &FB, NodeRef Root,
-                      Deadline Limit, OrderModel *ModelOut) {
+                      Deadline Limit, OrderModel *ModelOut, SolveWork &Work) {
     if (FaultInjector::shouldFail(faults::SessionCorrupt))
       Poisoned = true;
     if (Poisoned)
@@ -91,8 +77,8 @@ private:
       return SatResult::Unsat;
     }
 
-    DidSolve = true;
     SatResult Result = Sat.solve({Lit::pos(Selector)}, Limit);
+    Work.recordSearch(Sat, /*InSession=*/true);
     // The model lives in the theory's current trail; read it before the
     // backtrack below unwinds those edges.
     if (Result == SatResult::Sat && ModelOut)
@@ -111,29 +97,10 @@ private:
     return Result;
   }
 
-  void recordQueryTelemetry(double Seconds) {
-    MetricsRegistry &Reg = MetricsRegistry::global();
-    Reg.counter("solver.incremental_calls").inc();
-    if (DidSolve) {
-      // The SatSolver resets its search counters per solve() call, so
-      // these are this query's numbers; skip them when the query was
-      // decided without searching (constant root, poisoned core).
-      Reg.counter("sat.decisions").add(Sat.numDecisions());
-      Reg.counter("sat.propagations").add(Sat.numPropagations());
-      Reg.counter("sat.conflicts").add(Sat.numConflicts());
-      Reg.counter("sat.restarts").add(Sat.numRestarts());
-      Reg.counter("sat.assumption_conflicts")
-          .add(Sat.numAssumptionConflicts());
-      Reg.gauge("sat.clauses_kept").set(Sat.numLearnedClauses());
-    }
-    Reg.histogram("solver.incremental.latency_seconds").record(Seconds);
-  }
-
   DiffLogicTheory Theory;
   SatSolver Sat;
   TseitinEncoder Encoder;
   bool CoreUnsat = false;
-  bool DidSolve = false;
   bool Poisoned = false;
 };
 

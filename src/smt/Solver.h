@@ -17,6 +17,11 @@
 /// integer position; sorting events by position yields the reordered trace
 /// that witnesses the race (Theorem 3's construction).
 ///
+/// The solvers count nothing themselves: each call hands back what it did
+/// as a SolveWork record, and the window driver folds the records of a run
+/// into its DetectionStats, the run's one emission
+/// (docs/OBSERVABILITY.md).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RVP_SMT_SOLVER_H
@@ -35,15 +40,34 @@ namespace rvp {
 /// the solved formula are present.
 using OrderModel = std::unordered_map<OrderVar, int64_t>;
 
+/// The work of solver calls: one call's as a backend returns it, or the
+/// sum of many.
+struct SolveWork {
+  /// In-tree CDCL(T) searches, and the ones that were session queries.
+  uint64_t Searches = 0, SessionSearches = 0;
+  /// The searches' own counters (the SatSolver resets them per search).
+  uint64_t Decisions = 0, Propagations = 0, Conflicts = 0, Restarts = 0;
+  /// Session queries refuted at the assumption level.
+  uint64_t AssumptionConflicts = 0;
+  /// Session queries, and one-shot Z3 solves.
+  uint64_t SessionQueries = 0, Z3Calls = 0;
+
+  SolveWork &operator+=(const SolveWork &Other);
+  /// Records \p Sat's last search as this call's one search.
+  void recordSearch(const SatSolver &Sat, bool InSession);
+};
+
 class SmtSolver {
 public:
   virtual ~SmtSolver();
 
   /// Decides satisfiability of \p Root (built in \p FB). On Sat, fills
   /// \p ModelOut (if non-null). Returns Unknown when \p Limit expires
-  /// first — the per-COP budget of Section 4.
+  /// first — the per-COP budget of Section 4. \p Work (if non-null)
+  /// receives this call's work.
   virtual SatResult solve(const FormulaBuilder &FB, NodeRef Root,
-                          Deadline Limit, OrderModel *ModelOut) = 0;
+                          Deadline Limit, OrderModel *ModelOut,
+                          SolveWork *Work = nullptr) = 0;
 
   virtual const char *name() const = 0;
 };
@@ -71,12 +95,6 @@ class SmtSession {
 public:
   virtual ~SmtSession();
 
-  /// Permanently asserts \p Root; it constrains every later query. Only
-  /// sound for constraints implied by each query's own formula (the
-  /// detectors pass nothing here in substitution mode — the shared window
-  /// core is reused through the encoding cache and learned clauses).
-  virtual void assertFormula(const FormulaBuilder &FB, NodeRef Root) = 0;
-
   /// Decides \p Root under a fresh selector literal s (adds s -> Root,
   /// solves under assumption s, retires s afterwards), so every clause
   /// learned while answering is implied by the session's definitional
@@ -85,9 +103,10 @@ public:
   /// (Section 4). On Sat, \p ModelOut (if non-null) receives order
   /// positions; note they depend on session history, unlike the one-shot
   /// solver's (the detectors solve witnesses one-shot for byte-identical
-  /// reports).
+  /// reports). \p Work (if non-null) receives this query's work.
   virtual SatResult query(const FormulaBuilder &FB, NodeRef Root,
-                          Deadline Limit, OrderModel *ModelOut) = 0;
+                          Deadline Limit, OrderModel *ModelOut,
+                          SolveWork *Work = nullptr) = 0;
 
   /// True once the session detected internal corruption — a failed
   /// clause-database allocation, a backend exception, or an injected

@@ -17,7 +17,6 @@
 
 #include "support/Compiler.h"
 #include "support/FaultInjector.h"
-#include "support/Telemetry.h"
 
 #include <z3++.h>
 
@@ -30,21 +29,15 @@ namespace {
 class Z3Solver : public SmtSolver {
 public:
   SatResult solve(const FormulaBuilder &FB, NodeRef Root, Deadline Limit,
-                  OrderModel *ModelOut) override {
-    Timer Clock;
+                  OrderModel *ModelOut, SolveWork *Work) override {
+    if (Work)
+      *Work = SolveWork{.Z3Calls = 1};
     // Z3 reports failures via exceptions; contain them at this boundary.
-    SatResult Result;
     try {
-      Result = solveImpl(FB, Root, Limit, ModelOut);
+      return solveImpl(FB, Root, Limit, ModelOut);
     } catch (const z3::exception &) {
-      Result = SatResult::Unknown;
+      return SatResult::Unknown;
     }
-    if (Telemetry::enabled()) {
-      MetricsRegistry &Reg = MetricsRegistry::global();
-      Reg.counter("solver.z3.calls").inc();
-      Reg.histogram("solver.z3.latency_seconds").record(Clock.seconds());
-    }
-    return Result;
   }
 
   const char *name() const override { return "z3"; }
@@ -151,30 +144,15 @@ class Z3Session : public SmtSession {
 public:
   Z3Session() : Solver(Ctx) {}
 
-  void assertFormula(const FormulaBuilder &FB, NodeRef Root) override {
-    try {
-      Solver.add(translate(FB, Root));
-    } catch (const z3::exception &) {
-      Broken = true;
-    }
-  }
-
   SatResult query(const FormulaBuilder &FB, NodeRef Root, Deadline Limit,
-                  OrderModel *ModelOut) override {
-    Timer Clock;
-    SatResult Result;
+                  OrderModel *ModelOut, SolveWork *Work) override {
+    if (Work)
+      *Work = SolveWork{.SessionQueries = 1};
     try {
-      Result = queryImpl(FB, Root, Limit, ModelOut);
+      return queryImpl(FB, Root, Limit, ModelOut);
     } catch (const z3::exception &) {
-      Result = SatResult::Unknown;
+      return SatResult::Unknown;
     }
-    if (Telemetry::enabled()) {
-      MetricsRegistry &Reg = MetricsRegistry::global();
-      Reg.counter("solver.incremental_calls").inc();
-      Reg.histogram("solver.incremental.latency_seconds")
-          .record(Clock.seconds());
-    }
-    return Result;
   }
 
   bool poisoned() const override { return Broken; }

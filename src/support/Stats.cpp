@@ -272,7 +272,7 @@ JsonObject &JsonObject::raw(std::string_view Key, std::string_view Json) {
   return *this;
 }
 
-std::string rvp::metricsToJson(const MetricsSnapshot &Snapshot) {
+void rvp::appendMetrics(JsonObject &Json, const MetricsSnapshot &Snapshot) {
   JsonObject CountersObj;
   for (const auto &[Name, Value] : Snapshot.Counters)
     CountersObj.field(Name, Value);
@@ -291,9 +291,13 @@ std::string rvp::metricsToJson(const MetricsSnapshot &Snapshot) {
         .field("p99", H.P99);
     HistsObj.raw(Name, HistObj.str());
   }
-  JsonObject Out;
-  Out.raw("counters", CountersObj.str())
+  Json.raw("counters", CountersObj.str())
       .raw("gauges", GaugesObj.str())
       .raw("histograms", HistsObj.str());
+}
+
+std::string rvp::metricsToJson(const MetricsSnapshot &Snapshot) {
+  JsonObject Out;
+  appendMetrics(Out, Snapshot);
   return Out.str();
 }

@@ -201,9 +201,12 @@ private:
 /// Renders a double as a JSON number (non-finite values become 0).
 std::string jsonNumber(double Value);
 
-/// The snapshot as one JSON object: {"counters":{...},"gauges":{...},
+/// Adds the snapshot's "counters":{...}, "gauges":{...} and
 /// "histograms":{"name":{"count":..,"sum":..,"min":..,"max":..,"p50":..,
-/// "p90":..,"p99":..}}}.
+/// "p90":..,"p99":..}} members to \p Json.
+void appendMetrics(JsonObject &Json, const MetricsSnapshot &Snapshot);
+
+/// The snapshot as one JSON object of appendMetrics' three members.
 std::string metricsToJson(const MetricsSnapshot &Snapshot);
 
 } // namespace rvp

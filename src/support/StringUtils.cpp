@@ -121,3 +121,19 @@ bool rvp::readFile(const std::string &Path, std::string &Out) {
     Out.append(Block, static_cast<size_t>(In.gcount()));
   return !In.bad();
 }
+
+bool rvp::writeStatsJson(const std::string &Path, const std::string &Json) {
+  if (Path == "-") {
+    std::fputs("##rvp:stats-json\n", stdout);
+    std::fputs(Json.c_str(), stdout);
+    std::fputc('\n', stdout);
+    return true;
+  }
+  std::ofstream File(Path);
+  if (!File) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", Path.c_str());
+    return false;
+  }
+  File << Json << '\n';
+  return true;
+}

@@ -54,6 +54,13 @@ struct StringHash {
 /// be opened or a read fails.
 bool readFile(const std::string &Path, std::string &Out);
 
+/// Writes a `--stats-json` object \p Json, plus a trailing newline, to
+/// \p Path; "-" means stdout, where a `##rvp:stats-json` marker line
+/// precedes it so consumers can split the combined stream
+/// (docs/OBSERVABILITY.md). False, after an error on stderr, when the
+/// file cannot be written.
+bool writeStatsJson(const std::string &Path, const std::string &Json);
+
 /// printf-style formatting into a std::string.
 std::string formatString(const char *Fmt, ...)
     __attribute__((format(printf, 1, 2)));

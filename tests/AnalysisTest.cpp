@@ -441,6 +441,8 @@ struct OracleFixture {
   Trace T;
 };
 
+using Rule = CopPruner::Rule;
+
 } // namespace
 
 TEST(StaticPrune, CommonMustLockIsPrunable) {
@@ -451,8 +453,8 @@ TEST(StaticPrune, CommonMustLockIsPrunable) {
   F.B.write("a", "x", 1, "L3"); // 0
   F.B.write("b", "x", 2, "L4"); // 1
   Trace &T = F.bindTrace();
-  EXPECT_TRUE(F.Oracle.prunable(T, 0, 1));
-  EXPECT_TRUE(F.Oracle.prunable(T, 1, 0)) << "symmetric";
+  EXPECT_EQ(F.Oracle.prunable(T, 0, 1), Rule::Lockset);
+  EXPECT_EQ(F.Oracle.prunable(T, 1, 0), Rule::Lockset) << "symmetric";
 }
 
 TEST(StaticPrune, UnprotectedPairIsNotPrunable) {
@@ -463,7 +465,7 @@ TEST(StaticPrune, UnprotectedPairIsNotPrunable) {
   F.B.write("a", "x", 1, "L3");
   F.B.write("b", "x", 2, "L4");
   Trace &T = F.bindTrace();
-  EXPECT_FALSE(F.Oracle.prunable(T, 0, 1));
+  EXPECT_EQ(F.Oracle.prunable(T, 0, 1), Rule::None);
 }
 
 TEST(StaticPrune, DisjointIntervalsArePrunable) {
@@ -472,9 +474,11 @@ TEST(StaticPrune, DisjointIntervalsArePrunable) {
   F.B.write("b", "x", 2, "L3");
   F.B.write("main", "x", 3, "L9");
   Trace &T = F.bindTrace();
-  EXPECT_TRUE(F.Oracle.prunable(T, 0, 1)) << "a joined before b spawns";
-  EXPECT_TRUE(F.Oracle.prunable(T, 0, 2)) << "main writes after join a";
-  EXPECT_TRUE(F.Oracle.prunable(T, 1, 2));
+  EXPECT_EQ(F.Oracle.prunable(T, 0, 1), Rule::Interval)
+      << "a joined before b spawns";
+  EXPECT_EQ(F.Oracle.prunable(T, 0, 2), Rule::Interval)
+      << "main writes after join a";
+  EXPECT_EQ(F.Oracle.prunable(T, 1, 2), Rule::Interval);
 }
 
 TEST(StaticPrune, UnknownInformationAnswersFalse) {
@@ -486,13 +490,14 @@ TEST(StaticPrune, UnknownInformationAnswersFalse) {
   F.B.write("b", "x", 2, "L4");
   F.B.write("a", "x", 3, "L3");
   Trace &T = F.bindTrace();
-  EXPECT_FALSE(F.Oracle.prunable(T, 0, 1)) << "unknown loc: no lock info";
-  EXPECT_FALSE(F.Oracle.prunable(T, 0, 2)) << "same thread";
+  EXPECT_EQ(F.Oracle.prunable(T, 0, 1), Rule::None)
+      << "unknown loc: no lock info";
+  EXPECT_EQ(F.Oracle.prunable(T, 0, 2), Rule::None) << "same thread";
   // An unbound (different) trace must never prune.
   TraceBuilder Other;
   Other.write("t1", "x", 1, "L3").write("t2", "x", 2, "L4");
   Trace T2 = Other.build();
-  EXPECT_FALSE(F.Oracle.prunable(T2, 0, 1));
+  EXPECT_EQ(F.Oracle.prunable(T2, 0, 1), Rule::None);
 }
 
 TEST(StaticPrune, LineOutsideLockIsNotPrunable) {
@@ -509,8 +514,8 @@ TEST(StaticPrune, LineOutsideLockIsNotPrunable) {
   F.B.write("a", "x", 2, "L5"); // 1: unlocked
   F.B.write("b", "x", 3, "L7"); // 2: locked
   Trace &T = F.bindTrace();
-  EXPECT_TRUE(F.Oracle.prunable(T, 0, 2));
-  EXPECT_FALSE(F.Oracle.prunable(T, 1, 2));
+  EXPECT_EQ(F.Oracle.prunable(T, 0, 2), Rule::Lockset);
+  EXPECT_EQ(F.Oracle.prunable(T, 1, 2), Rule::None);
 }
 
 TEST(StaticPrune, ThreadLocalVarsCounted) {

@@ -27,7 +27,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <thread>
 
 using namespace rvp;
@@ -911,4 +914,79 @@ TEST(WitnessSweep, CatalogWitnessesValidateAndAgreeAcrossModes) {
   // Non-vacuity: every witnessed property produced witnesses.
   for (const char *Property : {"rv", "atomicity", "deadlock"})
     EXPECT_GT(Witnessed[Property], 0u) << Property;
+}
+
+// ------------------------------------------------------- static pruning
+
+namespace {
+
+/// Tallies the rule each prunable() answer names.
+class RuleTally : public CopPruner {
+public:
+  explicit RuleTally(const CopPruner &Inner) : Inner(Inner) {}
+  Rule prunable(const Trace &T, EventId A, EventId B) const override {
+    Rule R = Inner.prunable(T, A, B);
+    ++Counts[static_cast<size_t>(R)];
+    return R;
+  }
+  /// Interval, lockset and MHB tallies.
+  std::array<uint64_t, 3> pruned() const {
+    return {Counts[1], Counts[2], Counts[3]};
+  }
+
+private:
+  const CopPruner &Inner;
+  mutable std::array<uint64_t, 4> Counts{};
+};
+
+} // namespace
+
+TEST(StaticPruneRules, TalliesMatchTheOraclesFormerStageCounts) {
+  // The expected interval / lockset / MHB tallies are the per-stage
+  // counts the oracle kept while it counted its stages itself; the
+  // driver's total and MHB fields must agree with them.
+  struct Workload {
+    const char *Name;
+    std::string Source;
+    Trace T;
+    std::array<uint64_t, 3> Want;
+  };
+  std::vector<Workload> Workloads;
+  {
+    std::ifstream In(std::string(RVP_GOLDEN_DIR) + "/prune_workload.rv");
+    ASSERT_TRUE(In);
+    std::stringstream Source;
+    Source << In.rdbuf();
+    RoundRobinScheduler RoundRobin(3);
+    Trace T;
+    RunResult Run;
+    std::string Error;
+    ASSERT_TRUE(recordTrace(Source.str(), T, Run, Error, &RoundRobin))
+        << Error;
+    Workloads.push_back({"prune_workload", Source.str(), std::move(T),
+                         {3, 2, 0}});
+  }
+  {
+    std::optional<BenchmarkCase> Case = findBenchmark("staticflow");
+    ASSERT_TRUE(Case);
+    Trace T;
+    std::string Error;
+    ASSERT_TRUE(benchmarkTrace(*Case, T, Error)) << Error;
+    Workloads.push_back({"staticflow", Case->Source, std::move(T), {2, 0, 3}});
+  }
+  for (Workload &W : Workloads) {
+    SCOPED_TRACE(W.Name);
+    std::string Error;
+    std::optional<Program> P = parseProgram(W.Source, Error);
+    ASSERT_TRUE(P) << Error;
+    StaticPruneOracle Oracle(*P);
+    Oracle.bind(W.T);
+    RuleTally Tally(Oracle);
+    DetectorOptions Options;
+    Options.StaticPruner = &Tally;
+    DetectionResult R = detectRaces(W.T, Technique::Maximal, Options);
+    EXPECT_EQ(Tally.pruned(), W.Want);
+    EXPECT_EQ(R.Stats.CopsPrunedStatic, W.Want[0] + W.Want[1] + W.Want[2]);
+    EXPECT_EQ(R.Stats.PrunedStaticMhb, W.Want[2]);
+  }
 }

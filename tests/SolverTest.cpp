@@ -5,8 +5,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "smt/Solver.h"
+#include "smt/Tseitin.h"
 
 #include "support/Random.h"
+#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -182,6 +184,68 @@ TEST_P(SolverCrossTest, IdlAgreesWithZ3) {
 INSTANTIATE_TEST_SUITE_P(Sweep, SolverCrossTest,
                          ::testing::Range<uint64_t>(0, 50));
 
+namespace {
+
+/// \p Work's search counters against \p Sat's.
+void expectSearchOf(const SolveWork &Work, const SatSolver &Sat) {
+  EXPECT_EQ(Work.Searches, 1u);
+  EXPECT_EQ(Work.Decisions, Sat.numDecisions());
+  EXPECT_EQ(Work.Propagations, Sat.numPropagations());
+  EXPECT_EQ(Work.Conflicts, Sat.numConflicts());
+  EXPECT_EQ(Work.Restarts, Sat.numRestarts());
+}
+
+} // namespace
+
+TEST(Solver, BareSolveRegistersNoMetric) {
+  // The solvers return their work and count nothing themselves, even with
+  // telemetry on: the window driver does the counting. The records must
+  // match a SatSolver that does the same work by hand.
+  Telemetry::setEnabled(true);
+  Telemetry::instance().reset();
+  const std::string Before = MetricsRegistry::global().snapshot().renderTable();
+
+  Rng R(5);
+  FormulaBuilder FB;
+  NodeRef F = FB.mkAnd({randomFormula(FB, R, 8, 4), randomFormula(FB, R, 8, 4),
+                        randomFormula(FB, R, 8, 4)});
+  SolveWork OneShot;
+  SatResult Result = createIdlSolver()->solve(FB, F, Deadline(), nullptr,
+                                              &OneShot);
+  SolveWork Query;
+  SatResult QueryResult =
+      createIdlSession()->query(FB, F, Deadline(), nullptr, &Query);
+
+  const std::string After = MetricsRegistry::global().snapshot().renderTable();
+  Telemetry::instance().reset();
+  Telemetry::setEnabled(false);
+  EXPECT_EQ(After, Before);
+
+  DiffLogicTheory Theory;
+  SatSolver Sat(&Theory);
+  TseitinEncoder Encoder(Sat, Theory);
+  ASSERT_TRUE(Sat.addClause({Encoder.encode(FB, F)}));
+  EXPECT_EQ(Sat.solve(Deadline()), Result);
+  EXPECT_GT(Sat.numDecisions(), 0u) << "a search that decides something";
+  expectSearchOf(OneShot, Sat);
+  EXPECT_EQ(OneShot.SessionSearches, 0u);
+  EXPECT_EQ(OneShot.SessionQueries, 0u);
+  EXPECT_EQ(OneShot.Z3Calls, 0u);
+
+  DiffLogicTheory SessionTheory;
+  SatSolver SessionSat(&SessionTheory);
+  TseitinEncoder SessionEncoder(SessionSat, SessionTheory);
+  Lit Root = SessionEncoder.encode(FB, F);
+  Var Selector = SessionSat.newVar();
+  ASSERT_TRUE(SessionSat.addClause({Lit::neg(Selector), Root}));
+  EXPECT_EQ(SessionSat.solve({Lit::pos(Selector)}, Deadline()), QueryResult);
+  expectSearchOf(Query, SessionSat);
+  EXPECT_EQ(Query.SessionSearches, 1u);
+  EXPECT_EQ(Query.AssumptionConflicts, SessionSat.numAssumptionConflicts());
+  EXPECT_EQ(Query.SessionQueries, 1u);
+  EXPECT_EQ(Query.Z3Calls, 0u);
+}
+
 TEST(SolverFactory, ByName) {
   EXPECT_NE(createSolverByName("idl"), nullptr);
   EXPECT_NE(createSolverByName(""), nullptr);
@@ -242,20 +306,6 @@ TEST(IdlSession, ModelReadAfterEarlierFailedQuery) {
   OrderModel Model;
   ASSERT_EQ(Session->query(FB, Chain, Deadline(), &Model), SatResult::Sat);
   EXPECT_TRUE(evaluate(FB, Chain, Model));
-}
-
-TEST(IdlSession, AssertFormulaConstrainsEveryQuery) {
-  FormulaBuilder FB;
-  auto Session = createIdlSession();
-  Session->assertFormula(FB, FB.mkAtom(0, 1)); // a < b, permanently
-  EXPECT_EQ(Session->query(FB, FB.mkAtom(1, 0), Deadline(), nullptr),
-            SatResult::Unsat);
-  EXPECT_EQ(Session->query(FB, FB.mkAtom(0, 1), Deadline(), nullptr),
-            SatResult::Sat);
-  EXPECT_EQ(Session->query(FB, FB.mkAtom(1, 2), Deadline(), nullptr),
-            SatResult::Sat);
-  EXPECT_EQ(Session->query(FB, FB.mkAtom(1, 0), Deadline(), nullptr),
-            SatResult::Unsat);
 }
 
 TEST(IdlSession, ExpiredQueryDeadlineDoesNotStarveNextQuery) {

@@ -26,6 +26,41 @@ endif()
 
 file(READ "${OUT}" JSON_TEXT)
 
+# Schema version 4 removed three per-backend solver latency histograms
+# (solver.latency_seconds and the witness phase time the same solves) and
+# the last-writer-wins sat.clauses_kept gauge. check_schema asserts the
+# version and that none of the four comes back.
+set(REMOVED_METRICS solver.idl.latency_seconds
+    solver.incremental.latency_seconds solver.z3.latency_seconds
+    sat.clauses_kept)
+function(check_schema TEXT LABEL)
+  if(NOT TEXT MATCHES "^{\"schema_version\":4,")
+    message(FATAL_ERROR "${LABEL}: schema_version is not 4:\n${TEXT}")
+  endif()
+  foreach(NAME ${REMOVED_METRICS})
+    string(FIND "${TEXT}" "\"${NAME}\"" AT)
+    if(NOT AT EQUAL -1)
+      message(FATAL_ERROR "${LABEL}: removed metric ${NAME} is back:\n${TEXT}")
+    endif()
+  endforeach()
+endfunction()
+check_schema("${JSON_TEXT}" "--tier=smt")
+
+# The same run on the Z3 backend (the idl fallback where the build has no
+# Z3) must not bring a removed metric back either.
+set(Z3_OUT "${CMAKE_CURRENT_BINARY_DIR}/stats_golden_z3.json")
+execute_process(
+  COMMAND "${RVPREDICT}" detect "${WORKLOAD}" --technique=rv --schedule=rr
+          --seed=1 --tier=smt --solver=z3 --stats-json=${Z3_OUT}
+  RESULT_VARIABLE RC
+  OUTPUT_VARIABLE STDOUT
+  ERROR_VARIABLE STDERR)
+if(RC GREATER 1)
+  message(FATAL_ERROR "rvpredict detect --solver=z3 failed (${RC}):\n${STDOUT}\n${STDERR}")
+endif()
+file(READ "${Z3_OUT}" Z3_TEXT)
+check_schema("${Z3_TEXT}" "--solver=z3")
+
 # string(JSON) needs CMake >= 3.19; older hosts fall back to substring
 # checks so the test still guards the field set.
 if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)

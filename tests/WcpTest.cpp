@@ -329,7 +329,6 @@ public:
     FindingsCounter = Inner->FindingsCounter;
     Solves = Inner->Solves;
     WcpTier = Inner->WcpTier;
-    WcpResidue = Inner->WcpResidue;
     WitnessOnSat = Inner->WitnessOnSat;
     Encoding = Inner->Encoding;
   }

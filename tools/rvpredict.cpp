@@ -209,27 +209,6 @@ int cmdRecord(const OptionParser &Options) {
   return 0;
 }
 
-/// Writes \p Json (plus a trailing newline) to \p Path; "-" means stdout.
-/// On stdout the object is preceded by a `##rvp:stats-json` marker line so
-/// consumers can split the combined stream — detect's stdout is always
-/// report, then stats table, then this block, then the `##rvp:trace-events`
-/// block (docs/OBSERVABILITY.md).
-bool writeJsonOutput(const std::string &Path, const std::string &Json) {
-  if (Path == "-") {
-    std::fputs("##rvp:stats-json\n", stdout);
-    std::fputs(Json.c_str(), stdout);
-    std::fputc('\n', stdout);
-    return true;
-  }
-  std::ofstream File(Path);
-  if (!File) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", Path.c_str());
-    return false;
-  }
-  File << Json << '\n';
-  return true;
-}
-
 int cmdDetect(const OptionParser &Options) {
   if (Options.positional().size() < 2) {
     std::fprintf(stderr, "usage: rvpredict detect <trace.txt|prog.rv>\n");
@@ -370,7 +349,7 @@ int cmdDetect(const OptionParser &Options) {
   if (Options.getBool("stats"))
     std::fputs(renderStatsTable(Stats, What).c_str(), stdout);
   if (!StatsJsonPath.empty() &&
-      !writeJsonOutput(StatsJsonPath, statsToJson(Stats, What)))
+      !writeStatsJson(StatsJsonPath, statsToJson(Stats, What)))
     return ExitInternal;
   // The profile spans the whole run; a write failure is an internal error
   // (the analysis itself succeeded).

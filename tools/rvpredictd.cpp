@@ -30,15 +30,16 @@
 //===----------------------------------------------------------------------===//
 
 #include "server/Server.h"
+#include "support/BuildInfo.h"
 #include "support/CommandLine.h"
 #include "support/FaultInjector.h"
 #include "support/Stats.h"
+#include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 
 using namespace rvp;
@@ -256,20 +257,11 @@ int main(int Argc, const char **Argv) {
         std::fprintf(stderr, "%-32s %llu\n", C.first.c_str(),
                      static_cast<unsigned long long>(C.second));
     if (!StatsJsonPath.empty()) {
-      std::string Json = metricsToJson(Snapshot);
-      if (StatsJsonPath == "-") {
-        std::fputs("##rvp:stats-json\n", stdout);
-        std::fputs(Json.c_str(), stdout);
-        std::fputc('\n', stdout);
-      } else {
-        std::ofstream File(StatsJsonPath);
-        if (!File) {
-          std::fprintf(stderr, "error: cannot write '%s'\n",
-                       StatsJsonPath.c_str());
-          return ExitInternal;
-        }
-        File << Json << '\n';
-      }
+      JsonObject Json;
+      appendRunMetadata(Json);
+      appendMetrics(Json, Snapshot);
+      if (!writeStatsJson(StatsJsonPath, Json.str()))
+        return ExitInternal;
     }
   }
   return Rc;

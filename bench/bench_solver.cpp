@@ -30,14 +30,17 @@ NodeRef chainFormula(FormulaBuilder &FB, uint32_t Length, bool Unsat) {
 }
 
 /// N critical-section pairs: the paper's quadratic lock constraints.
-NodeRef lockFormula(FormulaBuilder &FB, uint32_t Sections) {
-  // Section i occupies order variables [4i, 4i+1] (acquire, release).
+NodeRef lockFormula(FormulaBuilder &FB, uint32_t Sections,
+                    OrderVar Base = 0) {
+  // Section i occupies order variables Base + [4i, 4i+1] (acquire,
+  // release).
+  auto At = [Base](uint32_t Offset) { return Base + Offset; };
   std::vector<NodeRef> Conj;
   for (uint32_t I = 0; I < Sections; ++I) {
-    Conj.push_back(FB.mkAtom(4 * I, 4 * I + 1));
+    Conj.push_back(FB.mkAtom(At(4 * I), At(4 * I + 1)));
     for (uint32_t J = 0; J < I; ++J)
-      Conj.push_back(FB.mkOr2(FB.mkAtom(4 * J + 1, 4 * I),
-                              FB.mkAtom(4 * I + 1, 4 * J)));
+      Conj.push_back(FB.mkOr2(FB.mkAtom(At(4 * J + 1), At(4 * I)),
+                              FB.mkAtom(At(4 * I + 1), At(4 * J))));
   }
   return FB.mkAnd(std::move(Conj));
 }
@@ -178,6 +181,29 @@ void runSessionWindow(benchmark::State &State, const char *Name) {
   State.counters["queries"] = WindowQueries;
 }
 
+/// A session whose queries share nothing: query q is an 8-section lock
+/// formula over its own order variables, so its cone is only its own
+/// atoms and gates. Arg = queries per session; `per_query` is the time of
+/// one query, which stays flat as the session grows only when a query
+/// decides its cone alone (BM_IdlSessionWindow's queries share one core,
+/// so every cone there is the whole session).
+void BM_IdlSessionDisjointCones(benchmark::State &State) {
+  constexpr uint32_t Sections = 8;
+  auto Queries = static_cast<uint32_t>(State.range(0));
+  for (auto _ : State) {
+    FormulaBuilder FB;
+    auto Session = createIdlSession();
+    for (uint32_t Q = 0; Q < Queries; ++Q) {
+      NodeRef Root = lockFormula(FB, Sections, 4 * Sections * Q);
+      SatResult R = Session->query(FB, Root, Deadline(), nullptr);
+      benchmark::DoNotOptimize(R);
+    }
+  }
+  State.counters["per_query"] = benchmark::Counter(
+      Queries, benchmark::Counter::kIsIterationInvariantRate |
+                   benchmark::Counter::kInvert);
+}
+
 void BM_IdlOneShotWindow(benchmark::State &State) {
   runOneShotWindow(State, "idl");
 }
@@ -202,6 +228,7 @@ BENCHMARK(BM_Z3LockDisjunctions)->Arg(8)->Arg(32)->Arg(128);
 BENCHMARK(BM_IdlRandom)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_IdlOneShotWindow)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_IdlSessionWindow)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_IdlSessionDisjointCones)->Arg(16)->Arg(64)->Arg(256)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Z3OneShotWindow)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Z3SessionWindow)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
 

@@ -14,7 +14,6 @@
 #include "support/BuildInfo.h"
 #include "support/Compiler.h"
 #include "support/StringUtils.h"
-#include "support/Timer.h"
 
 #include <optional>
 #include <unordered_map>
@@ -415,12 +414,7 @@ public:
     std::optional<WcpIndex> Wcp;
     {
       ScopedPhaseTimer WcpPhase("wcp");
-      Timer WcpClock;
       Wcp.emplace(T, W.Window, Mhb);
-      if (Telemetry::enabled())
-        MetricsRegistry::global()
-            .histogram("wcp.latency_seconds")
-            .record(WcpClock.seconds());
     }
     if (!Solves || W.Degraded) {
       // --tier=vc, or a streamed window shed to it under load: the WCP

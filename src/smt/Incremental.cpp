@@ -77,7 +77,11 @@ private:
       return SatResult::Unsat;
     }
 
-    SatResult Result = Sat.solve({Lit::pos(Selector)}, Limit);
+    // Branch only on this query's cone: the variables earlier queries
+    // created outside it get values by propagation alone (Sat.h states
+    // why that is sound for this encoding).
+    Encoder.coneVars(FB, Root, Cone);
+    SatResult Result = Sat.solve({Lit::pos(Selector)}, Limit, &Cone);
     Work.recordSearch(Sat, /*InSession=*/true);
     // The model lives in the theory's current trail; read it before the
     // backtrack below unwinds those edges.
@@ -100,6 +104,7 @@ private:
   DiffLogicTheory Theory;
   SatSolver Sat;
   TseitinEncoder Encoder;
+  std::vector<Var> Cone; ///< the current query's cone, reused per query
   bool CoreUnsat = false;
   bool Poisoned = false;
 };

@@ -25,6 +25,7 @@ Var SatSolver::newVar() {
   Reasons.push_back(NoReason);
   Activity.push_back(0.0);
   HeapPos.push_back(UINT32_MAX);
+  ScopeStamp.push_back(0);
   Seen.push_back(0);
   Watches.emplace_back();
   Watches.emplace_back();
@@ -284,8 +285,8 @@ void SatSolver::backtrack(uint32_t Level) {
       TheoryClient->undoLit(L);
     Assigns[V] = ValueUnassigned;
     Reasons[V] = NoReason;
-    if (HeapPos[V] == UINT32_MAX)
-      heapInsert(V);
+    if (inScope(V))
+      requeue(V);
   }
   Trail.resize(Bound);
   TrailLimits.resize(Level);
@@ -294,9 +295,11 @@ void SatSolver::backtrack(uint32_t Level) {
 }
 
 Lit SatSolver::pickBranchLit() {
+  // Assigned and out-of-scope variables are popped for good: backtrack()
+  // and the next scoped solve() requeue them when they can be decided.
   while (!heapEmpty()) {
     Var V = heapPop();
-    if (Assigns[V] == ValueUnassigned)
+    if (Assigns[V] == ValueUnassigned && inScope(V))
       return Phase[V] ? Lit::pos(V) : Lit::neg(V);
   }
   return Lit();
@@ -442,7 +445,8 @@ SatResult SatSolver::solve(Deadline Limit) {
   return solve(std::vector<Lit>(), Limit);
 }
 
-SatResult SatSolver::solve(const std::vector<Lit> &Assumed, Deadline Limit) {
+SatResult SatSolver::solve(const std::vector<Lit> &Assumed, Deadline Limit,
+                           const std::vector<Var> *Scope) {
   FinalConflict.clear();
   AssumptionConflicts = 0;
   Conflicts = Decisions = Propagations = Restarts = 0;
@@ -454,6 +458,19 @@ SatResult SatSolver::solve(const std::vector<Lit> &Assumed, Deadline Limit) {
   // A previous solve() leaves its final trail in place (the theory state
   // backs the model); start the new search from the root.
   backtrack(0);
+  // Every unassigned variable of the scope must be in the heap; an earlier
+  // scoped search may have popped it as out of its own scope.
+  Scoped = Scope != nullptr;
+  if (Scoped) {
+    ++ScopeEpoch;
+    for (Var V : *Scope) {
+      ScopeStamp[V] = ScopeEpoch;
+      requeue(V);
+    }
+  } else {
+    for (Var V = 0; V < numVars(); ++V)
+      requeue(V);
+  }
   uint64_t ConflictBudget = 64 * luby(Restarts);
   uint64_t ConflictsSinceRestart = 0;
   uint64_t LearnedSinceReduce = 0;
@@ -548,10 +565,8 @@ SatResult SatSolver::solve(const std::vector<Lit> &Assumed, Deadline Limit) {
 
     Lit Decision = pickBranchLit();
     if (!Decision.valid()) {
-      // Everything is assigned (and the theory accepted the full trail).
-      Model.assign(Assigns.size(), false);
-      for (size_t I = 0; I < Model.size(); ++I)
-        Model[I] = Assigns[I] == 1;
+      // The scope is assigned and the theory accepted the whole trail; the
+      // trail stays live as the model.
       return SatResult::Sat;
     }
     ++Decisions;

@@ -95,8 +95,20 @@ public:
   /// (with other assumptions, or none) still work. Only a conflict at
   /// decision level 0 — independent of any assumption — makes the solver
   /// permanently unsatisfiable.
+  ///
+  /// With a decision \p Scope the search branches only on the listed
+  /// variables and answers Sat once all of them are assigned; any other
+  /// variable gets a value only by propagation. Contract: this is sound
+  /// only when every clause outside the scope is a positive-polarity
+  /// definition (a gate implies a function of its children), a retired
+  /// guard (satisfied at level 0), or a lemma implied by them, and the
+  /// theory extends any consistent partial assignment (an acyclic order
+  /// has a linear extension). Then a conflict-free assignment of the scope
+  /// extends to a full model (docs/INCREMENTAL_SOLVING.md). Without a
+  /// scope every variable is decided.
   SatResult solve(const std::vector<Lit> &Assumed,
-                  Deadline Limit = Deadline());
+                  Deadline Limit = Deadline(),
+                  const std::vector<Var> *Scope = nullptr);
 
   /// After solve(assumptions) returned Unsat because of the assumptions,
   /// an inconsistent subset of them (the final conflict, including the
@@ -104,8 +116,10 @@ public:
   /// unsatisfiable.
   const std::vector<Lit> &failedAssumptions() const { return FinalConflict; }
 
-  /// Model access; only meaningful after solve() returned Sat.
-  bool modelValue(Var V) const { return Model[V]; }
+  /// Model access: reads the live assignment, so only meaningful after
+  /// solve() returned Sat and before the next backtrackToRoot(). A
+  /// variable outside a scoped solve's scope may read false unassigned.
+  bool modelValue(Var V) const { return Assigns[V] == 1; }
 
   /// Undoes all decisions (required before addClause() after a solve()).
   void backtrackToRoot() { backtrack(0); }
@@ -160,6 +174,12 @@ private:
   /// one found false when it was about to be planted.
   void analyzeFinal(Lit FailedAssumption);
   void backtrack(uint32_t Level);
+  bool inScope(Var V) const { return !Scoped || ScopeStamp[V] == ScopeEpoch; }
+  /// Puts \p V back into the branching heap if the search may decide it.
+  void requeue(Var V) {
+    if (HeapPos[V] == UINT32_MAX && Assigns[V] == ValueUnassigned)
+      heapInsert(V);
+  }
   Lit pickBranchLit();
   void bumpVar(Var V);
   void bumpClause(Clause &C);
@@ -201,7 +221,12 @@ private:
   double VarInc = 1.0;
   double ClauseInc = 1.0;
 
-  std::vector<bool> Model;
+  /// The decision scope of the solve() in progress: a variable is in it
+  /// when its stamp equals ScopeEpoch, or always when !Scoped.
+  std::vector<uint32_t> ScopeStamp;
+  uint32_t ScopeEpoch = 0;
+  bool Scoped = false;
+
   bool Unsatisfiable = false;
   bool AllocFailed = false;
 

@@ -120,6 +120,30 @@ public:
     return LitOf[Root];
   }
 
+  /// Lists in \p Out the solver variables of \p Root's cone: every node
+  /// reachable from it, including nodes an earlier encode() defined. The
+  /// walk stamps nodes, so a subformula shared inside the cone is listed
+  /// once. \p Root must be encoded.
+  void coneVars(const FormulaBuilder &FB, NodeRef Root,
+                std::vector<Var> &Out) {
+    Out.clear();
+    Stamp.resize(LitOf.size(), 0);
+    ++Epoch;
+    Stamp[Root] = Epoch;
+    std::vector<NodeRef> Work = {Root};
+    while (!Work.empty()) {
+      NodeRef Ref = Work.back();
+      Work.pop_back();
+      Out.push_back(LitOf[Ref].var());
+      for (const NodeRef *C = FB.childBegin(Ref), *E = FB.childEnd(Ref);
+           C != E; ++C)
+        if (Stamp[*C] != Epoch) {
+          Stamp[*C] = Epoch;
+          Work.push_back(*C);
+        }
+    }
+  }
+
   /// Reads the order positions of every variable any encoded atom
   /// mentions, off the theory's current topological order. Only meaningful
   /// right after Sat answered Sat, before any backtracking.
@@ -143,6 +167,9 @@ private:
   std::vector<Lit> LitOf; ///< per NodeRef of the (single) builder
   std::map<std::pair<OrderVar, OrderVar>, Var> AtomVars;
   std::map<uint32_t, Var> BoolVars;
+  /// coneVars() scratch: a node is visited when its stamp equals Epoch.
+  std::vector<uint32_t> Stamp;
+  uint32_t Epoch = 0;
 };
 
 } // namespace rvp

@@ -1,6 +1,7 @@
 # The one-emission boundary (docs/OBSERVABILITY.md): the solver layer, the
-# static analyses and the encoder's files return what they did, and the
-# window driver counts it. None of them may name the metrics registry.
+# static analyses, the race policy, the WCP tier and the encoder's files
+# return what they did, and the window driver counts it. None of them may
+# name the metrics registry.
 # Invoked by CTest as
 #   cmake -DSOURCE_DIR=<repo>/src -P OneEmission.cmake
 
@@ -11,7 +12,9 @@ endif()
 set(GROUPS
   "smt/*.h;smt/*.cpp"
   "analysis/*.h;analysis/*.cpp"
+  "detect/Detect.*"
   "detect/RaceEncoder.*"
+  "detect/Wcp.*"
   "detect/WindowEncoding.*"
   "detect/WitnessChecker.*")
 set(OFFENDERS "")

@@ -322,6 +322,64 @@ TEST(IdlSession, ExpiredQueryDeadlineDoesNotStarveNextQuery) {
             SatResult::Sat);
 }
 
+TEST(IdlSession, QueryDecidesOnlyItsCone) {
+  // 64 earlier queries leave their atoms and gates unassigned in the
+  // session. A query over K fresh atoms must branch on its own cone only:
+  // at most one decision per atom, plus the planted assumption.
+  FormulaBuilder FB;
+  auto Session = createIdlSession();
+  OrderVar Next = 0;
+  auto FreshOr = [&](uint32_t Atoms) {
+    std::vector<NodeRef> Kids;
+    for (uint32_t I = 0; I < Atoms; ++I, Next += 2)
+      Kids.push_back(FB.mkAtom(Next, Next + 1));
+    return FB.mkOr(std::move(Kids));
+  };
+  for (int Query = 0; Query < 64; ++Query)
+    ASSERT_EQ(Session->query(FB, FreshOr(4), Deadline(), nullptr),
+              SatResult::Sat);
+  constexpr uint32_t K = 8;
+  SolveWork Work;
+  ASSERT_EQ(Session->query(FB, FreshOr(K), Deadline(), nullptr, &Work),
+            SatResult::Sat);
+  EXPECT_EQ(Work.Searches, 1u);
+  EXPECT_LE(Work.Decisions, K + 1);
+}
+
+TEST(IdlSession, OverlappingConesAgreeWithOneShot) {
+  // Queries combine members of one pool of subformulas, so their cones
+  // overlap: a variable one query left outside its cone (popped off the
+  // branching heap) is in a later query's cone, and clauses learned for
+  // one query can name variables outside the next one's. Deciding only
+  // the cone must still give the one-shot answer, and every Sat model
+  // must satisfy the query.
+  for (uint64_t Seed = 0; Seed < 20; ++Seed) {
+    Rng R(Seed);
+    FormulaBuilder FB;
+    std::vector<NodeRef> Pool;
+    for (int I = 0; I < 12; ++I)
+      Pool.push_back(randomFormula(FB, R, 8, 3));
+    auto Session = createIdlSession();
+    for (int Query = 0; Query < 40; ++Query) {
+      std::vector<NodeRef> Kids;
+      for (uint64_t I = 0, N = 2 + R.below(2); I < N; ++I)
+        Kids.push_back(Pool[R.below(Pool.size())]);
+      NodeRef F = R.chance(2, 3) ? FB.mkAnd(std::move(Kids))
+                                 : FB.mkOr(std::move(Kids));
+      OrderModel Model;
+      SatResult Got = Session->query(FB, F, Deadline(), &Model);
+      SatResult Want = createIdlSolver()->solve(FB, F, Deadline(), nullptr);
+      ASSERT_EQ(Got, Want) << "seed " << Seed << " query " << Query << "\n"
+                           << FB.toString(F);
+      if (Got == SatResult::Sat && FB.node(F).Kind != FormulaKind::True) {
+        EXPECT_TRUE(evaluate(FB, F, Model))
+            << "seed " << Seed << " query " << Query << "\n"
+            << FB.toString(F);
+      }
+    }
+  }
+}
+
 TEST(Z3Session, AgreesWithIdlSession) {
   auto Z3 = createZ3Session();
   if (!Z3)

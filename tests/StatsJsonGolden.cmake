@@ -28,14 +28,15 @@ file(READ "${OUT}" JSON_TEXT)
 
 # Schema version 4 removed three per-backend solver latency histograms
 # (solver.latency_seconds and the witness phase time the same solves) and
-# the last-writer-wins sat.clauses_kept gauge. check_schema asserts the
-# version and that none of the four comes back.
+# the last-writer-wins sat.clauses_kept gauge. Version 5 removed the
+# wcp.latency_seconds histogram (the wcp phase times the same build).
+# check_schema asserts the version and that none of the five comes back.
 set(REMOVED_METRICS solver.idl.latency_seconds
     solver.incremental.latency_seconds solver.z3.latency_seconds
-    sat.clauses_kept)
+    sat.clauses_kept wcp.latency_seconds)
 function(check_schema TEXT LABEL)
-  if(NOT TEXT MATCHES "^{\"schema_version\":4,")
-    message(FATAL_ERROR "${LABEL}: schema_version is not 4:\n${TEXT}")
+  if(NOT TEXT MATCHES "^{\"schema_version\":5,")
+    message(FATAL_ERROR "${LABEL}: schema_version is not 5:\n${TEXT}")
   endif()
   foreach(NAME ${REMOVED_METRICS})
     string(FIND "${TEXT}" "\"${NAME}\"" AT)
@@ -162,6 +163,9 @@ if(RC GREATER 1)
   message(FATAL_ERROR "rvpredict detect --tier=hybrid failed (${RC}):\n${STDOUT}\n${STDERR}")
 endif()
 file(READ "${WCP_OUT}" JSON_TEXT)
+# The only run that builds the WCP index, so the only one that would emit
+# wcp.latency_seconds.
+check_schema("${JSON_TEXT}" "--tier=hybrid")
 if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
   foreach(FIELD wcp_races wcp_pruned_cops wcp_residue_cops solver_calls_saved)
     string(JSON VALUE ERROR_VARIABLE JSON_ERR GET "${JSON_TEXT}" ${FIELD})

@@ -10,7 +10,10 @@
 #
 # Runs sequentially and with --jobs=4 (worker tracks, whose encodes share
 # the window's skeleton cache), and checks that --profile does not change
-# the analysis report itself.
+# the analysis report itself. Three more runs (an injected session
+# corruption, an unavailable z3, a checkpointed run) check that the
+# resilience instants count exactly what the same run's --stats-json
+# counters count.
 #
 # Usage: scripts/check_profile.sh <path-to-rvpredict> [workload.rv]
 set -eu
@@ -56,6 +59,49 @@ run_profiled() {
 run_profiled seq  "$TMPDIR_PROFILE/seq.trace.json"  --jobs=1
 run_profiled par  "$TMPDIR_PROFILE/par.trace.json"  --jobs=4
 run_profiled stats "$TMPDIR_PROFILE/stats.trace.json" --jobs=1 --stats
+
+# check_instants <label> <instant>: every instant count of the run equals
+# its counter in the run's --stats-json, and <instant> occurs at all.
+check_instants() {
+  LABEL="$1"; WANT="$2"
+  CHECKS=$((CHECKS + 1))
+  if ! python3 -c "
+import collections, json, sys
+trace = json.load(open('$TMPDIR_PROFILE/$LABEL.trace.json'))
+got = collections.Counter(e['name'] for e in trace['traceEvents']
+                          if e.get('ph') == 'i')
+c = json.load(open('$TMPDIR_PROFILE/$LABEL.stats.json'))['metrics']['counters']
+want = {
+    'solver-retry': c.get('solver.retries', 0),
+    'session-quarantine': c.get('solver.degraded_sessions', 0),
+    'backend-fallback': c.get('solver.backend_fallbacks', 0),
+    'checkpoint-save': c['detect.windows'] - c['detect.resumed_windows']
+                       if '$LABEL' == 'checkpoint' else 0,
+}
+bad = {n: (got[n], w) for n, w in want.items() if got[n] != w}
+bad.update({n: (k, 0) for n, k in got.items() if n not in want})
+if bad or not got['$WANT']:
+    print('instant (got, counter): %r, %s seen %d times'
+          % (bad, '$WANT', got['$WANT']))
+    sys.exit(1)
+"; then
+    echo "FAIL [$LABEL]: profile instants disagree with --stats-json"
+    FAILURES=$((FAILURES + 1))
+  fi
+}
+
+run_profiled quarantine "$TMPDIR_PROFILE/quarantine.trace.json" --jobs=1 \
+    --tier=smt --inject-faults=session.corrupt \
+    --stats-json="$TMPDIR_PROFILE/quarantine.stats.json"
+check_instants quarantine session-quarantine
+run_profiled fallback "$TMPDIR_PROFILE/fallback.trace.json" --jobs=1 \
+    --tier=smt --solver=z3 --inject-faults=z3.unavailable \
+    --stats-json="$TMPDIR_PROFILE/fallback.stats.json"
+check_instants fallback backend-fallback
+run_profiled checkpoint "$TMPDIR_PROFILE/checkpoint.trace.json" --jobs=1 \
+    --window=24 --checkpoint="$TMPDIR_PROFILE/ckpt" \
+    --stats-json="$TMPDIR_PROFILE/checkpoint.stats.json"
+check_instants checkpoint checkpoint-save
 
 # --jobs=4 must produce named worker tracks beyond the main thread.
 CHECKS=$((CHECKS + 1))

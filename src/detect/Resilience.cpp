@@ -6,7 +6,6 @@
 
 #include "detect/Resilience.h"
 
-#include "support/Profile.h"
 #include "support/StringUtils.h"
 
 #include <cmath>
@@ -69,11 +68,8 @@ void SolveHost::ensureSession() {
     return;
   Session = createSessionByName(SolverName);
   if (!Session) {
-    if (!SolverName.empty() && SolverName != "idl") {
+    if (!SolverName.empty() && SolverName != "idl")
       ++Stats.BackendFallbacks;
-      if (ProfileCollector *P = ProfileCollector::active())
-        P->instant("backend-fallback", "resilience");
-    }
     Session = createIdlSession();
   }
 }
@@ -83,19 +79,14 @@ void SolveHost::ensureSolver() {
     return;
   Solver = createSolverByName(SolverName);
   if (!Solver) {
-    if (!SolverName.empty() && SolverName != "idl") {
+    if (!SolverName.empty() && SolverName != "idl")
       ++Stats.BackendFallbacks;
-      if (ProfileCollector *P = ProfileCollector::active())
-        P->instant("backend-fallback", "resilience");
-    }
     Solver = createIdlSolver();
   }
 }
 
 void SolveHost::quarantineSession() {
   ++Stats.DegradedSessions;
-  if (ProfileCollector *P = ProfileCollector::active())
-    P->instant("session-quarantine", "resilience");
   Session.reset();
   FailedStreak = 0;
   // One rebuild is worth trying: corruption may have been transient and
@@ -146,11 +137,8 @@ SolveHost::Outcome SolveHost::decide(const FormulaBuilder &FB, NodeRef Root) {
     bool Repeat = true;
     while (Repeat) {
       Repeat = false;
-      if (Attempt > 0) {
+      if (Attempt > 0)
         ++Stats.Retries;
-        if (ProfileCollector *P = ProfileCollector::active())
-          P->instant("solver-retry", "resilience");
-      }
       uint64_t QuarantinesBefore = Stats.DegradedSessions;
       Out.Sat = attemptOnce(FB, Root, Budget);
       Out.Attempts = ++Attempt;

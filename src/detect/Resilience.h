@@ -50,7 +50,8 @@ bool parseBudgetList(const std::string &Spec, std::vector<double> &Out,
 
 /// What the resilience layer had to do, accumulated per host and summed by
 /// the drivers into DetectionStats (and from there into the telemetry
-/// registry; see docs/OBSERVABILITY.md).
+/// registry; see docs/OBSERVABILITY.md). The window driver also turns each
+/// decision's delta into Perfetto instants.
 struct ResilienceStats {
   /// Extra solve attempts beyond each COP's first (solver.retries).
   uint64_t Retries = 0;

@@ -13,7 +13,6 @@
 #include "support/CommandLine.h"
 #include "support/FaultInjector.h"
 #include "support/MemStats.h"
-#include "support/Profile.h"
 #include "support/StringUtils.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
@@ -68,6 +67,21 @@ const char *rejectOutcome(const char *Stage) {
   if (std::strcmp(Stage, "wcp") == 0)
     return "wcp-ordered";
   return "qc-fail";
+}
+
+/// Marks on the calling thread's Perfetto track what one decision cost the
+/// resilience layer: the delta of its host's stats from \p Before.
+void markResilience(const ResilienceStats &Before,
+                    const ResilienceStats &After) {
+  ProfileCollector *P = Telemetry::instance().profiler();
+  if (!P)
+    return;
+  for (uint64_t I = Before.Retries; I < After.Retries; ++I)
+    P->instant("solver-retry", "resilience");
+  for (uint64_t I = Before.DegradedSessions; I < After.DegradedSessions; ++I)
+    P->instant("session-quarantine", "resilience");
+  for (uint64_t I = Before.BackendFallbacks; I < After.BackendFallbacks; ++I)
+    P->instant("backend-fallback", "resilience");
 }
 
 bool parseU64(std::string_view S, uint64_t &Out) {
@@ -161,7 +175,9 @@ public:
   }
 
   void analyze(Span Window, bool Degraded) {
-    Timer Clock;
+    // The run's seconds (the report header) are measured whether or not
+    // telemetry is on, so they have a timer of their own.
+    Timer Elapsed;
     // Variables first seen in this window (a streamed trace grows) start
     // at their initial values.
     for (auto Var = static_cast<VarId>(Values.size()); Var < T.numVars();
@@ -173,7 +189,7 @@ public:
       if (T[Id].isWrite())
         Values[T[Id].Target] = T[Id].Data;
     Out.Stats.UnknownCops = Out.Unknowns.size();
-    Out.Stats.Seconds += Clock.seconds();
+    Out.Stats.Seconds += Elapsed.seconds();
   }
 
   DriverOutput finish() {
@@ -188,24 +204,24 @@ public:
 
 private:
   void processWindow(Span Window, bool Degraded) {
-    ScopedPhaseTimer WindowPhase("window");
-    Timer WindowClock;
-    uint64_t SolvesBefore = Out.Stats.SolverCalls;
-    WindowContext W(T, Window, Values, Policy.Encoding, Degraded);
-    std::vector<Candidate> Cands;
-    Policy.enumerate(W, Cands);
-    tally(Cands);
-    collect(W, Cands);
-
     // The window's one record, rendered as its trace event, its ledger
-    // entry and the Perfetto counter samples of the run so far.
-    const WindowCost Record{.Index = Out.Stats.Windows - 1,
-                            .Begin = Window.Begin,
-                            .End = Window.End,
-                            .Cops = Cands.size(),
-                            .Solves = Out.Stats.SolverCalls - SolvesBefore,
-                            .Seconds = WindowClock.seconds()};
-    if (TraceEventSink *Sink = activeSink()) {
+    // entry and the Perfetto counter samples of the run so far; its
+    // seconds are the window phase's own.
+    WindowCost Record{.Index = Out.Stats.Windows - 1,
+                      .Begin = Window.Begin,
+                      .End = Window.End};
+    uint64_t SolvesBefore = Out.Stats.SolverCalls;
+    {
+      ScopedPhaseTimer WindowPhase("window", &Record.Seconds);
+      WindowContext W(T, Window, Values, Policy.Encoding, Degraded);
+      std::vector<Candidate> Cands;
+      Policy.enumerate(W, Cands);
+      tally(Cands);
+      collect(W, Cands);
+      Record.Cops = Cands.size();
+    }
+    Record.Solves = Out.Stats.SolverCalls - SolvesBefore;
+    if (TraceEventSink *Sink = Telemetry::instance().sink()) {
       JsonObject O;
       O.field("type", "window")
           .field("index", static_cast<uint64_t>(Record.Index))
@@ -219,12 +235,12 @@ private:
       Out.Stats.TopCosts.recordWindow(Record);
     // Live counter tracks, sampled once per window barrier — enough
     // resolution to see trends in Perfetto without bloating the trace.
-    if (ProfileCollector *P = ProfileCollector::active()) {
+    if (ProfileCollector *P = Telemetry::instance().profiler()) {
       P->counter("cops", static_cast<double>(Out.Stats.Cops));
       P->counter("races", static_cast<double>(Policy.numFindings()));
       P->counter("solver-calls", static_cast<double>(Out.Stats.SolverCalls));
-      P->counter("mem.formula_bytes",
-                 static_cast<double>(MemStats::current(MemPool::Formula)));
+      P->counter("mem.formula_dag_bytes",
+                 static_cast<double>(MemStats::current(MemPool::FormulaDag)));
       P->counter("mem.rss_bytes",
                  static_cast<double>(MemStats::currentRssBytes()));
     }
@@ -385,10 +401,8 @@ private:
     size_t NodesBefore = FB.numNodes();
     NodeRef Root;
     {
-      ScopedPhaseTimer EncodePhase("encode");
-      Timer EncodeClock;
+      ScopedPhaseTimer EncodePhase("encode", &Cost.EncodeSeconds);
       Root = Policy.encode(Encoder, FB, C, &D.Encode);
-      Cost.EncodeSeconds = EncodeClock.seconds();
     }
     Cost.ConeEvents = D.Encode.ConeEvents;
     Cost.MemDeltaBytes = (FB.numNodes() - NodesBefore) * sizeof(FormulaNode);
@@ -396,12 +410,12 @@ private:
       measureFormula(FB, NodesBefore, Root, Cost);
 
     SolveHost::Outcome Decided;
+    const ResilienceStats Before = Ctx.Host->stats();
     {
-      ScopedPhaseTimer SolvePhase("solve");
-      Timer SolveClock;
+      ScopedPhaseTimer SolvePhase("solve", &Cost.SolveSeconds);
       Decided = Ctx.Host->decide(FB, Root);
-      Cost.SolveSeconds = SolveClock.seconds();
     }
+    markResilience(Before, Ctx.Host->stats());
     Cost.Solved = true;
     Cost.Attempts = Decided.Attempts;
     D.Sat = Decided.Sat;
@@ -424,8 +438,7 @@ private:
     // The window's encoding is built (on first use) outside the phase.
     std::shared_ptr<const WindowEncoding> Shared =
         W.encoder().sharedWindowEncoding();
-    ScopedPhaseTimer WitnessPhase("witness");
-    Timer WitnessClock;
+    ScopedPhaseTimer WitnessPhase("witness", &D.Cost.WitnessSeconds);
     EncoderOptions Opts;
     Opts.SubstituteRaceVars = Policy.Encoding.SubstituteRaceVars;
     RaceEncoder Encoder(std::move(Shared), Opts);
@@ -447,7 +460,6 @@ private:
                               Cone.MergedFirst, Cone.MergedSecond);
       D.WitnessValid = Policy.checkWitness(W, C, D.Witness);
     }
-    D.Cost.WitnessSeconds = WitnessClock.seconds();
     return Sat;
   }
 
@@ -500,7 +512,6 @@ private:
       ++Out.Stats.SolverCalls;
       if (Policy.WcpTier) // a solved candidate is the WCP tier's residue
         ++Out.Stats.WcpResidue;
-      emitSolveEvent(C, Outcome, D);
     }
     if (D.Sat == SatResult::Unknown) {
       ++Out.Stats.SolverTimeouts;
@@ -510,7 +521,7 @@ private:
     Out.Stats.WitnessFailures += D.WitnessFailed;
     if (Telemetry::enabled()) {
       nameCop(D.Cost, C, Outcome, Stage);
-      emitCop(D.Cost);
+      emitCop(D.Cost, D.Backend);
       Out.Stats.TopCosts.recordCop(std::move(D.Cost));
     }
     if (D.Sat == SatResult::Sat)
@@ -766,10 +777,6 @@ private:
     Reg.gauge("mem.trace_peak_bytes").set(TraceBytes);
   }
 
-  static TraceEventSink *activeSink() {
-    return Telemetry::enabled() ? Telemetry::instance().sink() : nullptr;
-  }
-
   /// Completes \p Record as \p C's, decided at \p Stage with \p Outcome.
   void nameCop(CopCost &Record, const Candidate &C, const char *Outcome,
                const char *Stage) const {
@@ -782,7 +789,7 @@ private:
   /// The cop trace event of a candidate no solver decided.
   void emitCop(const Candidate &C, const char *Outcome,
                const char *Stage) const {
-    if (!activeSink())
+    if (!Telemetry::instance().sink())
       return;
     CopCost Record;
     nameCop(Record, C, Outcome, Stage);
@@ -790,11 +797,11 @@ private:
   }
 
   /// One cop trace event: the prune provenance (which stage decided the
-  /// candidate) plus, for a solver decision, the formula size, the
-  /// encode/solve/witness split, the formula-arena delta and the
-  /// escalation attempts.
-  void emitCop(const CopCost &R) const {
-    TraceEventSink *Sink = activeSink();
+  /// candidate) plus, for a solver decision, the backend \p Solver that
+  /// answered, the formula size, the encode/solve/witness split, the
+  /// formula-arena delta and the escalation attempts.
+  void emitCop(const CopCost &R, const char *Solver = nullptr) const {
+    TraceEventSink *Sink = Telemetry::instance().sink();
     if (!Sink)
       return;
     JsonObject O;
@@ -808,7 +815,8 @@ private:
         .field("outcome", R.Outcome)
         .field("stage", R.Stage);
     if (R.Solved)
-      O.field("formula_nodes", R.FormulaNodes)
+      O.field("solver", Solver)
+          .field("formula_nodes", R.FormulaNodes)
           .field("difference_atoms", R.DifferenceAtoms)
           .field("order_vars", R.OrderVars)
           .field("solve_seconds", R.SolveSeconds)
@@ -817,22 +825,6 @@ private:
           .field("mem_delta_bytes", R.MemDeltaBytes)
           .field("attempts", static_cast<uint64_t>(R.Attempts))
           .field("cone_events", R.ConeEvents);
-    Sink->write(O);
-  }
-
-  void emitSolveEvent(const Candidate &C, const char *Outcome,
-                      const Decision &D) const {
-    TraceEventSink *Sink = activeSink();
-    if (!Sink)
-      return;
-    JsonObject O;
-    O.field("type", "solve")
-        .field("window", Out.Stats.Windows - 1)
-        .field("first", static_cast<uint64_t>(C.First))
-        .field("second", static_cast<uint64_t>(C.Second))
-        .field("solver", D.Backend)
-        .field("outcome", Outcome)
-        .field("seconds", D.Cost.SolveSeconds);
     Sink->write(O);
   }
 
@@ -942,7 +934,7 @@ DriverOutput rvp::runWindowDriver(const Trace &T,
       if (!Ckpt.enabled())
         continue;
       Ckpt.save(Index - 1, Driver.saveState());
-      if (ProfileCollector *P = ProfileCollector::active())
+      if (ProfileCollector *P = Telemetry::instance().profiler())
         P->instant("checkpoint-save", "resilience");
       // Deterministic kill point for the resume tests: dies exactly at a
       // window barrier, after the snapshot is durable.

@@ -10,8 +10,7 @@
 /// window — nodes are hash-consed, never deleted — so per-node heap
 /// traffic buys nothing: the arena hands out pointers by bumping a cursor
 /// and frees every chunk at once when the builder dies at the window
-/// barrier. Chunk bytes are charged to MemPool::FormulaDag, alongside the
-/// per-node MemPool::Formula accounting the builder already does, so the
+/// barrier. Chunk bytes are charged to MemPool::FormulaDag, so the
 /// `mem.formula_dag_*` gauges expose the arena's real footprint including
 /// blocks abandoned by ArenaVector growth.
 ///

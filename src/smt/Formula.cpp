@@ -7,7 +7,6 @@
 #include "smt/Formula.h"
 
 #include "support/Compiler.h"
-#include "support/Telemetry.h"
 
 #include <algorithm>
 #include <cassert>
@@ -74,8 +73,6 @@ NodeRef FormulaBuilder::intern(FormulaNode Node,
   // Resize at ~70% load so probe chains stay short.
   if (++TableCount * 10 >= Table.size() * 7)
     growTable();
-  if (Telemetry::enabled())
-    Mem.charge(sizeof(FormulaNode) + Kids.size() * sizeof(NodeRef));
   return Ref;
 }
 

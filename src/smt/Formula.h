@@ -24,7 +24,6 @@
 #define RVP_SMT_FORMULA_H
 
 #include "smt/Arena.h"
-#include "support/MemStats.h"
 
 #include <cstdint>
 #include <string>
@@ -139,9 +138,6 @@ private:
   /// intern instead of a heap-allocated vector per distinct hash.
   std::vector<TableSlot> Table;
   size_t TableCount = 0;
-  /// mem.formula_* accounting of the node and child arenas; charged per
-  /// interned node when telemetry is on (support/MemStats.h).
-  MemCharge Mem{MemPool::Formula};
   /// Complement-detection scratch for mkNary, epoch-stamped instead of
   /// cleared: unordered containers never shrink their bucket array, so a
   /// single huge conjunction (a window root) would make every later

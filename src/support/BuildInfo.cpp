@@ -9,7 +9,6 @@
 #include "support/Stats.h"
 #include "support/Version.h"
 
-#include <cstdio>
 #include <ctime>
 
 using namespace rvp;
@@ -21,9 +20,7 @@ std::string rvp::isoTimestampUtc() {
   std::tm Utc{};
   gmtime_r(&Now, &Utc);
   char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%04d-%02d-%02dT%02d:%02d:%02dZ",
-                Utc.tm_year + 1900, Utc.tm_mon + 1, Utc.tm_mday, Utc.tm_hour,
-                Utc.tm_min, Utc.tm_sec);
+  std::strftime(Buf, sizeof(Buf), "%Y-%m-%dT%H:%M:%SZ", &Utc);
   return Buf;
 }
 

@@ -54,14 +54,10 @@ uint64_t readProcStatusKb(const char *Field) {
 
 const char *rvp::memPoolName(MemPool Pool) {
   switch (Pool) {
-  case MemPool::Formula:
-    return "formula";
   case MemPool::Clauses:
     return "clauses";
   case MemPool::Encoding:
     return "encoding";
-  case MemPool::Trace:
-    return "trace";
   case MemPool::FormulaDag:
     return "formula_dag";
   case MemPool::Count:

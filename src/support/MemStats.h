@@ -7,8 +7,8 @@
 /// \file
 /// Lightweight per-subsystem byte accounting for the detection pipeline
 /// (docs/OBSERVABILITY.md). Subsystems with data structures that dominate
-/// large-window memory — the formula DAG, the SAT clause database, the
-/// per-window encoding state, and trace storage — report allocations into
+/// large-window memory — the formula DAG, the SAT clause database and the
+/// per-window encoding state — report allocations into
 /// a fixed set of pools; each pool tracks its current and high-water byte
 /// counts with relaxed atomics, so concurrent solver workers account
 /// without synchronization and the default (telemetry-off) path pays
@@ -32,15 +32,13 @@ class MetricsRegistry;
 
 /// The accounted subsystems. Count is the array bound, not a pool.
 enum class MemPool : uint8_t {
-  Formula,    ///< FormulaBuilder DAG nodes
   Clauses,    ///< SAT clause database (problem + learned)
   Encoding,   ///< per-window WindowEncoding state
-  Trace,      ///< event storage of loaded traces
   FormulaDag, ///< FormulaBuilder arena chunks (smt/Arena.h)
   Count
 };
 
-/// Dotted gauge-name stem of \p Pool ("formula", "clauses", ...).
+/// Dotted gauge-name stem of \p Pool ("clauses", "encoding", ...).
 const char *memPoolName(MemPool Pool);
 
 /// Process-wide accounting registry. All operations are relaxed atomics;
@@ -73,7 +71,7 @@ public:
 };
 
 /// RAII pool charge: adds \p Bytes on charge(), releases the accumulated
-/// total on destruction. Data-structure owners (FormulaBuilder, SatSolver,
+/// total on destruction. Data-structure owners (BumpArena, SatSolver,
 /// WindowEncoding) embed one so accounting can never leak across runs even
 /// when telemetry is toggled mid-lifetime: only bytes actually charged are
 /// ever released.

@@ -14,8 +14,6 @@
 
 using namespace rvp;
 
-std::atomic<ProfileCollector *> ProfileCollector::ActivePtr{nullptr};
-
 namespace {
 
 /// Per-thread tid cache. Keyed by the owning collector so a tid assigned by

@@ -19,20 +19,18 @@
 ///
 /// Threads are identified by a stable per-collector tid assigned on first
 /// use; the thread pool names its workers (`worker-N`) so solve spans land
-/// on per-worker tracks. Activation mirrors the trace-event sink: the
-/// process-wide collector pointer is installed behind
-/// `rvpredict detect --profile=<path>` and every recording site guards on
-/// ProfileCollector::active(), a single atomic load, so the default path
-/// stays zero-cost.
+/// on per-worker tracks. A collector records nothing by itself: behind
+/// `rvpredict detect --profile=<path>` it is attached to Telemetry next to
+/// the trace-event sink (Telemetry::setProfiler), and reached only through
+/// Telemetry::profiler(), so telemetry's one switch also gates profiling.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RVP_SUPPORT_PROFILE_H
 #define RVP_SUPPORT_PROFILE_H
 
-#include "support/Timer.h"
-
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -59,11 +57,18 @@ public:
   ProfileCollector(const ProfileCollector &) = delete;
   ProfileCollector &operator=(const ProfileCollector &) = delete;
 
-  /// Microseconds since this collector was constructed (the trace
-  /// timebase; steady clock).
-  uint64_t nowUs() const {
-    return static_cast<uint64_t>(Clock.seconds() * 1e6);
+  using Clock = std::chrono::steady_clock;
+
+  /// Microseconds from this collector's construction to \p At (the trace
+  /// timebase); 0 for an earlier time point.
+  uint64_t toUs(Clock::time_point At) const {
+    if (At <= Epoch)
+      return 0;
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(At - Epoch)
+            .count());
   }
+  uint64_t nowUs() const { return toUs(Clock::now()); }
 
   /// Records a completed duration span on the calling thread's track.
   void span(const char *Name, const char *Category, uint64_t StartUs,
@@ -94,23 +99,10 @@ public:
   /// Writes toJson() to \p Path. False (with \p Error set) on I/O failure.
   bool writeFile(const std::string &Path, std::string &Error) const;
 
-  // ---- process-wide switchboard (mirrors Telemetry's sink) ----
-
-  /// The installed collector, or nullptr when profiling is off. One
-  /// relaxed atomic load — cheap enough for every instrumentation site.
-  static ProfileCollector *active() {
-    return ActivePtr.load(std::memory_order_acquire);
-  }
-  static void setActive(ProfileCollector *Collector) {
-    ActivePtr.store(Collector, std::memory_order_release);
-  }
-
 private:
   void record(ProfileEvent Event);
 
-  static std::atomic<ProfileCollector *> ActivePtr;
-
-  Timer Clock;
+  const Clock::time_point Epoch = Clock::now();
   mutable std::mutex Mutex;
   std::vector<ProfileEvent> Events;
   std::map<uint32_t, std::string> ThreadNames;

@@ -13,10 +13,11 @@
 ///    so the --stats table and --stats-json output can show where wall
 ///    time goes, per phase, with nesting.
 ///  * TraceEventSink — a structured JSONL sink (one JSON object per line;
-///    one event per window / COP / solver call) written behind
+///    one event per window / COP) written behind
 ///    `rvpredict detect --trace-events=<path>`.
 ///  * Telemetry — the process-wide switchboard tying the registry
-///    (support/Stats.h), the phase tree, and the sink together.
+///    (support/Stats.h), the phase tree, the sink and the Perfetto
+///    collector (support/Profile.h) together.
 ///
 /// Telemetry is opt-in and off by default; every instrumentation site
 /// guards on Telemetry::enabled(), a single boolean load, so the
@@ -29,8 +30,8 @@
 
 #include "support/Profile.h"
 #include "support/Stats.h"
-#include "support/Timer.h"
 
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -141,8 +142,9 @@ struct TelemetrySnapshot {
 
 /// The process-wide telemetry switchboard. The registry itself is
 /// MetricsRegistry::global(); this adds the enable flag, the phase tree,
-/// and the optional event sink. Runs are delimited by the caller: reset()
-/// zeroes the registry and clears the phase tree, snapshot() copies both.
+/// the optional event sink and the optional Perfetto collector. Runs are
+/// delimited by the caller: reset() zeroes the registry and clears the
+/// phase tree, snapshot() copies both.
 class Telemetry {
 public:
   static Telemetry &instance();
@@ -163,8 +165,14 @@ public:
   static void setThreadPhaseTree(PhaseTree *Tree) { ThreadPhases = Tree; }
   static PhaseTree *threadPhaseTree() { return ThreadPhases; }
 
-  TraceEventSink *sink() { return Sink; }
+  /// The attached sink and collector while telemetry is on, else nullptr:
+  /// the enable flag is the one switch for every view.
+  TraceEventSink *sink() const { return EnabledFlag ? Sink : nullptr; }
   void setSink(TraceEventSink *S) { Sink = S; }
+  ProfileCollector *profiler() const {
+    return EnabledFlag ? Profiler : nullptr;
+  }
+  void setProfiler(ProfileCollector *P) { Profiler = P; }
 
   TelemetrySnapshot snapshot() const;
   void reset();
@@ -174,6 +182,7 @@ private:
   static thread_local PhaseTree *ThreadPhases;
   PhaseTree Phases;
   TraceEventSink *Sink = nullptr;
+  ProfileCollector *Profiler = nullptr;
 };
 
 /// RAII thread-local phase-tree override: scoped to one pool task so its
@@ -193,43 +202,42 @@ private:
   PhaseTree *Prev;
 };
 
-/// RAII phase timer: enters \p Name on construction, records elapsed wall
-/// time on destruction. A no-op (two pointer-sized loads) when telemetry
-/// and profiling are off. With a ProfileCollector installed, each timer
-/// additionally becomes a `ph:"X"` span on the calling thread's track, so
-/// the phase tree doubles as the profile timeline.
+/// RAII phase timer: enters \p Name on construction and reads the clock
+/// once more on destruction. That one measurement goes to the phase tree,
+/// to a `ph:"X"` span on the calling thread's track when a collector is
+/// attached, and to \p *Seconds when given. With telemetry off it is one
+/// boolean load: the clock is never read and \p *Seconds is left alone.
 class ScopedPhaseTimer {
 public:
-  explicit ScopedPhaseTimer(const char *Name) {
-    if (Telemetry::enabled()) {
-      Telemetry::instance().phases().enter(Name);
-      Active = true;
-      Clock.reset();
-    }
-    if (ProfileCollector *P = ProfileCollector::active()) {
-      ProfName = Name;
-      ProfStartUs = P->nowUs();
-    }
+  explicit ScopedPhaseTimer(const char *Name, double *Seconds = nullptr) {
+    if (!Telemetry::enabled())
+      return;
+    Telemetry::instance().phases().enter(Name);
+    this->Name = Name;
+    Out = Seconds;
+    Start = ProfileCollector::Clock::now();
   }
   ~ScopedPhaseTimer() {
-    if (ProfName) {
-      if (ProfileCollector *P = ProfileCollector::active()) {
-        uint64_t EndUs = P->nowUs();
-        P->span(ProfName, "phase", ProfStartUs,
-                EndUs > ProfStartUs ? EndUs - ProfStartUs : 0);
-      }
-    }
-    if (Active)
-      Telemetry::instance().phases().exit(Clock.seconds());
+    if (!Name)
+      return;
+    double Seconds = std::chrono::duration<double>(
+                         ProfileCollector::Clock::now() - Start)
+                         .count();
+    Telemetry &T = Telemetry::instance();
+    T.phases().exit(Seconds);
+    if (ProfileCollector *P = T.profiler())
+      P->span(Name, "phase", P->toUs(Start),
+              static_cast<uint64_t>(Seconds * 1e6));
+    if (Out)
+      *Out = Seconds;
   }
   ScopedPhaseTimer(const ScopedPhaseTimer &) = delete;
   ScopedPhaseTimer &operator=(const ScopedPhaseTimer &) = delete;
 
 private:
-  Timer Clock;
-  bool Active = false;
-  const char *ProfName = nullptr;
-  uint64_t ProfStartUs = 0;
+  const char *Name = nullptr; ///< set only while the phase is entered
+  double *Out = nullptr;
+  ProfileCollector::Clock::time_point Start;
 };
 
 } // namespace rvp

@@ -6,8 +6,8 @@
 
 #include "support/ThreadPool.h"
 
-#include "support/Profile.h"
 #include "support/StringUtils.h"
+#include "support/Telemetry.h"
 
 #include <algorithm>
 
@@ -96,8 +96,8 @@ void ThreadPool::workerLoop(unsigned Index) {
   CurrentIndex = static_cast<int>(Index);
   // Label this worker's profile track so solve spans land on named
   // per-worker rows in Perfetto. Pools are constructed after the collector
-  // is installed (the driver creates them per parallel section).
-  if (ProfileCollector *P = ProfileCollector::active())
+  // is attached (the driver creates them per run).
+  if (ProfileCollector *P = Telemetry::instance().profiler())
     P->setThreadName(formatString("worker-%u", Index));
   for (;;) {
     UniqueTask Task;

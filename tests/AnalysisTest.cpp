@@ -80,9 +80,11 @@ TEST(Cfg, BranchHasTwoSuccessors) {
                     "main { spawn t; join t; }\n");
   Cfg G(threadNamed(P, "t"));
   EXPECT_EQ(countKind(G, CfgNode::Kind::Branch), 1u);
-  for (const CfgNode &N : G.nodes())
-    if (N.K == CfgNode::Kind::Branch)
+  for (const CfgNode &N : G.nodes()) {
+    if (N.K == CfgNode::Kind::Branch) {
       EXPECT_EQ(N.Succs.size(), 2u);
+    }
+  }
   // Both arms converge on the final statement; everything is reachable.
   EXPECT_TRUE(G.unreachableNodes().empty());
 }
@@ -241,9 +243,11 @@ TEST(StaticLockset, MayCountSaturatesInLoop) {
   Cfg G(threadNamed(P, "t"));
   StaticLocksetAnalysis LS(P, G);
   uint32_t M = static_cast<uint32_t>(LS.lockIndex("m"));
-  for (uint32_t Id = 0; Id < G.size(); ++Id)
-    if (LS.reached(Id))
+  for (uint32_t Id = 0; Id < G.size(); ++Id) {
+    if (LS.reached(Id)) {
       EXPECT_LE(LS.mayAt(Id)[M], StaticLocksetAnalysis::MayCap);
+    }
+  }
 }
 
 TEST(StaticLockset, UndeclaredLockIndexIsNegative) {
@@ -606,9 +610,11 @@ TEST(Dataflow, BackEdgeMeetsWithLoopEntry) {
   // The loop-head branch meets the entry path (1 statement: the decl)
   // with the richer back-edge path; max-meet must keep the back-edge
   // value, so the exit sees the saturated count, not the entry count.
-  for (uint32_t Id = 0; Id < G.size(); ++Id)
-    if (G.node(Id).K == CfgNode::Kind::Branch)
+  for (uint32_t Id = 0; Id < G.size(); ++Id) {
+    if (G.node(Id).K == CfgNode::Kind::Branch) {
       EXPECT_GT(R.In[Id], 1u);
+    }
+  }
 }
 
 // ------------------------------------------------------------ ValueRange

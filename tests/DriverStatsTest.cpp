@@ -40,9 +40,10 @@ using namespace rvp;
 
 namespace {
 
-/// The trace `rvpredict detect props_workload.rv --schedule=rr` records.
-Trace propsTrace() {
-  std::ifstream In(std::string(RVP_GOLDEN_DIR) + "/props_workload.rv");
+/// The trace `rvpredict detect <Workload> --schedule=rr` records from a
+/// program under tests/golden.
+Trace recordGolden(const char *Workload) {
+  std::ifstream In(std::string(RVP_GOLDEN_DIR) + "/" + Workload);
   EXPECT_TRUE(In);
   std::stringstream Source;
   Source << In.rdbuf();
@@ -53,6 +54,8 @@ Trace propsTrace() {
   EXPECT_TRUE(recordTrace(Source.str(), T, Run, Error, &RoundRobin)) << Error;
   return T;
 }
+
+Trace propsTrace() { return recordGolden("props_workload.rv"); }
 
 StreamOptions propertyOptions(const char *Property) {
   StreamOptions Opts;
@@ -394,6 +397,44 @@ TEST(DriverStats, RangesFoldedCountsDecisionPathFoldsOnly) {
   }
   EXPECT_GE(Folded[true], 1u);
   EXPECT_EQ(Folded[true], Folded[false]);
+}
+
+TEST(DriverStats, LedgerSecondsAreThePhaseSeconds) {
+  // One clock per timed region: the seconds of the ledger records (which
+  // the cop and window trace events render too) are the window, solve
+  // and witness phases' own measurements, not a second clock's.
+  Trace T = recordGolden("stats_workload.rv");
+  DetectorOptions Options;
+  Options.Tier = DetectTier::Smt;
+  Options.CollectWitnesses = true;
+  Options.Jobs = 1;
+  Telemetry::setEnabled(true);
+  Telemetry::instance().reset();
+  DetectionResult R = detectRaces(T, Technique::Maximal, Options);
+  Telemetry::instance().reset();
+  Telemetry::setEnabled(false);
+
+  double Solve = 0, Witness = 0, Window = 0;
+  uint64_t Solved = 0;
+  for (const CopCost &C : R.Stats.TopCosts.topCops()) {
+    Solved += C.Solved;
+    Solve += C.SolveSeconds;
+    Witness += C.WitnessSeconds;
+  }
+  std::vector<WindowCost> Windows = R.Stats.TopCosts.topWindows();
+  for (const WindowCost &W : Windows)
+    Window += W.Seconds;
+  // The ledger kept every record, so its sums cover the whole run.
+  ASSERT_EQ(Solved, R.Stats.SolverCalls);
+  ASSERT_EQ(Windows.size(), R.Stats.Windows);
+  ASSERT_GT(R.Stats.WitnessResolves, 0u);
+
+  const PhaseSnapshot &Phases = R.Stats.Telemetry.Phases;
+  for (const char *Name : {"window", "solve", "witness"})
+    ASSERT_NE(Phases.find(Name), nullptr) << Name;
+  EXPECT_DOUBLE_EQ(Window, Phases.find("window")->Seconds);
+  EXPECT_DOUBLE_EQ(Solve, Phases.find("solve")->Seconds);
+  EXPECT_DOUBLE_EQ(Witness, Phases.find("witness")->Seconds);
 }
 
 TEST(DriverCheckpoint, RaceLineMustNameAConflictingPairInTraceOrder) {

@@ -1,7 +1,8 @@
 # The one-emission boundary (docs/OBSERVABILITY.md): the solver layer, the
-# static analyses, the race policy, the WCP tier and the encoder's files
-# return what they did, and the window driver counts it. None of them may
-# name the metrics registry.
+# static analyses, the race policy, the WCP tier, the resilience layer and
+# the encoder's files return what they did, and the window driver counts
+# it and renders its views. None of them may name the metrics registry,
+# the Perfetto collector or the trace-event sink.
 # Invoked by CTest as
 #   cmake -DSOURCE_DIR=<repo>/src -P OneEmission.cmake
 
@@ -14,6 +15,7 @@ set(GROUPS
   "analysis/*.h;analysis/*.cpp"
   "detect/Detect.*"
   "detect/RaceEncoder.*"
+  "detect/Resilience.*"
   "detect/Wcp.*"
   "detect/WindowEncoding.*"
   "detect/WitnessChecker.*")
@@ -30,7 +32,8 @@ foreach(GROUP IN LISTS GROUPS)
     message(FATAL_ERROR "no file matches ${GROUP} under ${SOURCE_DIR}")
   endif()
   foreach(FILE IN LISTS FILES)
-    file(STRINGS "${FILE}" HITS REGEX "MetricsRegistry")
+    file(STRINGS "${FILE}" HITS
+         REGEX "MetricsRegistry|ProfileCollector|TraceEventSink")
     if(HITS)
       list(APPEND OFFENDERS "${FILE}")
     endif()
@@ -39,6 +42,6 @@ endforeach()
 
 if(OFFENDERS)
   list(JOIN OFFENDERS "\n  " LIST)
-  message(FATAL_ERROR "MetricsRegistry named below the window driver:\n  ${LIST}")
+  message(FATAL_ERROR "a telemetry view named below the window driver:\n  ${LIST}")
 endif()
 message(STATUS "one-emission boundary holds")

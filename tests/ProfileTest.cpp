@@ -16,18 +16,35 @@ using namespace rvp;
 
 namespace {
 
-/// Installs a collector for one test and always deactivates it, so a
-/// failing assertion can't leak profiling into the next test.
+/// Turns telemetry on with \p C attached for one test (nullptr attaches
+/// none) and always turns it back off, so a failing assertion can't leak
+/// profiling into the next test.
 class CollectorGuard {
 public:
-  explicit CollectorGuard(ProfileCollector &C) {
-    ProfileCollector::setActive(&C);
+  explicit CollectorGuard(ProfileCollector *C) {
+    Telemetry::setEnabled(true);
+    Telemetry::instance().reset();
+    Telemetry::instance().setProfiler(C);
   }
-  ~CollectorGuard() { ProfileCollector::setActive(nullptr); }
+  ~CollectorGuard() {
+    Telemetry::instance().setProfiler(nullptr);
+    Telemetry::instance().reset();
+    Telemetry::setEnabled(false);
+  }
 };
 
 TEST(Profile, InactiveByDefault) {
-  EXPECT_EQ(ProfileCollector::active(), nullptr);
+  EXPECT_EQ(Telemetry::instance().profiler(), nullptr);
+  // An attached collector is reached only while telemetry is on, and a
+  // timer then leaves its out-parameter alone.
+  ProfileCollector C;
+  Telemetry::instance().setProfiler(&C);
+  EXPECT_EQ(Telemetry::instance().profiler(), nullptr);
+  double Seconds = -1;
+  { ScopedPhaseTimer T("telemetry-off", &Seconds); }
+  Telemetry::instance().setProfiler(nullptr);
+  EXPECT_EQ(C.eventCount(), 0u);
+  EXPECT_EQ(Seconds, -1);
 }
 
 TEST(Profile, RecordsSpansCountersAndInstants) {
@@ -116,17 +133,28 @@ TEST(Profile, NamesAreJsonEscaped) {
 
 TEST(Profile, ScopedPhaseTimerEmitsSpanWhenActive) {
   ProfileCollector C;
-  CollectorGuard Guard(C);
-  { ScopedPhaseTimer T("profiled-phase"); }
+  CollectorGuard Guard(&C);
+  double Seconds = -1;
+  { ScopedPhaseTimer T("profiled-phase", &Seconds); }
   EXPECT_EQ(C.eventCount(), 1u);
   EXPECT_NE(C.toJson().find("\"name\":\"profiled-phase\""),
             std::string::npos);
+  // One measurement: the caller's seconds are the phase tree's.
+  const PhaseSnapshot *Phase =
+      Telemetry::instance().snapshot().Phases.find("profiled-phase");
+  ASSERT_NE(Phase, nullptr);
+  EXPECT_EQ(Phase->Seconds, Seconds);
+  EXPECT_GE(Seconds, 0);
 }
 
 TEST(Profile, ScopedPhaseTimerSilentWhenInactive) {
+  // Telemetry on without a collector: the phase tree still records.
   ProfileCollector C;
+  CollectorGuard Guard(nullptr);
   { ScopedPhaseTimer T("unprofiled-phase"); }
   EXPECT_EQ(C.eventCount(), 0u);
+  EXPECT_NE(Telemetry::instance().snapshot().Phases.find("unprofiled-phase"),
+            nullptr);
 }
 
 TEST(Profile, WriteFileRoundTrips) {

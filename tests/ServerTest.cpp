@@ -371,8 +371,9 @@ TEST(StreamDetector, DeltasAreAdditiveAndCountFindings) {
     StreamStep Step;
     ASSERT_TRUE(Det.step(Step, false, Error)) << Error;
     Total += Step.NewFindings;
-    if (Step.NewFindings)
+    if (Step.NewFindings) {
       EXPECT_NE(Step.Delta.find("race on"), std::string::npos);
+    }
   }
   std::string Summary;
   ASSERT_TRUE(Det.finish(Summary, Error)) << Error;

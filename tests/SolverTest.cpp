@@ -272,8 +272,9 @@ TEST(IdlSession, AgreesWithOneShotAcrossQueries) {
       ASSERT_EQ(Got, Want) << "round " << Round << " query " << Query
                            << "\n"
                            << FB.toString(F);
-      if (Got == SatResult::Sat && FB.node(F).Kind != FormulaKind::True)
+      if (Got == SatResult::Sat && FB.node(F).Kind != FormulaKind::True) {
         EXPECT_TRUE(evaluate(FB, F, Model)) << FB.toString(F);
+      }
     }
   }
 }

@@ -30,13 +30,16 @@ file(READ "${OUT}" JSON_TEXT)
 # (solver.latency_seconds and the witness phase time the same solves) and
 # the last-writer-wins sat.clauses_kept gauge. Version 5 removed the
 # wcp.latency_seconds histogram (the wcp phase times the same build).
-# check_schema asserts the version and that none of the five comes back.
+# Version 6 removed the per-node formula memory gauges (mem.formula_dag_*
+# accounts the same storage per arena chunk). check_schema asserts the
+# version and that none of the seven comes back.
 set(REMOVED_METRICS solver.idl.latency_seconds
     solver.incremental.latency_seconds solver.z3.latency_seconds
-    sat.clauses_kept wcp.latency_seconds)
+    sat.clauses_kept wcp.latency_seconds
+    mem.formula_bytes mem.formula_peak_bytes)
 function(check_schema TEXT LABEL)
-  if(NOT TEXT MATCHES "^{\"schema_version\":5,")
-    message(FATAL_ERROR "${LABEL}: schema_version is not 5:\n${TEXT}")
+  if(NOT TEXT MATCHES "^{\"schema_version\":6,")
+    message(FATAL_ERROR "${LABEL}: schema_version is not 6:\n${TEXT}")
   endif()
   foreach(NAME ${REMOVED_METRICS})
     string(FIND "${TEXT}" "\"${NAME}\"" AT)

@@ -252,7 +252,7 @@ int cmdDetect(const OptionParser &Options) {
   }
   // Telemetry must be on before loadTrace so interpreter counters from an
   // on-the-fly recording land in the same snapshot. --profile implies
-  // telemetry: the phase timers it samples are telemetry-gated.
+  // telemetry: the collector is one more view attached to it.
   TraceEventSink Sink;
   ProfileCollector Profiler;
   if (Options.getBool("stats") || !StatsJsonPath.empty() ||
@@ -268,7 +268,7 @@ int cmdDetect(const OptionParser &Options) {
       Telemetry::instance().setSink(&Sink);
     }
     if (!ProfilePath.empty()) {
-      ProfileCollector::setActive(&Profiler);
+      Telemetry::instance().setProfiler(&Profiler);
       Profiler.setThreadName("main");
     }
   }
@@ -354,7 +354,7 @@ int cmdDetect(const OptionParser &Options) {
   // The profile spans the whole run; a write failure is an internal error
   // (the analysis itself succeeded).
   if (!ProfilePath.empty()) {
-    ProfileCollector::setActive(nullptr);
+    Telemetry::instance().setProfiler(nullptr);
     std::string Error;
     if (!Profiler.writeFile(ProfilePath, Error)) {
       std::fprintf(stderr, "error: %s\n", Error.c_str());

@@ -8,7 +8,16 @@
 /// claim: HB/CP are fast, the SMT-based detectors remain practical with
 /// windowing; our technique generates fewer constraints than Said et
 /// al.'s whole-trace consistency and solves faster), plus the quick-check
-/// ablation of Section 4.
+/// ablation of Section 4. Two A/B pairs run the maximal detector with and
+/// without a pipeline stage; select one with --benchmark_filter:
+///
+///   * `BM_MaximalStaticPrune|BM_MaximalNoPrune`: the static pruner and
+///     cf fold on a lock-heavy MiniRV loop (docs/STATIC_ANALYSIS.md);
+///   * `BM_MaximalHybridTier|BM_MaximalSmtTier`: the WCP tier in front of
+///     the solver, and the solver alone (docs/TIERS.md).
+///
+/// Each arm reports a `races` counter. On these workloads the two arms of
+/// a pair agree, and the BenchSmoke test checks that they do.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,21 +26,18 @@
 #include "detect/Cop.h"
 #include "detect/Deadlock.h"
 #include "detect/Detect.h"
-#include "support/BuildInfo.h"
 #include "lang/Parser.h"
 #include "runtime/Interpreter.h"
 #include "runtime/Scheduler.h"
 #include "trace/TraceIO.h"
 #include "trace/Window.h"
-#include "workloads/Catalog.h"
 #include "workloads/Synthetic.h"
 
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -39,19 +45,6 @@
 using namespace rvp;
 
 namespace {
-
-/// --jobs=N (default 0 = one worker per hardware thread), peeled off in
-/// main() like --stats-json.
-uint32_t JobsFlag = 0;
-
-/// --static-prune: adds the BM_MaximalStaticPrune/BM_MaximalNoPrune pair
-/// and switches the --stats-json dump to the pruning A/B comparison.
-bool StaticPruneFlag = false;
-
-/// --wcp: adds the BM_MaximalHybridTier/BM_MaximalSmtTier pair and
-/// switches the --stats-json dump to the tier A/B comparison (the source
-/// of the checked-in BENCH_wcp.json).
-bool WcpFlag = false;
 
 Trace makeTrace(uint64_t Events) {
   SyntheticSpec Spec;
@@ -78,7 +71,6 @@ void runDetector(benchmark::State &State, Technique Tech,
   Options.PerCopBudgetSeconds = 30;
   Options.UseQuickCheck = UseQuickCheck;
   Options.CollectWitnesses = false;
-  Options.Jobs = JobsFlag;
   size_t Races = 0;
   uint64_t SolverCalls = 0;
   DetectionStats Stats;
@@ -115,7 +107,6 @@ void BM_Atomicity(benchmark::State &State) {
   DetectorOptions Options;
   Options.PerCopBudgetSeconds = 30;
   Options.CollectWitnesses = false;
-  Options.Jobs = JobsFlag;
   size_t Found = 0;
   for (auto _ : State) {
     AtomicityResult R = detectAtomicityViolations(T, Options);
@@ -130,7 +121,6 @@ void BM_Deadlock(benchmark::State &State) {
   DetectorOptions Options;
   Options.PerCopBudgetSeconds = 30;
   Options.CollectWitnesses = false;
-  Options.Jobs = JobsFlag;
   size_t Found = 0;
   for (auto _ : State) {
     DeadlockResult R = detectDeadlocks(T, Options);
@@ -299,7 +289,6 @@ void runPruneBench(benchmark::State &State, bool UsePruner) {
   DetectorOptions Options;
   Options.PerCopBudgetSeconds = 30;
   Options.CollectWitnesses = false;
-  Options.Jobs = JobsFlag;
   RuleCountingPruner Stages(W.Oracle);
   Options.StaticPruner = UsePruner ? &Stages : nullptr;
   Options.CfFold = UsePruner ? &W.Oracle : nullptr;
@@ -327,6 +316,13 @@ void runPruneBench(benchmark::State &State, bool UsePruner) {
       benchmark::Counter::kIsIterationInvariantRate);
 }
 
+void BM_MaximalStaticPrune(benchmark::State &State) {
+  runPruneBench(State, /*UsePruner=*/true);
+}
+void BM_MaximalNoPrune(benchmark::State &State) {
+  runPruneBench(State, /*UsePruner=*/false);
+}
+
 // ------------------------------------------------------- WCP tier A/B
 
 /// Times the maximal detector with the solver-only and hybrid tiers on
@@ -339,7 +335,6 @@ void runTierBench(benchmark::State &State, DetectTier Tier) {
   DetectorOptions Options;
   Options.PerCopBudgetSeconds = 30;
   Options.CollectWitnesses = false;
-  Options.Jobs = JobsFlag;
   Options.Tier = Tier;
   DetectionStats Stats;
   size_t Races = 0;
@@ -357,6 +352,13 @@ void runTierBench(benchmark::State &State, DetectTier Tier) {
   State.counters["events/s"] = benchmark::Counter(
       static_cast<double>(T.size()),
       benchmark::Counter::kIsIterationInvariantRate);
+}
+
+void BM_MaximalHybridTier(benchmark::State &State) {
+  runTierBench(State, DetectTier::Hybrid);
+}
+void BM_MaximalSmtTier(benchmark::State &State) {
+  runTierBench(State, DetectTier::Smt);
 }
 
 } // namespace
@@ -381,264 +383,15 @@ BENCHMARK(BM_CollectCops)
     ->Arg(8000)
     ->Arg(32000)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MaximalStaticPrune)
+    ->Arg(10)
+    ->Arg(40)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MaximalNoPrune)->Arg(10)->Arg(40)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MaximalHybridTier)
+    ->Arg(2000)
+    ->Arg(8000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MaximalSmtTier)->Arg(2000)->Arg(8000)->Unit(benchmark::kMillisecond);
 
-namespace {
-
-/// One instrumented run per technique on the mid-size workload, written as
-/// {"techniques":{"rv":{...},...}}. Complements the timing loop above: the
-/// benchmark numbers say how fast, this says where the time and the
-/// constraints went.
-int dumpStatsJson(const std::string &Path) {
-  Telemetry::setEnabled(true);
-  Trace T = makeTrace(8000);
-  DetectorOptions Options;
-  Options.PerCopBudgetSeconds = 30;
-  Options.CollectWitnesses = false;
-  Options.Jobs = JobsFlag;
-
-  JsonObject Techs;
-  const std::pair<Technique, const char *> Runs[] = {
-      {Technique::Maximal, "rv"},
-      {Technique::Said, "said"},
-      {Technique::Cp, "cp"},
-      {Technique::Hb, "hb"},
-  };
-  for (const auto &[Tech, Key] : Runs) {
-    Telemetry::instance().reset();
-    DetectionResult R = detectRaces(T, Tech, Options);
-    Techs.raw(Key, statsToJson(R.Stats, techniqueName(Tech)));
-  }
-  Telemetry::setEnabled(false);
-
-  JsonObject Out;
-  appendRunMetadata(Out);
-  Out.field("workload", "synthetic-8000").raw("techniques", Techs.str());
-  std::string Json = Out.str() + "\n";
-  if (Path == "-") {
-    std::fputs(Json.c_str(), stdout);
-    return 0;
-  }
-  std::ofstream File(Path);
-  if (!File) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", Path.c_str());
-    return 1;
-  }
-  File << Json;
-  return 0;
-}
-
-/// A/B dump behind --static-prune --stats-json=<path>: every technique
-/// runs once without and once with the oracle on the prunable workload
-/// (this is the source of the checked-in BENCH_static.json). The race
-/// counts must agree — the pruner is sound — so only work and time move.
-/// 40 iterations: the unpruned baseline's cf encodings grow superlinearly
-/// with the loop count and must stay solvable within the per-COP budget,
-/// or the A/B race-count comparison degenerates to unknown-vs-unknown.
-int dumpStaticPruneJson(const std::string &Path) {
-  constexpr uint32_t Iters = 40;
-  Telemetry::setEnabled(true);
-  PruneWorkload &W = pruneWorkload(Iters);
-  DetectorOptions Options;
-  Options.PerCopBudgetSeconds = 30;
-  Options.CollectWitnesses = false;
-  Options.Jobs = JobsFlag;
-
-  JsonObject Techs;
-  const std::pair<Technique, const char *> Runs[] = {
-      {Technique::Maximal, "rv"},
-      {Technique::Said, "said"},
-      {Technique::Cp, "cp"},
-      {Technique::Hb, "hb"},
-  };
-  for (const auto &[Tech, Key] : Runs) {
-    Telemetry::instance().reset();
-    Options.StaticPruner = nullptr;
-    Options.CfFold = nullptr;
-    DetectionResult Baseline = detectRaces(W.T, Tech, Options);
-    Telemetry::instance().reset();
-    RuleCountingPruner Stages(W.Oracle);
-    Options.StaticPruner = &Stages;
-    Options.CfFold = &W.Oracle;
-    DetectionResult Pruned = detectRaces(W.T, Tech, Options);
-
-    using Rule = CopPruner::Rule;
-    JsonObject StageObj;
-    StageObj.field("interval", Stages.count(Rule::Interval))
-        .field("lockset", Stages.count(Rule::Lockset))
-        .field("mhb", Stages.count(Rule::Mhb));
-
-    JsonObject Cmp;
-    Cmp.field("races", static_cast<uint64_t>(Baseline.raceCount()))
-        .field("races_agree", Baseline.raceCount() == Pruned.raceCount())
-        .field("speedup", Pruned.Stats.Seconds > 0
-                              ? Baseline.Stats.Seconds / Pruned.Stats.Seconds
-                              : 0.0)
-        .raw("prune_stages", StageObj.str())
-        .raw("baseline", statsToJson(Baseline.Stats, techniqueName(Tech)))
-        .raw("static_prune", statsToJson(Pruned.Stats, techniqueName(Tech)));
-    Techs.raw(Key, Cmp.str());
-  }
-  Telemetry::setEnabled(false);
-
-  JsonObject Out;
-  appendRunMetadata(Out);
-  Out.field("workload", "prune-loop-" + std::to_string(Iters))
-      .field("events", static_cast<uint64_t>(W.T.size()))
-      .field("vars_thread_local", W.Oracle.threadLocalVars())
-      .raw("techniques", Techs.str());
-  std::string Json = Out.str() + "\n";
-  if (Path == "-") {
-    std::fputs(Json.c_str(), stdout);
-    return 0;
-  }
-  std::ofstream File(Path);
-  if (!File) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", Path.c_str());
-    return 1;
-  }
-  File << Json;
-  return 0;
-}
-
-/// A/B dump behind --wcp --stats-json=<path>: the maximal detector runs
-/// once per tier (smt, then hybrid) on the highcop catalog stress row and
-/// the prunable loop workload (this is the source of the checked-in
-/// BENCH_wcp.json). Witnesses stay off (trust mode — the maximum saving);
-/// races must agree anyway on these workloads, and the solver_calls delta
-/// is the tier's measurable win.
-int dumpWcpJson(const std::string &Path) {
-  Telemetry::setEnabled(true);
-  DetectorOptions Options;
-  Options.PerCopBudgetSeconds = 30;
-  Options.CollectWitnesses = false;
-  Options.Jobs = JobsFlag;
-
-  JsonObject Workloads;
-  auto runPair = [&](const std::string &Key, const Trace &T) {
-    Telemetry::instance().reset();
-    Options.Tier = DetectTier::Smt;
-    DetectionResult Smt = detectRaces(T, Technique::Maximal, Options);
-    Telemetry::instance().reset();
-    Options.Tier = DetectTier::Hybrid;
-    DetectionResult Hybrid = detectRaces(T, Technique::Maximal, Options);
-
-    JsonObject Cmp;
-    Cmp.field("events", static_cast<uint64_t>(T.size()))
-        .field("races", static_cast<uint64_t>(Smt.raceCount()))
-        .field("races_agree", Smt.raceCount() == Hybrid.raceCount())
-        .field("solver_calls_smt", Smt.Stats.SolverCalls)
-        .field("solver_calls_hybrid", Hybrid.Stats.SolverCalls)
-        .field("solver_calls_saved", Hybrid.Stats.WcpShortCircuits)
-        .field("wcp_pruned_cops", Hybrid.Stats.WcpPruned)
-        .field("speedup", Hybrid.Stats.Seconds > 0
-                              ? Smt.Stats.Seconds / Hybrid.Stats.Seconds
-                              : 0.0)
-        .raw("smt", statsToJson(Smt.Stats, "RV"))
-        .raw("hybrid", statsToJson(Hybrid.Stats, "RV"));
-    Workloads.raw(Key, Cmp.str());
-  };
-
-  std::optional<BenchmarkCase> HighCop = findBenchmark("highcop");
-  if (HighCop) {
-    Trace T;
-    std::string Error;
-    if (!benchmarkTrace(*HighCop, T, Error)) {
-      std::fprintf(stderr, "highcop workload error: %s\n", Error.c_str());
-      return 1;
-    }
-    runPair("highcop", T);
-  }
-  runPair("prune-loop-40", pruneWorkload(40).T);
-  Telemetry::setEnabled(false);
-
-  JsonObject Out;
-  appendRunMetadata(Out);
-  Out.field("jobs", static_cast<uint64_t>(JobsFlag))
-      .raw("workloads", Workloads.str());
-  std::string Json = Out.str() + "\n";
-  if (Path == "-") {
-    std::fputs(Json.c_str(), stdout);
-    return 0;
-  }
-  std::ofstream File(Path);
-  if (!File) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", Path.c_str());
-    return 1;
-  }
-  File << Json;
-  return 0;
-}
-
-} // namespace
-
-// Custom main: peel off --stats-json=<path>, --jobs=<n>, --static-prune,
-// and --wcp (google-benchmark rejects unknown flags), run
-// the benchmarks, then do the one-shot stats dump.
-int main(int Argc, char **Argv) {
-  std::string StatsJsonPath;
-  int Kept = 1;
-  for (int I = 1; I < Argc; ++I) {
-    constexpr const char *Flag = "--stats-json=";
-    constexpr const char *Jobs = "--jobs=";
-    if (std::strncmp(Argv[I], Flag, std::strlen(Flag)) == 0)
-      StatsJsonPath = Argv[I] + std::strlen(Flag);
-    else if (std::strncmp(Argv[I], Jobs, std::strlen(Jobs)) == 0)
-      JobsFlag = static_cast<uint32_t>(
-          std::strtoul(Argv[I] + std::strlen(Jobs), nullptr, 10));
-    else if (std::strcmp(Argv[I], "--static-prune") == 0)
-      StaticPruneFlag = true;
-    else if (std::strcmp(Argv[I], "--wcp") == 0)
-      WcpFlag = true;
-    else
-      Argv[Kept++] = Argv[I];
-  }
-  Argc = Kept;
-
-  if (StaticPruneFlag) {
-    benchmark::RegisterBenchmark("BM_MaximalStaticPrune",
-                                 [](benchmark::State &S) {
-                                   runPruneBench(S, /*UsePruner=*/true);
-                                 })
-        ->Arg(10)
-        ->Arg(40)
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark("BM_MaximalNoPrune",
-                                 [](benchmark::State &S) {
-                                   runPruneBench(S, /*UsePruner=*/false);
-                                 })
-        ->Arg(10)
-        ->Arg(40)
-        ->Unit(benchmark::kMillisecond);
-  }
-
-  if (WcpFlag) {
-    benchmark::RegisterBenchmark("BM_MaximalHybridTier",
-                                 [](benchmark::State &S) {
-                                   runTierBench(S, DetectTier::Hybrid);
-                                 })
-        ->Arg(2000)
-        ->Arg(8000)
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark("BM_MaximalSmtTier",
-                                 [](benchmark::State &S) {
-                                   runTierBench(S, DetectTier::Smt);
-                                 })
-        ->Arg(2000)
-        ->Arg(8000)
-        ->Unit(benchmark::kMillisecond);
-  }
-
-  benchmark::Initialize(&Argc, Argv);
-  if (benchmark::ReportUnrecognizedArguments(Argc, Argv))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  if (!StatsJsonPath.empty()) {
-    if (WcpFlag)
-      return dumpWcpJson(StatsJsonPath);
-    return StaticPruneFlag ? dumpStaticPruneJson(StatsJsonPath)
-                           : dumpStatsJson(StatsJsonPath);
-  }
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -48,6 +48,9 @@ int main(int Argc, const char **Argv) {
                     "");
   if (!Options.parse(Argc, Argv))
     return 1;
+  uint32_t Jobs = 0;
+  if (!readJobs(Options, 0, Jobs))
+    return ExitUsage;
 
   std::string StatsJsonPath = Options.getString("stats-json", "");
   if (!StatsJsonPath.empty())
@@ -58,7 +61,7 @@ int main(int Argc, const char **Argv) {
   Detect.WindowSize = static_cast<uint32_t>(Options.getInt("window", 10000));
   Detect.PerCopBudgetSeconds = Options.getDouble("budget", 10);
   Detect.SolverName = Options.getString("solver", "idl");
-  Detect.Jobs = static_cast<uint32_t>(Options.getInt("jobs", 0));
+  Detect.Jobs = Jobs;
   Detect.CollectWitnesses = false; // match the paper's timing setup
   // Witnesses are off, so the hybrid tier would report WCP verdicts
   // unverified (trust mode) and the RV column would no longer be the

@@ -7,6 +7,7 @@
 #include "support/CommandLine.h"
 
 #include "support/StringUtils.h"
+#include "support/ThreadPool.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -123,4 +124,16 @@ bool OptionParser::getBool(const std::string &Name, bool Default) const {
   if (!Opt || !Opt->Present)
     return Default;
   return Opt->Value != "false" && Opt->Value != "0" && Opt->Value != "no";
+}
+
+bool rvp::readJobs(const OptionParser &Options, uint32_t Default,
+                   uint32_t &Out) {
+  int64_t Jobs = Options.getInt("jobs", Default);
+  if (Jobs < 0 || Jobs > ThreadPool::MaxWorkers) {
+    std::fprintf(stderr, "error: --jobs must be between 0 and %u (got %lld)\n",
+                 ThreadPool::MaxWorkers, static_cast<long long>(Jobs));
+    return false;
+  }
+  Out = static_cast<uint32_t>(Jobs);
+  return true;
 }

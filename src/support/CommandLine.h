@@ -73,6 +73,12 @@ private:
   std::vector<std::string> Positional;
 };
 
+/// Reads --jobs into \p Out: a worker count from 0 (one worker per
+/// hardware thread) to ThreadPool::MaxWorkers, \p Default when absent.
+/// Any other value prints one diagnostic and returns false; the caller
+/// exits with ExitUsage.
+bool readJobs(const OptionParser &Options, uint32_t Default, uint32_t &Out);
+
 } // namespace rvp
 
 #endif // RVP_SUPPORT_COMMANDLINE_H

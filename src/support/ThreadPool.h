@@ -89,6 +89,11 @@ public:
   /// std::thread::hardware_concurrency(), never less than 1.
   static unsigned defaultWorkerCount();
 
+  /// The most workers a tool's --jobs flag may ask for (readJobs in
+  /// support/CommandLine.h), so a negative or huge value is a usage error
+  /// rather than a request for billions of threads.
+  static constexpr unsigned MaxWorkers = 256;
+
   /// Index of the pool worker running the calling thread, or -1 on threads
   /// this pool does not own (e.g. the thread blocked in parallelFor).
   int currentWorkerIndex() const;

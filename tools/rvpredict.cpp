@@ -224,6 +224,9 @@ int cmdDetect(const OptionParser &Options) {
                  "thread\n");
     return ExitUsage;
   }
+  uint32_t Jobs = 0;
+  if (!readJobs(Options, 0, Jobs))
+    return ExitUsage;
   // The analysis keys and their combination rules (docs/TIERS.md), shared
   // with rvpredictd's defaults and HELLO.
   StreamOptions Analysis;
@@ -279,7 +282,7 @@ int cmdDetect(const OptionParser &Options) {
                  &Source))
     return ExitUsage;
 
-  Detect.Jobs = static_cast<uint32_t>(Options.getInt("jobs", 0));
+  Detect.Jobs = Jobs;
 
   // Checkpointing: the fingerprint pins the trace contents and every
   // result-relevant flag (jobs excluded — reports are identical for any

@@ -184,7 +184,8 @@ int main(int Argc, const char **Argv) {
                  "and/or --port=N\n");
     return ExitUsage;
   }
-  if (!readCount(Options, "jobs", 1, 0, SO.Jobs) ||
+  uint32_t Jobs = 1;
+  if (!readJobs(Options, 1, Jobs) ||
       !readCount(Options, "max-sessions", 32, 1, SO.MaxSessions) ||
       !readCount(Options, "max-queued-windows", 8, 0, SO.MaxQueuedWindows) ||
       !readCount(Options, "high-watermark", 1 << 20, 0, SO.HighWatermark) ||
@@ -196,6 +197,7 @@ int main(int Argc, const char **Argv) {
       !readSeconds(Options, "stall-timeout", 0, SO.StallTimeoutSeconds) ||
       !readSeconds(Options, "drain-timeout", 60, SO.DrainTimeoutSeconds))
     return ExitUsage;
+  SO.Jobs = Jobs;
   if (SO.LowWatermark > SO.HighWatermark) {
     std::fprintf(stderr,
                  "error: --low-watermark (%zu) must not exceed "

@@ -139,9 +139,30 @@ Trace makeEclipseTrace(int64_t Events) {
   return generateSynthetic(Spec);
 }
 
-/// The trace reader alone: tokenize, intern, check and append each line.
-void BM_ParseTrace(benchmark::State &State) {
-  std::string Text = writeTraceText(makeEclipseTrace(State.range(0)));
+/// \p T with every name behind one 24-byte prefix, as in the package
+/// names of real Java traces, so that no name fits the 16 bytes a name
+/// table slot holds inline and names share their first 16 bytes.
+Trace withLongNames(const Trace &T) {
+  const std::string Prefix = "org.eclipse.ui.internal.";
+  Trace Out;
+  for (ThreadId Id = 0; Id < T.numThreads(); ++Id)
+    Out.internThread(Prefix + T.threadName(Id));
+  for (VarId Id = 0; Id < T.numVars(); ++Id)
+    Out.setInitialValue(Out.internVar(Prefix + T.varName(Id)),
+                        T.initialValueOf(Id));
+  for (LockId Id = 0; Id < T.numLocks(); ++Id)
+    Out.internLock(Prefix + T.lockName(Id));
+  for (Event E : T.events()) {
+    if (E.Loc != UnknownLoc)
+      E.Loc = Out.internLoc(Prefix + T.locName(E.Loc));
+    Out.append(E);
+  }
+  return Out;
+}
+
+/// The trace reader alone on \p Text: tokenize, intern, check and append
+/// each line.
+void timeParse(benchmark::State &State, const std::string &Text) {
   for (auto _ : State) {
     std::string Error;
     std::optional<Trace> T = parseTraceText(Text, Error);
@@ -151,6 +172,17 @@ void BM_ParseTrace(benchmark::State &State) {
   }
   State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
                           static_cast<int64_t>(Text.size()));
+}
+
+void BM_ParseTrace(benchmark::State &State) {
+  timeParse(State, writeTraceText(makeEclipseTrace(State.range(0))));
+}
+
+/// The same trace with names over 16 bytes (BM_ParseTrace's are at most
+/// 9): the name tables' compare against the stored string.
+void BM_ParseTraceLongNames(benchmark::State &State) {
+  timeParse(State,
+            writeTraceText(withLongNames(makeEclipseTrace(State.range(0)))));
 }
 
 /// COP enumeration alone, over the default windows.
@@ -374,6 +406,11 @@ BENCHMARK(BM_MaximalNoQuickCheck)
 BENCHMARK(BM_Atomicity)->Arg(2000)->Arg(8000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Deadlock)->Arg(2000)->Arg(8000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ParseTrace)
+    ->Arg(2000)
+    ->Arg(8000)
+    ->Arg(32000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ParseTraceLongNames)
     ->Arg(2000)
     ->Arg(8000)
     ->Arg(32000)

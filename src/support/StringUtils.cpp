@@ -30,10 +30,9 @@ std::vector<std::string_view> rvp::split(std::string_view Text, char Sep) {
 std::string_view rvp::trim(std::string_view Text) {
   size_t Begin = 0;
   size_t End = Text.size();
-  while (Begin < End && std::isspace(static_cast<unsigned char>(Text[Begin])))
+  while (Begin < End && isSpace(Text[Begin]))
     ++Begin;
-  while (End > Begin &&
-         std::isspace(static_cast<unsigned char>(Text[End - 1])))
+  while (End > Begin && isSpace(Text[End - 1]))
     --End;
   return Text.substr(Begin, End - Begin);
 }

@@ -14,6 +14,7 @@
 #ifndef RVP_SUPPORT_STRINGUTILS_H
 #define RVP_SUPPORT_STRINGUTILS_H
 
+#include <cctype>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -24,7 +25,14 @@ namespace rvp {
 /// Splits \p Text on \p Sep; empty fields are kept.
 std::vector<std::string_view> split(std::string_view Text, char Sep);
 
-/// Removes leading and trailing ASCII whitespace.
+/// std::isspace, asked only of a byte that is not printable ASCII: no
+/// locale makes one of '!'..'~' whitespace.
+inline bool isSpace(char C) {
+  unsigned char Byte = static_cast<unsigned char>(C);
+  return (Byte <= ' ' || Byte > '~') && std::isspace(Byte);
+}
+
+/// Removes leading and trailing whitespace (isSpace).
 std::string_view trim(std::string_view Text);
 
 /// Returns true if \p Text begins with \p Prefix.

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstring>
 
 using namespace rvp;
 
@@ -87,53 +88,105 @@ void rvp::appendEvent(std::string &Out, const Event &E) {
   RVP_UNREACHABLE("unknown event kind");
 }
 
-uint32_t Trace::internName(std::string_view Name,
-                           std::vector<std::string> &Names, NameMap &Map) {
-  auto It = Map.find(Name);
-  if (It != Map.end())
-    return It->second;
-  uint32_t Id = static_cast<uint32_t>(Names.size());
+namespace {
+
+constexpr size_t HeadBytes = 16;
+
+uint64_t load64(const char *P) {
+  uint64_t W;
+  std::memcpy(&W, P, sizeof(W));
+  return W;
+}
+
+uint64_t load32(const char *P) {
+  uint32_t W;
+  std::memcpy(&W, P, sizeof(W));
+  return W;
+}
+
+/// One multiply-and-fold round of the name hash.
+uint64_t mix(uint64_t H, uint64_t W) {
+  H = (H ^ W) * 0x9E3779B97F4A7C15ull;
+  return H ^ (H >> 32);
+}
+
+} // namespace
+
+Trace::NameTable::Key Trace::NameTable::keyOf(std::string_view Name) {
+  const char *P = Name.data();
+  size_t N = Name.size();
+  Key K{{0, 0}, 0};
+  // Overlapping loads cover every byte of a short name without reading
+  // past it.
+  if (N >= 8) {
+    K.Head[0] = load64(P);
+    K.Head[1] = load64(P + (N >= HeadBytes ? 8 : N - 8));
+  } else if (N >= 4) {
+    K.Head[0] = load32(P) << 32 | load32(P + N - 4);
+  } else if (N > 0) {
+    K.Head[0] = uint64_t(uint8_t(P[0])) << 16 |
+                uint64_t(uint8_t(P[N / 2])) << 8 | uint8_t(P[N - 1]);
+  }
+  uint64_t H = mix(mix(N, K.Head[0]), K.Head[1]);
+  for (size_t I = HeadBytes; I < N; I += 8)
+    H = mix(H, load64(P + std::min(I, N - 8)));
+  K.Hash = H;
+  return K;
+}
+
+size_t Trace::NameTable::slotOf(std::string_view Name, const Key &K) const {
+  size_t Mask = Slots.size() - 1;
+  for (size_t I = K.Hash & Mask;; I = (I + 1) & Mask) {
+    const Slot &S = Slots[I];
+    if (S.Id == Empty ||
+        (S.Hash == K.Hash >> 32 && S.Length == Name.size() &&
+         S.Head[0] == K.Head[0] && S.Head[1] == K.Head[1] &&
+         (Name.size() <= HeadBytes ||
+          std::memcmp(Names[S.Id].data() + HeadBytes, Name.data() + HeadBytes,
+                      Name.size() - HeadBytes) == 0)))
+      return I;
+  }
+}
+
+uint32_t Trace::NameTable::intern(std::string_view Name) {
+  Key K = keyOf(Name);
+  if (!Slots.empty())
+    if (const Slot &S = Slots[slotOf(Name, K)]; S.Id != Empty)
+      return S.Id;
+  uint32_t Id = size();
   Names.emplace_back(Name);
-  Map.emplace(Names.back(), Id);
+  if (2 * Names.size() <= Slots.size()) {
+    place(Id, K);
+    return Id;
+  }
+  // Grow to keep the table at most half full, re-inserting in id order.
+  Slots.assign(std::max<size_t>(16, 2 * Slots.size()), Slot());
+  for (uint32_t Old = 0; Old <= Id; ++Old)
+    place(Old, keyOf(Names[Old]));
   return Id;
 }
 
-ThreadId Trace::internThread(std::string_view Name) {
-  ThreadId Id = internName(Name, ThreadNames, ThreadMap);
-  ByThread.resize(ThreadNames.size());
-  return Id;
-}
-VarId Trace::internVar(std::string_view Name) {
-  VarId Id = internName(Name, VarNames, VarMap);
-  ByVar.resize(VarNames.size());
-  return Id;
-}
-LockId Trace::internLock(std::string_view Name) {
-  LockId Id = internName(Name, LockNames, LockMap);
-  ByLock.resize(LockNames.size());
-  return Id;
-}
-LocId Trace::internLoc(std::string_view Name) {
-  return internName(Name, LocNames, LocMap);
+void Trace::NameTable::place(uint32_t Id, const Key &K) {
+  const std::string &Name = Names[Id];
+  Slot &S = Slots[slotOf(Name, K)];
+  assert(S.Id == Empty && "name interned twice");
+  S = {static_cast<uint32_t>(K.Hash >> 32), Id, Name.size(),
+       {K.Head[0], K.Head[1]}};
 }
 
-void Trace::forgetNames(uint32_t Keep, std::vector<std::string> &Names,
-                        NameMap &Map) {
-  for (size_t Id = Keep; Id < Names.size(); ++Id)
-    Map.erase(Names[Id]);
-  Names.resize(std::min<size_t>(Keep, Names.size()));
-}
-
-Trace::Mark Trace::mark() const {
-  return {numThreads(), numVars(), numLocks(),
-          static_cast<uint32_t>(LocNames.size())};
+void Trace::NameTable::truncate(uint32_t Keep) {
+  for (uint32_t Id = size(); Id-- > Keep;) {
+    const std::string &Name = Names[Id];
+    Slots[slotOf(Name, keyOf(Name))].Id = Empty;
+    Names.pop_back();
+  }
 }
 
 void Trace::rollback(const Mark &M) {
-  forgetNames(M.Threads, ThreadNames, ThreadMap);
-  forgetNames(M.Vars, VarNames, VarMap);
-  forgetNames(M.Locks, LockNames, LockMap);
-  forgetNames(M.Locs, LocNames, LocMap);
+  ThreadNames.truncate(M.Threads);
+  VarNames.truncate(M.Vars);
+  LockNames.truncate(M.Locks);
+  LocNames.truncate(M.Locs);
   // No event names the forgotten ids, so their index entries are empty.
   ByThread.resize(ThreadNames.size());
   ByVar.resize(VarNames.size());

@@ -11,9 +11,9 @@
 /// pairs) that every detector consumes. The indices are kept current as
 /// each event is appended, so a trace that is still growing (a streamed
 /// session) can be analyzed at any point without a rebuild. Names are
-/// interned from a std::string_view: a name already in its table is found
-/// by a heterogeneous lookup, without building a std::string, and only a
-/// new one is copied.
+/// interned from a std::string_view into flat open-addressing tables
+/// (Trace::NameTable): a name already in its table is found without
+/// building a std::string, and only a new one is copied.
 ///
 /// Wait/notify is stored in lowered form (Section 4): a wait() appears as a
 /// Release followed by an Acquire sharing a nonzero Aux match id; the
@@ -24,7 +24,6 @@
 #ifndef RVP_TRACE_TRACE_H
 #define RVP_TRACE_TRACE_H
 
-#include "support/StringUtils.h"
 #include "trace/Event.h"
 
 #include <cassert>
@@ -87,10 +86,25 @@ public:
   Trace() = default;
 
   // -------------------------------------------------- name interning
-  ThreadId internThread(std::string_view Name);
-  VarId internVar(std::string_view Name);
-  LockId internLock(std::string_view Name);
-  LocId internLoc(std::string_view Name);
+  ThreadId internThread(std::string_view Name) {
+    ThreadId Id = ThreadNames.intern(Name);
+    if (Id == ByThread.size())
+      ByThread.emplace_back();
+    return Id;
+  }
+  VarId internVar(std::string_view Name) {
+    VarId Id = VarNames.intern(Name);
+    if (Id == ByVar.size())
+      ByVar.emplace_back();
+    return Id;
+  }
+  LockId internLock(std::string_view Name) {
+    LockId Id = LockNames.intern(Name);
+    if (Id == ByLock.size())
+      ByLock.emplace_back();
+    return Id;
+  }
+  LocId internLoc(std::string_view Name) { return LocNames.intern(Name); }
 
   const std::string &threadName(ThreadId Id) const { return ThreadNames[Id]; }
   const std::string &varName(VarId Id) const { return VarNames[Id]; }
@@ -100,11 +114,9 @@ public:
     return Id == UnknownLoc ? Unknown : LocNames[Id];
   }
 
-  uint32_t numThreads() const {
-    return static_cast<uint32_t>(ThreadNames.size());
-  }
-  uint32_t numVars() const { return static_cast<uint32_t>(VarNames.size()); }
-  uint32_t numLocks() const { return static_cast<uint32_t>(LockNames.size()); }
+  uint32_t numThreads() const { return ThreadNames.size(); }
+  uint32_t numVars() const { return VarNames.size(); }
+  uint32_t numLocks() const { return LockNames.size(); }
 
   // -------------------------------------------------- construction
   /// Appends an event, updates every derived index and returns its id.
@@ -118,7 +130,9 @@ public:
   struct Mark {
     uint32_t Threads = 0, Vars = 0, Locks = 0, Locs = 0;
   };
-  Mark mark() const;
+  Mark mark() const {
+    return {numThreads(), numVars(), numLocks(), LocNames.size()};
+  }
   /// Forgets every name interned since \p M, as if it never was: how an
   /// append-only reader takes back the names of a line it rejects. No
   /// event may have been appended since \p M.
@@ -198,13 +212,51 @@ public:
   TraceStats stats() const { return stats(fullSpan()); }
 
 private:
-  using NameMap =
-      std::unordered_map<std::string, uint32_t, StringHash, std::equal_to<>>;
+  /// The names of one kind by id, plus an open-addressing index over them:
+  /// a power-of-two slot array probed linearly, at most half full. A slot
+  /// holds a name's hash, length and id and its first 16 bytes, so a probe
+  /// for a name of 16 bytes or fewer never leaves the slot array; a longer
+  /// one compares its remaining bytes with the stored string. Every byte
+  /// of a name feeds its hash, so names that share a long prefix spread.
+  class NameTable {
+  public:
+    /// The id of \p Name, interning it (with the next id) if it is new.
+    uint32_t intern(std::string_view Name);
+    const std::string &operator[](uint32_t Id) const { return Names[Id]; }
+    uint32_t size() const { return static_cast<uint32_t>(Names.size()); }
+    /// Forgets every name from id \p Keep on. Emptying their slots in
+    /// reverse id order undoes their inserts exactly: linear probing put
+    /// each in the first free slot of its probe run, and growth re-inserts
+    /// in id order, so no other name was placed past one of them.
+    void truncate(uint32_t Keep);
 
-  static uint32_t internName(std::string_view Name,
-                             std::vector<std::string> &Names, NameMap &Map);
-  static void forgetNames(uint32_t Keep, std::vector<std::string> &Names,
-                          NameMap &Map);
+  private:
+    static constexpr uint32_t Empty = ~0u;
+    /// A name's first 16 bytes (for a shorter one, an encoding of all its
+    /// bytes that differs between any two names of its length) and its
+    /// hash over every byte and the length.
+    struct Key {
+      uint64_t Head[2];
+      uint64_t Hash;
+    };
+    /// 32 bytes. The stored hash is the upper half of Key::Hash, whose
+    /// lower bits picked the slot.
+    struct Slot {
+      uint32_t Hash = 0;
+      uint32_t Id = Empty;
+      uint64_t Length = 0;
+      uint64_t Head[2] = {0, 0};
+    };
+
+    static Key keyOf(std::string_view Name);
+    /// The slot \p Name probes to: its own when it is in the table, else
+    /// the free slot that ends its probe run.
+    size_t slotOf(std::string_view Name, const Key &K) const;
+    void place(uint32_t Id, const Key &K);
+
+    std::vector<std::string> Names;
+    std::vector<Slot> Slots;
+  };
 
   /// The derived state of one thread: the events it runs and the ones
   /// that start, fork, end and join it (the last of each, if repeated).
@@ -226,8 +278,7 @@ private:
   std::vector<Event> Events;
   std::vector<Value> InitValues;
 
-  std::vector<std::string> ThreadNames, VarNames, LockNames, LocNames;
-  NameMap ThreadMap, VarMap, LockMap, LocMap;
+  NameTable ThreadNames, VarNames, LockNames, LocNames;
 
   // Derived indices: interning sizes them, append() fills them.
   std::vector<ThreadIndex> ByThread;

@@ -7,10 +7,14 @@
 #include "trace/TraceIO.h"
 
 #include "support/Compiler.h"
+#include "support/FaultInjector.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <array>
+#include <bit>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
 
 using namespace rvp;
 
@@ -79,71 +83,92 @@ bool TraceReader::fail(size_t Col, const std::string &Msg,
   return false;
 }
 
-bool TraceReader::read(std::string_view Text) {
-  while (ok() && !Text.empty()) {
-    size_t Newline = Text.find('\n');
-    std::string_view Raw = Text.substr(0, Newline);
-    Text.remove_prefix(Newline == std::string_view::npos ? Text.size()
-                                                         : Newline + 1);
-    ++LineNo;
-    std::string_view Line = trim(Raw);
-    if (Line.empty() || Line[0] == '#')
-      continue;
-    if (!readLine(Raw, Line) && Opts.SkipBadEvents) {
-      Error.clear();
-      ++Skipped;
-    }
-  }
-  return ok();
-}
-
 namespace {
 
-/// Fields a line keeps inline; a longer line (repeated modifiers, junk)
-/// spills into a heap vector.
-constexpr size_t InlineFields = 8;
+static_assert(std::endian::native == std::endian::little ||
+                  std::endian::native == std::endian::big,
+              "the line scanner reads words in one of the two byte orders");
 
-/// The fields of one line: its runs of non-space characters. Only a space
-/// separates fields; a tab or any other byte belongs to its field.
-class LineFields {
-public:
-  explicit LineFields(std::string_view Line) {
-    for (size_t I = 0; I < Line.size();) {
-      if (Line[I] == ' ') {
-        ++I;
-        continue;
-      }
-      size_t End = std::min(Line.find(' ', I), Line.size());
-      push(Line.substr(I, End - I));
-      I = End;
+/// \p Byte in every byte of a word.
+constexpr uint64_t broadcast(uint8_t Byte) {
+  return 0x0101010101010101ull * Byte;
+}
+
+/// The high bit of every zero byte of \p Word, and no other bit: no carry
+/// crosses a byte, so no flag is a borrow from a neighbour.
+constexpr uint64_t zeroBytes(uint64_t Word) {
+  constexpr uint64_t Low7 = broadcast(0x7F);
+  return ~(((Word & Low7) + Low7) | Word | Low7);
+}
+
+/// The offset, in memory order, of the first byte \p Flags marks.
+int firstFlagged(uint64_t Flags) {
+  if constexpr (std::endian::native == std::endian::little)
+    return std::countr_zero(Flags) >> 3;
+  else
+    return std::countl_zero(Flags) >> 3;
+}
+
+/// \p Flags without the mark of its first byte in memory order.
+uint64_t dropFirst(uint64_t Flags) {
+  if constexpr (std::endian::native == std::endian::little)
+    return Flags & (Flags - 1);
+  else
+    return Flags & ~((uint64_t(1) << 63) >> std::countl_zero(Flags));
+}
+
+/// Scans the line that starts at \p P, eight bytes at a time, for the
+/// spaces that separate its fields and the newline that ends it. \p Fields
+/// receives its runs of bytes other than a space (a tab or any other byte
+/// belongs to its field). Returns the line's end: its newline, or \p End.
+const char *splitLine(const char *P, const char *End,
+                      std::vector<std::string_view> &Fields) {
+  Fields.clear();
+  const char *Field = P;
+  auto cut = [&](const char *Sep) {
+    if (Sep != Field)
+      Fields.emplace_back(Field, static_cast<size_t>(Sep - Field));
+    Field = Sep + 1;
+  };
+  for (const char *At = P;; At += 8) {
+    size_t Left = static_cast<size_t>(End - At);
+    // The sub-word tail is padded with zero bytes, which match neither.
+    uint64_t Word = 0;
+    if (RVP_LIKELY(Left >= 8))
+      std::memcpy(&Word, At, 8);
+    else
+      std::memcpy(&Word, At, Left);
+    for (uint64_t Flags = zeroBytes(Word ^ broadcast(' ')) |
+                          zeroBytes(Word ^ broadcast('\n'));
+         Flags; Flags = dropFirst(Flags)) {
+      const char *Sep = At + firstFlagged(Flags);
+      cut(Sep);
+      if (*Sep == '\n')
+        return Sep;
+    }
+    if (Left <= 8) {
+      cut(End);
+      return End;
     }
   }
+}
 
-  size_t size() const { return Size; }
-  std::string_view operator[](size_t I) const {
-    return Spilled.empty() ? Inline[I] : Spilled[I];
+/// Trims \p Raw and clips \p Fields, its fields, to the trimmed line: a tab
+/// or other whitespace at either end belongs to no field.
+std::string_view trimFields(std::string_view Raw,
+                            std::vector<std::string_view> &Fields) {
+  std::string_view Line = trim(Raw);
+  const char *Begin = Line.data(), *End = Begin + Line.size();
+  size_t Kept = 0;
+  for (std::string_view Field : Fields) {
+    const char *From = std::max(Field.data(), Begin);
+    const char *To = std::min(Field.data() + Field.size(), End);
+    if (From < To)
+      Fields[Kept++] = {From, static_cast<size_t>(To - From)};
   }
-
-private:
-  void push(std::string_view Field) {
-    if (RVP_LIKELY(Size < InlineFields))
-      Inline[Size] = Field;
-    else
-      spill(Field);
-    ++Size;
-  }
-
-  /// Moves the fields to the heap on the first call, then appends there.
-  void spill(std::string_view Field) {
-    if (Spilled.empty())
-      Spilled.assign(Inline.begin(), Inline.end());
-    Spilled.push_back(Field);
-  }
-
-  std::array<std::string_view, InlineFields> Inline;
-  std::vector<std::string_view> Spilled;
-  size_t Size = 0;
-};
+  Fields.resize(Kept);
+  return Line;
+}
 
 /// The event kind \p Name spells: its first character picks the one
 /// candidate (the length splits read/release and begin/branch) and a
@@ -183,16 +208,48 @@ std::optional<EventKind> eventKindNamed(std::string_view Name) {
   return Kind;
 }
 
+/// Reserves room in \p T for the events of \p Bytes of trace text, from
+/// the line density of \p Sample, the text's first block.
+void reserveEvents(Trace &T, uint64_t Bytes, std::string_view Sample) {
+  if (Sample.empty())
+    return;
+  uint64_t Lines = std::count(Sample.begin(), Sample.end(), '\n') + 1;
+  uint64_t Events = Bytes * Lines / Sample.size();
+  // The rest of the text may be denser than its first block.
+  if (Sample.size() < Bytes)
+    Events += Events / 8;
+  T.reserve(Events);
+}
+
 } // namespace
 
-bool TraceReader::readLine(std::string_view Raw, std::string_view Line) {
+bool TraceReader::read(std::string_view Text) {
+  const char *P = Text.data(), *End = P + Text.size();
+  while (ok() && P != End) {
+    const char *LineEnd = splitLine(P, End, Fields);
+    std::string_view Raw(P, static_cast<size_t>(LineEnd - P));
+    P = LineEnd == End ? End : LineEnd + 1;
+    ++LineNo;
+    std::string_view Line = Raw;
+    if (!Raw.empty() && (isSpace(Raw.front()) || isSpace(Raw.back())))
+      Line = trimFields(Raw, Fields);
+    if (Line.empty() || Line[0] == '#')
+      continue;
+    if (!readLine(Raw) && Opts.SkipBadEvents) {
+      Error.clear();
+      ++Skipped;
+    }
+  }
+  return ok();
+}
+
+bool TraceReader::readLine(std::string_view Raw) {
   auto columnOf = [&](std::string_view Field) {
     return static_cast<size_t>(Field.data() - Raw.data()) + 1;
   };
-  LineFields Fields(Line);
 
   // Trailing modifiers: @loc (the leftmost wins), volatile, match=N (the
-  // rightmost wins).
+  // rightmost wins), told apart by their first byte.
   Event E;
   std::string_view Loc;
   bool HasMatch = false;
@@ -201,9 +258,9 @@ bool TraceReader::readLine(std::string_view Raw, std::string_view Line) {
     std::string_view Last = Fields[NumCore - 1];
     if (Last[0] == '@') {
       Loc = Last.substr(1);
-    } else if (Last == "volatile") {
+    } else if (Last[0] == 'v' && Last == "volatile") {
       E.Volatile = true;
-    } else if (startsWith(Last, "match=")) {
+    } else if (Last[0] == 'm' && startsWith(Last, "match=")) {
       int64_t Match = 0;
       if (!parseInt(Last.substr(6), Match) || Match < 0)
         return fail(columnOf(Last), "malformed match id", Last);
@@ -318,12 +375,8 @@ rvp::parseTraceText(std::string_view Text, std::string &Error,
                     const TraceParseOptions &Options,
                     TraceParseStats *Stats) {
   TraceReader Reader(Options);
-  // One event per line at most.
-  size_t Lines = 1;
-  for (size_t At = Text.find('\n'); At != std::string_view::npos;
-       At = Text.find('\n', At + 1))
-    ++Lines;
-  Reader.trace().reserve(Lines);
+  reserveEvents(Reader.trace(), Text.size(),
+                Text.substr(0, DefaultTraceBlockBytes));
   if (!Reader.read(Text)) {
     Error = Reader.error();
     return std::nullopt;
@@ -331,4 +384,61 @@ rvp::parseTraceText(std::string_view Text, std::string &Error,
   if (Stats)
     Stats->SkippedEvents = Reader.skippedEvents();
   return std::move(Reader.trace());
+}
+
+bool rvp::readTraceFile(const std::string &Path, TraceReader &Reader,
+                        size_t BlockSize) {
+  std::ifstream In(Path, std::ios::binary);
+  if (!In)
+    return false;
+  // Injected read failures (docs/ROBUSTNESS.md) on a regular file: a short
+  // read stops at half its size, a garble corrupts the byte in the middle
+  // of what is read. A pipe has no size to take half of.
+  bool ShortRead = FaultInjector::shouldFail(faults::TraceShortRead);
+  bool Garble = FaultInjector::shouldFail(faults::TraceGarble);
+  std::error_code SizeError;
+  uint64_t Size = std::filesystem::file_size(Path, SizeError);
+  uint64_t Limit = UINT64_MAX, GarbleAt = UINT64_MAX;
+  if (!SizeError) {
+    if (ShortRead)
+      Size = Limit = Size / 2;
+    if (Garble && Size > 0)
+      GarbleAt = Size / 2;
+  }
+
+  // Buf holds the unfinished last line of what was read (Held bytes),
+  // then the next block.
+  std::string Buf;
+  size_t Held = 0;
+  uint64_t Offset = 0;
+  while (Reader.ok() && Offset < Limit) {
+    size_t Want =
+        static_cast<size_t>(std::min<uint64_t>(BlockSize, Limit - Offset));
+    if (Buf.size() < Held + Want)
+      Buf.resize(Held + Want);
+    In.read(Buf.data() + Held, static_cast<std::streamsize>(Want));
+    size_t Got = static_cast<size_t>(In.gcount());
+    if (Got == 0)
+      break;
+    if (GarbleAt - Offset < Got)
+      Buf[Held + (GarbleAt - Offset)] = '\x01';
+    if (Offset == 0 && !SizeError)
+      reserveEvents(Reader.trace(), Size, {Buf.data(), Got});
+    Offset += Got;
+    std::string_view Block(Buf.data(), Held + Got);
+    // The held bytes have no newline: only the new ones are searched, so
+    // a long line costs linear time however many blocks it spans.
+    size_t Cut = Block.substr(Held).rfind('\n');
+    if (Cut == std::string_view::npos) {
+      Held = Block.size();
+      continue;
+    }
+    Cut += Held;
+    Reader.read(Block.substr(0, Cut + 1));
+    Held = Block.size() - Cut - 1;
+    std::memmove(Buf.data(), Buf.data() + Cut + 1, Held);
+  }
+  if (Held > 0)
+    Reader.read({Buf.data(), Held});
+  return !In.bad();
 }

@@ -25,11 +25,17 @@
 /// separated by spaces only; whitespace at either end of a line is
 /// trimmed.
 ///
-/// TraceReader reads a line in one pass without allocating: its fields
-/// are std::string_views into the text, held in a fixed array (a line
-/// with more fields than it holds spills into a heap vector), the kind is
-/// picked by its first character, and names are interned from the views,
-/// so only a name the trace has not seen is copied.
+/// TraceReader reads each line in one pass, eight bytes at a time: one
+/// word loop finds both the spaces that split the line into fields and
+/// the newline that ends it. The fields are std::string_views into the
+/// text, kept in a vector the reader reuses, so a line allocates nothing.
+/// The line is trimmed only when its first or last byte is whitespace; a
+/// modifier is told apart by its first byte and the kind by its first
+/// character. Names are interned from the views into the trace's flat
+/// name tables (Trace.h), so only a name the trace has not seen is copied.
+///
+/// readTraceFile feeds a file to a reader in fixed-size blocks, complete
+/// lines at a time, so a trace file is never held whole in memory.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -100,15 +106,19 @@ public:
   Trace &trace() { return T; }
 
 private:
-  /// Parses, interns, checks and appends one non-blank, non-comment line;
-  /// false with Error set (and the trace as before) when it is rejected.
-  bool readLine(std::string_view Raw, std::string_view Line);
+  /// Parses, interns, checks and appends the non-blank, non-comment line
+  /// \p Raw, split into Fields; false with Error set (and the trace as
+  /// before) when it is rejected.
+  bool readLine(std::string_view Raw);
   bool fail(size_t Col, const std::string &Msg, std::string_view Token);
 
   TraceParseOptions Opts;
   Trace T;
   ConsistencyChecker Checker{T, ConsistencyMode::Fragment};
   size_t LineNo = 0;
+  /// The fields of the line being read: views into the text read() was
+  /// given, kept only so that their storage is reused from line to line.
+  std::vector<std::string_view> Fields;
   /// `init` values by variable name, applied when the variable is first
   /// interned by an event: interning order stays that of the events, so a
   /// prefix of the text interns exactly like the whole of it.
@@ -125,6 +135,19 @@ std::optional<Trace> parseTraceText(std::string_view Text,
                                     std::string &Error,
                                     const TraceParseOptions &Options = {},
                                     TraceParseStats *Stats = nullptr);
+
+/// The block size readTraceFile reads by default.
+inline constexpr size_t DefaultTraceBlockBytes = size_t(1) << 16;
+
+/// Feeds the trace file at \p Path to \p Reader in blocks of \p BlockSize
+/// bytes: the complete lines of each block, then the unterminated last
+/// line once, at end of file. Room for the events is reserved once, from
+/// the file size and the first block's line density. Stops early when the
+/// reader stops. The `trace.short_read` and `trace.garble` fault sites
+/// apply to a regular file (docs/ROBUSTNESS.md). False when the file
+/// cannot be opened or read; the reader's verdict is Reader.ok().
+bool readTraceFile(const std::string &Path, TraceReader &Reader,
+                   size_t BlockSize = DefaultTraceBlockBytes);
 
 } // namespace rvp
 

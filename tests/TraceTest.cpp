@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -87,6 +88,51 @@ TEST(Trace, RollbackForgetsNewNames) {
     EXPECT_EQ(T.internVar(T.varName(Id)), Id);
   VarId Next = T.numVars();
   EXPECT_EQ(T.internVar("x0"), Next);
+}
+
+TEST(Trace, NameTableHoldsManyNames) {
+  // 120k distinct names grow the table many times over. Among them: names
+  // that differ only after their first 16 bytes (which a slot holds
+  // inline), names of exactly 16 bytes, and names that differ only in
+  // length.
+  std::vector<std::string> Names;
+  for (int I = 0; I < 40000; ++I) {
+    Names.push_back("org.eclipse.core" + std::to_string(I));
+    char Padded[17];
+    std::snprintf(Padded, sizeof(Padded), "%016d", I);
+    Names.push_back(Padded);
+    Names.push_back("v" + std::to_string(I));
+  }
+  for (size_t Length = 1; Length <= 64; ++Length)
+    Names.push_back(std::string(Length, 'a'));
+  Trace T;
+  for (size_t I = 0; I < Names.size(); ++I)
+    ASSERT_EQ(T.internVar(Names[I]), static_cast<VarId>(I)) << Names[I];
+  ASSERT_EQ(T.numVars(), Names.size());
+  for (size_t I = 0; I < Names.size(); ++I) {
+    ASSERT_EQ(T.internVar(Names[I]), static_cast<VarId>(I)) << Names[I];
+    ASSERT_EQ(T.varName(static_cast<VarId>(I)), Names[I]);
+  }
+  // Each kind has its own table.
+  EXPECT_EQ(T.internLock(Names.back()), 0u);
+  EXPECT_EQ(T.internThread(Names[1]), 0u);
+
+  // A rollback across several growths leaves exactly the old ids; the
+  // forgotten names come back with fresh ids in their new order.
+  Trace U;
+  for (size_t I = 0; I < 1000; ++I)
+    U.internVar(Names[I]);
+  Trace::Mark M = U.mark();
+  for (size_t I = 1000; I < Names.size(); ++I)
+    U.internVar(Names[I]);
+  U.rollback(M);
+  ASSERT_EQ(U.numVars(), 1000u);
+  for (size_t I = 0; I < 1000; ++I)
+    ASSERT_EQ(U.internVar(Names[I]), static_cast<VarId>(I)) << Names[I];
+  for (size_t I = Names.size(); I-- > 1000;)
+    ASSERT_EQ(U.internVar(Names[I]),
+              static_cast<VarId>(1000 + Names.size() - 1 - I))
+        << Names[I];
 }
 
 TEST(Trace, Figure4Shape) {

@@ -63,8 +63,9 @@ using namespace rvp;
 
 namespace {
 
-/// Reads an input file through the shared reader, then applies the
-/// injected read failures.
+/// Reads a MiniRV program through the shared reader, then applies the
+/// injected read failures (trace files are read in blocks by
+/// readTraceFile, which applies the same).
 bool readInput(const std::string &Path, std::string &Out) {
   if (!readFile(Path, Out))
     return false;
@@ -87,7 +88,8 @@ bool endsWith(const std::string &S, const std::string &Suffix) {
 /// catalog row (`bench:<name>`, e.g. `bench:highcop` — see
 /// workloads/Catalog.h). When the input was a MiniRV program, \p
 /// SourceOut (if non-null) receives its text, so callers can re-analyze
-/// the program statically. \p ParseOpts applies to trace files.
+/// the program statically. \p ParseOpts applies to trace files, which are
+/// read in blocks, complete lines at a time, into one TraceReader.
 bool loadTrace(const std::string &Path, const OptionParser &Options,
                const TraceParseOptions &ParseOpts, Trace &T,
                std::string *SourceOut = nullptr) {
@@ -107,12 +109,12 @@ bool loadTrace(const std::string &Path, const OptionParser &Options,
       *SourceOut = Case->Source;
     return true;
   }
-  std::string Content;
-  if (!readInput(Path, Content)) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", Path.c_str());
-    return false;
-  }
   if (endsWith(Path, ".rv")) {
+    std::string Content;
+    if (!readInput(Path, Content)) {
+      std::fprintf(stderr, "error: cannot open '%s'\n", Path.c_str());
+      return false;
+    }
     if (SourceOut)
       *SourceOut = Content;
     RunResult Run;
@@ -141,27 +143,26 @@ bool loadTrace(const std::string &Path, const OptionParser &Options,
       std::fprintf(stderr, "warning: the recorded execution deadlocked\n");
     return true;
   }
-  std::string Error;
   TraceParseOptions FileOpts = ParseOpts;
   FileOpts.FileName = Path;
-  TraceParseStats ParseStats;
-  auto Parsed = parseTraceText(Content, Error, FileOpts, &ParseStats);
-  if (!Parsed) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
+  TraceReader Reader(FileOpts);
+  if (!readTraceFile(Path, Reader)) {
+    std::fprintf(stderr, "error: cannot open '%s'\n", Path.c_str());
     return false;
   }
-  if (ParseStats.SkippedEvents) {
+  if (!Reader.ok()) {
+    std::fprintf(stderr, "error: %s\n", Reader.error().c_str());
+    return false;
+  }
+  if (uint64_t Skipped = Reader.skippedEvents()) {
     std::fprintf(stderr,
                  "note: skipped %llu malformed or inconsistent event "
                  "line(s) in '%s'\n",
-                 static_cast<unsigned long long>(ParseStats.SkippedEvents),
-                 Path.c_str());
+                 static_cast<unsigned long long>(Skipped), Path.c_str());
     if (Telemetry::enabled())
-      MetricsRegistry::global()
-          .counter("trace.skipped_events")
-          .add(ParseStats.SkippedEvents);
+      MetricsRegistry::global().counter("trace.skipped_events").add(Skipped);
   }
-  T = std::move(*Parsed);
+  T = std::move(Reader.trace());
   return true;
 }
 
@@ -382,21 +383,20 @@ int cmdReplay(const OptionParser &Options) {
     std::fprintf(stderr, "error: cannot open program\n");
     return ExitUsage;
   }
-  std::string TraceText;
-  if (!readInput(Options.getString("trace"), TraceText)) {
+  TraceReader Recorded{TraceParseOptions{}};
+  if (!readTraceFile(Options.getString("trace"), Recorded)) {
     std::fprintf(stderr, "error: cannot open trace\n");
     return ExitUsage;
   }
-  std::string Error;
-  auto Recorded = parseTraceText(TraceText, Error);
-  if (!Recorded) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
+  if (!Recorded.ok()) {
+    std::fprintf(stderr, "error: %s\n", Recorded.error().c_str());
     return ExitUsage;
   }
   std::vector<ThreadId> Schedule;
-  for (const Event &E : Recorded->events())
+  for (const Event &E : Recorded.trace().events())
     Schedule.push_back(E.Tid);
 
+  std::string Error;
   Trace Replayed;
   RunResult Run;
   ReplayScheduler S(std::move(Schedule));
@@ -434,7 +434,8 @@ int main(int Argc, const char **Argv) {
   Options.addOption("solver", "idl or z3", "idl");
   Options.addOption("budget", "per-COP solver budget (s)", "60");
   Options.addOption("jobs",
-                    "solver worker threads (0 = one per hardware thread)",
+                    "solver worker threads, 1..256 (omit for one per "
+                    "hardware thread)",
                     "0");
   Options.addOption("static-prune",
                     "skip COPs a static analysis of the program proves "

@@ -14,6 +14,10 @@ BUILD_DIR="${1:-build-asan}"
 cmake -B "$BUILD_DIR" -S . "-DRV_SANITIZE=address,undefined"
 cmake --build "$BUILD_DIR" -j "$(nproc 2>/dev/null || echo 2)"
 
+# UBSan reports and recovers by default; halting turns every report into a
+# failing test.
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+export UBSAN_OPTIONS
 ctest --test-dir "$BUILD_DIR" --output-on-failure
 
 echo "check_asan: all address-sanitized checks passed"

@@ -131,10 +131,7 @@ StaticMhbAnalysis::StaticMhbAnalysis(const Program &P)
   size_t M = 2 * NumThreads;
   Reach.assign(M * M, false);
   auto Edge = [&](uint32_t From, uint32_t To) {
-    if (!Reach[From * M + To]) {
-      Reach[From * M + To] = true;
-      ++NumEdges;
-    }
+    Reach[From * M + To] = true;
   };
   for (uint32_t T = 0; T < NumThreads; ++T)
     Edge(beginOf(T), endOf(T));

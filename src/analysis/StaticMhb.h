@@ -69,15 +69,11 @@ public:
   /// Thread-level projection: must all of \p A finish before \p B begins?
   bool threadOrdered(uint32_t A, uint32_t B) const;
 
-  /// Milestone-graph edges (stats/debug surface).
-  uint64_t milestoneEdges() const { return NumEdges; }
-
 private:
   uint32_t beginOf(uint32_t T) const { return 2 * T; }
   uint32_t endOf(uint32_t T) const { return 2 * T + 1; }
 
   size_t NumThreads = 0;
-  uint64_t NumEdges = 0;
   /// Transitive closure over the 2*NumThreads milestones, row-major;
   /// Reach[M1 * 2N + M2] means M1's event precedes M2's in every run.
   std::vector<bool> Reach;

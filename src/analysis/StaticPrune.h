@@ -82,8 +82,6 @@ public:
   uint64_t threadLocalVars() const { return Escape.threadLocalDeclCount(); }
 
   const ThreadEscapeAnalysis &escape() const { return Escape; }
-  const StaticMhbAnalysis &staticMhb() const { return Mhb; }
-  const ValueRangeAnalysis &valueRange() const { return Ranges; }
 
 private:
   /// Must-held lock bitmask for one event of (thread, line), intersected

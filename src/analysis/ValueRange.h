@@ -133,9 +133,6 @@ private:
   };
 
   void collectLocals(const ThreadDecl &T, std::set<std::string> &Locals);
-  Interval evalExpr(const Expr &E,
-                    const std::map<std::string, Interval> &Locals,
-                    const std::set<std::string> &LocalNames) const;
 
   const Program &Prog;
   std::map<std::string, Interval> SharedIv;

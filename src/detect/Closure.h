@@ -65,10 +65,6 @@ public:
     return CA.get(EA.Tid) <= CB.get(EA.Tid);
   }
 
-  const VectorClock &clockOf(EventId Id) const {
-    return Clocks[Id - Window.Begin];
-  }
-
   Span span() const { return Window; }
 
 private:

@@ -277,7 +277,7 @@ private:
 
   /// The one collect loop, in candidate order.
   void collect(WindowContext &W, const std::vector<Candidate> &Cands) {
-    std::vector<SolveCtx> Contexts(Pool ? Pool->numWorkers() + 1 : 1);
+    std::vector<SolveCtx> Contexts(Pool ? Pool->numWorkers() : 1);
     std::vector<Decision> Ahead;
     if (Pool)
       decideAhead(W, Cands, Contexts, Ahead);
@@ -322,7 +322,7 @@ private:
         if (Pool)
           D = std::move(Ahead[I]);
         else
-          decide(W, C, Contexts.back(), D);
+          decide(W, C, Contexts.front(), D);
         account(C, D);
         break;
       }
@@ -334,9 +334,10 @@ private:
   }
 
   /// Jobs > 1: decides every candidate that survives the window-start
-  /// filters as an independent task — own builder, own host per worker,
-  /// read-only window state. The collect loop then accepts or discards
-  /// the results in candidate order, so reports and stats match one job.
+  /// filters as an independent task — own builder and host per runner
+  /// slot, read-only window state. The collect loop then accepts or
+  /// discards the results in candidate order, so reports and stats match
+  /// one job.
   /// One caveat: a candidate near the per-COP budget can tip from
   /// sat/unsat to timeout under contention (wall-clock budgets are the
   /// one scheduling-dependent input).
@@ -353,16 +354,11 @@ private:
     W.encoder(); // shared window state is built on this thread
     const bool Observing = Telemetry::enabled();
     std::vector<PhaseTree> WorkerTrees(Observing ? Pool->numWorkers() : 0);
-    Pool->parallelFor(0, Todo.size(), [&](size_t K) {
-      int Worker = Pool->currentWorkerIndex();
+    Pool->parallelFor(0, Todo.size(), [&](size_t K, unsigned Slot) {
       std::optional<ThreadPhaseScope> PhaseScope;
-      if (Observing && Worker >= 0)
-        PhaseScope.emplace(&WorkerTrees[Worker]);
-      // The trailing context belongs to the main thread, which helps
-      // drain the queue and reports worker index -1.
-      SolveCtx &Ctx = Contexts[Worker >= 0 ? static_cast<size_t>(Worker)
-                                           : Contexts.size() - 1];
-      decide(W, Cands[Todo[K]], Ctx, Ahead[Todo[K]]);
+      if (Observing)
+        PhaseScope.emplace(&WorkerTrees[Slot]);
+      decide(W, Cands[Todo[K]], Contexts[Slot], Ahead[Todo[K]]);
     });
     if (Observing) {
       // The main thread is inside the "window" phase here, so the merge

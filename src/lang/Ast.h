@@ -127,13 +127,6 @@ struct Program {
   std::vector<LockDecl> Locks;
   std::vector<ThreadDecl> Threads; ///< Threads[0] is main
 
-  const ThreadDecl *findThread(const std::string &Name) const {
-    for (const ThreadDecl &T : Threads)
-      if (T.Name == Name)
-        return &T;
-    return nullptr;
-  }
-
   const SharedDecl *findShared(const std::string &Name) const {
     for (const SharedDecl &D : Shareds)
       if (D.Name == Name)

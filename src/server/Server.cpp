@@ -542,6 +542,9 @@ void Server::Impl::submit(Session &S, bool Finish, bool Degrade) {
     } catch (const std::exception &E) {
       C.Aborted = true;
       C.Error = E.what();
+    } catch (...) {
+      C.Aborted = true;
+      C.Error = "unknown exception";
     }
     {
       std::lock_guard<std::mutex> Guard(DoneMutex);

@@ -6,8 +6,8 @@
 //
 // The trace-ingest daemon (docs/SERVER.md): one poll()-driven I/O thread
 // accepts clients over a Unix-domain socket (and optionally TCP),
-// multiplexes their sessions' window analyses onto a shared work-stealing
-// ThreadPool, and streams per-window REPORT frames plus a batch-identical
+// multiplexes their sessions' window analyses onto one ThreadPool's shared
+// task queue, and streams per-window REPORT frames plus a batch-identical
 // SUMMARY back. The design invariants the fault drills pin down:
 //
 //  * Fault isolation: a malformed frame, a garbled byte, a torn write, or

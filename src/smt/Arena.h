@@ -62,14 +62,6 @@ public:
     Mem.release();
   }
 
-  /// Total bytes currently held in chunks (capacity, not live objects).
-  uint64_t allocatedBytes() const {
-    uint64_t Total = 0;
-    for (const Chunk &C : Chunks)
-      Total += C.Bytes;
-    return Total;
-  }
-
 private:
   struct Chunk {
     void *Mem;
@@ -126,6 +118,8 @@ public:
   /// Appends [First, Last) at the end.
   void append(const T *First, const T *Last) {
     size_t N = static_cast<size_t>(Last - First);
+    if (N == 0)
+      return; // memcpy must not see the null Data of a fresh vector
     if (Count + N > Capacity) {
       size_t NewCap = Capacity ? Capacity * 2 : 64;
       while (NewCap < Count + N)

@@ -33,7 +33,6 @@ struct Lit {
 
   static Lit pos(Var V) { return {2 * V}; }
   static Lit neg(Var V) { return {2 * V + 1}; }
-  static Lit fromInt(uint32_t Raw) { return {Raw}; }
 
   Var var() const { return X >> 1; }
   bool sign() const { return X & 1; } ///< true iff negated

@@ -201,12 +201,3 @@ uint64_t FaultInjector::fired(const std::string &Site) const {
       Total += R.Fired;
   return Total;
 }
-
-uint64_t FaultInjector::totalFired() const {
-  const State &S = state();
-  std::lock_guard<std::mutex> Lock(const_cast<std::mutex &>(S.Mu));
-  uint64_t Total = 0;
-  for (const Rule &R : S.Rules)
-    Total += R.Fired;
-  return Total;
-}

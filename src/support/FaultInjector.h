@@ -99,8 +99,6 @@ public:
   /// Total hits / fired faults of \p Site since the last configure/reset.
   uint64_t hits(const std::string &Site) const;
   uint64_t fired(const std::string &Site) const;
-  /// Fired faults across all sites.
-  uint64_t totalFired() const;
 
 private:
   bool shouldFailSlow(const char *Site);

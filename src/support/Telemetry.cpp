@@ -180,7 +180,7 @@ void TraceEventSink::close() {
 // -------------------------------------------------------------- Telemetry
 
 bool Telemetry::EnabledFlag = false;
-thread_local PhaseTree *Telemetry::ThreadPhases = nullptr;
+constinit thread_local PhaseTree *Telemetry::ThreadPhases = nullptr;
 
 Telemetry &Telemetry::instance() {
   static Telemetry T;

@@ -115,7 +115,6 @@ public:
   /// report and any `--stats-json=-` object in a deterministic order that
   /// golden tests can split on (docs/OBSERVABILITY.md, "Stream ordering").
   bool open(const std::string &Path, std::string &Error);
-  bool isOpen() const { return File != nullptr || BufferToStdout; }
   void write(const JsonObject &Event);
   void close();
 
@@ -179,7 +178,10 @@ public:
 
 private:
   static bool EnabledFlag;
-  static thread_local PhaseTree *ThreadPhases;
+  /// constinit lets other translation units read it directly rather than
+  /// through a TLS init wrapper, which UBSan (GCC 12) reports as a null
+  /// load on every access.
+  static constinit thread_local PhaseTree *ThreadPhases;
   PhaseTree Phases;
   TraceEventSink *Sink = nullptr;
   ProfileCollector *Profiler = nullptr;

@@ -30,9 +30,6 @@ public:
     return std::chrono::duration<double>(Clock::now() - Start).count();
   }
 
-  /// Elapsed time in milliseconds.
-  double millis() const { return seconds() * 1e3; }
-
 private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point Start;

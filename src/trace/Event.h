@@ -81,24 +81,6 @@ struct Event {
   bool isWrite() const { return Kind == EventKind::Write; }
   bool isAcquire() const { return Kind == EventKind::Acquire; }
   bool isRelease() const { return Kind == EventKind::Release; }
-  bool isSync() const {
-    switch (Kind) {
-    case EventKind::Acquire:
-    case EventKind::Release:
-    case EventKind::Fork:
-    case EventKind::Join:
-    case EventKind::Begin:
-    case EventKind::End:
-    case EventKind::Wait:
-    case EventKind::Notify:
-      return true;
-    case EventKind::Read:
-    case EventKind::Write:
-    case EventKind::Branch:
-      return false;
-    }
-    return false;
-  }
 };
 
 static_assert(sizeof(Event) <= 32, "events should stay compact");

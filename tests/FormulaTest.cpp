@@ -141,3 +141,17 @@ TEST(Formula, ArenaRelocationPreservesNodes) {
   EXPECT_EQ(FB.node(Early).Kind, FormulaKind::And);
   EXPECT_EQ(FB.node(Early).numChildren(), 2u);
 }
+
+TEST(Formula, ArenaVectorAppendsEmptyRangeToFreshVector) {
+  // A fresh vector has no storage yet; an empty append must leave it
+  // untouched rather than copy zero bytes to a null destination.
+  BumpArena A;
+  ArenaVector<uint32_t> V(A);
+  const uint32_t Values[] = {7, 8, 9};
+  V.append(Values, Values);
+  EXPECT_TRUE(V.empty());
+  V.append(Values, Values + 3);
+  ASSERT_EQ(V.size(), 3u);
+  EXPECT_EQ(V[0], 7u);
+  EXPECT_EQ(V[2], 9u);
+}

@@ -140,8 +140,8 @@ TEST(Profile, ScopedPhaseTimerEmitsSpanWhenActive) {
   EXPECT_NE(C.toJson().find("\"name\":\"profiled-phase\""),
             std::string::npos);
   // One measurement: the caller's seconds are the phase tree's.
-  const PhaseSnapshot *Phase =
-      Telemetry::instance().snapshot().Phases.find("profiled-phase");
+  const TelemetrySnapshot Snap = Telemetry::instance().snapshot();
+  const PhaseSnapshot *Phase = Snap.Phases.find("profiled-phase");
   ASSERT_NE(Phase, nullptr);
   EXPECT_EQ(Phase->Seconds, Seconds);
   EXPECT_GE(Seconds, 0);

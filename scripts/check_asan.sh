@@ -18,6 +18,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc 2>/dev/null || echo 2)"
 # failing test.
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 export UBSAN_OPTIONS
-ctest --test-dir "$BUILD_DIR" --output-on-failure
+ctest --test-dir "$BUILD_DIR" --output-on-failure \
+  -j "$(nproc 2>/dev/null || echo 2)"
 
 echo "check_asan: all address-sanitized checks passed"

@@ -3,13 +3,15 @@
 # concurrency-sensitive tests under it: the thread-pool and stats unit
 # tests, the parallel-vs-sequential detector comparisons, the
 # byte-identical-output determinism check, the cone-slicing tests, the
-# in-process mode-equivalence sweep (whose --jobs=4 rows read and
-# populate the shared skeleton cache concurrently, for computed cones and
-# whole-window ones alike — docs/ENCODER.md) and the window-driver
-# goldens (whose --jobs=4 rows build witnesses concurrently: a fresh
-# encoder per witness on the shared window encoding, with thread-local
-# cone scratch). Any data race the pool, the shared per-window encoding,
-# or the skeleton cache introduces fails this script. The daemon drills
+# read-skeleton test whose four threads fill one window's on-demand
+# read-consistency skeletons at once, the in-process mode-equivalence
+# sweep (whose --jobs=4 rows read and populate the shared skeleton cache
+# concurrently, for computed cones and whole-window ones alike —
+# docs/ENCODER.md) and the window-driver goldens (whose --jobs=4 rows
+# build witnesses concurrently: a fresh encoder per witness on the shared
+# window encoding, with thread-local cone scratch). Any data race the
+# pool, the shared per-window encoding (its read skeletons included), or
+# the skeleton cache introduces fails this script. The daemon drills
 # stream race, atomicity and deadlock sessions through a --jobs=4
 # rvpredictd: each session's live window-driver session moves between
 # pool threads from one window to the next, and --degrade-threshold=1
@@ -30,7 +32,8 @@ cmake --build "$BUILD_DIR" -j "$(nproc 2>/dev/null || echo 2)" \
   --target rvp_tests rvpredict rvpredictd rvpclient
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'ThreadPool|ParallelDetect|Stats\.Concurrent|DetectDeterminism|RaceEncoderCone|ModeEquivalence|DriverGolden|StreamDetector|IngestTest|ServerSession'
+  -j "$(nproc 2>/dev/null || echo 2)" \
+  -R 'ThreadPool|ParallelDetect|Stats\.Concurrent|DetectDeterminism|RaceEncoderCone|ReadSkeleton\.Concurrent|ModeEquivalence|DriverGolden|StreamDetector|IngestTest|ServerSession'
 
 # The standalone runs below keep telemetry and the trace-event sink on:
 # workers fill each decision's record (encode stats, formula size, witness

@@ -9,22 +9,12 @@
 #include "detect/WindowDriver.h"
 #include "detect/WitnessChecker.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 using namespace rvp;
 
 namespace {
-
-/// A nested acquisition: \p Request acquires \p Inner while the section
-/// \p Outer (on \p OuterLock) is held by the same thread.
-struct LockDependency {
-  ThreadId Tid = 0;
-  LockId OuterLock = 0;
-  LockId InnerLock = 0;
-  EventId Request = InvalidEvent;
-  LockPair Outer;        ///< the enclosing critical section
-  LockPair RequestPair;  ///< the requested (inner) section
-};
 
 uint64_t signatureOf(const Trace &T, EventId ReqA, EventId ReqB) {
   LocId A = T[ReqA].Loc;
@@ -51,7 +41,7 @@ public:
     std::vector<LockDependency> Deps;
     {
       ScopedPhaseTimer CopPhase("cop-enum");
-      Deps = collectDependencies(W.Window);
+      Deps = collectLockDependencies(T, W.Window);
       for (size_t I = 0; I < Deps.size(); ++I) {
         for (size_t J = I + 1; J < Deps.size(); ++J) {
           const LockDependency &A = Deps[I];
@@ -156,44 +146,6 @@ public:
   }
 
 private:
-  std::vector<LockDependency> collectDependencies(Span Window) const {
-    // Group each thread's complete in-window sections, then match every
-    // acquire against the enclosing sections of the same thread.
-    struct ThreadPair {
-      LockId Lock;
-      LockPair Pair;
-    };
-    std::vector<std::vector<ThreadPair>> PerThread(T.numThreads());
-    for (LockId Lock = 0; Lock < T.numLocks(); ++Lock)
-      for (const LockPair &P : T.lockPairsStartingIn(Lock, Window))
-        if (P.AcquireId != InvalidEvent)
-          PerThread[P.Tid].push_back({Lock, P});
-
-    std::vector<LockDependency> Deps;
-    for (ThreadId Tid = 0; Tid < T.numThreads(); ++Tid) {
-      const std::vector<ThreadPair> &Pairs = PerThread[Tid];
-      for (const ThreadPair &Req : Pairs) {
-        for (const ThreadPair &Out : Pairs) {
-          if (Out.Lock == Req.Lock || Out.Pair.ReleaseId == InvalidEvent ||
-              !Window.contains(Out.Pair.ReleaseId))
-            continue;
-          if (Out.Pair.AcquireId < Req.Pair.AcquireId &&
-              Req.Pair.AcquireId < Out.Pair.ReleaseId) {
-            LockDependency Dep;
-            Dep.Tid = Tid;
-            Dep.OuterLock = Out.Lock;
-            Dep.InnerLock = Req.Lock;
-            Dep.Request = Req.Pair.AcquireId;
-            Dep.Outer = Out.Pair;
-            Dep.RequestPair = Req.Pair;
-            Deps.push_back(Dep);
-          }
-        }
-      }
-    }
-    return Deps;
-  }
-
   /// Threads, locks and display names follow from the request events: A
   /// requests the lock B holds and vice versa.
   DeadlockReport makeReport(EventId ReqA, EventId ReqB,
@@ -222,6 +174,46 @@ private:
 };
 
 } // namespace
+
+std::vector<LockDependency> rvp::collectLockDependencies(const Trace &T,
+                                                         Span Window) {
+  std::vector<std::vector<LockPair>> PerThread(T.numThreads());
+  for (LockId Lock = 0; Lock < T.numLocks(); ++Lock)
+    for (const LockPair &P : T.lockPairsStartingIn(Lock, Window))
+      if (P.AcquireId != InvalidEvent)
+        PerThread[P.Tid].push_back(P);
+
+  std::vector<LockDependency> Deps;
+  std::vector<uint32_t> ByAcquire, Held;
+  std::vector<std::pair<uint32_t, uint32_t>> Found; // (request, outer)
+  for (ThreadId Tid = 0; Tid < T.numThreads(); ++Tid) {
+    const std::vector<LockPair> &Pairs = PerThread[Tid];
+    ByAcquire.resize(Pairs.size());
+    for (uint32_t I = 0; I < Pairs.size(); ++I)
+      ByAcquire[I] = I;
+    std::sort(ByAcquire.begin(), ByAcquire.end(), [&](uint32_t A, uint32_t B) {
+      return Pairs[A].AcquireId < Pairs[B].AcquireId;
+    });
+    Held.clear();
+    Found.clear();
+    for (uint32_t Req : ByAcquire) {
+      EventId Acq = Pairs[Req].AcquireId;
+      std::erase_if(Held,
+                    [&](uint32_t Out) { return Pairs[Out].ReleaseId < Acq; });
+      for (uint32_t Out : Held)
+        if (Pairs[Out].Lock != Pairs[Req].Lock)
+          Found.emplace_back(Req, Out);
+      // Only a section released inside the window can be an outer one.
+      if (Window.contains(Pairs[Req].ReleaseId))
+        Held.push_back(Req);
+    }
+    std::sort(Found.begin(), Found.end());
+    for (auto [Req, Out] : Found)
+      Deps.push_back({Tid, Pairs[Out].Lock, Pairs[Req].Lock,
+                      Pairs[Req].AcquireId, Pairs[Out], Pairs[Req]});
+  }
+  return Deps;
+}
 
 DeadlockResult rvp::detectDeadlocks(const Trace &T,
                                     const DetectorOptions &Options) {

@@ -54,6 +54,27 @@ struct DeadlockResult {
   DetectionStats Stats;
 };
 
+/// A nested acquisition: \p Request acquires \p InnerLock while the
+/// section \p Outer (on \p OuterLock) is held by the same thread.
+struct LockDependency {
+  ThreadId Tid = 0;
+  LockId OuterLock = 0;
+  LockId InnerLock = 0;
+  EventId Request = InvalidEvent;
+  LockPair Outer;       ///< the enclosing critical section
+  LockPair RequestPair; ///< the requested (inner) section
+};
+
+/// The lock dependencies of \p Window: each section acquired in the
+/// window paired with every enclosing section of another lock, on the
+/// same thread, whose acquire and release both lie in the window. Per
+/// thread, in (request, outer) order over the thread's sections listed by
+/// lock and then by acquire. One sweep per thread in acquire order keeps
+/// the sections still held; hand-over-hand locking releases them out of
+/// order, so the held set is a list, not a stack.
+std::vector<LockDependency> collectLockDependencies(const Trace &T,
+                                                    Span Window);
+
 /// Predicts two-thread/two-lock deadlocks from \p T, using the shared
 /// windowing/budget/solver options.
 DeadlockResult detectDeadlocks(const Trace &T,

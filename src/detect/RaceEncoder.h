@@ -30,9 +30,10 @@
 /// read-consistency skeletons) lives in a WindowEncoding built once per
 /// window; every encode call only applies the per-COP substitution and
 /// control-flow guards. A const RaceEncoder is safe to share across the
-/// parallel solve workers — encode calls touch nothing but the immutable
-/// WindowEncoding, the caller's FormulaBuilder, and the internal
-/// skeleton cache (reader/writer locked).
+/// parallel solve workers — encode calls touch nothing but the
+/// WindowEncoding (immutable apart from its once-built read skeletons),
+/// the caller's FormulaBuilder, and the internal skeleton cache
+/// (reader/writer locked).
 ///
 /// Every encode call assembles its query the same way: the query's own
 /// part (control-flow guards, read-value formulas) over the substitution,

@@ -211,63 +211,8 @@ WindowEncoding::WindowEncoding(const Trace &T, Span S, const EventClosure &Mhb,
       EventSections[*It - Window.Begin].push_back(Sid);
   }
 
-  // Read-consistency skeletons (the COP-invariant part of the Φ_value
-  // disjunction readValueFormula emits), indexed by window offset.
-  Reads.resize(S.End - S.Begin);
-  for (EventId R : AllReads) {
-    const Event &Read = T[R];
-    VarId Var = Read.Target;
-    Value Wanted = Read.Data;
-    ReadInfo Info;
-
-    for (EventId W : VarWrites[Var]) {
-      // A write that must happen after the read can never interfere
-      // (its order variable always exceeds the read's).
-      if (W == R || Mhb.ordered(R, W))
-        continue;
-      Info.Interfering.push_back(W);
-    }
-
-    for (EventId W : Info.Interfering) {
-      if (T[W].Data != Wanted)
-        continue;
-      // Paper pruning: skip candidate w1 when some other write w2
-      // satisfies w1 ≼ w2 ≼ r — the read can never observe w1.
-      bool Shadowed = false;
-      for (EventId W2 : Info.Interfering) {
-        if (W2 != W && Mhb.ordered(W, W2) && Mhb.ordered(W2, R)) {
-          Shadowed = true;
-          break;
-        }
-      }
-      if (Shadowed)
-        continue;
-      ReadCandidate Cand;
-      Cand.Write = W;
-      for (EventId W2 : Info.Interfering) {
-        if (W2 == W)
-          continue;
-        // w2 ≼ w never interferes: it is always before w.
-        if (Mhb.ordered(W2, W))
-          continue;
-        Cand.Others.push_back(W2);
-      }
-      Info.Candidates.push_back(std::move(Cand));
-    }
-
-    if (Wanted == InitialValues[Var]) {
-      bool SomeWriteMustPrecede = false;
-      for (EventId W : Info.Interfering) {
-        if (Mhb.ordered(W, R)) {
-          SomeWriteMustPrecede = true;
-          break;
-        }
-      }
-      Info.InitialOk = !SomeWriteMustPrecede;
-    }
-
-    Reads[R - Window.Begin] = std::move(Info);
-  }
+  // Read-consistency skeletons are built on demand by readInfo().
+  Reads = std::make_unique<ReadSlot[]>(S.End - S.Begin);
 
   if (Telemetry::enabled()) {
     // Container-footprint estimate: the index vectors plus the per-read
@@ -288,17 +233,79 @@ WindowEncoding::WindowEncoding(const Trace &T, Span S, const EventClosure &Mhb,
       Bytes += sizeof(V) + V.size() * sizeof(uint32_t);
     for (const std::vector<uint32_t> &V : SectionConstraints)
       Bytes += sizeof(V) + V.size() * sizeof(uint32_t);
-    for (const ReadInfo &Info : Reads) {
-      Bytes += sizeof(Info);
-      Bytes += Info.Interfering.size() * sizeof(EventId);
-      for (const ReadCandidate &C : Info.Candidates)
-        Bytes += sizeof(C) + C.Others.size() * sizeof(EventId);
-    }
+    Bytes += (S.End - S.Begin) * sizeof(ReadSlot);
     Mem.charge(Bytes);
   }
 }
 
 const WindowEncoding::ReadInfo &WindowEncoding::readInfo(EventId R) const {
-  assert(Window.contains(R) && "read-consistency query outside the window");
-  return Reads[R - Window.Begin];
+  assert(Window.contains(R) && T[R].isRead() &&
+         "read-consistency query for a non-read or outside the window");
+  ReadSlot &Slot = Reads[R - Window.Begin];
+  std::call_once(Slot.Built, [&] {
+    Slot.Info = buildReadInfo(R);
+    if (Telemetry::enabled()) {
+      uint64_t Bytes = Slot.Info.Interfering.size() * sizeof(EventId);
+      for (const ReadCandidate &C : Slot.Info.Candidates)
+        Bytes += sizeof(C) + C.Others.size() * sizeof(EventId);
+      Mem.charge(Bytes);
+    }
+  });
+  return Slot.Info;
+}
+
+// The COP-invariant part of the Φ_value disjunction readValueFormula
+// emits for read R.
+WindowEncoding::ReadInfo WindowEncoding::buildReadInfo(EventId R) const {
+  const Event &Read = T[R];
+  VarId Var = Read.Target;
+  Value Wanted = Read.Data;
+  ReadInfo Info;
+
+  for (EventId W : VarWrites[Var]) {
+    // A write that must happen after the read can never interfere
+    // (its order variable always exceeds the read's).
+    if (W == R || Mhb.ordered(R, W))
+      continue;
+    Info.Interfering.push_back(W);
+  }
+
+  for (EventId W : Info.Interfering) {
+    if (T[W].Data != Wanted)
+      continue;
+    // Paper pruning: skip candidate w1 when some other write w2
+    // satisfies w1 ≼ w2 ≼ r — the read can never observe w1.
+    bool Shadowed = false;
+    for (EventId W2 : Info.Interfering) {
+      if (W2 != W && Mhb.ordered(W, W2) && Mhb.ordered(W2, R)) {
+        Shadowed = true;
+        break;
+      }
+    }
+    if (Shadowed)
+      continue;
+    ReadCandidate Cand;
+    Cand.Write = W;
+    for (EventId W2 : Info.Interfering) {
+      if (W2 == W)
+        continue;
+      // w2 ≼ w never interferes: it is always before w.
+      if (Mhb.ordered(W2, W))
+        continue;
+      Cand.Others.push_back(W2);
+    }
+    Info.Candidates.push_back(std::move(Cand));
+  }
+
+  if (Wanted == InitialValues[Var]) {
+    bool SomeWriteMustPrecede = false;
+    for (EventId W : Info.Interfering) {
+      if (Mhb.ordered(W, R)) {
+        SomeWriteMustPrecede = true;
+        break;
+      }
+    }
+    Info.InitialOk = !SomeWriteMustPrecede;
+  }
+  return Info;
 }

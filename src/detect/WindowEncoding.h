@@ -18,12 +18,17 @@
 ///    events so deadlock queries can exclude sections after the fact,
 ///  * the read-consistency skeleton per in-window read: interfering
 ///    writes, value-matched unshadowed candidate writes, and whether the
-///    initial-value disjunct applies.
+///    initial-value disjunct applies. Skeletons are built on demand: a
+///    read's is computed the first time readInfo() asks for it, since
+///    most reads of a window lie in no COP's cone.
 ///
 /// Only the substitution `Oa := Ob` and the control-flow guards differ per
-/// COP; RaceEncoder applies those at emission time. A WindowEncoding is
-/// immutable after construction: concurrent readers need no
-/// synchronization. The referenced Trace and EventClosure must outlive it.
+/// COP; RaceEncoder applies those at emission time. Everything but the
+/// read skeletons is immutable after construction. Each skeleton slot is
+/// filled exactly once under its own std::once_flag and never changes
+/// afterwards, so concurrent readers (the parallel solve loop's workers)
+/// need no further synchronization. The referenced Trace and
+/// EventClosure must outlive it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +40,8 @@
 #include "support/MemStats.h"
 #include "trace/Trace.h"
 
+#include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -129,20 +136,28 @@ public:
     bool InitialOk = false;
   };
 
-  /// The skeleton for in-window read \p R.
+  /// The skeleton for in-window read \p R, built on the first call for R
+  /// and kept for the window's lifetime. Safe to call concurrently.
   const ReadInfo &readInfo(EventId R) const;
 
 private:
-  /// Indexed by window offset (R - Window.Begin); non-read offsets hold a
-  /// default ReadInfo. readInfo() sits on the encode hot path, so the
-  /// flat vector replaces the former hash map: one subtraction instead of
-  /// a hash lookup per read.
-  std::vector<ReadInfo> Reads;
+  ReadInfo buildReadInfo(EventId R) const;
+
+  struct ReadSlot {
+    std::once_flag Built;
+    ReadInfo Info;
+  };
+  /// Indexed by window offset (R - Window.Begin); only read offsets are
+  /// ever filled. readInfo() sits on the encode hot path, so a flat array
+  /// keeps the lookup to one subtraction. The pointer's constness is
+  /// shallow: readInfo() fills a slot through it.
+  std::unique_ptr<ReadSlot[]> Reads;
   /// Indexed by window offset: section ids enclosing the event.
   std::vector<std::vector<uint32_t>> EventSections;
-  /// mem.encoding_* accounting, charged once at the end of construction
-  /// with the container footprint (support/MemStats.h).
-  MemCharge Mem{MemPool::Encoding};
+  /// mem.encoding_* accounting (support/MemStats.h): the indexes and the
+  /// slot array at the end of construction, then each skeleton's vectors
+  /// when readInfo() builds it.
+  mutable MemCharge Mem{MemPool::Encoding};
 };
 
 } // namespace rvp

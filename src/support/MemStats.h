@@ -23,6 +23,7 @@
 #ifndef RVP_SUPPORT_MEMSTATS_H
 #define RVP_SUPPORT_MEMSTATS_H
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -74,7 +75,9 @@ public:
 /// total on destruction. Data-structure owners (BumpArena, SatSolver,
 /// WindowEncoding) embed one so accounting can never leak across runs even
 /// when telemetry is toggled mid-lifetime: only bytes actually charged are
-/// ever released.
+/// ever released. charge() may run on several threads at once (a
+/// WindowEncoding charges each read skeleton from whichever solver worker
+/// builds it); release() and discharge() belong to the owning thread.
 class MemCharge {
 public:
   explicit MemCharge(MemPool Pool) : Pool(Pool) {}
@@ -84,32 +87,31 @@ public:
 
   void charge(uint64_t Bytes) {
     MemStats::add(Pool, Bytes);
-    Charged += Bytes;
+    Charged.fetch_add(Bytes, std::memory_order_relaxed);
   }
 
   void release() {
-    if (Charged) {
-      MemStats::sub(Pool, Charged);
-      Charged = 0;
-    }
+    if (uint64_t Bytes = Charged.exchange(0, std::memory_order_relaxed))
+      MemStats::sub(Pool, Bytes);
   }
 
   /// Releases part of the charge (clamped to what was actually charged, so
   /// an owner that shrinks while telemetry is off never underflows).
   void discharge(uint64_t Bytes) {
-    if (Bytes > Charged)
-      Bytes = Charged;
+    uint64_t Have = charged();
+    if (Bytes > Have)
+      Bytes = Have;
     if (Bytes) {
       MemStats::sub(Pool, Bytes);
-      Charged -= Bytes;
+      Charged.fetch_sub(Bytes, std::memory_order_relaxed);
     }
   }
 
-  uint64_t charged() const { return Charged; }
+  uint64_t charged() const { return Charged.load(std::memory_order_relaxed); }
 
 private:
   MemPool Pool;
-  uint64_t Charged = 0;
+  std::atomic<uint64_t> Charged{0};
 };
 
 } // namespace rvp

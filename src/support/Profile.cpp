@@ -16,11 +16,12 @@ using namespace rvp;
 
 namespace {
 
-/// Per-thread tid cache. Keyed by the owning collector so a tid assigned by
-/// one run is never reused against a different collector in a later run
-/// (the unit tests create several collectors on one thread).
+/// Per-thread tid cache. Keyed by the owning collector's serial, not its
+/// address, so a tid assigned by one run is never reused against a
+/// different collector in a later run, even one built where the first
+/// lived (the unit tests create several collectors on one thread).
 struct ThreadSlot {
-  const ProfileCollector *Owner = nullptr;
+  uint64_t Owner = 0; ///< serials start at 1
   uint32_t Tid = 0;
 };
 
@@ -28,9 +29,14 @@ thread_local ThreadSlot CurrentSlot;
 
 } // namespace
 
+uint64_t ProfileCollector::nextSerial() {
+  static std::atomic<uint64_t> Next{1};
+  return Next.fetch_add(1, std::memory_order_relaxed);
+}
+
 uint32_t ProfileCollector::currentTid() {
-  if (CurrentSlot.Owner != this) {
-    CurrentSlot.Owner = this;
+  if (CurrentSlot.Owner != Serial) {
+    CurrentSlot.Owner = Serial;
     CurrentSlot.Tid = NextTid.fetch_add(1, std::memory_order_relaxed);
   }
   return CurrentSlot.Tid;

@@ -107,6 +107,11 @@ private:
   std::vector<ProfileEvent> Events;
   std::map<uint32_t, std::string> ThreadNames;
   std::atomic<uint32_t> NextTid{0};
+  /// Process-unique id of this collector: the key of the per-thread tid
+  /// cache, which a collector built at a dead one's address must miss.
+  const uint64_t Serial = nextSerial();
+
+  static uint64_t nextSerial();
 };
 
 } // namespace rvp

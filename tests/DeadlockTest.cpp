@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 using namespace rvp;
 
 namespace {
@@ -204,10 +206,13 @@ namespace {
 
 using EventPairs = std::vector<std::pair<EventId, EventId>>;
 
-/// The reference the deadlock policy's bounded scan must match: every lock
-/// pair of the whole trace, kept when its acquire is in \p Window, then
-/// the opposite-order dependency pairs of different threads.
-EventPairs referenceCandidates(const Trace &T, Span Window) {
+/// The all-pairs dependency scan, the reference collectLockDependencies
+/// must match: every lock pair of the whole trace with its acquire in \p
+/// Window, and each of them against every such section of the same thread
+/// that encloses it, in (request, outer) order over the thread's sections
+/// listed by lock and then by acquire.
+std::vector<LockDependency> allPairsDependencies(const Trace &T,
+                                                 Span Window) {
   struct Held {
     LockId Lock;
     LockPair Pair;
@@ -217,12 +222,7 @@ EventPairs referenceCandidates(const Trace &T, Span Window) {
     for (const LockPair &P : T.lockPairsOf(Lock))
       if (P.AcquireId != InvalidEvent && Window.contains(P.AcquireId))
         PerThread[P.Tid].push_back({Lock, P});
-  struct Dependency {
-    ThreadId Tid;
-    LockId Outer, Inner;
-    EventId Request;
-  };
-  std::vector<Dependency> Deps;
+  std::vector<LockDependency> Deps;
   for (ThreadId Tid = 0; Tid < T.numThreads(); ++Tid)
     for (const Held &Req : PerThread[Tid])
       for (const Held &Out : PerThread[Tid])
@@ -230,12 +230,22 @@ EventPairs referenceCandidates(const Trace &T, Span Window) {
             Window.contains(Out.Pair.ReleaseId) &&
             Out.Pair.AcquireId < Req.Pair.AcquireId &&
             Req.Pair.AcquireId < Out.Pair.ReleaseId)
-          Deps.push_back({Tid, Out.Lock, Req.Lock, Req.Pair.AcquireId});
+          Deps.push_back({Tid, Out.Lock, Req.Lock, Req.Pair.AcquireId,
+                          Out.Pair, Req.Pair});
+  return Deps;
+}
+
+/// The reference the deadlock policy's bounded scan must match: the
+/// opposite-order pairs of different threads among the reference
+/// dependencies.
+EventPairs referenceCandidates(const Trace &T, Span Window) {
+  std::vector<LockDependency> Deps = allPairsDependencies(T, Window);
   EventPairs Pairs;
   for (size_t I = 0; I < Deps.size(); ++I)
     for (size_t J = I + 1; J < Deps.size(); ++J)
-      if (Deps[I].Tid != Deps[J].Tid && Deps[I].Outer == Deps[J].Inner &&
-          Deps[I].Inner == Deps[J].Outer)
+      if (Deps[I].Tid != Deps[J].Tid &&
+          Deps[I].OuterLock == Deps[J].InnerLock &&
+          Deps[I].InnerLock == Deps[J].OuterLock)
         Pairs.emplace_back(Deps[I].Request, Deps[J].Request);
   return Pairs;
 }
@@ -300,4 +310,125 @@ TEST(Deadlock, BoundedScanMatchesWholeTraceFilter) {
     for (uint32_t WindowSize : {static_cast<uint32_t>(T.size()), 1000u, 37u})
       Candidates += expectBoundedScanExact(T, WindowSize);
   EXPECT_GT(Candidates, 0u);
+}
+
+namespace {
+
+/// Every field of each dependency, in order, for EXPECT_EQ.
+using DepFields = std::vector<std::array<uint64_t, 8>>;
+DepFields fieldsOf(const std::vector<LockDependency> &Deps) {
+  DepFields Out;
+  for (const LockDependency &D : Deps)
+    Out.push_back({D.Tid, D.OuterLock, D.InnerLock, D.Request,
+                   D.Outer.AcquireId, D.Outer.ReleaseId,
+                   D.RequestPair.AcquireId, D.RequestPair.ReleaseId});
+  return Out;
+}
+
+/// The sweep equals the reference on \p Window; returns how many
+/// dependencies it found.
+size_t expectSweepMatchesReference(const Trace &T, Span Window) {
+  std::vector<LockDependency> Got = collectLockDependencies(T, Window);
+  EXPECT_EQ(fieldsOf(Got), fieldsOf(allPairsDependencies(T, Window)))
+      << "window [" << Window.Begin << ", " << Window.End << ")";
+  return Got.size();
+}
+
+/// (request, outer acquire) of each dependency over the whole trace.
+EventPairs requestsAndOuters(const Trace &T) {
+  EventPairs Out;
+  for (const LockDependency &D : collectLockDependencies(T, T.fullSpan()))
+    Out.emplace_back(D.Request, D.Outer.AcquireId);
+  return Out;
+}
+
+/// The sweep equals the reference on every sub-window of \p T, so every
+/// clipping of a section at the window start or end is covered.
+void expectSweepMatchesOnEverySubWindow(const Trace &T) {
+  for (EventId Begin = 0; Begin <= T.size(); ++Begin)
+    for (EventId End = Begin; End <= T.size(); ++End)
+      expectSweepMatchesReference(T, {Begin, End});
+}
+
+} // namespace
+
+TEST(Deadlock, DependencySweepMatchesAllPairsReference) {
+  size_t Found = 0;
+  FuzzConfig Config;
+  Config.MaxLocks = 3;
+  Config.MaxStmtsPerThread = 12;
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
+    RandomScheduler S(Seed * 13 + 1);
+    Trace T;
+    RunResult Run;
+    std::string Error;
+    ASSERT_TRUE(recordTrace(fuzzProgram(Seed, Config), T, Run, Error, &S))
+        << Error;
+    SCOPED_TRACE("fuzz seed " + std::to_string(Seed));
+    for (uint32_t Width : {static_cast<uint32_t>(T.size()), 37u})
+      for (Span Window : splitWindows(T, Width))
+        Found += expectSweepMatchesReference(T, Window);
+  }
+  SyntheticSpec Derby = realSystemSpec("derby");
+  Derby.TargetEvents = 8000;
+  Derby.DeadlockCycles = 4;
+  Trace T = generateSynthetic(Derby);
+  for (uint32_t Width : {static_cast<uint32_t>(T.size()), 1000u, 37u})
+    for (Span Window : splitWindows(T, Width))
+      Found += expectSweepMatchesReference(T, Window);
+  EXPECT_GT(Found, 0u);
+}
+
+TEST(Deadlock, DependencySweepHandOverHand) {
+  // Hand-over-hand: each section is released after the next one starts,
+  // so sections end out of nesting order.
+  TraceBuilder B;
+  B.acquire("t1", "a"); // 0
+  B.acquire("t1", "b"); // 1
+  B.release("t1", "a"); // 2
+  B.acquire("t1", "c"); // 3
+  B.release("t1", "b"); // 4
+  B.acquire("t1", "d"); // 5
+  B.release("t1", "c"); // 6
+  B.release("t1", "d"); // 7
+  B.acquire("t2", "d"); // 8
+  B.acquire("t2", "a"); // 9
+  B.release("t2", "a"); // 10
+  B.release("t2", "d"); // 11
+  Trace T = B.build();
+  EXPECT_EQ(requestsAndOuters(T),
+            (EventPairs{{1, 0}, {3, 1}, {5, 3}, {9, 8}}));
+  expectSweepMatchesOnEverySubWindow(T);
+}
+
+TEST(Deadlock, DependencySweepRepeatedAcquireOfAHeldLock) {
+  // t1 acquires a again while holding it: the first acquire pairs with
+  // nothing, so only the second a section depends on b.
+  TraceBuilder B;
+  B.acquire("t1", "a"); // 0
+  B.acquire("t1", "b"); // 1
+  B.acquire("t1", "a"); // 2
+  B.release("t1", "a"); // 3
+  B.release("t1", "b"); // 4
+  Trace T = B.build();
+  EXPECT_EQ(requestsAndOuters(T), (EventPairs{{2, 1}}));
+  expectSweepMatchesOnEverySubWindow(T);
+}
+
+TEST(Deadlock, DependencySweepKeepsLockThenAcquireOrder) {
+  // Lock a is interned first (by t2), so t1's sections list as a, c, b
+  // while the sweep meets them as c, b, a: the result must still follow
+  // the list order, request first.
+  TraceBuilder B;
+  B.acquire("t2", "a"); // 0
+  B.release("t2", "a"); // 1
+  B.acquire("t1", "c"); // 2
+  B.acquire("t1", "b"); // 3
+  B.acquire("t1", "a"); // 4
+  B.release("t1", "a"); // 5
+  B.release("t1", "b"); // 6
+  B.release("t1", "c"); // 7
+  Trace T = B.build();
+  EXPECT_EQ(requestsAndOuters(T), (EventPairs{{4, 2}, {4, 3}, {3, 2}}));
+  expectSweepMatchesOnEverySubWindow(T);
 }

@@ -23,6 +23,7 @@
 #include "workloads/Synthetic.h"
 
 #include "trace/TraceBuilder.h"
+#include "trace/Window.h"
 
 #include <gtest/gtest.h>
 
@@ -542,6 +543,184 @@ TEST(RaceEncoderCone, SkeletonCacheHitsOnSecondEncode) {
   EXPECT_EQ(First.ConeEvents, Second.ConeEvents);
   EXPECT_EQ(First.SlicedAtoms, Second.SlicedAtoms);
   EXPECT_GT(First.SlicedAtoms, 0u);
+}
+
+// -------------------------------------------------------- read skeletons
+
+namespace {
+
+using ReadInfo = WindowEncoding::ReadInfo;
+
+/// Every read's skeleton computed eagerly in one loop over the window's
+/// reads: the reference readInfo() must reproduce.
+std::map<EventId, ReadInfo> eagerReadInfos(const WindowEncoding &Enc) {
+  const Trace &T = Enc.T;
+  const EventClosure &Mhb = Enc.Mhb;
+  std::map<EventId, ReadInfo> Reads;
+  for (EventId R : Enc.AllReads) {
+    const Event &Read = T[R];
+    VarId Var = Read.Target;
+    Value Wanted = Read.Data;
+    ReadInfo Info;
+    for (EventId W : Enc.VarWrites[Var]) {
+      if (W == R || Mhb.ordered(R, W))
+        continue;
+      Info.Interfering.push_back(W);
+    }
+    for (EventId W : Info.Interfering) {
+      if (T[W].Data != Wanted)
+        continue;
+      bool Shadowed = false;
+      for (EventId W2 : Info.Interfering) {
+        if (W2 != W && Mhb.ordered(W, W2) && Mhb.ordered(W2, R)) {
+          Shadowed = true;
+          break;
+        }
+      }
+      if (Shadowed)
+        continue;
+      WindowEncoding::ReadCandidate Cand;
+      Cand.Write = W;
+      for (EventId W2 : Info.Interfering) {
+        if (W2 == W || Mhb.ordered(W2, W))
+          continue;
+        Cand.Others.push_back(W2);
+      }
+      Info.Candidates.push_back(std::move(Cand));
+    }
+    if (Wanted == Enc.InitialValues[Var]) {
+      bool SomeWriteMustPrecede = false;
+      for (EventId W : Info.Interfering) {
+        if (Mhb.ordered(W, R)) {
+          SomeWriteMustPrecede = true;
+          break;
+        }
+      }
+      Info.InitialOk = !SomeWriteMustPrecede;
+    }
+    Reads[R] = std::move(Info);
+  }
+  return Reads;
+}
+
+/// Every field of \p Info, flattened for EXPECT_EQ: the interfering
+/// writes, then each candidate with its others (behind a separator), then
+/// the initial-value flag.
+std::vector<EventId> fieldsOf(const ReadInfo &Info) {
+  std::vector<EventId> Out = Info.Interfering;
+  for (const WindowEncoding::ReadCandidate &C : Info.Candidates) {
+    Out.push_back(InvalidEvent);
+    Out.push_back(C.Write);
+    Out.insert(Out.end(), C.Others.begin(), C.Others.end());
+  }
+  Out.push_back(InvalidEvent);
+  Out.push_back(Info.InitialOk);
+  return Out;
+}
+
+/// The variable values at the start of \p Window, as the window driver
+/// carries them forward.
+std::vector<Value> valuesAt(const Trace &T, Span Window) {
+  std::vector<Value> Values;
+  for (VarId Var = 0; Var < T.numVars(); ++Var)
+    Values.push_back(T.initialValueOf(Var));
+  for (EventId Id = 0; Id < Window.Begin; ++Id)
+    if (T[Id].Kind == EventKind::Write)
+      Values[T[Id].Target] = T[Id].Data;
+  return Values;
+}
+
+/// readInfo() equals the eager reference for every read of every window
+/// of \p Width events, asking from the last read to the first; adds the
+/// number of reads compared to \p Compared.
+void expectSkeletonsMatchReference(const Trace &T, uint32_t Width,
+                                   const std::string &What,
+                                   size_t &Compared) {
+  for (Span Window : splitWindows(T, Width)) {
+    EventClosure Mhb(T, Window, ClosureConfig::mhb());
+    WindowEncoding Enc(T, Window, Mhb, valuesAt(T, Window));
+    std::map<EventId, ReadInfo> Want = eagerReadInfos(Enc);
+    for (auto It = Enc.AllReads.rbegin(); It != Enc.AllReads.rend(); ++It) {
+      ASSERT_EQ(fieldsOf(Enc.readInfo(*It)), fieldsOf(Want.at(*It)))
+          << What << ", window [" << Window.Begin << ", " << Window.End
+          << "), read " << *It;
+      ++Compared;
+    }
+  }
+}
+
+} // namespace
+
+TEST(ReadSkeleton, MatchesEagerReference) {
+  size_t Compared = 0;
+  FuzzConfig Config;
+  Config.MaxThreads = 4;
+  Config.MaxStmtsPerThread = 24;
+  Config.MaxLoopIters = 5;
+  RunLimits Limits;
+  Limits.MaxEvents = 4000;
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
+    Trace T;
+    RunResult Result;
+    std::string Error;
+    RandomScheduler S(Seed * 17 + 5);
+    ASSERT_TRUE(recordTrace(fuzzProgram(Seed, Config), T, Result, Error, &S,
+                            Limits))
+        << Error;
+    std::string What = "fuzz seed " + std::to_string(Seed);
+    expectSkeletonsMatchReference(T, DefaultWindowSize, What, Compared);
+    expectSkeletonsMatchReference(T, 97, What, Compared);
+  }
+  std::optional<BenchmarkCase> HighCop = findBenchmark("highcop");
+  ASSERT_TRUE(HighCop);
+  Trace T;
+  std::string Error;
+  ASSERT_TRUE(benchmarkTrace(*HighCop, T, Error)) << Error;
+  expectSkeletonsMatchReference(T, DefaultWindowSize, "highcop", Compared);
+  EXPECT_GT(Compared, 10000u);
+}
+
+TEST(ReadSkeleton, ConcurrentReadersAgree) {
+  // Four threads ask for the same window's skeletons in different orders,
+  // so most slots are built by whichever thread gets there first while
+  // the others wait on it. Run under scripts/check_tsan.sh this exercises
+  // the once-per-slot build for real.
+  SyntheticSpec Spec;
+  Spec.Workers = 8;
+  Spec.TargetEvents = 3000;
+  Spec.BranchPercent = 4;
+  Spec.SyncPercent = 8;
+  Trace T = generateSynthetic(Spec);
+  EventClosure Mhb(T, T.fullSpan(), ClosureConfig::mhb());
+  WindowEncoding Enc(T, T.fullSpan(), Mhb, T.initialValues());
+  const std::vector<EventId> &Reads = Enc.AllReads;
+  ASSERT_GT(Reads.size(), 100u);
+
+  std::array<std::vector<std::vector<EventId>>, 4> Seen;
+  std::vector<std::thread> Workers;
+  for (size_t W = 0; W < Seen.size(); ++W)
+    Workers.emplace_back([&, W] {
+      // Worker W starts at a quarter W of the reads; odd workers walk
+      // backwards.
+      std::vector<std::vector<EventId>> &Out = Seen[W];
+      Out.resize(Reads.size());
+      size_t N = Reads.size();
+      for (size_t K = 0; K < N; ++K) {
+        size_t Step = W % 2 ? N - 1 - K : K;
+        size_t I = (Step + W * N / 4) % N;
+        Out[I] = fieldsOf(Enc.readInfo(Reads[I]));
+      }
+    });
+  for (std::thread &Worker : Workers)
+    Worker.join();
+
+  std::map<EventId, ReadInfo> Want = eagerReadInfos(Enc);
+  for (size_t I = 0; I < Reads.size(); ++I) {
+    EXPECT_EQ(Seen[0][I], fieldsOf(Want.at(Reads[I]))) << Reads[I];
+    for (size_t W = 1; W < Seen.size(); ++W)
+      EXPECT_EQ(Seen[W][I], Seen[0][I]) << "worker " << W << ", read "
+                                        << Reads[I];
+  }
 }
 
 // -------------------------------------------------------- witness checker

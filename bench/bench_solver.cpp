@@ -4,14 +4,15 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Scaling of the in-tree CDCL(T) order solver against Z3 on the formula
-/// families the race encoder produces: long must-happen-before chains,
-/// chains with a contradicting back edge (UNSAT), quadratic lock-ordering
-/// disjunctions, and random order formulas.
+/// Scaling of the in-tree CDCL(T) order solver against the Z3 oracle on
+/// the formula families the race encoder produces: long
+/// must-happen-before chains, chains with a contradicting back edge
+/// (UNSAT), quadratic lock-ordering disjunctions, and random order
+/// formulas. The Z3 rows skip in a build without Z3.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "smt/Solver.h"
+#include "smt/Z3Solver.h"
 #include "support/Random.h"
 
 #include <benchmark/benchmark.h>
@@ -19,6 +20,9 @@
 using namespace rvp;
 
 namespace {
+
+using SolverFactory = std::unique_ptr<SmtSolver> (*)();
+using SessionFactory = std::unique_ptr<SmtSession> (*)();
 
 NodeRef chainFormula(FormulaBuilder &FB, uint32_t Length, bool Unsat) {
   std::vector<NodeRef> Atoms;
@@ -61,12 +65,12 @@ NodeRef randomFormula(FormulaBuilder &FB, Rng &R, uint32_t NumVars,
                         : FB.mkOr(std::move(Kids));
 }
 
-void runSolver(benchmark::State &State, const char *Name,
+void runSolver(benchmark::State &State, SolverFactory Create,
                NodeRef (*Build)(FormulaBuilder &, uint32_t),
                uint32_t Size) {
-  auto Solver = createSolverByName(Name);
+  auto Solver = Create();
   if (!Solver) {
-    State.SkipWithError("backend unavailable");
+    State.SkipWithError("Z3 not built");
     return;
   }
   FormulaBuilder FB;
@@ -88,27 +92,27 @@ NodeRef buildLocks(FormulaBuilder &FB, uint32_t N) {
 }
 
 void BM_IdlChainSat(benchmark::State &State) {
-  runSolver(State, "idl", buildChainSat,
+  runSolver(State, createIdlSolver, buildChainSat,
             static_cast<uint32_t>(State.range(0)));
 }
 void BM_Z3ChainSat(benchmark::State &State) {
-  runSolver(State, "z3", buildChainSat,
+  runSolver(State, createZ3Solver, buildChainSat,
             static_cast<uint32_t>(State.range(0)));
 }
 void BM_IdlChainUnsat(benchmark::State &State) {
-  runSolver(State, "idl", buildChainUnsat,
+  runSolver(State, createIdlSolver, buildChainUnsat,
             static_cast<uint32_t>(State.range(0)));
 }
 void BM_Z3ChainUnsat(benchmark::State &State) {
-  runSolver(State, "z3", buildChainUnsat,
+  runSolver(State, createZ3Solver, buildChainUnsat,
             static_cast<uint32_t>(State.range(0)));
 }
 void BM_IdlLockDisjunctions(benchmark::State &State) {
-  runSolver(State, "idl", buildLocks,
+  runSolver(State, createIdlSolver, buildLocks,
             static_cast<uint32_t>(State.range(0)));
 }
 void BM_Z3LockDisjunctions(benchmark::State &State) {
-  runSolver(State, "z3", buildLocks,
+  runSolver(State, createZ3Solver, buildLocks,
             static_cast<uint32_t>(State.range(0)));
 }
 
@@ -143,9 +147,9 @@ constexpr uint32_t WindowQueries = 64;
 
 /// The legacy per-COP path: every query re-encodes the window core into a
 /// fresh builder and constructs a fresh solver.
-void runOneShotWindow(benchmark::State &State, const char *Name) {
-  if (!createSolverByName(Name)) {
-    State.SkipWithError("backend unavailable");
+void runOneShotWindow(benchmark::State &State, SolverFactory Create) {
+  if (!Create()) {
+    State.SkipWithError("Z3 not built");
     return;
   }
   uint32_t Sections = static_cast<uint32_t>(State.range(0));
@@ -153,7 +157,7 @@ void runOneShotWindow(benchmark::State &State, const char *Name) {
     for (uint32_t Q = 0; Q < WindowQueries; ++Q) {
       FormulaBuilder FB;
       NodeRef Root = windowQuery(FB, Sections, Q);
-      auto Solver = createSolverByName(Name);
+      auto Solver = Create();
       SatResult R = Solver->solve(FB, Root, Deadline(), nullptr);
       benchmark::DoNotOptimize(R);
     }
@@ -163,15 +167,15 @@ void runOneShotWindow(benchmark::State &State, const char *Name) {
 
 /// The incremental path: one session and one hash-consed builder per
 /// window; the core encodes once and learned clauses carry across queries.
-void runSessionWindow(benchmark::State &State, const char *Name) {
-  if (!createSessionByName(Name)) {
-    State.SkipWithError("backend unavailable");
+void runSessionWindow(benchmark::State &State, SessionFactory Create) {
+  if (!Create()) {
+    State.SkipWithError("Z3 not built");
     return;
   }
   uint32_t Sections = static_cast<uint32_t>(State.range(0));
   for (auto _ : State) {
     FormulaBuilder FB;
-    auto Session = createSessionByName(Name);
+    auto Session = Create();
     for (uint32_t Q = 0; Q < WindowQueries; ++Q) {
       NodeRef Root = windowQuery(FB, Sections, Q);
       SatResult R = Session->query(FB, Root, Deadline(), nullptr);
@@ -205,16 +209,16 @@ void BM_IdlSessionDisjointCones(benchmark::State &State) {
 }
 
 void BM_IdlOneShotWindow(benchmark::State &State) {
-  runOneShotWindow(State, "idl");
+  runOneShotWindow(State, createIdlSolver);
 }
 void BM_IdlSessionWindow(benchmark::State &State) {
-  runSessionWindow(State, "idl");
+  runSessionWindow(State, createIdlSession);
 }
 void BM_Z3OneShotWindow(benchmark::State &State) {
-  runOneShotWindow(State, "z3");
+  runOneShotWindow(State, createZ3Solver);
 }
 void BM_Z3SessionWindow(benchmark::State &State) {
-  runSessionWindow(State, "z3");
+  runSessionWindow(State, createZ3Session);
 }
 
 } // namespace

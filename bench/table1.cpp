@@ -10,7 +10,7 @@
 /// al., CP, and HB, plus the WCP vector-clock tier (docs/TIERS.md), and
 /// the per-technique detection times.
 ///
-///   $ table1 [--window=10000] [--budget=10] [--solver=idl]
+///   $ table1 [--window=10000] [--budget=10] [--jobs=N]
 ///            [--group=all|example|contest|grande|real] [--bench=name]
 ///            [--stats-json=out.json]
 ///
@@ -36,7 +36,6 @@ int main(int Argc, const char **Argv) {
   OptionParser Options("Reproduce Table 1 of the paper");
   Options.addOption("window", "window size in events", "10000");
   Options.addOption("budget", "per-COP solver budget in seconds", "10");
-  Options.addOption("solver", "SMT backend: idl or z3", "idl");
   Options.addOption("jobs",
                     "solver worker threads (0 = one per hardware thread)",
                     "0");
@@ -60,7 +59,6 @@ int main(int Argc, const char **Argv) {
   DetectorOptions Detect;
   Detect.WindowSize = static_cast<uint32_t>(Options.getInt("window", 10000));
   Detect.PerCopBudgetSeconds = Options.getDouble("budget", 10);
-  Detect.SolverName = Options.getString("solver", "idl");
   Detect.Jobs = Jobs;
   Detect.CollectWitnesses = false; // match the paper's timing setup
   // Witnesses are off, so the hybrid tier would report WCP verdicts

@@ -8,7 +8,7 @@
 /// all four detectors on the same trace, and print the maximal
 /// technique's race with its witness reordering.
 ///
-///   $ quickstart [--solver=idl|z3] [--seed=N]
+///   $ quickstart [--seed=N]
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +24,6 @@ using namespace rvp;
 
 int main(int Argc, const char **Argv) {
   OptionParser Options("Record Figure 1 of the paper and predict its race");
-  Options.addOption("solver", "SMT backend: idl or z3", "idl");
   Options.addOption("seed", "schedule seed for the recording", "7");
   if (!Options.parse(Argc, Argv))
     return 1;
@@ -57,7 +56,6 @@ int main(int Argc, const char **Argv) {
 
   // 3. Predict races with each technique.
   DetectorOptions Detect;
-  Detect.SolverName = Options.getString("solver", "idl");
   std::printf("--- detection ---------------------------------------\n");
   for (Technique Tech : {Technique::Hb, Technique::Cp, Technique::Said,
                          Technique::Maximal}) {

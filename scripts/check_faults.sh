@@ -56,7 +56,7 @@ expect_quiet() {
   fi
 }
 
-SOLVER_SITES="solver.timeout session.corrupt z3.unavailable satdb.alloc"
+SOLVER_SITES="solver.timeout session.corrupt satdb.alloc"
 TRACE_SITES="trace.short_read trace.garble"
 
 for PROPERTY in race atomicity deadlock; do

@@ -10,10 +10,9 @@
 #
 # Runs sequentially and with --jobs=4 (worker tracks, whose encodes share
 # the window's skeleton cache), and checks that --profile does not change
-# the analysis report itself. Three more runs (an injected session
-# corruption, an unavailable z3, a checkpointed run) check that the
-# resilience instants count exactly what the same run's --stats-json
-# counters count.
+# the analysis report itself. Two more runs (an injected session
+# corruption, a checkpointed run) check that the resilience instants count
+# exactly what the same run's --stats-json counters count.
 #
 # Usage: scripts/check_profile.sh <path-to-rvpredict> [workload.rv]
 set -eu
@@ -74,7 +73,6 @@ c = json.load(open('$TMPDIR_PROFILE/$LABEL.stats.json'))['metrics']['counters']
 want = {
     'solver-retry': c.get('solver.retries', 0),
     'session-quarantine': c.get('solver.degraded_sessions', 0),
-    'backend-fallback': c.get('solver.backend_fallbacks', 0),
     'checkpoint-save': c['detect.windows'] - c['detect.resumed_windows']
                        if '$LABEL' == 'checkpoint' else 0,
 }
@@ -94,10 +92,6 @@ run_profiled quarantine "$TMPDIR_PROFILE/quarantine.trace.json" --jobs=1 \
     --tier=smt --inject-faults=session.corrupt \
     --stats-json="$TMPDIR_PROFILE/quarantine.stats.json"
 check_instants quarantine session-quarantine
-run_profiled fallback "$TMPDIR_PROFILE/fallback.trace.json" --jobs=1 \
-    --tier=smt --solver=z3 --inject-faults=z3.unavailable \
-    --stats-json="$TMPDIR_PROFILE/fallback.stats.json"
-check_instants fallback backend-fallback
 run_profiled checkpoint "$TMPDIR_PROFILE/checkpoint.trace.json" --jobs=1 \
     --window=24 --checkpoint="$TMPDIR_PROFILE/ckpt" \
     --stats-json="$TMPDIR_PROFILE/checkpoint.stats.json"

@@ -105,7 +105,6 @@ std::span<const StatsField> rvp::statsFields() {
       {&S::QcMisses, "detect.qc_misses", Always, 9},
       {&S::SignaturePruned, "detect.signature_pruned", Always, 10},
       {&S::SpeculativeSolves, "detect.speculative_solves", Always, 11},
-      {&S::BackendFallbacks, "solver.backend_fallbacks", Always, 12},
       {&S::ResumedWindows, "detect.resumed_windows", Always},
       {&S::Formulas, "encoder.formulas", Encoded},
       {&S::FormulaNodes, "encoder.nodes", Encoded},
@@ -129,7 +128,6 @@ std::span<const StatsField> rvp::statsFields() {
       {&S::SatAssumptionConflicts, "sat.assumption_conflicts",
        SessionSearched},
       {&S::IncrementalCalls, "solver.incremental_calls", Nonzero},
-      {&S::Z3Calls, "solver.z3.calls", Nonzero},
   };
   return Fields;
 }

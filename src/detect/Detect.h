@@ -101,8 +101,6 @@ struct DetectorOptions {
   uint32_t WindowSize = DefaultWindowSize;
   /// Per-COP solver budget in seconds (Section 4 uses 60s).
   double PerCopBudgetSeconds = 60.0;
-  /// Solver backend: "idl" (in-tree) or "z3".
-  std::string SolverName = "idl";
   /// Run the hybrid lockset + weak-HB quick check before building
   /// constraints (Section 4).
   bool UseQuickCheck = true;
@@ -208,10 +206,10 @@ struct DetectionStats {
   /// COP racy (the `solver_calls_saved` JSON field).
   uint64_t WcpShortCircuits = 0;
   /// The quick check's passes and fails, signature-pruned candidates,
-  /// discarded decided-ahead solves (jobs > 1), backend fallbacks to idl,
-  /// and windows a checkpoint covered.
+  /// discarded decided-ahead solves (jobs > 1), and windows a checkpoint
+  /// covered.
   uint64_t QcHits = 0, QcMisses = 0, SignaturePruned = 0;
-  uint64_t SpeculativeSolves = 0, BackendFallbacks = 0, ResumedWindows = 0;
+  uint64_t SpeculativeSolves = 0, ResumedWindows = 0;
   /// Decision-path encodes (decided-ahead ones included, witness encodes
   /// never) and the sums of their EncodeStats and formula sizes; the
   /// sizes are measured only while telemetry is enabled. GuardedFormulas
@@ -229,7 +227,7 @@ struct DetectionStats {
   uint64_t SatSearches = 0, SatSessionSearches = 0;
   uint64_t SatDecisions = 0, SatPropagations = 0, SatConflicts = 0;
   uint64_t SatRestarts = 0, SatAssumptionConflicts = 0;
-  uint64_t IncrementalCalls = 0, Z3Calls = 0;
+  uint64_t IncrementalCalls = 0;
   /// Effective worker count used for per-COP solving (1 when the
   /// technique has no solver loop or the run was sequential).
   uint32_t Jobs = 1;
@@ -264,7 +262,7 @@ struct StatsField {
   const char *Counter; ///< registry counter, or null
   Flush When;
   /// Position among the checkpoint payload's counts (the `stats` line's
-  /// 8, then the `tallies` line's 9), or -1.
+  /// 8, then the `tallies` line's 9; slot 12 is retired), or -1.
   int8_t Slot = -1;
   const char *JsonKey = nullptr; ///< top-level --stats-json key, or null
 };

@@ -48,42 +48,12 @@ bool rvp::parseBudgetList(const std::string &Spec, std::vector<double> &Out,
   return true;
 }
 
-SolveHost::SolveHost(std::string SolverName, double BaseBudgetSeconds,
+SolveHost::SolveHost(double BaseBudgetSeconds,
                      std::vector<double> RetryBudgets)
-    : SolverName(std::move(SolverName)), BaseBudgetSeconds(BaseBudgetSeconds),
+    : BaseBudgetSeconds(BaseBudgetSeconds),
       RetryBudgets(std::move(RetryBudgets)) {}
 
 SolveHost::~SolveHost() = default;
-
-const char *SolveHost::backendName() const {
-  if (!SessionDead && Session)
-    return Session->name();
-  if (Solver)
-    return Solver->name();
-  return SolverName.empty() ? "idl" : SolverName.c_str();
-}
-
-void SolveHost::ensureSession() {
-  if (Session)
-    return;
-  Session = createSessionByName(SolverName);
-  if (!Session) {
-    if (!SolverName.empty() && SolverName != "idl")
-      ++Stats.BackendFallbacks;
-    Session = createIdlSession();
-  }
-}
-
-void SolveHost::ensureSolver() {
-  if (Solver)
-    return;
-  Solver = createSolverByName(SolverName);
-  if (!Solver) {
-    if (!SolverName.empty() && SolverName != "idl")
-      ++Stats.BackendFallbacks;
-    Solver = createIdlSolver();
-  }
-}
 
 void SolveHost::quarantineSession() {
   ++Stats.DegradedSessions;
@@ -103,7 +73,8 @@ SatResult SolveHost::attemptOnce(const FormulaBuilder &FB, NodeRef Root,
                                  double BudgetSeconds) {
   SolveWork Attempt;
   if (!SessionDead) {
-    ensureSession();
+    if (!Session)
+      Session = createIdlSession();
     SatResult Result = Session->query(FB, Root, Deadline::after(BudgetSeconds),
                                       nullptr, &Attempt);
     Work += Attempt;
@@ -120,7 +91,8 @@ SatResult SolveHost::attemptOnce(const FormulaBuilder &FB, NodeRef Root,
     return Result;
   }
 
-  ensureSolver();
+  if (!Solver)
+    Solver = createIdlSolver();
   SatResult Result = Solver->solve(FB, Root, Deadline::after(BudgetSeconds),
                                    nullptr, &Attempt);
   Work += Attempt;

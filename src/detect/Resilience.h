@@ -15,10 +15,7 @@
 ///    clause-database allocation, backend exception, injected
 ///    `session.corrupt`) or a long streak of failed queries gets the
 ///    session quarantined and rebuilt once; a second quarantine drops the
-///    host to one-shot fresh-solver queries for the rest of the window;
-///  * backend fallback — when the named backend's factory reports
-///    unavailable (no Z3 in the build, or the injected `z3.unavailable`
-///    outage), the host silently falls back to the in-tree idl solver.
+///    host to one-shot fresh-solver queries for the rest of the window.
 ///
 /// Soundness: the host only ever *repeats* a query against an equivalent
 /// solver; it never invents an answer. A COP that stays Unknown after the
@@ -58,8 +55,6 @@ struct ResilienceStats {
   /// Sessions quarantined for corruption or failed-query streaks
   /// (solver.degraded_sessions).
   uint64_t DegradedSessions = 0;
-  /// Backend factory failures absorbed by falling back to idl.
-  uint64_t BackendFallbacks = 0;
 };
 
 /// One host per window (per worker when solving in parallel): holds the
@@ -67,12 +62,10 @@ struct ResilienceStats {
 /// runs the escalation ladder for every COP of that window.
 class SolveHost {
 public:
-  /// \p SolverName       backend to try first ("idl" or "z3");
   /// \p BaseBudgetSeconds the per-COP budget when the ladder is empty;
   /// \p RetryBudgets     escalating per-attempt budgets (empty = one
   ///                     attempt at the base budget).
-  SolveHost(std::string SolverName, double BaseBudgetSeconds,
-            std::vector<double> RetryBudgets);
+  SolveHost(double BaseBudgetSeconds, std::vector<double> RetryBudgets);
   ~SolveHost();
 
   struct Outcome {
@@ -90,21 +83,15 @@ public:
   /// The summed work of every solve attempt the host made.
   const SolveWork &work() const { return Work; }
 
-  /// Name of the backend actually answering queries right now.
-  const char *backendName() const;
-
 private:
   SatResult attemptOnce(const FormulaBuilder &FB, NodeRef Root,
                         double BudgetSeconds);
-  void ensureSession();
-  void ensureSolver();
   void quarantineSession();
 
   /// Consecutive failed session queries that get the session quarantined
   /// on suspicion of sickness even without a poisoned() report.
   static constexpr uint64_t FailedStreakLimit = 4;
 
-  std::string SolverName;
   double BaseBudgetSeconds;
   std::vector<double> RetryBudgets;
 

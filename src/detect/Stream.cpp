@@ -95,12 +95,6 @@ bool rvp::setAnalysisOption(StreamOptions &Opts, std::string_view Key,
     D.PerCopBudgetSeconds = Seconds;
     return true;
   }
-  if (Key == "solver") {
-    if (Value != "idl" && Value != "z3")
-      return Bad("idl or z3");
-    D.SolverName = Text;
-    return true;
-  }
   if (Key == "retry-budgets") {
     std::string BudgetError;
     if (parseBudgetList(Text, D.RetryBudgets, BudgetError))

@@ -80,8 +80,6 @@ void markResilience(const ResilienceStats &Before,
     P->instant("solver-retry", "resilience");
   for (uint64_t I = Before.DegradedSessions; I < After.DegradedSessions; ++I)
     P->instant("session-quarantine", "resilience");
-  for (uint64_t I = Before.BackendFallbacks; I < After.BackendFallbacks; ++I)
-    P->instant("backend-fallback", "resilience");
 }
 
 bool parseU64(std::string_view S, uint64_t &Out) {
@@ -134,7 +132,6 @@ void measureFormula(const FormulaBuilder &FB, size_t NodesBefore,
 /// counted where it is produced; the collect loop folds it into the run.
 struct Decision {
   SatResult Sat = SatResult::Unknown;
-  const char *Backend = "none";
   /// The decision-path encode (Cost.Solved only).
   EncodeStats Encode;
   /// The COP's record, Solved when it went through a SolveHost (a WCP
@@ -387,8 +384,7 @@ private:
 
     const RaceEncoder &Encoder = W.encoder();
     if (!Ctx.Host)
-      Ctx.Host = std::make_unique<SolveHost>(Options.SolverName,
-                                             Options.PerCopBudgetSeconds,
+      Ctx.Host = std::make_unique<SolveHost>(Options.PerCopBudgetSeconds,
                                              Options.RetryBudgets);
     // One builder per window (per worker), so shared subformulas are
     // hash-consed once and the session's learned clauses stay meaningful.
@@ -415,7 +411,6 @@ private:
     Cost.Solved = true;
     Cost.Attempts = Decided.Attempts;
     D.Sat = Decided.Sat;
-    D.Backend = Ctx.Host->backendName();
     if (D.Sat == SatResult::Sat && Policy.WitnessOnSat &&
         Options.CollectWitnesses)
       D.WitnessFailed = witness(W, C, D) != SatResult::Sat;
@@ -443,14 +438,11 @@ private:
     EncodeStats Stats;
     Stats.Cone = &Cone;
     NodeRef Root = Policy.encode(Encoder, FB, C, &Stats);
-    std::unique_ptr<SmtSolver> Solver = createSolverByName(Options.SolverName);
-    if (!Solver)
-      Solver = createIdlSolver();
     D.WitnessResolved = true;
     OrderModel Model;
-    SatResult Sat =
-        Solver->solve(FB, Root, Deadline::after(Options.PerCopBudgetSeconds),
-                      &Model, &D.WitnessWork);
+    SatResult Sat = createIdlSolver()->solve(
+        FB, Root, Deadline::after(Options.PerCopBudgetSeconds), &Model,
+        &D.WitnessWork);
     if (Sat == SatResult::Sat) {
       D.Witness = placeByGaps(Encoder.windowEncoding(), Cone.Events, Model,
                               Cone.MergedFirst, Cone.MergedSecond);
@@ -517,7 +509,7 @@ private:
     Out.Stats.WitnessFailures += D.WitnessFailed;
     if (Telemetry::enabled()) {
       nameCop(D.Cost, C, Outcome, Stage);
-      emitCop(D.Cost, D.Backend);
+      emitCop(D.Cost);
       Out.Stats.TopCosts.recordCop(std::move(D.Cost));
     }
     if (D.Sat == SatResult::Sat)
@@ -572,7 +564,6 @@ private:
     const ResilienceStats &R = Host.stats();
     Out.Stats.SolverRetries += R.Retries;
     Out.Stats.DegradedSessions += R.DegradedSessions;
-    Out.Stats.BackendFallbacks += R.BackendFallbacks;
     foldSolveWork(Host.work());
   }
 
@@ -586,7 +577,6 @@ private:
     S.SatRestarts += W.Restarts;
     S.SatAssumptionConflicts += W.AssumptionConflicts;
     S.IncrementalCalls += W.SessionQueries;
-    S.Z3Calls += W.Z3Calls;
   }
 
 public:
@@ -632,7 +622,9 @@ public:
   }
 
   /// The payload lines holding the counted fields' slots
-  /// (StatsField::Slot), in slot order, with their widths.
+  /// (StatsField::Slot), in slot order, with their widths. Slot 12 held
+  /// the retired backend-fallback count: no field maps to it any more, so
+  /// it is written as 0 and ignored on read, and older payloads resume.
   static constexpr std::pair<std::string_view, size_t> CountLines[] = {
       {"stats", 8}, {"tallies", 9}};
   static constexpr size_t NumSlots =
@@ -793,10 +785,10 @@ private:
   }
 
   /// One cop trace event: the prune provenance (which stage decided the
-  /// candidate) plus, for a solver decision, the backend \p Solver that
-  /// answered, the formula size, the encode/solve/witness split, the
-  /// formula-arena delta and the escalation attempts.
-  void emitCop(const CopCost &R, const char *Solver = nullptr) const {
+  /// candidate) plus, for a solver decision, the solver that answered
+  /// (always the in-tree "idl"), the formula size, the encode/solve/witness
+  /// split, the formula-arena delta and the escalation attempts.
+  void emitCop(const CopCost &R) const {
     TraceEventSink *Sink = Telemetry::instance().sink();
     if (!Sink)
       return;
@@ -811,7 +803,7 @@ private:
         .field("outcome", R.Outcome)
         .field("stage", R.Stage);
     if (R.Solved)
-      O.field("solver", Solver)
+      O.field("solver", "idl")
           .field("formula_nodes", R.FormulaNodes)
           .field("difference_atoms", R.DifferenceAtoms)
           .field("order_vars", R.OrderVars)

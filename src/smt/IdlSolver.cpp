@@ -31,7 +31,6 @@ SolveWork &SolveWork::operator+=(const SolveWork &Other) {
   Restarts += Other.Restarts;
   AssumptionConflicts += Other.AssumptionConflicts;
   SessionQueries += Other.SessionQueries;
-  Z3Calls += Other.Z3Calls;
   return *this;
 }
 
@@ -72,23 +71,10 @@ public:
       Encoder.readModel(*ModelOut);
     return Result;
   }
-
-  const char *name() const override { return "idl"; }
 };
 
 } // namespace
 
 std::unique_ptr<SmtSolver> rvp::createIdlSolver() {
   return std::make_unique<IdlSolver>();
-}
-
-std::unique_ptr<SmtSolver> rvp::createSolverByName(const std::string &Name) {
-  if (Name == "idl" || Name.empty())
-    return createIdlSolver();
-  if (Name == "z3") {
-    if (FaultInjector::shouldFail(faults::Z3Unavailable))
-      return nullptr; // injected backend outage; callers fall back to idl
-    return createZ3Solver();
-  }
-  return nullptr;
 }

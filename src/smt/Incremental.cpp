@@ -45,8 +45,6 @@ public:
 
   bool poisoned() const override { return Poisoned; }
 
-  const char *name() const override { return "idl"; }
-
 private:
   /// Fills \p Work's search counters when the query searched (not when
   /// it was decided without searching: constant root, poisoned core).
@@ -113,15 +111,4 @@ private:
 
 std::unique_ptr<SmtSession> rvp::createIdlSession() {
   return std::make_unique<IdlSession>();
-}
-
-std::unique_ptr<SmtSession> rvp::createSessionByName(const std::string &Name) {
-  if (Name == "idl" || Name.empty())
-    return createIdlSession();
-  if (Name == "z3") {
-    if (FaultInjector::shouldFail(faults::Z3Unavailable))
-      return nullptr; // injected backend outage; callers fall back to idl
-    return createZ3Session();
-  }
-  return nullptr;
 }

@@ -5,13 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The solver abstraction the detectors program against. Two backends:
-///
-///  * createIdlSolver() — the in-tree CDCL(T) solver (Sat.h + DiffLogic.h),
-///    always available; the default.
-///  * createZ3Solver()  — Z3 via its C++ API, mirroring the paper's use of
-///    Z3/Yices with Integer Difference Logic; available when the build
-///    found Z3 (returns nullptr otherwise). Used for cross-validation.
+/// The solver abstraction the detectors program against, and its one
+/// product backend: the in-tree CDCL(T) solver over integer difference
+/// logic (Sat.h + DiffLogic.h), the theory the paper hands to Z3/Yices.
+/// Z3 itself is a test oracle (smt/Z3Solver.h): the tests and
+/// bench_solver cross-check this solver against it, and no product
+/// binary links it.
 ///
 /// A successful solve returns a model assigning each order variable an
 /// integer position; sorting events by position yields the reordered trace
@@ -49,8 +48,8 @@ struct SolveWork {
   uint64_t Decisions = 0, Propagations = 0, Conflicts = 0, Restarts = 0;
   /// Session queries refuted at the assumption level.
   uint64_t AssumptionConflicts = 0;
-  /// Session queries, and one-shot Z3 solves.
-  uint64_t SessionQueries = 0, Z3Calls = 0;
+  /// Session queries.
+  uint64_t SessionQueries = 0;
 
   SolveWork &operator+=(const SolveWork &Other);
   /// Records \p Sat's last search as this call's one search.
@@ -68,23 +67,15 @@ public:
   virtual SatResult solve(const FormulaBuilder &FB, NodeRef Root,
                           Deadline Limit, OrderModel *ModelOut,
                           SolveWork *Work = nullptr) = 0;
-
-  virtual const char *name() const = 0;
 };
 
 /// The in-tree CDCL + order-theory solver.
 std::unique_ptr<SmtSolver> createIdlSolver();
 
-/// The Z3 backend; nullptr when the build has no Z3.
-std::unique_ptr<SmtSolver> createZ3Solver();
-
-/// Names a backend: "idl" or "z3". Returns nullptr for unknown/unavailable.
-std::unique_ptr<SmtSolver> createSolverByName(const std::string &Name);
-
 /// An incremental solving session: one persistent solver whose clause
 /// database, learned clauses, variable activities, and theory state
 /// survive across queries (MiniSat-style assumption solving; the Z3
-/// backend mirrors it with check_sat_assuming). The detectors open one
+/// oracle mirrors it with check_sat_assuming). The detectors open one
 /// session per window (per worker) and decide every surviving COP through
 /// it; see docs/INCREMENTAL_SOLVING.md.
 ///
@@ -114,23 +105,10 @@ public:
   /// Unknown; callers should quarantine it and rebuild or fall back to
   /// one-shot solving (src/detect/Resilience.h implements that policy).
   virtual bool poisoned() const = 0;
-
-  virtual const char *name() const = 0;
 };
 
 /// An incremental session on the in-tree CDCL(T) solver.
 std::unique_ptr<SmtSession> createIdlSession();
-
-/// An incremental session on Z3; nullptr when the build has no Z3.
-std::unique_ptr<SmtSession> createZ3Session();
-
-/// Names a backend: "idl" or "z3". Returns nullptr for unknown/unavailable.
-std::unique_ptr<SmtSession> createSessionByName(const std::string &Name);
-
-/// True when the build carries the Z3 backend (compile-time fact; the
-/// `z3.unavailable` fault site can still make the factories fail at
-/// runtime to exercise the z3 -> idl fallback).
-bool z3Available();
 
 } // namespace rvp
 

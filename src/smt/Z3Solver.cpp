@@ -1,21 +1,19 @@
-//===- smt/Z3Solver.cpp - Z3 backend for order formulas -------------------===//
+//===- smt/Z3Solver.cpp - Z3 oracle for order formulas --------------------===//
 //
 // Part of the rvpredict-cpp project, under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// Mirrors the paper's implementation choice (Z3/Yices via Integer
-/// Difference Logic). Only built when the toolchain provides Z3; the
-/// factory returns nullptr otherwise. Used to cross-validate the in-tree
-/// CDCL(T) solver and as an alternative backend in the benches.
+/// Difference Logic): every solver is created for the QF_IDL logic. Built
+/// into `rvp_z3` only when the toolchain provides Z3; the tests and
+/// bench_solver cross-check the in-tree CDCL(T) solver against it
+/// (smt/Z3Solver.h).
 ///
 //===----------------------------------------------------------------------===//
 
-#include "smt/Solver.h"
+#include "smt/Z3Solver.h"
 
-#ifdef RVP_HAVE_Z3
-
-#include "support/Compiler.h"
 #include "support/FaultInjector.h"
 
 #include <z3++.h>
@@ -31,7 +29,7 @@ public:
   SatResult solve(const FormulaBuilder &FB, NodeRef Root, Deadline Limit,
                   OrderModel *ModelOut, SolveWork *Work) override {
     if (Work)
-      *Work = SolveWork{.Z3Calls = 1};
+      *Work = SolveWork{};
     // Z3 reports failures via exceptions; contain them at this boundary.
     try {
       return solveImpl(FB, Root, Limit, ModelOut);
@@ -40,15 +38,13 @@ public:
     }
   }
 
-  const char *name() const override { return "z3"; }
-
 private:
   SatResult solveImpl(const FormulaBuilder &FB, NodeRef Root, Deadline Limit,
                       OrderModel *ModelOut) {
     if (FaultInjector::shouldFail(faults::SolverTimeout))
       return SatResult::Unknown; // injected budget expiry
     z3::context Ctx;
-    z3::solver Solver(Ctx);
+    z3::solver Solver(Ctx, "QF_IDL");
     // Budget accounting is explicit about "no limit": only a real deadline
     // is turned into a Z3 timeout (remainingSeconds() is a sentinel
     // otherwise).
@@ -142,7 +138,7 @@ private:
 /// unit, exactly like the in-tree IdlSession.
 class Z3Session : public SmtSession {
 public:
-  Z3Session() : Solver(Ctx) {}
+  Z3Session() : Solver(Ctx, "QF_IDL") {}
 
   SatResult query(const FormulaBuilder &FB, NodeRef Root, Deadline Limit,
                   OrderModel *ModelOut, SolveWork *Work) override {
@@ -156,8 +152,6 @@ public:
   }
 
   bool poisoned() const override { return Broken; }
-
-  const char *name() const override { return "z3"; }
 
 private:
   SatResult queryImpl(const FormulaBuilder &FB, NodeRef Root, Deadline Limit,
@@ -275,15 +269,3 @@ std::unique_ptr<SmtSolver> rvp::createZ3Solver() {
 std::unique_ptr<rvp::SmtSession> rvp::createZ3Session() {
   return std::make_unique<Z3Session>();
 }
-
-bool rvp::z3Available() { return true; }
-
-#else // !RVP_HAVE_Z3
-
-std::unique_ptr<rvp::SmtSolver> rvp::createZ3Solver() { return nullptr; }
-
-std::unique_ptr<rvp::SmtSession> rvp::createZ3Session() { return nullptr; }
-
-bool rvp::z3Available() { return false; }
-
-#endif

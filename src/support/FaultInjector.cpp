@@ -14,12 +14,12 @@ using namespace rvp;
 
 const std::vector<std::string> &rvp::knownFaultSites() {
   static const std::vector<std::string> Sites = {
-      faults::SolverTimeout,  faults::SessionCorrupt,
-      faults::Z3Unavailable,  faults::SatDbAlloc,
-      faults::TraceShortRead, faults::TraceGarble,
-      faults::DetectAbort,    faults::NetShortWrite,
-      faults::NetClientStall, faults::NetFrameGarble,
-      faults::ServerWorkerAbort, faults::ServerWorkerStall,
+      faults::SolverTimeout,     faults::SessionCorrupt,
+      faults::SatDbAlloc,        faults::TraceShortRead,
+      faults::TraceGarble,       faults::DetectAbort,
+      faults::NetShortWrite,     faults::NetClientStall,
+      faults::NetFrameGarble,    faults::ServerWorkerAbort,
+      faults::ServerWorkerStall,
   };
   return Sites;
 }

@@ -24,7 +24,6 @@
 ///
 ///   solver.timeout     one-shot solve returns Unknown
 ///   session.corrupt    incremental session query fails and poisons itself
-///   z3.unavailable     the Z3 backend factory reports "not available"
 ///   satdb.alloc        clause-database allocation fails inside the SAT core
 ///   trace.short_read   trace file reads truncate mid-stream
 ///   trace.garble       one trace line is corrupted on read
@@ -33,6 +32,7 @@
 ///   net.client_stall   rvpclient stalls mid-frame instead of sending
 ///   net.frame_garble   one received byte is corrupted before framing
 ///   server.worker_abort  a daemon analysis task dies mid-window
+///   server.worker_stall  a daemon analysis task sleeps 600ms mid-window
 ///
 /// Everything is deterministic given the spec: per-site hit counters plus
 /// a seeded xorshift RNG for the '%' trigger. The disabled fast path is a
@@ -54,7 +54,6 @@ namespace rvp {
 namespace faults {
 inline constexpr const char *SolverTimeout = "solver.timeout";
 inline constexpr const char *SessionCorrupt = "session.corrupt";
-inline constexpr const char *Z3Unavailable = "z3.unavailable";
 inline constexpr const char *SatDbAlloc = "satdb.alloc";
 inline constexpr const char *TraceShortRead = "trace.short_read";
 inline constexpr const char *TraceGarble = "trace.garble";

@@ -380,15 +380,6 @@ TEST(Options, QuickCheckOffAgrees) {
       << "without the filter every COP reaches the solver";
 }
 
-TEST(Options, Z3BackendAgrees) {
-  DetectorOptions Options;
-  Options.SolverName = "z3";
-  Trace T = figure4Trace();
-  DetectionResult R = detectRaces(T, Technique::Maximal, Options);
-  EXPECT_EQ(R.raceCount(), 1u);
-  EXPECT_TRUE(R.hasRaceAt("f3", "f10"));
-}
-
 TEST(Options, SmallWindowsLoseCrossWindowRaces) {
   TraceBuilder B;
   B.write("t1", "x", 1, "w1");

@@ -16,7 +16,9 @@
 ///    with four jobs;
 ///  * every maximal-technique race carries a validated witness, and every
 ///    witness schedule replays into its race;
-///  * RV race sets agree between the in-tree CDCL(T) solver and Z3;
+///  * the in-tree CDCL(T) solver and the Z3 oracle agree on every
+///    maximal-race query a whole-trace window needs, their models satisfy
+///    the query, and the Sat signatures are the product's race set;
 ///  * RV races are a subset of the quick check's potential races;
 ///  * the `Oa := Ob` substitution and the naive adjacency encoding find
 ///    the same races.
@@ -24,13 +26,19 @@
 //===----------------------------------------------------------------------===//
 
 #include "detect/Atomicity.h"
+#include "detect/Closure.h"
+#include "detect/Cop.h"
 #include "detect/Deadlock.h"
 #include "detect/Detect.h"
+#include "detect/RaceEncoder.h"
 #include "detect/WindowDriver.h"
 #include "runtime/Interpreter.h"
+#include "smt/Z3Solver.h"
 #include "support/FaultInjector.h"
 #include "trace/Consistency.h"
 #include "workloads/Fuzzer.h"
+
+#include "ModelCheck.h"
 
 #include <gtest/gtest.h>
 
@@ -285,19 +293,54 @@ TEST_P(WindowingPropertyTest, WindowedRacesAreASubsetOfWholeTrace) {
 INSTANTIATE_TEST_SUITE_P(Sweep, WindowingPropertyTest,
                          ::testing::Range<uint64_t>(0, 15));
 
+/// Z3 as a per-query oracle (smt/Z3Solver.h). The whole trace is one
+/// window; every COP whose signature neither solver has found Sat yet is
+/// encoded once and solved one-shot by both. The verdicts must agree,
+/// every Sat model must satisfy its query, and the Sat signatures must be
+/// exactly the race set the product reports with default options.
 class SolverAgreementTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SolverAgreementTest, IdlAndZ3FindTheSameRaces) {
-  Trace T = fuzzTrace(GetParam() + 1000);
-  DetectorOptions Idl;
-  Idl.SolverName = "idl";
-  Idl.PerCopBudgetSeconds = 20;
-  DetectorOptions Z3 = Idl;
-  Z3.SolverName = "z3";
+  std::unique_ptr<SmtSolver> Z3 = createZ3Solver();
+  if (!Z3)
+    GTEST_SKIP() << "Z3 not built";
+  std::unique_ptr<SmtSolver> Idl = createIdlSolver();
+  const uint64_t Seed = GetParam() + 1000;
+  Trace T = fuzzTrace(Seed);
+  ASSERT_LE(T.size(), DefaultWindowSize) << "the product must see one window";
+  const Span Whole = T.fullSpan();
+  EventClosure Mhb(T, Whole, ClosureConfig::mhb());
+  RaceEncoder Encoder(T, Whole, Mhb, T.initialValues());
 
-  DetectionResult A = detectRaces(T, Technique::Maximal, Idl);
-  DetectionResult B = detectRaces(T, Technique::Maximal, Z3);
-  EXPECT_EQ(signatureSet(A), signatureSet(B)) << "seed " << GetParam();
+  std::set<uint64_t> SatSigs;
+  for (const Cop &C : collectCops(T, Whole)) {
+    uint64_t Sig = RaceSignature::of(T, C.First, C.Second).key();
+    if (SatSigs.count(Sig))
+      continue;
+    FormulaBuilder FB;
+    NodeRef Root = Encoder.encodeMaximalRace(FB, C.First, C.Second);
+    OrderModel IdlModel, Z3Model;
+    SatResult IdlResult = Idl->solve(FB, Root, Deadline(), &IdlModel);
+    SatResult Z3Result = Z3->solve(FB, Root, Deadline(), &Z3Model);
+    ASSERT_NE(Z3Result, SatResult::Unknown);
+    EXPECT_EQ(IdlResult, Z3Result)
+        << "seed " << Seed << " COP (" << C.First << "," << C.Second << ")";
+    if (IdlResult == SatResult::Sat) {
+      EXPECT_TRUE(evaluate(FB, Root, IdlModel))
+          << "seed " << Seed << " idl model, COP (" << C.First << ","
+          << C.Second << ")";
+    }
+    if (Z3Result == SatResult::Sat) {
+      EXPECT_TRUE(evaluate(FB, Root, Z3Model))
+          << "seed " << Seed << " Z3 model, COP (" << C.First << ","
+          << C.Second << ")";
+    }
+    if (IdlResult == SatResult::Sat || Z3Result == SatResult::Sat)
+      SatSigs.insert(Sig);
+  }
+  EXPECT_EQ(SatSigs,
+            signatureSet(detectRaces(T, Technique::Maximal, DetectorOptions())))
+      << "seed " << Seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SolverAgreementTest,

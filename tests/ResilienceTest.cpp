@@ -155,9 +155,8 @@ TEST(FaultSpec, EmptySpecDisablesInjection) {
 TEST(FaultSpec, KnownSitesCoverTheCatalog) {
   const std::vector<std::string> &Sites = knownFaultSites();
   for (const char *Site :
-       {faults::SolverTimeout, faults::SessionCorrupt, faults::Z3Unavailable,
-        faults::SatDbAlloc, faults::TraceShortRead, faults::TraceGarble,
-        faults::DetectAbort})
+       {faults::SolverTimeout, faults::SessionCorrupt, faults::SatDbAlloc,
+        faults::TraceShortRead, faults::TraceGarble, faults::DetectAbort})
     EXPECT_TRUE(std::find(Sites.begin(), Sites.end(), Site) != Sites.end())
         << Site;
 }
@@ -338,25 +337,6 @@ TEST(Degradation, WitnessSolveTimeoutKeepsTheRaceWithoutASchedule) {
   EXPECT_EQ(R.Stats.SolverTimeouts, 0u);
   EXPECT_EQ(Metrics.counterValue("solver.witness_resolves"), 1u);
   EXPECT_EQ(Metrics.counterValue("solver.witness_failures"), 1u);
-}
-
-TEST(Degradation, Z3OutageFallsBackToIdl) {
-  Trace T = figure4Trace();
-  DetectorOptions Idl;
-  Idl.SolverName = "idl";
-  DetectionResult Expected = detectRaces(T, Technique::Maximal, Idl);
-
-  FaultGuard Guard;
-  configureOrDie("z3.unavailable");
-  DetectorOptions Z3;
-  Z3.SolverName = "z3";
-  DetectionResult Actual = detectRaces(T, Technique::Maximal, Z3);
-
-  ASSERT_EQ(Actual.raceCount(), Expected.raceCount());
-  for (size_t I = 0; I < Expected.Races.size(); ++I) {
-    EXPECT_EQ(Actual.Races[I].LocFirst, Expected.Races[I].LocFirst);
-    EXPECT_EQ(Actual.Races[I].LocSecond, Expected.Races[I].LocSecond);
-  }
 }
 
 TEST(Degradation, RandomizedFaultyRunAgreesModuloUnknowns) {

@@ -98,6 +98,15 @@ run_tool(detect "${GOLDEN_DIR}/corrupt_kind_cleaned.txt"
          "--checkpoint=${CKPT_DIR}")
 expect_rc(1 "checkpointed run with findings")
 
+# The fingerprint of the default flags is pinned: it keeps the literals
+# of retired flags (solver=idl, incremental=1, check-tiers=0), so a
+# directory an older build wrote still resumes.
+file(STRINGS "${CKPT_DIR}/window-0.ckpt" CKPT_HEADER LIMIT_COUNT 1)
+if(NOT CKPT_HEADER STREQUAL "rvpckpt 1 d37e56490d6659ee")
+  message(FATAL_ERROR "default-flag checkpoint fingerprint changed: "
+          "'${CKPT_HEADER}'")
+endif()
+
 run_tool(detect "${GOLDEN_DIR}/corrupt_kind_cleaned.txt"
          "--checkpoint=${CKPT_DIR}" --tier=smt)
 expect_rc(2 "resume with a different --tier")
@@ -113,9 +122,19 @@ file(REMOVE_RECURSE "${CKPT_DIR}")
 
 # --- CLI validation: misuse is exit 2 with a diagnostic -----------------
 
-run_tool(detect "${GOLDEN_DIR}/quiet.txt" --jobs=0)
-expect_rc(2 "--jobs=0")
-expect_stderr("explicit --jobs=0 is invalid" "--jobs=0 diagnostic")
+# --jobs=0 is one worker per hardware thread, as in rvpredictd and
+# table1, and the report does not depend on the worker count.
+set(JOBS_ARGS "${GOLDEN_DIR}/props_workload.rv" --schedule=rr --window=24)
+run_tool(detect ${JOBS_ARGS} --jobs=1)
+expect_rc(1 "--jobs=1 run with findings")
+string(REGEX REPLACE " in [0-9.]+s" "" JOBS1_OUT "${STDOUT}")
+run_tool(detect ${JOBS_ARGS} --jobs=0)
+expect_rc(1 "--jobs=0 run with findings")
+string(REGEX REPLACE " in [0-9.]+s" "" JOBS0_OUT "${STDOUT}")
+if(NOT JOBS0_OUT STREQUAL JOBS1_OUT)
+  message(FATAL_ERROR "--jobs=0 report differs from --jobs=1:\n"
+          "--- jobs=0 ---\n${JOBS0_OUT}\n--- jobs=1 ---\n${JOBS1_OUT}")
+endif()
 
 run_tool(detect "${GOLDEN_DIR}/quiet.txt" --window=-5)
 expect_rc(2 "--window=-5")
@@ -178,9 +197,16 @@ expect_rc(2 "--budget=-5")
 expect_stderr("--budget must be a positive number of seconds"
               "--budget=-5 diagnostic")
 
-run_tool(detect "${GOLDEN_DIR}/quiet.txt" --solver=cvc5)
-expect_rc(2 "--solver=cvc5")
-expect_stderr("--solver must be idl or z3 (got 'cvc5')" "--solver diagnostic")
+# Z3 is a test oracle, not a backend: --solver is gone, not narrowed,
+# and so is the fault site that simulated a missing Z3.
+run_tool(detect "${GOLDEN_DIR}/quiet.txt" --solver=idl)
+expect_rc(2 "--solver=idl")
+expect_stderr("unknown option '--solver'" "--solver diagnostic")
+
+run_tool(detect "${GOLDEN_DIR}/quiet.txt" --inject-faults=z3.unavailable)
+expect_rc(2 "--inject-faults=z3.unavailable")
+expect_stderr("unknown fault site 'z3.unavailable'"
+              "z3.unavailable diagnostic")
 
 run_tool(detect "${GOLDEN_DIR}/quiet.txt" --witness=maybe)
 expect_rc(2 "--witness=maybe")

@@ -6,6 +6,9 @@
 
 #include "smt/Solver.h"
 #include "smt/Tseitin.h"
+#include "smt/Z3Solver.h"
+
+#include "ModelCheck.h"
 
 #include "support/Random.h"
 #include "support/Telemetry.h"
@@ -15,43 +18,6 @@
 using namespace rvp;
 
 namespace {
-
-/// Evaluates a formula under an order model (atoms become integer
-/// comparisons). Missing variables make the atom false.
-bool evaluate(const FormulaBuilder &FB, NodeRef Root,
-              const OrderModel &Model) {
-  const FormulaNode &N = FB.node(Root);
-  switch (N.Kind) {
-  case FormulaKind::True:
-    return true;
-  case FormulaKind::False:
-    return false;
-  case FormulaKind::Atom: {
-    auto A = Model.find(N.VarA);
-    auto B = Model.find(N.VarB);
-    if (A == Model.end() || B == Model.end())
-      return false;
-    return A->second < B->second;
-  }
-  case FormulaKind::BoolVar:
-    // Order models carry no boolean assignments; these tests do not build
-    // boolean variables.
-    return false;
-  case FormulaKind::And:
-    for (const NodeRef *C = FB.childBegin(Root), *E = FB.childEnd(Root);
-         C != E; ++C)
-      if (!evaluate(FB, *C, Model))
-        return false;
-    return true;
-  case FormulaKind::Or:
-    for (const NodeRef *C = FB.childBegin(Root), *E = FB.childEnd(Root);
-         C != E; ++C)
-      if (evaluate(FB, *C, Model))
-        return true;
-    return false;
-  }
-  return false;
-}
 
 /// Builds a random order formula over \p NumVars variables.
 NodeRef randomFormula(FormulaBuilder &FB, Rng &R, uint32_t NumVars,
@@ -230,7 +196,6 @@ TEST(Solver, BareSolveRegistersNoMetric) {
   expectSearchOf(OneShot, Sat);
   EXPECT_EQ(OneShot.SessionSearches, 0u);
   EXPECT_EQ(OneShot.SessionQueries, 0u);
-  EXPECT_EQ(OneShot.Z3Calls, 0u);
 
   DiffLogicTheory SessionTheory;
   SatSolver SessionSat(&SessionTheory);
@@ -243,13 +208,6 @@ TEST(Solver, BareSolveRegistersNoMetric) {
   EXPECT_EQ(Query.SessionSearches, 1u);
   EXPECT_EQ(Query.AssumptionConflicts, SessionSat.numAssumptionConflicts());
   EXPECT_EQ(Query.SessionQueries, 1u);
-  EXPECT_EQ(Query.Z3Calls, 0u);
-}
-
-TEST(SolverFactory, ByName) {
-  EXPECT_NE(createSolverByName("idl"), nullptr);
-  EXPECT_NE(createSolverByName(""), nullptr);
-  EXPECT_EQ(createSolverByName("nonsense"), nullptr);
 }
 
 // ----------------------------------------------- incremental sessions
@@ -403,10 +361,4 @@ TEST(Z3Session, AgreesWithIdlSession) {
       EXPECT_TRUE(evaluate(FB, F, Z3Model));
     }
   }
-}
-
-TEST(SessionFactory, ByName) {
-  EXPECT_NE(createSessionByName("idl"), nullptr);
-  EXPECT_NE(createSessionByName(""), nullptr);
-  EXPECT_EQ(createSessionByName("nonsense"), nullptr);
 }

@@ -31,15 +31,18 @@ file(READ "${OUT}" JSON_TEXT)
 # the last-writer-wins sat.clauses_kept gauge. Version 5 removed the
 # wcp.latency_seconds histogram (the wcp phase times the same build).
 # Version 6 removed the per-node formula memory gauges (mem.formula_dag_*
-# accounts the same storage per arena chunk). check_schema asserts the
-# version and that none of the seven comes back.
+# accounts the same storage per arena chunk). Version 7 removed the
+# solver.backend_fallbacks and solver.z3.calls counters (Z3 became a test
+# oracle, so nothing falls back to idl or calls Z3). check_schema asserts
+# the version and that none of the nine comes back.
 set(REMOVED_METRICS solver.idl.latency_seconds
     solver.incremental.latency_seconds solver.z3.latency_seconds
     sat.clauses_kept wcp.latency_seconds
-    mem.formula_bytes mem.formula_peak_bytes)
+    mem.formula_bytes mem.formula_peak_bytes
+    solver.backend_fallbacks solver.z3.calls)
 function(check_schema TEXT LABEL)
-  if(NOT TEXT MATCHES "^{\"schema_version\":6,")
-    message(FATAL_ERROR "${LABEL}: schema_version is not 6:\n${TEXT}")
+  if(NOT TEXT MATCHES "^{\"schema_version\":7,")
+    message(FATAL_ERROR "${LABEL}: schema_version is not 7:\n${TEXT}")
   endif()
   foreach(NAME ${REMOVED_METRICS})
     string(FIND "${TEXT}" "\"${NAME}\"" AT)
@@ -49,21 +52,6 @@ function(check_schema TEXT LABEL)
   endforeach()
 endfunction()
 check_schema("${JSON_TEXT}" "--tier=smt")
-
-# The same run on the Z3 backend (the idl fallback where the build has no
-# Z3) must not bring a removed metric back either.
-set(Z3_OUT "${CMAKE_CURRENT_BINARY_DIR}/stats_golden_z3.json")
-execute_process(
-  COMMAND "${RVPREDICT}" detect "${WORKLOAD}" --technique=rv --schedule=rr
-          --seed=1 --tier=smt --solver=z3 --stats-json=${Z3_OUT}
-  RESULT_VARIABLE RC
-  OUTPUT_VARIABLE STDOUT
-  ERROR_VARIABLE STDERR)
-if(RC GREATER 1)
-  message(FATAL_ERROR "rvpredict detect --solver=z3 failed (${RC}):\n${STDOUT}\n${STDERR}")
-endif()
-file(READ "${Z3_OUT}" Z3_TEXT)
-check_schema("${Z3_TEXT}" "--solver=z3")
 
 # string(JSON) needs CMake >= 3.19; older hosts fall back to substring
 # checks so the test still guards the field set.

@@ -11,8 +11,7 @@
 ///                     [--out=trace.txt]
 ///   rvpredict detect  <trace.txt|prog.rv> [--technique=rv|said|cp|hb]
 ///                     [--property=race|atomicity|deadlock] [--window=N]
-///                     [--tier=vc|smt|hybrid]
-///                     [--solver=idl|z3] [--budget=S] [--witness[=BOOL]]
+///                     [--tier=vc|smt|hybrid] [--budget=S] [--witness[=BOOL]]
 ///                     [--retry-budgets=50ms,250ms,1s] [--skip-bad-events]
 ///                     [--jobs=N] [--static-prune] [--checkpoint=dir] [--stats]
 ///                     [--stats-json=out.json] [--trace-events=events.jsonl]
@@ -25,7 +24,7 @@
 /// fly); anything else is parsed as a trace in the text format.
 ///
 /// The analysis flags (--technique, --property, --window, --tier,
-/// --solver, --budget, --witness, --retry-budgets and --skip-bad-events,
+/// --budget, --witness, --retry-budgets and --skip-bad-events,
 /// the one record takes too) go through the parser and rule set that
 /// rvpredictd's defaults and its HELLO options use (detect/Stream.h,
 /// docs/SERVER.md): --window is 1..4294967295 events,
@@ -218,13 +217,6 @@ int cmdDetect(const OptionParser &Options) {
 
   // Flag validation up front: every malformed value is a usage error
   // (exit 2), diagnosed before any work starts.
-  if (Options.hasOption("jobs") && Options.getInt("jobs", 0) == 0) {
-    std::fprintf(stderr,
-                 "error: explicit --jobs=0 is invalid; pass --jobs=N "
-                 "(N >= 1) or omit the flag for one worker per hardware "
-                 "thread\n");
-    return ExitUsage;
-  }
   uint32_t Jobs = 0;
   if (!readJobs(Options, 0, Jobs))
     return ExitUsage;
@@ -233,8 +225,8 @@ int cmdDetect(const OptionParser &Options) {
   StreamOptions Analysis;
   if (!applyAnalysisFlags(Options,
                           {"property", "technique", "tier", "window",
-                           "budget", "solver", "retry-budgets",
-                           "skip-bad-events", "witness"},
+                           "budget", "retry-budgets", "skip-bad-events",
+                           "witness"},
                           Analysis))
     return ExitUsage;
   {
@@ -288,18 +280,19 @@ int cmdDetect(const OptionParser &Options) {
   // Checkpointing: the fingerprint pins the trace contents and every
   // result-relevant flag (jobs excluded — reports are identical for any
   // value), so a checkpoint directory can only resume the same analysis.
-  // The literals `incremental=1` and `check-tiers=0` stay from when
-  // session solving and the tier cross-check were flags, so a checkpoint
-  // directory written before is not refused as another analysis'.
+  // The literals `solver=idl`, `incremental=1` and `check-tiers=0` stay
+  // from when the solver backend, session solving and the tier
+  // cross-check were flags, so a checkpoint directory written before is
+  // not refused as another analysis'.
   Detect.CheckpointDir = Options.getString("checkpoint", "");
   if (!Detect.CheckpointDir.empty()) {
     std::string Flags = formatString(
-        "technique=%s property=%s window=%u solver=%s budget=%g "
+        "technique=%s property=%s window=%u solver=idl budget=%g "
         "incremental=1 witness=%d static-prune=%d retry-budgets=%s "
         "tier=%s check-tiers=0",
         Options.getString("technique", "rv").c_str(),
         Options.getString("property", "race").c_str(), Detect.WindowSize,
-        Detect.SolverName.c_str(), Detect.PerCopBudgetSeconds,
+        Detect.PerCopBudgetSeconds,
         Detect.CollectWitnesses ? 1 : 0,
         Options.getBool("static-prune") ? 1 : 0,
         Options.getString("retry-budgets", "").c_str(),
@@ -431,10 +424,9 @@ int main(int Argc, const char **Argv) {
   Options.addOption("technique", "rv, said, cp, or hb", "rv");
   Options.addOption("property", "race, atomicity, or deadlock", "race");
   Options.addOption("window", "window size in events", "10000");
-  Options.addOption("solver", "idl or z3", "idl");
   Options.addOption("budget", "per-COP solver budget (s)", "60");
   Options.addOption("jobs",
-                    "solver worker threads, 1..256 (omit for one per "
+                    "solver worker threads, 0..256 (0 or omitted = one per "
                     "hardware thread)",
                     "0");
   Options.addOption("static-prune",
@@ -446,7 +438,10 @@ int main(int Argc, const char **Argv) {
                     "(solver only), or hybrid (WCP prunes and "
                     "short-circuits ahead of the solver)",
                     "hybrid");
-  Options.addOption("witness", "print witness reorderings", "false");
+  Options.addOption("witness",
+                    "unset: validate witnesses, print their tags only; "
+                    "true: also print the reorderings; false: collect none "
+                    "(hybrid then reports WCP verdicts unverified)");
   Options.addOption("stats", "print detection statistics", "false");
   Options.addOption("stats-json", "write stats as JSON ('-' for stdout)", "");
   Options.addOption("trace-events",

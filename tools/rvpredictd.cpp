@@ -18,7 +18,7 @@
 ///              [--drain-timeout=S] [--checkpoint-root=DIR]
 ///              [--technique=rv|said|cp|hb] [--property=race|...]
 ///              [--window=N] [--tier=vc|smt|hybrid] [--budget=S]
-///              [--solver=idl|z3] [--retry-budgets=50ms,250ms,1s]
+///              [--retry-budgets=50ms,250ms,1s]
 ///              [--skip-bad-events] [--stats] [--stats-json=-]
 ///              [--inject-faults=spec]
 ///
@@ -141,7 +141,6 @@ int main(int Argc, const char **Argv) {
   Options.addOption("window", "default window size in events", "10000");
   Options.addOption("tier", "default race tier (vc, smt, hybrid)", "hybrid");
   Options.addOption("budget", "default per-COP solver budget (s)", "60");
-  Options.addOption("solver", "solver backend: idl or z3", "idl");
   Options.addOption("retry-budgets",
                     "escalating per-COP retry budgets for unknown results, "
                     "e.g. 50ms,250ms,1s (empty = no retries)",
@@ -214,7 +213,7 @@ int main(int Argc, const char **Argv) {
   // finishes its own copy once HELLO has overridden them.
   std::string Error;
   for (const char *Key : {"property", "technique", "tier", "window", "budget",
-                          "solver", "retry-budgets", "skip-bad-events"})
+                          "retry-budgets", "skip-bad-events"})
     if (Options.hasOption(Key) &&
         !setAnalysisOption(SO.Stream, Key, Options.getString(Key), Error)) {
       std::fprintf(stderr, "error: --%s\n", Error.c_str());

@@ -9,7 +9,7 @@
 #   * give every "X" span a non-negative integer duration.
 #
 # Runs sequentially and with --jobs=4 (worker tracks, whose encodes share
-# the window's skeleton cache), and checks that --profile does not change
+# the window's encoding), and checks that --profile does not change
 # the analysis report itself. Two more runs (an injected session
 # corruption, a checkpointed run) check that the resilience instants count
 # exactly what the same run's --stats-json counters count.

@@ -5,17 +5,17 @@
 # byte-identical-output determinism check, the cone-slicing tests, the
 # read-skeleton test whose four threads fill one window's on-demand
 # read-consistency skeletons at once, the in-process mode-equivalence
-# sweep (whose --jobs=4 rows read and populate the shared skeleton cache
+# sweep (whose --jobs=4 rows encode on one shared window encoding
 # concurrently, for computed cones and whole-window ones alike —
 # docs/ENCODER.md) and the window-driver goldens (whose --jobs=4 rows
 # build witnesses concurrently: a fresh encoder per witness on the shared
 # window encoding, with thread-local cone scratch). Any data race the
-# pool, the shared per-window encoding (its read skeletons included), or
-# the skeleton cache introduces fails this script. The daemon drills
-# stream race, atomicity and deadlock sessions through a --jobs=4
-# rvpredictd: each session's live window-driver session moves between
-# pool threads from one window to the next, and --degrade-threshold=1
-# sheds windows to the vc tier and back. The chunked-stream tests
+# pool or the shared per-window encoding (its read skeletons included)
+# introduces fails this script. The daemon drills stream race, atomicity
+# and deadlock sessions through a --jobs=4 rvpredictd: each session's
+# live window-driver session moves between pool threads from one window
+# to the next, and --degrade-threshold=1 sheds windows to the vc tier and
+# back. The chunked-stream tests
 # (StreamDetector, the generative IngestTest, ServerSession) and a daemon
 # drill with HELLO skip-bad-events=1 cover ingest: the I/O thread reads
 # each DATA chunk's lines into the session's trace, updating its indices

@@ -116,7 +116,6 @@ std::span<const StatsField> rvp::statsFields() {
       {&S::BranchConstraints, "encoder.branch_constraints", Guarded},
       {&S::ReadConsistency, "encoder.read_consistency_constraints", Nonzero},
       {&S::CfDefs, "encoder.cf_defs", Nonzero},
-      {&S::SkeletonCacheHits, "encoder.skeleton_cache_hits", Nonzero},
       {&S::RangesFolded, "analysis.ranges_folded", Nonzero},
       {&S::WitnessResolves, "solver.witness_resolves", Nonzero},
       {&S::WitnessFailures, "solver.witness_failures", Nonzero},

@@ -217,8 +217,7 @@ struct DetectionStats {
   uint64_t Formulas = 0, FormulaNodes = 0, DifferenceAtoms = 0;
   uint64_t BoolVars = 0, OrderVars = 0, GuardedFormulas = 0;
   uint64_t BranchConstraints = 0, ReadConsistency = 0, CfDefs = 0;
-  uint64_t ConeEvents = 0, SlicedAtoms = 0, SkeletonCacheHits = 0;
-  uint64_t RangesFolded = 0;
+  uint64_t ConeEvents = 0, SlicedAtoms = 0, RangesFolded = 0;
   /// Witness solves, and findings whose witness solve was not Sat.
   uint64_t WitnessResolves = 0, WitnessFailures = 0;
   /// The summed SolveWork of every solve the run made: decisions,

@@ -37,10 +37,6 @@ static NodeRef mkAtomS(FormulaBuilder &FB, OrderVar X, OrderVar Y) {
   return FB.mkAtom(X, Y);
 }
 
-static uint64_t hashCombine(uint64_t Seed, uint64_t Value) {
-  return Seed ^ (Value + 0x9e3779b97f4a7c15ULL + (Seed << 6) + (Seed >> 2));
-}
-
 // ------------------------------------------------------ cone of influence
 
 /// Cone accumulator for one encode call (docs/ENCODER.md). Events are
@@ -321,76 +317,31 @@ NodeRef RaceEncoder::adjacency(FormulaBuilder &FB, EventId A,
   return FB.mkOr2(precedes(A, B), precedes(B, A));
 }
 
-// ----------------------------------------------------- skeleton cache
-
-const RaceEncoder::Skeleton &RaceEncoder::skeletonFor(Cone &C,
-                                                      EncodeStats &Stats) const {
-  uint64_t Hash = hashCombine(0x51CEDA7ABCDEF01ULL, C.Events.size());
-  for (EventId E : C.Events)
-    Hash = hashCombine(Hash, E);
-  Hash = hashCombine(Hash, C.ActiveLcs.size());
-  for (uint32_t Lc : C.ActiveLcs)
-    Hash = hashCombine(Hash, Lc);
-
-  auto Matches = [&](const Skeleton &Sk) {
-    return Sk.Events == C.Events && Sk.ActiveLcs == C.ActiveLcs;
-  };
-  {
-    std::shared_lock<std::shared_mutex> Lock(SkelMutex);
-    auto It = SkelCache.find(Hash);
-    if (It != SkelCache.end())
-      for (const std::unique_ptr<Skeleton> &Sk : It->second)
-        if (Matches(*Sk)) {
-          Stats.CacheHit = true;
-          return *Sk;
-        }
-  }
-
-  auto Sk = std::make_unique<Skeleton>();
-  Sk->Events = C.Events;
-  Sk->ActiveLcs = C.ActiveLcs;
-  // Compressed per-thread chains over the sorted cone: each thread's
-  // first cone event is anchored under the synthetic root, every later
-  // one under its cone predecessor. Transitivity of `<` makes the
-  // compressed chain equivalent to the full program-order chain over the
-  // cone's variables. Cross-thread edges are kept verbatim.
-  Sk->MhbAtoms.reserve(Sk->Events.size() + Enc->CrossEdges.size());
-  std::vector<EventId> Last(T.numThreads(), InvalidEvent);
-  for (EventId E : Sk->Events) {
-    ThreadId Tid = T[E].Tid;
-    Sk->MhbAtoms.emplace_back(
-        Last[Tid] == InvalidEvent ? WindowEncoding::RootVar : Last[Tid], E);
-    Last[Tid] = E;
-  }
-  for (const auto &[From, To] : Enc->CrossEdges)
-    Sk->MhbAtoms.emplace_back(From, To);
-
-  std::unique_lock<std::shared_mutex> Lock(SkelMutex);
-  std::vector<std::unique_ptr<Skeleton>> &Bucket = SkelCache[Hash];
-  // Another worker may have built the same skeleton while we did; keep
-  // the first insert so cached references stay stable.
-  for (const std::unique_ptr<Skeleton> &Existing : Bucket)
-    if (Matches(*Existing))
-      return *Existing;
-  Bucket.push_back(std::move(Sk));
-  return *Bucket.back();
-}
-
-NodeRef RaceEncoder::emitSkeleton(FormulaBuilder &FB, const Skeleton &Sk,
-                                  Subst S,
-                                  const std::vector<EventId> &ExcludedAcquires,
-                                  EncodeStats &Stats) const {
+NodeRef RaceEncoder::emitMhbLock(FormulaBuilder &FB, const Cone &C, Subst S,
+                                 const std::vector<EventId> &ExcludedAcquires,
+                                 EncodeStats &Stats) const {
   auto Excluded = [&](EventId SectionAcq) {
     return SectionAcq != InvalidEvent &&
            std::find(ExcludedAcquires.begin(), ExcludedAcquires.end(),
                      SectionAcq) != ExcludedAcquires.end();
   };
   std::vector<NodeRef> Conj;
-  Conj.reserve(Sk.MhbAtoms.size() + Sk.ActiveLcs.size());
-  for (const auto &[From, To] : Sk.MhbAtoms)
+  Conj.reserve(C.Events.size() + Enc->CrossEdges.size() + C.ActiveLcs.size());
+  // Compressed per-thread chains over the sorted cone: each thread's
+  // first cone event is anchored under the synthetic root, every later
+  // one under its cone predecessor. Transitivity of `<` makes the
+  // compressed chain equivalent to the full program-order chain over the
+  // cone's variables. Cross-thread edges are kept verbatim.
+  std::vector<OrderVar> Last(T.numThreads(), WindowEncoding::RootVar);
+  for (EventId E : C.Events) {
+    OrderVar &Prev = Last[T[E].Tid];
+    Conj.push_back(mkAtomS(FB, S(Prev), S(E)));
+    Prev = E;
+  }
+  for (const auto &[From, To] : Enc->CrossEdges)
     Conj.push_back(mkAtomS(FB, S(From), S(To)));
-  uint64_t Atoms = Sk.MhbAtoms.size();
-  for (uint32_t Lc : Sk.ActiveLcs) {
+  uint64_t Atoms = Conj.size();
+  for (uint32_t Lc : C.ActiveLcs) {
     const WindowEncoding::LockConstraint &LC = Enc->LockConstraints[Lc];
     if (!ExcludedAcquires.empty() &&
         (Excluded(LC.SectionAcqP) || Excluded(LC.SectionAcqQ)))
@@ -417,10 +368,11 @@ NodeRef RaceEncoder::assemble(
     const std::vector<EventId> &ExcludedAcquires, EncodeStats *Stats,
     OwnPart Own) const {
   // The query's own part first, so the cone is complete (every referenced
-  // variable recorded) before the skeleton is chosen. mkAnd sorts its
-  // children, so conjunct order does not change the resulting formula;
-  // node creation order does (it numbers the nodes), and stays fixed:
-  // own part, cf definitions, skeleton, query atoms.
+  // variable recorded) before Φ_mhb ∧ Φ_lock is emitted over it. mkAnd
+  // sorts its children, so conjunct order does not change the resulting
+  // formula; node creation order does (it numbers the nodes), and stays
+  // fixed: own part, cf definitions, chains, cross edges, lock
+  // constraints, query atoms.
   EncodeStats Discarded;
   EncodeStats &Out = Stats ? *Stats : Discarded;
   Cone C(*Enc);
@@ -437,16 +389,15 @@ NodeRef RaceEncoder::assemble(
     C.close();
   else
     C.wholeWindow();
-  const Skeleton &Sk = skeletonFor(C, Out);
-  Out.ConeEvents += Sk.Events.size();
+  Out.ConeEvents += C.Events.size();
   if (Out.Cone) {
-    Out.Cone->Events = Sk.Events;
-    Out.Cone->ActiveLocks = Sk.ActiveLcs;
+    Out.Cone->Events = C.Events;
+    Out.Cone->ActiveLocks = C.ActiveLcs;
     Out.Cone->MergedFirst = S.A;
     Out.Cone->MergedSecond = S.B;
   }
 
-  Conj.push_back(emitSkeleton(FB, Sk, S, ExcludedAcquires, Out));
+  Conj.push_back(emitMhbLock(FB, C, S, ExcludedAcquires, Out));
   for (const auto &[X, Y] : Atoms)
     Conj.push_back(FB.mkAtom(X, Y));
   Conj.insert(Conj.end(), St.Defs.begin(), St.Defs.end());

@@ -28,12 +28,10 @@
 ///
 /// The COP-invariant state (indices, Φ_mhb atoms, Φ_lock descriptors,
 /// read-consistency skeletons) lives in a WindowEncoding built once per
-/// window; every encode call only applies the per-COP substitution and
-/// control-flow guards. A const RaceEncoder is safe to share across the
-/// parallel solve workers — encode calls touch nothing but the
-/// WindowEncoding (immutable apart from its once-built read skeletons),
-/// the caller's FormulaBuilder, and the internal skeleton cache
-/// (reader/writer locked).
+/// window; every encode call builds its query directly from it. A const
+/// RaceEncoder is safe to share across the parallel solve workers: encode
+/// calls write nothing but the caller's FormulaBuilder, and their only
+/// shared mutable state is the WindowEncoding's once-built read slots.
 ///
 /// Every encode call assembles its query the same way: the query's own
 /// part (control-flow guards, read-value formulas) over the substitution,
@@ -62,7 +60,6 @@
 
 #include <initializer_list>
 #include <memory>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -116,7 +113,6 @@ struct EncodeStats {
   uint64_t ReadConsistency = 0;   ///< read-value formulas built
   uint64_t CfDefs = 0;            ///< cf variable definitions emitted
   uint64_t RangesFolded = 0;      ///< guards EncoderOptions::Fold dropped
-  bool CacheHit = false;          ///< skeleton served from the window cache
   bool Guarded = false;           ///< branch guards built (all but Said)
   /// When set, receives the query's cone (the witness path extends a
   /// model over it to the whole window).
@@ -210,17 +206,6 @@ private:
     std::vector<EventId> Worklist;
   };
 
-  /// Cone-restricted Φ_mhb/Φ_lock skeleton, memoized per cone signature
-  /// in the per-window cache below. MhbAtoms are pre-substitution
-  /// (root anchors, compressed per-thread chains, cross edges); the
-  /// active lock constraints are emitted from their indices so deadlock
-  /// queries can still exclude sections at emission time.
-  struct Skeleton {
-    std::vector<EventId> Events;      ///< sorted cone events (cache key)
-    std::vector<uint32_t> ActiveLcs;  ///< sorted LC indices (cache key)
-    std::vector<std::pair<OrderVar, OrderVar>> MhbAtoms;
-  };
-
   NodeRef cfVar(CfState &St, EventId E) const;
   void emitCfDefs(CfState &St) const;
   /// Read-value consistency disjunction for read \p R; with \p Guarded the
@@ -244,28 +229,18 @@ private:
                    const std::vector<EventId> &ExcludedAcquires,
                    EncodeStats *Stats, OwnPart Own) const;
 
-  /// Looks the cone's skeleton up in the per-window cache, building and
-  /// inserting it on a miss. Concurrent-reader-safe: --jobs workers share
-  /// the cache through the encoder they already share.
-  const Skeleton &skeletonFor(Cone &C, EncodeStats &Stats) const;
-  /// Emits the skeleton's Φ_mhb ∧ Φ_lock under substitution \p S.
-  NodeRef emitSkeleton(FormulaBuilder &FB, const Skeleton &Sk, Subst S,
-                       const std::vector<EventId> &ExcludedAcquires,
-                       EncodeStats &Stats) const;
+  /// Emits the closed cone's Φ_mhb ∧ Φ_lock under substitution \p S:
+  /// compressed per-thread chains, cross edges, then the active lock
+  /// constraints minus \p ExcludedAcquires' sections.
+  NodeRef emitMhbLock(FormulaBuilder &FB, const Cone &C, Subst S,
+                      const std::vector<EventId> &ExcludedAcquires,
+                      EncodeStats &Stats) const;
 
   std::shared_ptr<const WindowEncoding> Enc;
   const Trace &T;
   Span Window;
   const EventClosure &Mhb;
   EncoderOptions Options;
-
-  /// Per-window skeleton cache keyed by cone-signature hash; values are
-  /// pointer-stable so references stay valid across inserts. Guarded by
-  /// SkelMutex (shared for lookups, exclusive for inserts); mutable
-  /// because encode calls on a shared const encoder populate it.
-  mutable std::unordered_map<uint64_t, std::vector<std::unique_ptr<Skeleton>>>
-      SkelCache;
-  mutable std::shared_mutex SkelMutex;
 };
 
 } // namespace rvp

@@ -12,6 +12,7 @@
 #include "support/StringUtils.h"
 #include "trace/Window.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <limits>
 
@@ -252,7 +253,14 @@ bool StreamDetector::step(StreamStep &Out, bool Degrade,
   Out = StreamStep();
   Out.Window = Run.WindowsDone;
   Out.Degraded = Degraded;
-  size_t PrevFindings = Run.Findings, PrevUnknowns = Run.Unknowns;
+  size_t PrevFindings = Run.Findings;
+  // The delta names the unknowns parked during this window. A window can
+  // also retire older ones (their signature got decided), so the new
+  // entries are not the ones past the old count.
+  std::vector<std::pair<EventId, EventId>> Before;
+  for (const UnknownReport &U : Live->Driver.output().Unknowns)
+    Before.emplace_back(U.First, U.Second);
+  std::sort(Before.begin(), Before.end());
   {
     ScopedPhaseTimer Phase(Live->Policy->Phase);
     Live->Driver.analyze(
@@ -263,15 +271,15 @@ bool StreamDetector::step(StreamStep &Out, bool Degrade,
   const std::vector<UnknownReport> &Unknowns = Live->Driver.output().Unknowns;
   for (size_t I = PrevFindings; I < Policy.numFindings(); ++I)
     Out.Delta += Policy.renderFinding(I, Opts.Render);
-  for (size_t I = PrevUnknowns; I < Unknowns.size(); ++I)
-    Out.Delta += renderUnknownLine(Unknowns[I]);
+  for (const UnknownReport &U : Unknowns)
+    if (!std::binary_search(Before.begin(), Before.end(),
+                            std::make_pair(U.First, U.Second))) {
+      Out.Delta += renderUnknownLine(U);
+      ++Out.NewUnknowns;
+    }
   Run.Findings = Policy.numFindings();
-  Run.Unknowns = Unknowns.size();
   Run.Stats = Live->Driver.output().Stats;
   Out.NewFindings = Run.Findings - PrevFindings;
-  Out.NewUnknowns = Run.Unknowns > PrevUnknowns
-                        ? Run.Unknowns - PrevUnknowns
-                        : 0;
   if (Degraded)
     ++Run.DegradedWindows;
   Run.WindowsDone = Run.Stats.Windows;
@@ -323,7 +331,6 @@ bool StreamDetector::finish(std::string &Summary, std::string &Error,
   QueryPolicy &Policy = *Live->Policy;
   DriverOutput Out = Live->Driver.finish();
   Run.Findings = Policy.numFindings();
-  Run.Unknowns = Out.Unknowns.size();
   Run.Stats = Out.Stats;
   Summary = Policy.renderReport(std::move(Out), Opts.Render);
   Run.SummaryText = Summary;

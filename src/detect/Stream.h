@@ -61,7 +61,7 @@ struct StreamOptions {
 
 /// The analysis keys `rvpredict detect` flags, rvpredictd's session
 /// defaults and HELLO options share (docs/SERVER.md lists which front end
-/// accepts which): property, technique, tier, window, budget, solver,
+/// accepts which): property, technique, tier, window, budget,
 /// retry-budgets, skip-bad-events, witness. Each front end only picks the
 /// keys it exposes and how it reports an error.
 ///
@@ -112,7 +112,6 @@ struct DetectorRun {
   uint64_t DegradedWindows = 0;
   uint64_t SkippedEvents = 0;
   size_t Findings = 0;
-  size_t Unknowns = 0;
   /// Cumulative stats after the latest window (and telemetry, at finish).
   DetectionStats Stats;
   /// finish() ran; SummaryText caches its report so a second finish()

@@ -477,7 +477,6 @@ private:
     S.CfDefs += E.CfDefs;
     S.ConeEvents += E.ConeEvents;
     S.SlicedAtoms += E.SlicedAtoms;
-    S.SkeletonCacheHits += E.CacheHit;
     S.RangesFolded += E.RangesFolded;
   }
 
@@ -787,7 +786,7 @@ private:
   /// One cop trace event: the prune provenance (which stage decided the
   /// candidate) plus, for a solver decision, the solver that answered
   /// (always the in-tree "idl"), the formula size, the encode/solve/witness
-  /// split, the formula-arena delta and the escalation attempts.
+  /// split, the formula's node bytes and the escalation attempts.
   void emitCop(const CopCost &R) const {
     TraceEventSink *Sink = Telemetry::instance().sink();
     if (!Sink)

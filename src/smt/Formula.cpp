@@ -7,6 +7,7 @@
 #include "smt/Formula.h"
 
 #include "support/Compiler.h"
+#include "support/Telemetry.h"
 
 #include <algorithm>
 #include <cassert>
@@ -27,6 +28,15 @@ FormulaBuilder::FormulaBuilder() {
   FalseNode.Kind = FormulaKind::False;
   Nodes.push_back(FalseNode);
   FalseRef = 1;
+  if (Telemetry::enabled())
+    chargeCapacity();
+}
+
+void FormulaBuilder::chargeCapacity() {
+  uint64_t Bytes = Nodes.capacity() * sizeof(FormulaNode) +
+                   Children.capacity() * sizeof(NodeRef);
+  if (Bytes > Mem.charged())
+    Mem.charge(Bytes - Mem.charged());
 }
 
 void FormulaBuilder::growTable() {
@@ -65,11 +75,13 @@ NodeRef FormulaBuilder::intern(FormulaNode Node,
   }
 
   Node.ChildBegin = static_cast<uint32_t>(Children.size());
-  Children.append(Kids.data(), Kids.data() + Kids.size());
+  Children.insert(Children.end(), Kids.begin(), Kids.end());
   Node.ChildEnd = static_cast<uint32_t>(Children.size());
   NodeRef Ref = static_cast<NodeRef>(Nodes.size());
   Nodes.push_back(Node);
   Table[Slot] = TableSlot{Hash, Ref};
+  if (Telemetry::enabled())
+    chargeCapacity();
   // Resize at ~70% load so probe chains stay short.
   if (++TableCount * 10 >= Table.size() * 7)
     growTable();

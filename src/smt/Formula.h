@@ -15,7 +15,7 @@
 /// never need Not nodes, and every subformula occurs positively, which the
 /// Tseitin transform exploits (Plaisted–Greenbaum, positive polarity only).
 ///
-/// Nodes are hash-consed in an arena owned by FormulaBuilder; NodeRef is a
+/// Nodes are hash-consed in a pool owned by FormulaBuilder; NodeRef is a
 /// plain index, cheap to copy and store in memo tables.
 ///
 //===----------------------------------------------------------------------===//
@@ -23,7 +23,7 @@
 #ifndef RVP_SMT_FORMULA_H
 #define RVP_SMT_FORMULA_H
 
-#include "smt/Arena.h"
+#include "support/MemStats.h"
 
 #include <cstdint>
 #include <string>
@@ -35,7 +35,7 @@ namespace rvp {
 /// An integer order variable; the detectors use event ids directly.
 using OrderVar = uint32_t;
 
-/// Index of a formula node inside its FormulaBuilder arena.
+/// Index of a formula node inside its FormulaBuilder.
 using NodeRef = uint32_t;
 
 enum class FormulaKind : uint8_t {
@@ -59,7 +59,7 @@ struct FormulaNode {
   uint32_t numChildren() const { return ChildEnd - ChildBegin; }
 };
 
-/// Arena + hash-consing constructor for formulas. All simplifications are
+/// Hash-consing constructor and node pool for formulas. All simplifications are
 /// local and cheap: constant folding, flattening of nested And/Or,
 /// duplicate-child removal, and complement detection (`a<b` and `b<a` in
 /// the same And folds to False; in the same Or to True).
@@ -125,13 +125,15 @@ private:
   };
   static constexpr NodeRef EmptySlot = UINT32_MAX;
 
-  /// Bump storage for the node and child pools: interning is append-only,
-  /// so the arena replaces per-push heap reallocation with cursor bumps
-  /// and frees everything at once when the builder dies at the window
-  /// barrier (smt/Arena.h).
-  BumpArena Arena;
-  ArenaVector<FormulaNode> Nodes{Arena};
-  ArenaVector<NodeRef> Children{Arena};
+  /// Charges the node and child pools' capacity growth to
+  /// MemPool::FormulaDag (telemetry on only).
+  void chargeCapacity();
+
+  /// The node and child pools: interning is append-only, and both are
+  /// freed when the builder dies at the window barrier.
+  std::vector<FormulaNode> Nodes;
+  std::vector<NodeRef> Children;
+  MemCharge Mem{MemPool::FormulaDag};
   /// Open-addressed linear-probe hash-consing index (insert-only,
   /// power-of-two capacity, resized at ~70% load). Replaces the
   /// unordered_map-of-vectors bucket scheme: one flat probe sequence per

@@ -24,7 +24,7 @@ class JsonObject;
 /// Version of the machine-readable output schemas (stats JSON, trace
 /// events, bench records). Bump when a consumer-visible field changes
 /// meaning or disappears; adding fields is not a bump.
-inline constexpr unsigned StatsSchemaVersion = 7;
+inline constexpr unsigned StatsSchemaVersion = 8;
 
 /// Short git sha captured at configure time, "unknown" if git was
 /// unavailable.

@@ -35,7 +35,7 @@ class MetricsRegistry;
 enum class MemPool : uint8_t {
   Clauses,    ///< SAT clause database (problem + learned)
   Encoding,   ///< per-window WindowEncoding state
-  FormulaDag, ///< FormulaBuilder arena chunks (smt/Arena.h)
+  FormulaDag, ///< FormulaBuilder node and child pools (smt/Formula.h)
   Count
 };
 
@@ -72,7 +72,7 @@ public:
 };
 
 /// RAII pool charge: adds \p Bytes on charge(), releases the accumulated
-/// total on destruction. Data-structure owners (BumpArena, SatSolver,
+/// total on destruction. Data-structure owners (FormulaBuilder, SatSolver,
 /// WindowEncoding) embed one so accounting can never leak across runs even
 /// when telemetry is toggled mid-lifetime: only bytes actually charged are
 /// ever released. charge() may run on several threads at once (a

@@ -15,7 +15,7 @@
 ///  * counter events (`ph:"C"`) — sampled metric tracks (live COP/race
 ///    totals, subsystem bytes) emitted at window barriers;
 ///  * instant events (`ph:"i"`) — point markers for retries, session
-///    quarantines, backend fallbacks, and checkpoint saves.
+///    quarantines, and checkpoint saves.
 ///
 /// Threads are identified by a stable per-collector tid assigned on first
 /// use; the thread pool names its workers (`worker-N`) so solve spans land

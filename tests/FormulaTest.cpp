@@ -106,10 +106,10 @@ TEST(Formula, HashConsingSharesNaryNodes) {
   EXPECT_EQ(FB.numNodes(), Before + 1);
 }
 
-TEST(Formula, ArenaChargesFormulaDagAndBulkFreesAtBarrier) {
-  // The builder's node storage lives in a bump arena charged to
-  // MemPool::FormulaDag; the charge must appear while the builder is
-  // alive and vanish entirely when it dies (the window barrier).
+TEST(Formula, ChargesFormulaDagAndReleasesAtBarrier) {
+  // The builder's node and child pools are charged to MemPool::FormulaDag;
+  // the charge must appear while the builder is alive and vanish entirely
+  // when it dies (the window barrier).
   Telemetry::setEnabled(true);
   uint64_t Baseline = MemStats::current(MemPool::FormulaDag);
   {
@@ -119,17 +119,16 @@ TEST(Formula, ArenaChargesFormulaDagAndBulkFreesAtBarrier) {
       Conj.push_back(FB.mkAtom(I, I + 1));
     FB.mkAnd(std::move(Conj));
     EXPECT_GT(MemStats::current(MemPool::FormulaDag), Baseline)
-        << "arena chunks are charged while the builder lives";
+        << "pool capacity is charged while the builder lives";
   }
   EXPECT_EQ(MemStats::current(MemPool::FormulaDag), Baseline)
-      << "the builder's death releases every chunk at once";
+      << "the builder's death releases the whole charge";
   Telemetry::setEnabled(false);
 }
 
-TEST(Formula, ArenaRelocationPreservesNodes) {
-  // ArenaVector growth relocates node and child storage with memcpy;
-  // NodeRefs are indices, so formulas built early must survive heavy
-  // later allocation verbatim.
+TEST(Formula, PoolGrowthPreservesNodes) {
+  // Pool growth relocates node and child storage; NodeRefs are indices,
+  // so formulas built early must survive heavy later allocation verbatim.
   FormulaBuilder FB;
   NodeRef Early = FB.mkAnd({FB.mkAtom(1, 2), FB.mkAtom(3, 4)});
   std::string Rendered = FB.toString(Early);
@@ -140,18 +139,4 @@ TEST(Formula, ArenaRelocationPreservesNodes) {
   EXPECT_EQ(FB.collectVars(Early), Vars);
   EXPECT_EQ(FB.node(Early).Kind, FormulaKind::And);
   EXPECT_EQ(FB.node(Early).numChildren(), 2u);
-}
-
-TEST(Formula, ArenaVectorAppendsEmptyRangeToFreshVector) {
-  // A fresh vector has no storage yet; an empty append must leave it
-  // untouched rather than copy zero bytes to a null destination.
-  BumpArena A;
-  ArenaVector<uint32_t> V(A);
-  const uint32_t Values[] = {7, 8, 9};
-  V.append(Values, Values);
-  EXPECT_TRUE(V.empty());
-  V.append(Values, Values + 3);
-  ASSERT_EQ(V.size(), 3u);
-  EXPECT_EQ(V[0], 7u);
-  EXPECT_EQ(V[2], 9u);
 }

@@ -381,6 +381,44 @@ TEST(StreamDetector, DeltasAreAdditiveAndCountFindings) {
   EXPECT_GT(Total, 0u);
 }
 
+TEST(StreamDetector, DeltaNamesUnknownsParkedInTheWindow) {
+  // Window 0 parks x's pair (A,B) as unknown (its solve times out) and
+  // window 1 decides the same signature, retiring it, while y's pair
+  // (C,D) times out and is parked in its place. Window 1's delta must
+  // name y's unknown, not skip it because the unknown count stayed 1.
+  StreamOptions Opts;
+  std::string Error;
+  const std::pair<const char *, const char *> Keys[] = {
+      {"tier", "smt"}, {"window", "4"}, {"witness", "false"}};
+  for (auto [Key, Value] : Keys)
+    ASSERT_TRUE(setAnalysisOption(Opts, Key, Value, Error)) << Error;
+  ASSERT_TRUE(finishAnalysisOptions(Opts, Error)) << Error;
+  FaultGuard Guard;
+  ASSERT_TRUE(FaultInjector::configure("solver.timeout=1,solver.timeout=3",
+                                       Error))
+      << Error;
+  StreamDetector Det(Opts);
+  Det.feed("write t1 x 1 @A\nwrite t2 x 2 @B\n"
+           "write t1 z 1 @Z1\nwrite t1 z 2 @Z2\n"
+           "write t1 x 3 @A\nwrite t2 x 4 @B\n"
+           "write t1 y 1 @C\nwrite t2 y 2 @D\n");
+  StreamStep First, Second;
+  ASSERT_TRUE(Det.step(First, false, Error)) << Error;
+  EXPECT_EQ(First.NewUnknowns, 1u);
+  EXPECT_TRUE(std::regex_search(First.Delta, std::regex("unknown on x +A <-> B")))
+      << First.Delta;
+  ASSERT_TRUE(Det.step(Second, false, Error)) << Error;
+  EXPECT_EQ(Second.NewFindings, 1u);
+  EXPECT_TRUE(std::regex_search(Second.Delta, std::regex("race on x +A <-> B")))
+      << Second.Delta;
+  EXPECT_EQ(Second.NewUnknowns, 1u);
+  EXPECT_TRUE(
+      std::regex_search(Second.Delta, std::regex("unknown on y +C <-> D")))
+      << Second.Delta;
+  EXPECT_EQ(Second.Delta.find("unknown on x"), std::string::npos)
+      << Second.Delta;
+}
+
 TEST(StreamDetector, DegradedStepUsesTheWcpTier) {
   std::string Text = racyTrace(4);
   StreamDetector Det(smallWindowOptions(4));

@@ -31,18 +31,20 @@ file(READ "${OUT}" JSON_TEXT)
 # the last-writer-wins sat.clauses_kept gauge. Version 5 removed the
 # wcp.latency_seconds histogram (the wcp phase times the same build).
 # Version 6 removed the per-node formula memory gauges (mem.formula_dag_*
-# accounts the same storage per arena chunk). Version 7 removed the
+# accounts the same storage per pool). Version 7 removed the
 # solver.backend_fallbacks and solver.z3.calls counters (Z3 became a test
-# oracle, so nothing falls back to idl or calls Z3). check_schema asserts
-# the version and that none of the nine comes back.
+# oracle, so nothing falls back to idl or calls Z3). Version 8 removed the
+# encoder.skeleton_cache_hits counter (each query's Φ_mhb ∧ Φ_lock is
+# built directly from its cone; there is no cache). check_schema asserts
+# the version and that none of the ten comes back.
 set(REMOVED_METRICS solver.idl.latency_seconds
     solver.incremental.latency_seconds solver.z3.latency_seconds
     sat.clauses_kept wcp.latency_seconds
     mem.formula_bytes mem.formula_peak_bytes
-    solver.backend_fallbacks solver.z3.calls)
+    solver.backend_fallbacks solver.z3.calls encoder.skeleton_cache_hits)
 function(check_schema TEXT LABEL)
-  if(NOT TEXT MATCHES "^{\"schema_version\":7,")
-    message(FATAL_ERROR "${LABEL}: schema_version is not 7:\n${TEXT}")
+  if(NOT TEXT MATCHES "^{\"schema_version\":8,")
+    message(FATAL_ERROR "${LABEL}: schema_version is not 8:\n${TEXT}")
   endif()
   foreach(NAME ${REMOVED_METRICS})
     string(FIND "${TEXT}" "\"${NAME}\"" AT)
@@ -86,8 +88,6 @@ if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
     message(FATAL_ERROR "degenerate run: windows=${WINDOWS} cops=${COPS} solves=${SOLVES}")
   endif()
   # Cone-of-influence slicing is on by default, so its counters must tick.
-  # (encoder.skeleton_cache_hits is intentionally NOT asserted: rv-mode
-  # cones are seeded per COP and rarely coincide — see docs/ENCODER.md.)
   foreach(COUNTER encoder.cone_events encoder.sliced_atoms)
     string(JSON VALUE ERROR_VARIABLE JSON_ERR GET "${JSON_TEXT}" metrics
            counters ${COUNTER})
